@@ -1,13 +1,14 @@
 """Minimal dense-tensor kernel with reverse-mode automatic differentiation.
 
 Covers exactly the operations the model needs, on float64 numpy storage.
+A sentence is an ``(n, d)`` matrix with one row per token and a graph view
+is a boolean ``(n, n)`` mask, so every primitive works on whole matrices.
 Every primitive records its parents and a backward closure; ``Tape`` walks
 the recorded graph once, in topological order, to accumulate gradients.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -58,9 +59,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self):
         self.grad = None
@@ -133,113 +131,20 @@ def _check_finite(arr: np.ndarray, op: str):
 
 
 # ---------------------------------------------------------------------------
-# Primitives
+# Primitives: a sentence is an (n, d) matrix, one row per token
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
+    """a + b, where b has a's shape or is one row added to every row of a."""
+    row = a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]
+    if a.shape != b.shape and not row:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
 
     def backward(g):
         _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(b, g.sum(axis=0) if row else g)
 
     return _result(a.data + b.data, (a, b), backward)
-
-
-def scalar_mul(c: float, a: Tensor) -> Tensor:
-    c = float(c)
-
-    def backward(g):
-        _accumulate(a, c * g)
-
-    return _result(c * a.data, (a,), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        if bd.ndim == 1:
-            _accumulate(a, np.outer(g, bd))
-            _accumulate(b, ad.T @ g)
-        else:
-            _accumulate(a, g @ bd.T)
-            _accumulate(b, ad.T @ g)
-
-    return _result(ad @ bd, (a, b), backward)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeMismatch(f"dot: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        _accumulate(a, g * bd)
-        _accumulate(b, g * ad)
-
-    with np.errstate(over="ignore"):
-        out = ad @ bd
-    if not math.isfinite(out):
-        raise NonFiniteValue("non-finite value produced by dot")
-    return _result(out, (a, b), backward)
-
-
-def dots_with(anchor: Tensor, items: list[Tensor]) -> Tensor:
-    """Row of dot products: out[k] = items[k] . anchor (one fused op)."""
-    if anchor.data.ndim != 1:
-        raise ShapeMismatch("dots_with expects a 1-D anchor")
-    if not items:
-        raise ShapeMismatch("dots_with over zero items")
-    for t in items:
-        if t.shape != anchor.shape:
-            raise ShapeMismatch(f"dots_with: {t.shape} vs anchor {anchor.shape}")
-    m = np.stack([t.data for t in items])
-    av = anchor.data
-    with np.errstate(over="ignore"):
-        out = m @ av
-    _check_finite(out, "dots_with")
-
-    def backward(g):
-        for k, t in enumerate(items):
-            _accumulate(t, g[k] * av)
-        _accumulate(anchor, g @ m)
-
-    return _result(out, tuple(items) + (anchor,), backward)
-
-
-def concat(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeMismatch("concat of zero tensors")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ShapeMismatch("concat expects 1-D tensors")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[s:e])
-
-    return _result(np.concatenate([p.data for p in parts]), tuple(parts), backward)
-
-
-def embedding_lookup(table: Tensor, index: int) -> Tensor:
-    if table.data.ndim != 2:
-        raise ShapeMismatch("embedding table must be 2-D")
-    if not 0 <= index < table.shape[0]:
-        raise ShapeMismatch(f"row {index} outside table of {table.shape[0]} rows")
-
-    def backward(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            table.grad[index] += g
-
-    return _result(table.data[index].copy(), (table,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -251,158 +156,167 @@ def relu(a: Tensor) -> Tensor:
     return _result(a.data * mask, (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise NonFiniteValue("log of non-positive value")
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """a @ b, or a @ b.T with ``transpose_b``; both operands 2-D."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
+    ad, bd = a.data, (b.data.T if transpose_b else b.data)
+    if ad.shape[1] != bd.shape[0]:
+        raise ShapeMismatch(f"matmul: {a.shape} @ {bd.shape}")
 
     def backward(g):
-        _accumulate(a, g / a.data)
+        if a.requires_grad:
+            _accumulate(a, g @ bd.T)
+        if b.requires_grad:
+            _accumulate(b, g.T @ ad if transpose_b else ad.T @ g)
 
-    return _result(np.log(a.data), (a,), backward)
-
-
-def sum_list(items: list[Tensor]) -> Tensor:
-    if not items:
-        raise ShapeMismatch("sum of zero tensors")
-    shape = items[0].shape
-    for t in items:
-        if t.shape != shape:
-            raise ShapeMismatch("sum_list over mixed shapes")
-
-    def backward(g):
-        for t in items:
-            _accumulate(t, g)
-
-    return _result(sum(t.data for t in items), tuple(items), backward)
+    # overflow is left to the consumer: a masked softmax ignores masked logits
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ad @ bd
+    return _result(out, (a, b), backward)
 
 
-def mean_over_list(items: list[Tensor]) -> Tensor:
-    if not items:
-        raise ShapeMismatch("mean of zero tensors")
-    shape = items[0].shape
-    for t in items:
-        if t.shape != shape:
-            raise ShapeMismatch("mean_over_list over mixed shapes")
-    inv = 1.0 / len(items)
+def gather_rows(table: Tensor, index) -> Tensor:
+    """Rows ``table[index]``; the gradient scatter-adds back onto the table."""
+    idx = np.asarray(index, dtype=np.intp)
+    if table.data.ndim != 2 or idx.ndim != 1:
+        raise ShapeMismatch(f"gather_rows: table {table.shape}, index {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ShapeMismatch(f"row index outside table of {table.shape[0]} rows")
 
     def backward(g):
-        for t in items:
-            _accumulate(t, inv * g)
+        if table.requires_grad:
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, idx, g)
 
-    return _result(sum(t.data for t in items) * inv, tuple(items), backward)
+    return _result(table.data[idx], (table,), backward)
 
 
-def weighted_sum(items: list[Tensor], weights: Tensor) -> Tensor:
-    """sum_k weights[k] * items[k]; gradient flows to both sides."""
-    if weights.data.ndim != 1 or len(items) != weights.shape[0]:
-        raise ShapeMismatch(f"{len(items)} items vs weights {weights.shape}")
-    shape = items[0].shape
-    for t in items:
-        if t.shape != shape:
-            raise ShapeMismatch("weighted_sum over mixed shapes")
-    w = weights.data
+def hstack(parts: list[Tensor]) -> Tensor:
+    """Column-wise concatenation of matrices with one row count."""
+    if not parts:
+        raise ShapeMismatch("hstack of zero tensors")
+    if any(p.data.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ShapeMismatch(f"hstack: {[p.shape for p in parts]}")
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def backward(g):
-        for k, t in enumerate(items):
-            _accumulate(t, w[k] * g)
-        if weights.requires_grad:
-            wg = np.array([float(np.sum(g * t.data)) for t in items])
-            _accumulate(weights, wg)
+        for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
+            _accumulate(p, g[:, s:e])
 
-    out = np.zeros(shape)
-    for k, t in enumerate(items):
-        out += w[k] * t.data
-    return _result(out, tuple(items) + (weights,), backward)
+    return _result(np.hstack([p.data for p in parts]), tuple(parts), backward)
 
 
-def _masked_softmax_parts(logits: list, mask: list[bool]):
-    active = [k for k, m in enumerate(mask) if m]
-    if not active:
+def _shift(x: np.ndarray, k: int) -> np.ndarray:
+    out = np.zeros_like(x)
+    n = x.shape[0]
+    if k >= 0:
+        out[k:] = x[:max(n - k, 0)]
+    else:
+        out[:max(n + k, 0)] = x[-k:]
+    return out
+
+
+def shift_rows(a: Tensor, k: int) -> Tensor:
+    """out[i] = a[i - k], with zero rows where i - k falls outside a."""
+    if a.data.ndim != 2:
+        raise ShapeMismatch("shift_rows expects a 2-D tensor")
+
+    def backward(g):
+        _accumulate(a, _shift(g, -k))
+
+    return _result(_shift(a.data, k), (a,), backward)
+
+
+def masked_softmax(logits: Tensor, mask) -> Tensor:
+    """Softmax of each row over its active (mask-true) entries; exact zeros
+    elsewhere.  Logits at masked entries are ignored, even if not finite."""
+    x = logits.data
+    mask = np.asarray(mask, dtype=bool)
+    if x.ndim != 2 or mask.shape != x.shape:
+        raise ShapeMismatch(f"masked_softmax: logits {x.shape}, mask {mask.shape}")
+    if not mask.any(axis=1).all():
         raise EmptyMask("softmax over an empty active set")
-    if len(logits) != len(mask):
-        raise ShapeMismatch("logits and mask length differ")
-    vals = np.array([float(logits[k].data) for k in active])
-    _check_finite(vals, "masked softmax logits")
-    m = vals.max()
-    ex = np.exp(vals - m)
-    z = ex.sum()
-    return active, vals, m, ex, z
-
-
-def softmax_over_masked_set(logits: list, mask: list[bool]) -> Tensor:
-    """Softmax over scalar logits at active positions; exact zeros elsewhere.
-
-    ``logits`` entries at masked positions may be None.
-    """
-    active, _, _, ex, z = _masked_softmax_parts(logits, mask)
-    probs = ex / z
-    out = np.zeros(len(mask))
-    out[active] = probs
-    parents = tuple(logits[k] for k in active)
+    _check_finite(x[mask], "masked softmax logits")
+    z = np.where(mask, x, -np.inf)
+    ex = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = ex / ex.sum(axis=1, keepdims=True)
 
     def backward(g):
-        ga = g[active]
-        inner = float(probs @ ga)
-        for t, p, gk in zip(parents, probs, ga):
-            _accumulate(t, np.asarray(p * (gk - inner)))
+        _accumulate(logits, probs * (g - (probs * g).sum(axis=1, keepdims=True)))
 
-    return _result(out, parents, backward)
+    return _result(probs, (logits,), backward)
 
 
-def log_softmax_over_masked_set(logits: list, mask: list[bool]) -> Tensor:
-    """Log-probabilities at active positions; masked positions hold 0.0."""
-    active, vals, m, ex, z = _masked_softmax_parts(logits, mask)
-    logz = m + np.log(z)
-    out = np.zeros(len(mask))
-    out[active] = vals - logz
-    probs = ex / z
-    parents = tuple(logits[k] for k in active)
-
-    def backward(g):
-        ga = g[active]
-        total = float(ga.sum())
-        for t, p, gk in zip(parents, probs, ga):
-            _accumulate(t, np.asarray(gk - p * total))
-
-    return _result(out, parents, backward)
-
-
-def log_softmax_vector(logits: Tensor) -> Tensor:
-    """Log-softmax of a 1-D tensor over all of its entries."""
-    if logits.data.ndim != 1 or logits.shape[0] == 0:
-        raise ShapeMismatch("log_softmax_vector expects a non-empty 1-D tensor")
+def log_softmax_rows(logits: Tensor) -> Tensor:
+    """Log-softmax of each row of a 2-D tensor over all of its entries."""
     x = logits.data
-    m = x.max()
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ShapeMismatch(f"log_softmax_rows: {x.shape}")
+    _check_finite(x, "log-softmax logits")
+    m = x.max(axis=1, keepdims=True)
     ex = np.exp(x - m)
-    z = ex.sum()
-    out = x - (m + np.log(z))
+    z = ex.sum(axis=1, keepdims=True)
     probs = ex / z
 
     def backward(g):
-        _accumulate(logits, g - probs * g.sum())
+        _accumulate(logits, g - probs * g.sum(axis=1, keepdims=True))
 
-    return _result(out, (logits,), backward)
+    return _result(x - (m + np.log(z)), (logits,), backward)
 
 
-def cross_entropy_with_logits(logits: Tensor, gold: int) -> Tensor:
-    if logits.data.ndim != 1:
-        raise ShapeMismatch("cross entropy expects a 1-D logit vector")
-    if not 0 <= gold < logits.shape[0]:
-        raise ShapeMismatch(f"gold index {gold} outside {logits.shape[0]} classes")
+def masked_sum(a: Tensor, mask) -> Tensor:
+    """Sum of ``a * mask`` for a constant ``mask`` of a's shape."""
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != a.shape:
+        raise ShapeMismatch(f"masked_sum: {a.shape} vs mask {mask.shape}")
+
+    def backward(g):
+        _accumulate(a, g * mask)
+
+    return _result(np.sum(a.data * mask), (a,), backward)
+
+
+def cross_entropy_rows(logits: Tensor, gold) -> Tensor:
+    """Mean over rows of the cross entropy of row i against class gold[i]."""
     x = logits.data
-    m = x.max()
+    gold = np.asarray(gold, dtype=np.intp)
+    if x.ndim != 2 or x.shape[0] == 0 or gold.shape != (x.shape[0],):
+        raise ShapeMismatch(f"cross entropy: logits {x.shape}, gold {gold.shape}")
+    if gold.min() < 0 or gold.max() >= x.shape[1]:
+        raise ShapeMismatch(f"gold index outside {x.shape[1]} classes")
+    rows = np.arange(x.shape[0])
+    m = x.max(axis=1, keepdims=True)
     ex = np.exp(x - m)
-    z = ex.sum()
-    loss = m + np.log(z) - x[gold]
-    _check_finite(np.asarray(loss), "cross_entropy_with_logits")
-    probs = ex / z
+    z = ex.sum(axis=1, keepdims=True)
+    loss = np.mean(m[:, 0] + np.log(z[:, 0]) - x[rows, gold])
+    _check_finite(np.asarray(loss), "cross entropy")
+    d = ex / z
+    d[rows, gold] -= 1.0
 
     def backward(g):
-        d = probs.copy()
-        d[gold] -= 1.0
-        _accumulate(logits, float(g) * d)
+        _accumulate(logits, (float(g) / x.shape[0]) * d)
 
     return _result(loss, (logits,), backward)
+
+
+def combine(terms: list[Tensor], weights: list[float]) -> Tensor:
+    """weights[0] * terms[0] + weights[1] * terms[1] + ..., left to right."""
+    if not terms or len(terms) != len(weights):
+        raise ShapeMismatch(f"{len(terms)} terms vs {len(weights)} weights")
+    if any(t.shape != terms[0].shape for t in terms):
+        raise ShapeMismatch("combine over mixed shapes")
+    ws = [float(w) for w in weights]
+    out = ws[0] * terms[0].data
+    for w, t in zip(ws[1:], terms[1:]):
+        out = out + w * t.data
+
+    def backward(g):
+        for w, t in zip(ws, terms):
+            _accumulate(t, w * g)
+
+    return _result(out, tuple(terms), backward)
 
 
 # ---------------------------------------------------------------------------

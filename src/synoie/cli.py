@@ -247,8 +247,14 @@ def _load_pred_file(path, gold_sentences):
                 continue
             rec = json.loads(line)
             sid = rec.get("sentence_id", lineno)
+            # bool is an int subclass; a float id would only fail at indexing
+            if isinstance(sid, bool) or not isinstance(sid, int):
+                raise ev.UnalignedIds(
+                    f"line {lineno + 1}: sentence_id {sid!r} is not an integer")
             if not 0 <= sid < len(gold_sentences):
                 raise ev.UnalignedIds(f"sentence_id {sid} outside the gold corpus")
+            if sid in by_id:
+                raise ev.UnalignedIds(f"line {lineno + 1}: duplicate sentence_id {sid}")
             tuples = []
             for t in rec.get("tuples", []):
                 conf = float(t.get("confidence", 1.0))

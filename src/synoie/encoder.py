@@ -80,14 +80,11 @@ class EncoderParams:
 
 
 def embed(params: EncoderParams, vocab: Vocabulary, surfaces: list[str],
-          indicator_verb: int) -> list[Tensor]:
-    """w_i = word embedding + indicator-row embedding (row 1 only at the verb)."""
-    out = []
-    for i, surface in enumerate(surfaces):
-        w = ad.embedding_lookup(params.w_word, vocab.lookup(surface))
-        v = ad.embedding_lookup(params.w_verb, 1 if i == indicator_verb else 0)
-        out.append(ad.add(w, v))
-    return out
+          indicator_verb: int) -> Tensor:
+    """(n, d_h) rows: word embedding + indicator row (row 1 only at the verb)."""
+    words = ad.gather_rows(params.w_word, [vocab.lookup(s) for s in surfaces])
+    flags = (np.arange(len(surfaces)) == indicator_verb).astype(np.intp)
+    return ad.add(words, ad.gather_rows(params.w_verb, flags))
 
 
 class ToyEncoder:
@@ -104,21 +101,16 @@ class ToyEncoder:
         return self.params.b_mix.shape[0]
 
     def encode(self, sentence: ParsedSentence, indicator_verb: int,
-               sentence_id: int | None = None) -> list[Tensor]:
+               sentence_id: int | None = None) -> Tensor:
         ws = embed(self.params, self.vocab, [t.surface for t in sentence.tokens],
                    indicator_verb)
         return self.contextualize(ws)
 
-    def contextualize(self, ws: list[Tensor]) -> list[Tensor]:
-        pad = ad.constant(np.zeros(self.d_h))
-        out = []
-        for i in range(len(ws)):
-            left = ws[i - 1] if i > 0 else pad
-            right = ws[i + 1] if i + 1 < len(ws) else pad
-            window = ad.concat([left, ws[i], right])
-            out.append(ad.relu(ad.add(ad.matmul(self.params.w_mix, window),
-                                      self.params.b_mix)))
-        return out
+    def contextualize(self, ws: Tensor) -> Tensor:
+        """(n, d_h) -> (n, d_h); the window is zero-padded at both ends."""
+        window = ad.hstack([ad.shift_rows(ws, 1), ws, ad.shift_rows(ws, -1)])
+        mixed = ad.matmul(window, self.params.w_mix, transpose_b=True)
+        return ad.relu(ad.add(mixed, self.params.b_mix))
 
 
 class PrecomputedEncoder:
@@ -141,15 +133,21 @@ class PrecomputedEncoder:
                 if not line.strip():
                     continue
                 rec = json.loads(line)
+                sid = int(rec["sentence_id"])
                 arr = np.asarray(rec["vectors"], dtype=np.float64)
-                vectors[int(rec["sentence_id"])] = arr
-                d_h = arr.shape[1] if arr.ndim == 2 else d_h
+                if arr.ndim != 2 or not np.isfinite(arr).all():
+                    raise ValueError(f"vectors for sentence {sid} are not a "
+                                     f"finite 2-D array (shape {arr.shape})")
+                if sid in vectors:
+                    raise ValueError(f"duplicate sentence_id {sid}")
+                vectors[sid] = arr
+                d_h = arr.shape[1]
         if d_h is None:
             raise ValueError(f"no vectors found in {path}")
         return cls(vectors, d_h)
 
     def encode(self, sentence: ParsedSentence, indicator_verb: int,
-               sentence_id: int | None = None) -> list[Tensor]:
+               sentence_id: int | None = None) -> Tensor:
         if sentence_id not in self.vectors:
             raise KeyError(f"no precomputed vectors for sentence {sentence_id}")
         arr = self.vectors[sentence_id]
@@ -157,4 +155,4 @@ class PrecomputedEncoder:
             raise ValueError(
                 f"vectors for sentence {sentence_id} have shape {arr.shape}, "
                 f"expected ({len(sentence.tokens)}, {self.d_h})")
-        return [ad.constant(arr[i]) for i in range(arr.shape[0])]
+        return ad.constant(arr)

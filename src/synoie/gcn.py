@@ -66,57 +66,47 @@ class GcnParams:
 
 
 def node_label_embed_dep(g: SyntacticGraph, params: GcnParams,
-                         labels: LabelVocab) -> list[Tensor]:
+                         labels: LabelVocab) -> Tensor:
+    """(n, d_l): the W1 row of each node's dependency label."""
     assert g.view == DEP_VIEW
-    return [ad.embedding_lookup(params.w1, labels.lookup(l))
-            for l in g.node_labels]
+    return ad.gather_rows(params.w1, [labels.lookup(l) for l in g.node_labels])
 
 
 def node_label_embed_const(g: SyntacticGraph, params: GcnParams,
-                           labels: LabelVocab) -> list[Tensor]:
-    """Mean of the tag embeddings along each node's constituency path."""
+                           labels: LabelVocab) -> Tensor:
+    """(n, d_l): mean of the tag embeddings along each node's constituency
+    path, as one constant path-averaging matrix times W1."""
     assert g.view == CONST_VIEW
-    out = []
+    avg = np.zeros((g.n, params.w1.shape[0]))
     for i, path in enumerate(g.node_labels):
         if not path:
             raise EmptyPath(f"node {i} has an empty constituency path")
-        rows = [ad.embedding_lookup(params.w1, labels.lookup(t)) for t in path]
-        out.append(ad.mean_over_list(rows))
-    return out
+        for tag in path:
+            avg[i, labels.lookup(tag)] += 1.0 / len(path)
+    return ad.matmul(ad.constant(avg), params.w1)
 
 
-def gcn_layer(g: SyntacticGraph, h_ctx: list[Tensor], l: list[Tensor],
-              params: GcnParams) -> tuple[list[Tensor], list[Tensor]]:
-    """One graph convolution; returns per-node states and attention rows.
+def gcn_layer(g: SyntacticGraph, h_ctx: Tensor, l: Tensor,
+              params: GcnParams) -> tuple[Tensor, Tensor]:
+    """One graph convolution; returns the (n, d_h) node states and the
+    (n, n) attention matrix.
 
-    Attention row i is a masked softmax over the adjacency row (self-loop
-    included), so isolated nodes cannot occur.
+    Attention row i is a masked softmax of the message dot products over the
+    adjacency row (self-loop included), so isolated nodes cannot occur.
     """
-    n = g.n
-    msgs = [ad.concat([h_ctx[j], l[j]]) for j in range(n)]
-    contrib = [ad.add(ad.add(h_ctx[j], ad.matmul(params.w2, l[j])), params.b)
-               for j in range(n)]
-    out, alphas = [], []
-    for i in range(n):
-        mask = [bool(g.adjacency[i, j]) for j in range(n)]
-        logits = [ad.dot(msgs[i], msgs[j]) if mask[j] else None
-                  for j in range(n)]
-        alpha = ad.softmax_over_masked_set(logits, mask)
-        out.append(ad.relu(ad.weighted_sum(contrib, alpha)))
-        alphas.append(alpha)
-    return out, alphas
+    msgs = ad.hstack([h_ctx, l])
+    alpha = ad.masked_softmax(ad.matmul(msgs, msgs, transpose_b=True),
+                              g.adjacency)
+    contrib = ad.add(h_ctx, label_projection(l, params))
+    return ad.relu(ad.matmul(alpha, contrib)), alpha
 
 
-def label_projection(l: list[Tensor], params: GcnParams) -> list[Tensor]:
+def label_projection(l: Tensor, params: GcnParams) -> Tensor:
     """GCN-ablated view state: projected label embedding, no message passing."""
-    return [ad.add(ad.matmul(params.w2, lj), params.b) for lj in l]
+    return ad.add(ad.matmul(l, params.w2, transpose_b=True), params.b)
 
 
-def aggregate(h_ctx: list[Tensor], h_con: list[Tensor] | None = None,
-              h_dep: list[Tensor] | None = None) -> list[Tensor]:
+def aggregate(h_ctx: Tensor, h_con: Tensor | None = None,
+              h_dep: Tensor | None = None) -> Tensor:
     """Per-token concatenation in the fixed order ctx, con, dep."""
-    views = [v for v in (h_ctx, h_con, h_dep) if v is not None]
-    for v in views[1:]:
-        if len(v) != len(h_ctx):
-            raise ad.ShapeMismatch("view length mismatch in aggregate")
-    return [ad.concat([v[i] for v in views]) for i in range(len(h_ctx))]
+    return ad.hstack([v for v in (h_ctx, h_con, h_dep) if v is not None])

@@ -2,8 +2,10 @@
 
 All pairwise probabilities are softmaxes of raw dot products over one
 sentence's node set (the candidate set is the view supplying the target
-vector).  Each loss is a sum of negative log-probabilities, so every loss is
-non-negative; batch-level normalization is the trainer's concern.
+vector): the row log-softmax of ``H_z H_other^T``.  Each loss is the
+negated sum of the entries a constant selection mask picks from such a
+matrix, so every loss is non-negative; batch-level normalization is the
+trainer's concern.
 """
 
 from __future__ import annotations
@@ -33,96 +35,68 @@ class LossWeights:
                 raise ValueError(f"{name} must be a non-negative finite real")
 
 
-def pairwise_softmax_prob(target_index: int, anchor: Tensor,
-                          candidates: list[Tensor]) -> Tensor:
-    """P(candidate[target] | anchor): softmax of candidate-anchor dots."""
-    if not candidates:
+def log_prob_matrix(h_z: Tensor, h_other: Tensor) -> Tensor:
+    """(n_z, n_other) log P(h_other[j] | h_z[i]): the row log-softmax of
+    H_z H_other^T, so each row is a distribution over the candidate set."""
+    if h_other.shape[0] == 0:
         raise EmptyCandidates("no candidate vectors")
-    if not 0 <= target_index < len(candidates):
-        raise EmptyCandidates(f"target {target_index} outside candidate set")
-    logits = [ad.dot(c, anchor) for c in candidates]
-    probs = ad.softmax_over_masked_set(logits, [True] * len(candidates))
-    pick = np.zeros(len(candidates))
-    pick[target_index] = 1.0
-    return ad.dot(probs, ad.constant(pick))
+    return ad.log_softmax_rows(ad.matmul(h_z, h_other, transpose_b=True))
 
 
-def _log_prob_row(anchor: Tensor, candidates: list[Tensor]) -> Tensor:
-    return ad.log_softmax_vector(ad.dots_with(anchor, candidates))
-
-
-def _selection_row(adj: np.ndarray, i: int, exclude_self: bool) -> np.ndarray:
-    row = adj[i].astype(float)
+def _selection(adj: np.ndarray, exclude_self: bool) -> np.ndarray:
+    sel = adj.astype(float)
     if exclude_self:
-        row[i] = 0.0
-    return row
+        np.fill_diagonal(sel, 0.0)
+    return sel
 
 
-def loss_r1(h_by_view: dict[str, list[Tensor]],
+def loss_r1(h_by_view: dict[str, Tensor],
             adj_by_view: dict[str, np.ndarray],
             exclude_self_loops: bool = True) -> Tensor:
     """Inter-node intra-view: connected nodes score high under their own view."""
-    terms = []
-    for view, h in h_by_view.items():
-        adj = adj_by_view[view]
-        for i in range(len(h)):
-            sel = _selection_row(adj, i, exclude_self_loops)
-            if not sel.any():
-                continue
-            log_probs = _log_prob_row(h[i], h)
-            terms.append(ad.dot(log_probs, ad.constant(sel)))
-    if not terms:
-        return ad.constant(0.0)
-    return ad.scalar_mul(-1.0, ad.sum_list(terms))
+    terms = [ad.masked_sum(log_prob_matrix(h, h),
+                           -_selection(adj_by_view[view], exclude_self_loops))
+             for view, h in h_by_view.items()]
+    return ad.combine(terms, [1.0] * len(terms))
 
 
-def loss_r2(h_con: list[Tensor], h_dep: list[Tensor]) -> Tensor:
-    """Intra-node inter-view: each node close to its own other-view state."""
-    n = len(h_con)
-    if n != len(h_dep):
+def _inter_view(h_con: Tensor, h_dep: Tensor, sel_dep: np.ndarray,
+                sel_con: np.ndarray) -> Tensor:
+    """Both directions: dep anchors over con candidates picked by sel_dep,
+    con anchors over dep candidates picked by sel_con."""
+    if h_con.shape[0] != h_dep.shape[0]:
         raise ad.ShapeMismatch("views disagree on node count")
-    terms = []
-    for h_z, h_other in ((h_dep, h_con), (h_con, h_dep)):
-        for i in range(n):
-            pick = np.zeros(n)
-            pick[i] = 1.0
-            log_probs = _log_prob_row(h_z[i], h_other)
-            terms.append(ad.dot(log_probs, ad.constant(pick)))
-    return ad.scalar_mul(-1.0, ad.sum_list(terms))
+    return ad.add(ad.masked_sum(log_prob_matrix(h_dep, h_con), -sel_dep),
+                  ad.masked_sum(log_prob_matrix(h_con, h_dep), -sel_con))
 
 
-def loss_r3(h_con: list[Tensor], h_dep: list[Tensor],
+def loss_r2(h_con: Tensor, h_dep: Tensor) -> Tensor:
+    """Intra-node inter-view: each node close to its own other-view state."""
+    eye = np.eye(h_con.shape[0])
+    return _inter_view(h_con, h_dep, eye, eye)
+
+
+def loss_r3(h_con: Tensor, h_dep: Tensor,
             adj_con: np.ndarray, adj_dep: np.ndarray,
             exclude_self_loops: bool = True) -> Tensor:
     """Inter-node inter-view: view-z edges pull in other-view neighbours."""
-    n = len(h_con)
-    terms = []
-    for h_z, h_other, adj in ((h_dep, h_con, adj_dep), (h_con, h_dep, adj_con)):
-        for j in range(n):
-            sel = _selection_row(adj, j, exclude_self_loops)
-            if not sel.any():
-                continue
-            log_probs = _log_prob_row(h_z[j], h_other)
-            terms.append(ad.dot(log_probs, ad.constant(sel)))
-    if not terms:
-        return ad.constant(0.0)
-    return ad.scalar_mul(-1.0, ad.sum_list(terms))
+    return _inter_view(h_con, h_dep,
+                       _selection(adj_dep, exclude_self_loops),
+                       _selection(adj_con, exclude_self_loops))
 
 
-def tagging_loss(logits: list[Tensor], gold_ids: list[int]) -> Tensor:
+def tagging_loss(logits: Tensor, gold_ids: list[int]) -> Tensor:
     """Mean token-level cross entropy for one instance."""
-    if len(logits) != len(gold_ids):
-        raise ad.ShapeMismatch("logit/label length mismatch")
-    return ad.mean_over_list([ad.cross_entropy_with_logits(lg, y)
-                              for lg, y in zip(logits, gold_ids)])
+    return ad.cross_entropy_rows(logits, gold_ids)
 
 
 def combined_loss(l_ce: Tensor, l_r1: Tensor | None, l_r2: Tensor | None,
                   l_r3: Tensor | None, weights: LossWeights) -> Tensor:
     """L_CE + alpha*L_R1 + beta*L_R2 + gamma*L_R3; zero weights drop out."""
-    total = l_ce
+    terms, coefs = [l_ce], [1.0]
     for w, term in ((weights.alpha, l_r1), (weights.beta, l_r2),
                     (weights.gamma, l_r3)):
         if w != 0.0 and term is not None:
-            total = ad.add(total, ad.scalar_mul(w, term))
-    return total
+            terms.append(term)
+            coefs.append(w)
+    return ad.combine(terms, coefs)

@@ -32,12 +32,14 @@ class SentenceGraphs:
 
 @dataclass
 class ForwardResult:
-    logits: list[Tensor]
-    h_ctx: list[Tensor]
-    h_con: list[Tensor] | None
-    h_dep: list[Tensor] | None
-    alphas_con: list[Tensor] | None
-    alphas_dep: list[Tensor] | None
+    """(n, n_tags) logits, (n, d_h) states and (n, n) attention matrices."""
+
+    logits: Tensor
+    h_ctx: Tensor
+    h_con: Tensor | None
+    h_dep: Tensor | None
+    alphas_con: Tensor | None
+    alphas_dep: Tensor | None
 
 
 class Model:
@@ -138,13 +140,9 @@ class Model:
         gold_ids = [self.tag_ids[l] for l in inst.labels]
         l_ce = losses_mod.tagging_loss(fwd.logits, gold_ids)
 
-        h_by_view, adj_by_view = {}, {}
-        if fwd.h_con is not None:
-            h_by_view["con"] = fwd.h_con
-            adj_by_view["con"] = graphs.const.adjacency
-        if fwd.h_dep is not None:
-            h_by_view["dep"] = fwd.h_dep
-            adj_by_view["dep"] = graphs.dep.adjacency
+        h_by_view = {view: h for view, h in (("con", fwd.h_con), ("dep", fwd.h_dep))
+                     if h is not None}
+        adj_by_view = {"con": graphs.const.adjacency, "dep": graphs.dep.adjacency}
 
         both = fwd.h_con is not None and fwd.h_dep is not None
         w = cfg.weights
@@ -160,7 +158,7 @@ class Model:
                                       graphs.dep.adjacency,
                                       cfg.mv_exclude_self_loops)
         total = losses_mod.combined_loss(l_ce, l_r1, l_r2, l_r3, w)
-        pred_ids = [int(np.argmax(lg.data)) for lg in fwd.logits]
+        pred_ids = np.argmax(fwd.logits.data, axis=1).tolist()
         return {"total": total, "ce": l_ce, "r1": l_r1, "r2": l_r2, "r3": l_r3,
                 "pred_ids": pred_ids, "gold_ids": gold_ids}
 
@@ -169,12 +167,9 @@ class Model:
         """Argmax tags and their probabilities, without recording gradients."""
         with ad.no_grad():
             fwd = self.forward(sentence, indicator_verb, graphs, sentence_id)
-        tags, probs = [], []
-        for lg in fwd.logits:
-            x = lg.data
-            ex = np.exp(x - x.max())
-            p = ex / ex.sum()
-            k = int(np.argmax(p))
-            tags.append(self.tags[k])
-            probs.append(float(p[k]))
-        return tags, probs
+        x = fwd.logits.data
+        ex = np.exp(x - x.max(axis=1, keepdims=True))
+        p = ex / ex.sum(axis=1, keepdims=True)
+        best = np.argmax(p, axis=1)
+        return ([self.tags[k] for k in best],
+                p[np.arange(len(best)), best].tolist())

@@ -8,9 +8,9 @@ from . import autodiff as ad
 from .corpus import Extraction, ParsedSentence, REL
 
 
-def tag_logits(h_final: list, w_tag, b_tag) -> list:
-    """Per-token tag scores from one linear layer over the fused states."""
-    return [ad.add(ad.matmul(w_tag, h), b_tag) for h in h_final]
+def tag_logits(h_final, w_tag, b_tag):
+    """(n, n_tags) tag scores from one linear layer over the fused states."""
+    return ad.add(ad.matmul(h_final, w_tag, transpose_b=True), b_tag)
 
 
 def bio_runs(tags: list[str]) -> list[tuple[str, int, int]]:
@@ -57,13 +57,9 @@ def decode_bio(tags: list[str], probs: list[float],
                       confidence=min(confidence, 1.0))
 
 
-def extract(sentence: ParsedSentence, model, graphs=None,
+def extract(sentence: ParsedSentence, model, graphs,
             sentence_id: int | None = None) -> list[Extraction]:
     """Run one instance per candidate verb; at most one tuple per verb."""
-    if graphs is None:
-        from .model import SentenceGraphs
-
-        graphs = SentenceGraphs.build(sentence, model.cfg.flatten)
     out = []
     for verb in sentence.verbs:
         tags, probs = model.predict(sentence, verb, graphs, sentence_id)

@@ -161,7 +161,8 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
             except ad.NonFiniteValue as exc:
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch at instance {start}: {exc}") from exc
-            batch_loss = ad.mean_over_list(per_instance)
+            batch_loss = ad.combine(per_instance,
+                                    [1.0 / len(per_instance)] * len(per_instance))
             if not np.isfinite(batch_loss.data):
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch at instance {start}: "

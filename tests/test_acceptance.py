@@ -105,8 +105,7 @@ def test_criterion_4_loss_oracles():
                 # the forward is deterministic, so a rerun reproduces the
                 # states the losses were computed from
                 fwd = model.forward(s, inst.indicator_verb, cache[i], i)
-                h_con = [t.data for t in fwd.h_con]
-                h_dep = [t.data for t in fwd.h_dep]
+                h_con, h_dep = fwd.h_con.data, fwd.h_dep.data
                 adj_c, adj_d = cache[i].const.adjacency, cache[i].dep.adjacency
                 want_r1 = oracles.brute_r1({"con": h_con, "dep": h_dep},
                                            {"con": adj_c, "dep": adj_d})
@@ -134,16 +133,17 @@ def test_criterion_5_normalization_invariants():
             edges = [(int(a), int(b))
                      for a, b in rng.integers(0, n, size=(n + 1, 2)) if a != b]
             graph = make_graph("dep", n, edges)
-            h_ctx = [ad.constant(rng.normal(size=5)) for _ in range(n)]
-            l = [ad.constant(rng.normal(size=3)) for _ in range(n)]
+            h_ctx = ad.constant(rng.normal(size=(n, 5)))
+            l = ad.constant(rng.normal(size=(n, 3)))
             _, alphas = gcn_mod.gcn_layer(graph, h_ctx, l, params)
-            for i, alpha in enumerate(alphas):
-                assert abs(alpha.data.sum() - 1.0) <= 1e-9
-                assert (alpha.data[~graph.adjacency[i]] == 0.0).all()
+            for i, alpha in enumerate(alphas.data):
+                assert abs(alpha.sum() - 1.0) <= 1e-9
+                assert (alpha[~graph.adjacency[i]] == 0.0).all()
             # pairwise-probability softmax over the full candidate set
-            anchor = h_ctx[int(rng.integers(n))]
-            row = ad.softmax_over_masked_set(
-                [ad.dot(h, anchor) for h in h_ctx], [True] * n)
+            k = int(rng.integers(n))
+            anchor = ad.constant(h_ctx.data[k:k + 1])
+            row = ad.masked_softmax(ad.matmul(anchor, h_ctx, transpose_b=True),
+                                    np.ones((1, n), dtype=bool))
             assert abs(row.data.sum() - 1.0) <= 1e-9
 
 

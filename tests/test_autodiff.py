@@ -4,50 +4,69 @@ import pytest
 from synoie import autodiff as ad
 
 
+def sq_norm(x):
+    """x . x for a (1, d) row, through the matrix primitives."""
+    return ad.masked_sum(ad.matmul(x, x, transpose_b=True), [[1.0]])
+
+
 class TestForwardValues:
     def test_masked_softmax_symmetry(self):
-        logits = [ad.constant(0.0), ad.constant(0.0)]
-        out = ad.softmax_over_masked_set(logits, [True, True])
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
+        logits = ad.constant([[0.0, 0.0]])
+        out = ad.masked_softmax(logits, [[True, True]])
+        np.testing.assert_allclose(out.data[0], [0.5, 0.5])
 
     def test_masked_softmax_zeros_at_masked(self):
-        logits = [ad.constant(3.0), None, ad.constant(1.0)]
-        out = ad.softmax_over_masked_set(logits, [True, False, True])
-        assert out.data[1] == 0.0
+        # a masked logit is ignored even when it is not finite
+        logits = ad.constant([[3.0, np.inf, 1.0]])
+        out = ad.masked_softmax(logits, [[True, False, True]])
+        assert out.data[0, 1] == 0.0
         assert abs(out.data.sum() - 1.0) < 1e-12
 
     def test_empty_mask(self):
         with pytest.raises(ad.EmptyMask):
-            ad.softmax_over_masked_set([None], [False])
+            ad.masked_softmax(ad.constant([[0.0]]), [[False]])
 
     def test_relu(self):
         x = ad.parameter([-1.0, 2.0])
         y = ad.relu(x)
         np.testing.assert_allclose(y.data, [0.0, 2.0])
-        ad.dot(y, ad.constant([1.0, 1.0])).backward()
+        ad.masked_sum(y, [1.0, 1.0]).backward()
         np.testing.assert_allclose(x.grad, [0.0, 1.0])
 
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(0)
-        logits = [ad.constant(v) for v in rng.normal(size=5)]
-        mask = [True, True, False, True, True]
-        soft = ad.softmax_over_masked_set(logits, mask).data
-        lsoft = ad.log_softmax_over_masked_set(logits, mask).data
-        active = np.array(mask)
-        np.testing.assert_allclose(lsoft[active], np.log(soft[active]), atol=1e-12)
-        assert (lsoft[~active] == 0.0).all()
+        logits = rng.normal(size=(1, 5))
+        mask = np.array([[True, True, False, True, True]])
+        soft = ad.masked_softmax(ad.constant(logits), mask).data
+        # the masked softmax equals the softmax of the active entries alone
+        lsoft = ad.log_softmax_rows(ad.constant(logits[:, mask[0]])).data
+        active = mask
+        np.testing.assert_allclose(lsoft[0], np.log(soft[active]), atol=1e-12)
+        assert (soft[~active] == 0.0).all()
+        full = ad.log_softmax_rows(ad.constant(logits)).data
+        np.testing.assert_allclose(
+            full, np.log(ad.masked_softmax(ad.constant(logits),
+                                           np.ones((1, 5), bool)).data),
+            atol=1e-12)
+
+    def test_shift_rows_pads_with_zeros(self):
+        x = ad.constant(np.arange(6.0).reshape(3, 2))
+        np.testing.assert_array_equal(ad.shift_rows(x, 1).data,
+                                      [[0, 0], [0, 1], [2, 3]])
+        np.testing.assert_array_equal(ad.shift_rows(x, -1).data,
+                                      [[2, 3], [4, 5], [0, 0]])
 
     def test_cross_entropy_uniform(self):
-        logits = ad.constant(np.zeros(7))
-        loss = ad.cross_entropy_with_logits(logits, 3)
+        logits = ad.constant(np.zeros((1, 7)))
+        loss = ad.cross_entropy_rows(logits, [3])
         np.testing.assert_allclose(loss.data, np.log(7.0))
 
 
 class TestGradients:
     def test_dot_self_gradient(self):
-        x = ad.parameter([1.0, 2.0])
-        ad.dot(x, x).backward()
-        np.testing.assert_allclose(x.grad, [2.0, 4.0])
+        x = ad.parameter([[1.0, 2.0]])
+        sq_norm(x).backward()
+        np.testing.assert_allclose(x.grad[0], [2.0, 4.0])
 
     def test_diamond_graph_counted_once(self):
         x = ad.parameter(np.array(3.0))
@@ -57,36 +76,50 @@ class TestGradients:
         np.testing.assert_allclose(x.grad, 4.0)
 
     def test_concat_splits_gradient_exactly(self):
-        a = ad.parameter([1.0, 2.0])
-        b = ad.parameter([3.0, 4.0, 5.0])
-        cat = ad.concat([a, b])
+        a = ad.parameter([[1.0, 2.0]])
+        b = ad.parameter([[3.0, 4.0, 5.0]])
+        cat = ad.hstack([a, b])
         g = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
-        ad.dot(cat, ad.constant(g)).backward()
-        np.testing.assert_array_equal(np.concatenate([a.grad, b.grad]), g)
+        ad.masked_sum(cat, g[None, :]).backward()
+        np.testing.assert_array_equal(np.concatenate([a.grad[0], b.grad[0]]), g)
         assert np.linalg.norm(a.grad) ** 2 + np.linalg.norm(b.grad) ** 2 == \
             pytest.approx(np.linalg.norm(g) ** 2)
 
     def test_embedding_lookup_accumulates_rows(self):
         table = ad.parameter(np.zeros((4, 3)))
-        r1 = ad.embedding_lookup(table, 1)
-        r2 = ad.embedding_lookup(table, 1)
-        ad.dot(ad.add(r1, r2), ad.constant([1.0, 1.0, 1.0])).backward()
+        rows = ad.gather_rows(table, [1, 1])
+        ad.masked_sum(rows, np.ones((2, 3))).backward()
         expected = np.zeros((4, 3))
         expected[1] = 2.0
         np.testing.assert_array_equal(table.grad, expected)
 
+    def test_row_broadcast_add_sums_gradient_over_rows(self):
+        a = ad.parameter(np.zeros((3, 2)))
+        b = ad.parameter([1.0, 2.0])
+        out = ad.add(a, b)
+        np.testing.assert_array_equal(out.data, [[1, 2]] * 3)
+        ad.masked_sum(out, np.ones((3, 2))).backward()
+        np.testing.assert_array_equal(b.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(a.grad, np.ones((3, 2)))
+
     def test_matmul_vector_and_matrix(self):
+        readout = np.array([[1.0, 2.0, 3.0]]).T
         err = ad.grad_check(
-            lambda A, x: ad.dot(ad.matmul(A, x), ad.constant([1.0, 2.0, 3.0])),
+            lambda A, x: ad.masked_sum(ad.matmul(A, x), readout),
             [ad.parameter(np.arange(12, dtype=float).reshape(3, 4) / 10),
-             ad.parameter(np.array([0.1, -0.2, 0.3, 0.4]))])
+             ad.parameter(np.array([[0.1, -0.2, 0.3, 0.4]]).T)])
+        assert err < 1e-8
+        err = ad.grad_check(
+            lambda A, x: ad.masked_sum(ad.matmul(x, A, transpose_b=True),
+                                       readout.T),
+            [ad.parameter(np.arange(12, dtype=float).reshape(3, 4) / 10),
+             ad.parameter(np.array([[0.1, -0.2, 0.3, 0.4]]))])
         assert err < 1e-8
 
 
 class TestGradCheck:
     def test_sum_of_squares(self):
-        err = ad.grad_check(lambda x: ad.dot(x, x),
-                            ad.parameter([0.3, -1.2, 2.0, 0.7]))
+        err = ad.grad_check(sq_norm, ad.parameter([[0.3, -1.2, 2.0, 0.7]]))
         assert err < 1e-8
 
     def test_constant_function(self):
@@ -95,7 +128,7 @@ class TestGradCheck:
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
-            ad.grad_check(lambda x: ad.dot(x, x), ad.parameter([1.0]), eps=0.5)
+            ad.grad_check(sq_norm, ad.parameter([[1.0]]), eps=0.5)
 
     def test_rejects_vector_output(self):
         with pytest.raises(ad.ShapeMismatch):
@@ -103,31 +136,34 @@ class TestGradCheck:
 
 
 def _random_composition(rng, xs, table):
-    """Random expression over the kernel's primitives, scalar-valued."""
-    vecs = list(xs)
-    vecs.append(ad.embedding_lookup(table, int(rng.integers(table.shape[0]))))
+    """Random expression over the kernel's primitives, scalar-valued.
+
+    ``xs`` are (n, d) matrices and ``table`` a (4, d) parameter table.
+    """
+    mats = list(xs)
+    n, d = xs[0].shape
+    mats.append(ad.gather_rows(table, rng.integers(table.shape[0], size=n)))
     for _ in range(int(rng.integers(1, 5))):  # depth <= 4
         op = rng.integers(5)
-        a = vecs[int(rng.integers(len(vecs)))]
-        b = vecs[int(rng.integers(len(vecs)))]
+        a = mats[int(rng.integers(len(mats)))]
+        b = mats[int(rng.integers(len(mats)))]
         if op == 0:
-            vecs.append(ad.add(a, b))
+            mats.append(ad.add(a, b))
         elif op == 1:
-            vecs.append(ad.scalar_mul(float(rng.normal()), a))
+            mats.append(ad.combine([a, b], [float(rng.normal()), 0.5]))
         elif op == 2:
-            vecs.append(ad.relu(a))
+            mats.append(ad.relu(ad.shift_rows(a, int(rng.integers(-1, 2)))))
         elif op == 3:
-            vecs.append(ad.mean_over_list([a, b, a]))
+            mats.append(ad.matmul(ad.matmul(a, table, transpose_b=True), table))
         else:
-            w = ad.softmax_over_masked_set(
-                [ad.dot(a, b), ad.dot(a, a), None], [True, True, False])
-            vecs.append(ad.weighted_sum([a, b, vecs[0]], w))
-    out = vecs[-1]
-    probs = ad.softmax_over_masked_set(
-        [ad.dot(out, v) for v in vecs[:3]], [True] * 3)
-    picked = ad.dot(probs, ad.constant([0.2, 0.5, 0.3]))
-    safe = ad.add(picked, ad.constant(np.array(1.0)))
-    return ad.add(ad.log(safe), ad.cross_entropy_with_logits(ad.concat(vecs[:2]), 1))
+            mask = rng.random((n, n)) < 0.5
+            mask[np.arange(n), rng.integers(n, size=n)] = True
+            w = ad.masked_softmax(ad.matmul(a, b, transpose_b=True), mask)
+            mats.append(ad.matmul(w, mats[0]))
+    log_probs = ad.log_softmax_rows(ad.matmul(mats[-1], mats[1], transpose_b=True))
+    picked = ad.masked_sum(log_probs, rng.normal(size=(n, n)))
+    ce = ad.cross_entropy_rows(ad.hstack(mats[:2]), rng.integers(2 * d, size=n))
+    return ad.combine([picked, ce], [0.3, 1.0])
 
 
 class TestRandomCompositions:
@@ -136,7 +172,7 @@ class TestRandomCompositions:
         worst = 0.0
         for trial in range(25):
             dim = int(rng.integers(2, 7))  # dims <= 6
-            xs = [ad.parameter(rng.normal(size=dim) * 0.7) for _ in range(3)]
+            xs = [ad.parameter(rng.normal(size=(3, dim)) * 0.7) for _ in range(3)]
             table = ad.parameter(rng.normal(size=(4, dim)) * 0.5)
             seed_state = rng.integers(1 << 30)
 
@@ -150,54 +186,62 @@ class TestRandomCompositions:
 
 
 class TestFusedRowOps:
+    """Row-at-a-time products and log-softmax, as whole-matrix primitives."""
+
     def test_dots_with_matches_individual_dots(self):
         rng = np.random.default_rng(9)
-        anchor = ad.constant(rng.normal(size=4))
-        items = [ad.constant(rng.normal(size=4)) for _ in range(3)]
-        fused = ad.dots_with(anchor, items)
-        singles = [float(ad.dot(t, anchor).data) for t in items]
-        np.testing.assert_allclose(fused.data, singles, atol=1e-15)
+        anchor = ad.constant(rng.normal(size=(1, 4)))
+        items = ad.constant(rng.normal(size=(3, 4)))
+        fused = ad.matmul(items, anchor, transpose_b=True)
+        singles = [float(row @ anchor.data[0]) for row in items.data]
+        np.testing.assert_allclose(fused.data[:, 0], singles, atol=1e-15)
 
     def test_dots_with_gradient(self):
         rng = np.random.default_rng(10)
-        weights = ad.constant(rng.normal(size=3))
+        weights = rng.normal(size=(3, 1))
 
-        def f(anchor, a, b, c):
-            return ad.dot(ad.dots_with(anchor, [a, b, c]), weights)
+        def f(anchor, items):
+            return ad.masked_sum(ad.matmul(items, anchor, transpose_b=True),
+                                 weights)
 
-        xs = [ad.parameter(rng.normal(size=4)) for _ in range(4)]
+        xs = [ad.parameter(rng.normal(size=(1, 4))),
+              ad.parameter(rng.normal(size=(3, 4)))]
         assert ad.grad_check(f, xs) < 1e-8
 
     def test_log_softmax_vector_values_and_grad(self):
         rng = np.random.default_rng(11)
-        x = rng.normal(size=5)
-        out = ad.log_softmax_vector(ad.constant(x))
-        ex = np.exp(x - x.max())
-        np.testing.assert_allclose(out.data, np.log(ex / ex.sum()), atol=1e-12)
-        assert abs(np.exp(out.data).sum() - 1.0) < 1e-12
+        x = rng.normal(size=(2, 5))
+        out = ad.log_softmax_rows(ad.constant(x))
+        for row, got in zip(x, out.data):
+            ex = np.exp(row - row.max())
+            np.testing.assert_allclose(got, np.log(ex / ex.sum()), atol=1e-12)
+            assert abs(np.exp(got).sum() - 1.0) < 1e-12
 
-        sel = ad.constant(rng.normal(size=5))
+        sel = rng.normal(size=(2, 5))
         err = ad.grad_check(
-            lambda t: ad.dot(ad.log_softmax_vector(t), sel),
-            ad.parameter(rng.normal(size=5)))
+            lambda t: ad.masked_sum(ad.log_softmax_rows(t), sel),
+            ad.parameter(rng.normal(size=(2, 5))))
         assert err < 1e-8
 
 
 class TestNonFinite:
-    def test_log_of_negative(self):
-        with pytest.raises(ad.NonFiniteValue):
-            ad.log(ad.constant([-1.0]))
-
     def test_dot_overflow(self):
-        big = ad.constant([1e200, 1e200])
+        big = ad.constant([[1e200, 1e200]])
+        dots = ad.matmul(big, big, transpose_b=True)
         with pytest.raises(ad.NonFiniteValue):
-            ad.dot(big, big)
+            ad.log_softmax_rows(dots)
+        with pytest.raises(ad.NonFiniteValue):
+            ad.masked_softmax(dots, [[True]])
 
 
 class TestShapeErrors:
     def test_add_mismatch(self):
         with pytest.raises(ad.ShapeMismatch):
             ad.add(ad.constant([1.0]), ad.constant([1.0, 2.0]))
+
+    def test_gather_row_outside_table(self):
+        with pytest.raises(ad.ShapeMismatch):
+            ad.gather_rows(ad.constant(np.zeros((2, 3))), [0, 2])
 
     def test_matmul_mismatch(self):
         with pytest.raises(ad.ShapeMismatch):
@@ -235,9 +279,9 @@ class TestAdam:
 
 class TestNoGrad:
     def test_no_graph_recorded(self):
-        x = ad.parameter([1.0, 2.0])
+        x = ad.parameter([[1.0, 2.0]])
         with ad.no_grad():
-            y = ad.dot(x, x)
+            y = sq_norm(x)
         assert not y.requires_grad
         y.backward()  # no-op
         assert x.grad is None

@@ -156,6 +156,30 @@ class TestScoreErrors:
                        "--gold", str(DATA / "score_fixture_gold.jsonl")])
         assert rc == 2
 
+    @pytest.mark.parametrize("sid", ["0", True, None])
+    def test_pred_sentence_id_not_an_integer(self, tmp_path, sid):
+        bad = tmp_path / "pred.jsonl"
+        bad.write_text(json.dumps({"sentence_id": sid, "tuples": []}) + "\n")
+        rc = cli.main(["score", "--pred", str(bad),
+                       "--gold", str(DATA / "score_fixture_gold.jsonl")])
+        assert rc == 2
+
+    def test_pred_sentence_id_float(self, tmp_path):
+        bad = tmp_path / "pred.jsonl"
+        bad.write_text(json.dumps({"sentence_id": 1.0, "tuples": []}) + "\n")
+        rc = cli.main(["score", "--pred", str(bad),
+                       "--gold", str(DATA / "score_fixture_gold.jsonl")])
+        assert rc == 2
+
+    def test_pred_sentence_id_duplicate(self, tmp_path, capsys):
+        bad = tmp_path / "pred.jsonl"
+        bad.write_text("".join(json.dumps({"sentence_id": 0, "tuples": []}) + "\n"
+                               for _ in range(2)))
+        rc = cli.main(["score", "--pred", str(bad),
+                       "--gold", str(DATA / "score_fixture_gold.jsonl")])
+        assert rc == 2
+        assert "duplicate sentence_id 0" in capsys.readouterr().err
+
     def test_unknown_config_key_is_data_error(self, small_corpus, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d_h": 8, "mystery_knob": 3}))

@@ -41,7 +41,7 @@ class TestVocabulary:
 class TestEmbed:
     def test_indicator_shifts_by_verb_row_difference(self, params, vocab):
         ws = enc.embed(params, vocab, ["cat", "cat"], indicator_verb=1)
-        diff = ws[1].data - ws[0].data
+        diff = ws.data[1] - ws.data[0]
         expected = params.w_verb.data[1] - params.w_verb.data[0]
         np.testing.assert_allclose(diff, expected)
 
@@ -50,16 +50,16 @@ class TestEmbed:
         params.w_verb.data[1] = params.w_verb.data[0]
         a = enc.embed(params, vocab, ["cat", "likes", "toys"], 1)
         b = enc.embed(params, vocab, ["cat", "likes", "toys"], 2)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.data, y.data)
+        for x, y in zip(a.data, b.data):
+            np.testing.assert_array_equal(x, y)
 
     def test_only_indicator_position_gets_row_one(self, params, vocab, example_sentence):
         surfaces = [t.surface for t in example_sentence.tokens]
         ws = enc.embed(params, vocab, surfaces, indicator_verb=3)
-        for i, w in enumerate(ws):
+        for i, w in enumerate(ws.data):
             row = 1 if i == 3 else 0
             base = params.w_word.data[vocab.lookup(surfaces[i])]
-            np.testing.assert_allclose(w.data, base + params.w_verb.data[row])
+            np.testing.assert_allclose(w, base + params.w_verb.data[row])
 
 
 class TestToyEncoder:
@@ -75,28 +75,28 @@ class TestToyEncoder:
         te = enc.ToyEncoder(params, vocab)
         ws = enc.embed(params, vocab, ["cat", "likes"], 1)
         hs = te.contextualize(ws)
-        for w, h in zip(ws, hs):
-            np.testing.assert_allclose(h.data, w.data)
+        for w, h in zip(ws.data, hs.data):
+            np.testing.assert_allclose(h, w)
 
     def test_single_token_uses_zero_padding(self, params, vocab):
         te = enc.ToyEncoder(params, vocab)
         ws = enc.embed(params, vocab, ["cat"], 0)
         hs = te.contextualize(ws)
-        window = np.concatenate([np.zeros(4), ws[0].data, np.zeros(4)])
+        window = np.concatenate([np.zeros(4), ws.data[0], np.zeros(4)])
         expected = np.maximum(params.w_mix.data @ window + params.b_mix.data, 0)
-        np.testing.assert_allclose(hs[0].data, expected)
+        np.testing.assert_allclose(hs.data[0], expected)
 
     def test_output_widths(self, params, vocab, example_sentence):
         te = enc.ToyEncoder(params, vocab)
         hs = te.encode(example_sentence, 3)
-        assert len(hs) == len(example_sentence.tokens)
-        assert all(h.shape == (4,) for h in hs)
+        assert len(hs.data) == len(example_sentence.tokens)
+        assert all(h.shape == (4,) for h in hs.data)
 
     def test_bitwise_reproducible(self, vocab, example_sentence):
         def run():
             params = enc.EncoderParams.init(6, 4, np.random.default_rng(5))
             te = enc.ToyEncoder(params, vocab)
-            return np.stack([h.data for h in te.encode(example_sentence, 3)])
+            return te.encode(example_sentence, 3).data
 
         np.testing.assert_array_equal(run(), run())
 
@@ -104,7 +104,8 @@ class TestToyEncoder:
         te = enc.ToyEncoder(params, vocab)
         ws = enc.embed(params, vocab, ["cat", "likes"], 0)
         hs = te.contextualize(ws)
-        ad.dot(hs[0], hs[1]).backward()
+        # h_0 . h_1
+        ad.masked_sum(ad.matmul(hs, hs, transpose_b=True), [[0, 1], [0, 0]]).backward()
         assert params.w_word.grad is not None
         assert params.w_mix.grad is not None
 
@@ -117,7 +118,7 @@ class TestPrecomputedEncoder:
         p.write_text(json.dumps({"sentence_id": 0, "vectors": arr.tolist()}) + "\n")
         pe = enc.PrecomputedEncoder.load(p)
         hs = pe.encode(example_sentence, 3, sentence_id=0)
-        np.testing.assert_array_equal(np.stack([h.data for h in hs]), arr)
+        np.testing.assert_array_equal(hs.data, arr)
 
     def test_unknown_sentence(self, tmp_path, example_sentence):
         p = tmp_path / "vecs.jsonl"
@@ -126,3 +127,29 @@ class TestPrecomputedEncoder:
         pe = enc.PrecomputedEncoder.load(p)
         with pytest.raises(KeyError):
             pe.encode(example_sentence, 3, sentence_id=7)
+
+
+class TestPrecomputedEncoderRejects:
+    @pytest.fixture
+    def write(self, tmp_path):
+        def write(*records):
+            p = tmp_path / "vecs.jsonl"
+            p.write_text("".join(json.dumps(r) + "\n" for r in records))
+            return p
+        return write
+
+    def test_non_finite_vectors(self, write):
+        p = write({"sentence_id": 0, "vectors": [[0.0, float("nan")]]})
+        with pytest.raises(ValueError, match="finite"):
+            enc.PrecomputedEncoder.load(p)
+
+    def test_vectors_not_2d(self, write):
+        p = write({"sentence_id": 0, "vectors": [0.0, 1.0]})
+        with pytest.raises(ValueError, match="2-D"):
+            enc.PrecomputedEncoder.load(p)
+
+    def test_duplicate_sentence_id(self, write):
+        p = write({"sentence_id": 0, "vectors": [[0.0, 1.0]]},
+                  {"sentence_id": 0, "vectors": [[2.0, 3.0]]})
+        with pytest.raises(ValueError, match="duplicate"):
+            enc.PrecomputedEncoder.load(p)

@@ -65,30 +65,36 @@ def random_views(rng, n, d=4):
 
 
 def as_tensors(vectors):
-    return [ad.constant(v) for v in vectors]
+    """One (n, d) matrix holding the given per-node vectors as rows."""
+    return ad.constant(np.stack(vectors))
+
+
+def pairwise_prob(target, anchor, candidates):
+    """P(candidates[target] | anchor) read off the loss's log-prob matrix."""
+    log_probs = L.log_prob_matrix(ad.constant([anchor]), candidates)
+    return math.exp(log_probs.data[0, target])
 
 
 class TestPairwiseProb:
     def test_single_candidate(self):
-        p = L.pairwise_softmax_prob(0, ad.constant([1.0, 2.0]),
-                                    [ad.constant([0.5, 0.5])])
-        assert p.data == pytest.approx(1.0)
+        p = pairwise_prob(0, [1.0, 2.0], as_tensors([[0.5, 0.5]]))
+        assert p == pytest.approx(1.0)
 
     def test_identical_candidates_uniform(self):
-        cands = [ad.constant([1.0, 0.0])] * 4
-        p = L.pairwise_softmax_prob(2, ad.constant([3.0, -1.0]), cands)
-        assert p.data == pytest.approx(0.25)
+        cands = as_tensors([[1.0, 0.0]] * 4)
+        p = pairwise_prob(2, [3.0, -1.0], cands)
+        assert p == pytest.approx(0.25)
 
     def test_three_vector_hand_case(self):
         anchor = np.array([1.0, 0.0, 2.0])
         cands = [np.array([0.5, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
                  np.array([1.0, 1.0, 1.0])]
-        got = L.pairwise_softmax_prob(1, ad.constant(anchor), as_tensors(cands))
-        assert got.data == pytest.approx(naive_prob(1, anchor, cands), abs=1e-12)
+        got = pairwise_prob(1, anchor, as_tensors(cands))
+        assert got == pytest.approx(naive_prob(1, anchor, cands), abs=1e-12)
 
     def test_empty_candidates(self):
         with pytest.raises(L.EmptyCandidates):
-            L.pairwise_softmax_prob(0, ad.constant([1.0]), [])
+            pairwise_prob(0, [1.0], ad.constant(np.zeros((0, 1))))
 
 
 class TestLossR1:
@@ -180,20 +186,18 @@ class TestLossR3:
 
 class TestTaggingLoss:
     def test_perfect_logits_approach_zero(self):
-        logits = [ad.constant(np.array([30.0, 0.0])),
-                  ad.constant(np.array([0.0, 30.0]))]
+        logits = ad.constant([[30.0, 0.0], [0.0, 30.0]])
         out = L.tagging_loss(logits, [0, 1])
         assert float(out.data) < 1e-12
 
     def test_uniform_logits_log_t(self):
         t = 7
-        logits = [ad.constant(np.zeros(t)) for _ in range(3)]
+        logits = ad.constant(np.zeros((3, t)))
         out = L.tagging_loss(logits, [0, 3, 6])
         assert float(out.data) == pytest.approx(math.log(t))
 
     def test_two_token_hand_case(self):
-        logits = [ad.constant(np.array([2.0, 0.0])),
-                  ad.constant(np.array([0.0, 1.0]))]
+        logits = ad.constant([[2.0, 0.0], [0.0, 1.0]])
         out = L.tagging_loss(logits, [0, 1])
         want = (math.log(math.exp(2) + 1) - 2 + math.log(1 + math.e) - 1) / 2
         assert float(out.data) == pytest.approx(want, abs=1e-12)
@@ -218,11 +222,11 @@ class TestCombinedLoss:
 
     def test_zeroed_weight_removes_gradient(self):
         rng = np.random.default_rng(7)
-        h_con = [ad.parameter(rng.normal(size=3)) for _ in range(3)]
-        h_dep = [ad.parameter(rng.normal(size=3)) for _ in range(3)]
+        h_con = ad.parameter(rng.normal(size=(3, 3)))
+        h_dep = ad.parameter(rng.normal(size=(3, 3)))
 
         def grads(beta):
-            for t in h_con + h_dep:
+            for t in (h_con, h_dep):
                 t.zero_grad()
             ce = ad.constant(np.array(1.0))
             r2 = L.loss_r2(h_con, h_dep)
@@ -230,7 +234,7 @@ class TestCombinedLoss:
                                   L.LossWeights(0.0, beta, 0.0))
             out.backward()
             return [None if t.grad is None else t.grad.copy()
-                    for t in h_con + h_dep]
+                    for t in (h_con, h_dep)]
 
         with_beta = grads(0.5)
         without = grads(0.0)

@@ -33,8 +33,7 @@ class TestForward:
         sentences, cache, model = build(setup)
         s = sentences[0]
         fwd = model.forward(s, s.verbs[0], cache[0])
-        assert len(fwd.logits) == len(s.tokens)
-        assert all(lg.shape == (len(model.tags),) for lg in fwd.logits)
+        assert fwd.logits.shape == (len(s.tokens), len(model.tags))
 
     def test_head_width_tracks_views(self, setup):
         _, _, full = build(setup)
@@ -66,8 +65,7 @@ class TestForward:
         i = sentences.index(s)
         a = model.forward(s, s.verbs[0], cache[i])
         b = model.forward(s, s.verbs[1], cache[i])
-        for x, y in zip(a.logits, b.logits):
-            np.testing.assert_array_equal(x.data, y.data)
+        np.testing.assert_array_equal(a.logits.data, b.logits.data)
 
 
 class TestInstanceLosses:
@@ -129,8 +127,7 @@ class TestArraysRoundTrip:
         s = sentences[0]
         a = model.forward(s, s.verbs[0], cache[0])
         b = other.forward(s, s.verbs[0], cache[0])
-        for x, y in zip(a.logits, b.logits):
-            assert x.data.tobytes() == y.data.tobytes()
+        assert a.logits.data.tobytes() == b.logits.data.tobytes()
 
     def test_missing_tensor_rejected(self, setup):
         _, _, model = build(setup)

@@ -19,9 +19,9 @@ class TestTagLogits:
         n_tags = len(tag_inventory(5))
         w = ad.parameter(np.zeros((n_tags, 12)))
         b = ad.parameter(np.zeros(n_tags))
-        h = [ad.constant(np.random.default_rng(0).normal(size=12))]
-        (lg,) = tagger.tag_logits(h, w, b)
-        ex = np.exp(lg.data - lg.data.max())
+        h = ad.constant(np.random.default_rng(0).normal(size=(1, 12)))
+        (lg,) = tagger.tag_logits(h, w, b).data
+        ex = np.exp(lg - lg.max())
         np.testing.assert_allclose(ex / ex.sum(), np.full(n_tags, 1 / n_tags))
 
     def test_tag_set_size(self):
@@ -33,8 +33,8 @@ class TestTagLogits:
             rng = np.random.default_rng(4)
             w = ad.parameter(rng.uniform(-0.1, 0.1, (5, 6)))
             b = ad.parameter(np.zeros(5))
-            h = [ad.constant(rng.normal(size=6)) for _ in range(3)]
-            return np.stack([lg.data for lg in tagger.tag_logits(h, w, b)])
+            h = ad.constant(rng.normal(size=(3, 6)))
+            return tagger.tag_logits(h, w, b).data
 
         np.testing.assert_array_equal(run(), run())
 
