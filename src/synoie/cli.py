@@ -246,25 +246,33 @@ def _load_pred_file(path, gold_sentences):
             if not line.strip():
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"line {lineno + 1}: not a JSON object")
             sid = rec.get("sentence_id", lineno)
-            # bool is an int subclass; a float id would only fail at indexing
-            if isinstance(sid, bool) or not isinstance(sid, int):
+            if not corpus_mod.is_json_int(sid):
                 raise ev.UnalignedIds(
                     f"line {lineno + 1}: sentence_id {sid!r} is not an integer")
             if not 0 <= sid < len(gold_sentences):
                 raise ev.UnalignedIds(f"sentence_id {sid} outside the gold corpus")
             if sid in by_id:
                 raise ev.UnalignedIds(f"line {lineno + 1}: duplicate sentence_id {sid}")
+            toks = gold_sentences[sid].tokens
             tuples = []
             for t in rec.get("tuples", []):
                 conf = float(t.get("confidence", 1.0))
                 if "texts" in t:
                     texts = {r: str(x) for r, x in t["texts"].items()}
                 else:
-                    toks = gold_sentences[sid].tokens
-                    texts = {r: " ".join(toks[i].surface
-                                         for i in range(sp[0], sp[1] + 1))
-                             for r, sp in t["spans"].items()}
+                    texts = {}
+                    for r, sp in t["spans"].items():
+                        if not (isinstance(sp, list) and len(sp) == 2
+                                and all(map(corpus_mod.is_json_int, sp))
+                                and 0 <= sp[0] <= sp[1] < len(toks)):
+                            raise ValueError(
+                                f"line {lineno + 1}: {r} span {sp!r} is not a "
+                                f"[first, last] pair within {len(toks)} tokens")
+                        texts[r] = " ".join(toks[i].surface
+                                            for i in range(sp[0], sp[1] + 1))
                 tuples.append(ev.TupleTexts(texts=texts, confidence=conf))
             by_id[sid] = tuples
     return [by_id.get(i, []) for i in range(len(gold_sentences))]

@@ -74,6 +74,11 @@ class AlignmentError(CorpusError):
         self.line = line
 
 
+def is_json_int(value) -> bool:
+    """True for a JSON integer; a bool is an int subclass, a float is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Token:
     index: int
@@ -90,53 +95,39 @@ class Token:
 
 @dataclass(frozen=True)
 class ConstNode:
-    """One constituency-tree node: internal (children) or preterminal (leaf).
+    """One constituency-tree node: internal (with children) or preterminal POS.
 
-    Exactly one of ``children`` / ``leaf`` is set.  ``leaf`` is the 0-based
-    token index covered by a preterminal POS node.
+    ``span`` is the inclusive (first, last) range of 0-based token indices
+    the node covers; a preterminal POS node covers exactly its one word.
     """
 
     tag: str
-    children: Optional[tuple[int, ...]] = None
-    leaf: Optional[int] = None
+    span: tuple[int, int]
+    children: tuple[int, ...] = ()
 
     @property
     def is_preterminal(self) -> bool:
-        return self.leaf is not None
+        return not self.children
 
 
 @dataclass(frozen=True)
 class ConstituencyTree:
+    """Nodes in the order their brackets close (post-order).
+
+    Every child id is below its parent's and the root is the last node, so a
+    forward pass over ``nodes`` visits children first; the preterminals in
+    id order are the words left to right.
+    """
+
     nodes: tuple[ConstNode, ...]
-    root: int
+
+    @property
+    def root(self) -> int:
+        return len(self.nodes) - 1
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.is_preterminal)
-
-    def leaf_ids_in_order(self) -> list[int]:
-        """Preterminal node ids visited left to right."""
-        order = []
-
-        def visit(nid: int):
-            node = self.nodes[nid]
-            if node.is_preterminal:
-                order.append(nid)
-            else:
-                for c in node.children:
-                    visit(c)
-
-        visit(self.root)
-        return order
-
-    def token_span(self, nid: int) -> tuple[int, int]:
-        """Inclusive (first, last) token indices covered by node ``nid``."""
-        node = self.nodes[nid]
-        if node.is_preterminal:
-            return node.leaf, node.leaf
-        first = self.token_span(node.children[0])[0]
-        last = self.token_span(node.children[-1])[1]
-        return first, last
+        return self.nodes[-1].span[1] + 1
 
 
 @dataclass(frozen=True)
@@ -169,10 +160,6 @@ class DependencyRows:
                     raise CyclicHeads(f"head cycle through token {i}")
                 seen.add(j)
                 j = self.heads[j]
-
-    @property
-    def root_index(self) -> int:
-        return self.heads.index(ROOT_HEAD)
 
 
 @dataclass(frozen=True)
@@ -300,54 +287,53 @@ def _tokenize_brackets(text: str) -> list[str]:
 def read_bracketed_tree(text: str) -> ConstituencyTree:
     """Parse a PTB-style bracketed string into a ConstituencyTree.
 
-    Preterminal POS nodes are kept as nodes carrying the leaf token index;
-    leaf indices are assigned left to right.
+    Preterminal POS nodes are kept as nodes covering one word; words are
+    numbered left to right.  One pass over the brackets with a stack of open
+    nodes, so trees may nest to any depth.
     """
     toks = _tokenize_brackets(text)
     if not toks:
         raise EmptyTree("no brackets in input")
+    if toks[0] != "(":
+        raise UnbalancedBrackets("expected '(' at token 0")
 
     nodes: list[ConstNode] = []
+    stack: list[tuple[str, list[int], list[str]]] = []  # tag, child ids, words
     next_leaf = 0
-    pos = 0
-
-    def parse_node() -> int:
-        nonlocal pos, next_leaf
-        if pos >= len(toks) or toks[pos] != "(":
-            raise UnbalancedBrackets(f"expected '(' at token {pos}")
-        pos += 1
-        if pos >= len(toks) or toks[pos] in "()":
-            raise MalformedTree("node without a tag")
-        tag = toks[pos]
-        pos += 1
-        child_ids: list[int] = []
-        words: list[str] = []
-        while pos < len(toks) and toks[pos] != ")":
-            if toks[pos] == "(":
-                child_ids.append(parse_node())
-            else:
-                words.append(toks[pos])
-                pos += 1
-        if pos >= len(toks):
-            raise UnbalancedBrackets("missing ')'")
-        pos += 1  # consume ')'
-        if words and child_ids:
-            raise MalformedTree(f"node {tag} mixes bare words and subtrees")
-        if len(words) > 1:
-            raise MalformedTree(f"preterminal {tag} covers several words")
-        if words:
-            nodes.append(ConstNode(tag=tag, leaf=next_leaf))
-            next_leaf += 1
+    expect_tag = True
+    for tok in toks[1:]:
+        if expect_tag:
+            if tok in "()":
+                raise MalformedTree("node without a tag")
+            stack.append((tok, [], []))
+            expect_tag = False
+        elif not stack:
+            raise UnbalancedBrackets("trailing material after the root bracket")
+        elif tok == "(":
+            expect_tag = True
+        elif tok != ")":
+            stack[-1][2].append(tok)
         else:
-            if not child_ids:
+            tag, child_ids, words = stack.pop()
+            if words and child_ids:
+                raise MalformedTree(f"node {tag} mixes bare words and subtrees")
+            if len(words) > 1:
+                raise MalformedTree(f"preterminal {tag} covers several words")
+            if words:
+                nodes.append(ConstNode(tag, (next_leaf, next_leaf)))
+                next_leaf += 1
+            elif not child_ids:
                 raise MalformedTree(f"node {tag} has no children")
-            nodes.append(ConstNode(tag=tag, children=tuple(child_ids)))
-        return len(nodes) - 1
-
-    root = parse_node()
-    if pos != len(toks):
-        raise UnbalancedBrackets("trailing material after the root bracket")
-    return ConstituencyTree(nodes=tuple(nodes), root=root)
+            else:
+                span = (nodes[child_ids[0]].span[0], nodes[child_ids[-1]].span[1])
+                nodes.append(ConstNode(tag, span, tuple(child_ids)))
+            if stack:
+                stack[-1][1].append(len(nodes) - 1)
+    if expect_tag:
+        raise MalformedTree("node without a tag")
+    if stack:
+        raise UnbalancedBrackets("missing ')'")
+    return ConstituencyTree(nodes=tuple(nodes))
 
 
 def tree_leaf_surfaces(text: str) -> list[str]:
@@ -515,16 +501,14 @@ def sentence_to_record(s: ParsedSentence, const_ptb: Optional[str] = None) -> di
 
 
 def write_bracketed_tree(s: ParsedSentence) -> str:
-    tree = s.const_tree
-
-    def emit(nid: int) -> str:
-        node = tree.nodes[nid]
+    texts: list[str] = []
+    for node in s.const_tree.nodes:
         if node.is_preterminal:
-            return f"({node.tag} {s.tokens[node.leaf].surface})"
-        inner = " ".join(emit(c) for c in node.children)
-        return f"({node.tag} {inner})"
-
-    return emit(tree.root)
+            inner = s.tokens[node.span[0]].surface
+        else:
+            inner = " ".join(texts[c] for c in node.children)
+        texts.append(f"({node.tag} {inner})")
+    return texts[-1]
 
 
 def save_corpus(sentences: list[ParsedSentence], path: str | Path):

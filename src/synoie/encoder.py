@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import ParsedSentence
+from .corpus import ParsedSentence, is_json_int
 
 UNK = "<unk>"
 
@@ -45,14 +45,6 @@ class Vocabulary:
     def from_sentences(cls, sentences: list[ParsedSentence]) -> "Vocabulary":
         seen = {t.lowercased for s in sentences for t in s.tokens}
         return cls([UNK] + sorted(seen))
-
-    def save(self, path: str | Path):
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([l for l in lines if l])
 
 
 @dataclass
@@ -133,7 +125,9 @@ class PrecomputedEncoder:
                 if not line.strip():
                     continue
                 rec = json.loads(line)
-                sid = int(rec["sentence_id"])
+                sid = rec["sentence_id"]
+                if not is_json_int(sid):
+                    raise ValueError(f"sentence_id {sid!r} is not an integer")
                 arr = np.asarray(rec["vectors"], dtype=np.float64)
                 if arr.ndim != 2 or not np.isfinite(arr).all():
                     raise ValueError(f"vectors for sentence {sid} are not a "

@@ -102,20 +102,16 @@ def build_const_paths(tree: ConstituencyTree) -> list[list[str]]:
 
     Preterminal POS tags are excluded: the path stops at the phrase level.
     """
-    n = tree.n_leaves
-    paths: list[list[str]] = [None] * n
-
-    def visit(nid: int, prefix: list[str]):
+    paths: list[list[str]] = [None] * tree.n_leaves
+    stack = [(tree.root, [])]  # (node id, tags of its ancestors)
+    while stack:
+        nid, prefix = stack.pop()
         node = tree.nodes[nid]
         if node.is_preterminal:
-            paths[node.leaf] = list(prefix)
-            return
-        prefix.append(node.tag)
-        for c in node.children:
-            visit(c, prefix)
-        prefix.pop()
-
-    visit(tree.root, [])
+            paths[node.span[0]] = list(prefix)
+        else:
+            path = prefix + [node.tag]
+            stack.extend((c, path) for c in node.children)
     return paths
 
 
@@ -131,10 +127,10 @@ def flatten_const_relations(tree: ConstituencyTree, cfg: FlattenConfig | None = 
             i, j = j, i
         edges.add((i, j, etype))
 
-    for nid, node in enumerate(tree.nodes):
+    for node in tree.nodes:
         if node.is_preterminal:
             continue
-        first, last = tree.token_span(nid)
+        first, last = node.span
         # rule 1: NP boundary
         if node.tag == "NP" and last > first:
             add(first, last, "NP")
@@ -148,9 +144,9 @@ def flatten_const_relations(tree: ConstituencyTree, cfg: FlattenConfig | None = 
         phrase_children = [c for c in node.children
                            if not tree.nodes[c].is_preterminal]
         for w in word_children:
-            widx = tree.nodes[w].leaf
+            widx = tree.nodes[w].span[0]
             for p in phrase_children:
-                pfirst, plast = tree.token_span(p)
+                pfirst, plast = tree.nodes[p].span
                 target = plast if cfg.variant == "v2" else pfirst
                 add(widx, target, node.tag)
 

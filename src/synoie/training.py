@@ -99,13 +99,12 @@ def _label_inventories(graph_cache, idxs):
 
 
 def _exact_f1(model: Model, sentences, graph_cache, idxs) -> float:
-    pred, gold = [], []
+    pred = []
     for i in idxs:
         s = sentences[i]
         tuples = tagger.extract(s, model, graph_cache[i], sentence_id=i)
         pred.append([ev.TupleTexts.from_extraction(t, s.tokens) for t in tuples])
-        gold.append([ev.TupleTexts.from_extraction(t, s.tokens)
-                     for t in s.gold_tuples])
+    gold = ev.gold_tuple_texts([sentences[i] for i in idxs])
     return ev.exact_match_score(pred, gold).f1
 
 
@@ -177,8 +176,10 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
         epoch_loss /= len(instances)
         train_acc = correct / total if total else 0.0
 
+        stop = (cfg.early_stop_train_acc is not None
+                and train_acc >= cfg.early_stop_train_acc)
         record = {"epoch": epoch, "loss": epoch_loss, "train_acc": train_acc}
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
+        if stop or epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             dev_f1 = _exact_f1(model, sentences, graph_cache, dev_idx)
             record["dev_f1"] = dev_f1
             if dev_f1 >= best_f1:
@@ -187,13 +188,7 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
         if log:
             log(f"epoch {epoch}: loss={epoch_loss:.4f} acc={train_acc:.4f}"
                 + (f" dev_f1={record['dev_f1']:.4f}" if "dev_f1" in record else ""))
-        if (cfg.early_stop_train_acc is not None
-                and train_acc >= cfg.early_stop_train_acc):
-            if "dev_f1" not in record:
-                dev_f1 = _exact_f1(model, sentences, graph_cache, dev_idx)
-                record["dev_f1"] = dev_f1
-                if dev_f1 >= best_f1:
-                    best_f1, best_arrays, best_epoch = dev_f1, model.export_arrays(), epoch
+        if stop:
             break
 
     return Checkpoint(config=cfg, vocab_tokens=vocab.tokens,

@@ -1,9 +1,14 @@
 import json
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from synoie import cli
+from synoie.corpus import load_corpus
+from synoie.graphs import FlattenConfig
+from synoie.model import SentenceGraphs
 from synoie.synthetic import write_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -18,6 +23,35 @@ def small_corpus(tmp_path_factory):
 
 FAST_FLAGS = ["--d-h", "8", "--d-l", "4", "--epochs", "3", "--seed", "0",
               "--dev-fraction", "0.0"]
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail the block with TimeoutError once it has run ``seconds`` seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+DEEP_TREES = {
+    # 2,000 nested clauses around a two-word sentence
+    "nested-2000": ({"tokens": ["dogs", "bark"],
+                     "const_ptb": "(S " * 1999 + "(S (NP (NNS dogs)) (VP (VBP bark)))"
+                                  + ")" * 1999,
+                     "dep_conllu": [[1, "nsubj"], [-1, "ROOT"]], "verbs": [1]},
+                    {(0, 1, "S")}, ["S"] * 2000 + ["VP"]),
+    # one word under a chain of 40 phrase nodes
+    "unary-40": ({"tokens": ["go"], "const_ptb": "(S " * 39 + "(VP (VB go))" + ")" * 39,
+                  "dep_conllu": [[-1, "ROOT"]], "verbs": [0]},
+                 set(), ["S"] * 39 + ["VP"]),
+}
 
 
 class TestBuildGraphs:
@@ -62,6 +96,19 @@ class TestBuildGraphs:
         assert rc == 0
         payload = json.loads((tmp_path / "s0000.const.json").read_text())
         assert len(payload["edges"]) == 10
+
+    @pytest.mark.parametrize("name", sorted(DEEP_TREES))
+    def test_deep_tree_loads_and_builds(self, tmp_path, name):
+        record, const_edges, last_path = DEEP_TREES[name]
+        path = tmp_path / "deep.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with time_limit(10):
+            [sentence] = load_corpus(path)
+            graphs = SentenceGraphs.build(sentence, FlattenConfig())
+            assert graphs.const.edges == const_edges
+            assert graphs.const.node_labels[-1] == last_path
+            assert cli.main(["build-graphs", "--corpus", str(path),
+                             "--out", str(tmp_path / "graphs")]) == 0
 
 
 class TestUsage:
@@ -179,6 +226,19 @@ class TestScoreErrors:
                        "--gold", str(DATA / "score_fixture_gold.jsonl")])
         assert rc == 2
         assert "duplicate sentence_id 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        [0, []],
+        {"sentence_id": 0, "tuples": [{"spans": {"REL": [1, 5]}}]},
+        {"sentence_id": 0, "tuples": [{"spans": {"REL": 1}}]},
+    ], ids=["not-an-object", "span-past-the-end", "span-not-a-pair"])
+    def test_pred_line_malformed(self, tmp_path, capsys, line):
+        bad = tmp_path / "pred.jsonl"
+        bad.write_text(json.dumps(line) + "\n")
+        rc = cli.main(["score", "--pred", str(bad),
+                       "--gold", str(DATA / "score_fixture_gold.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error: line 1:")
 
     def test_unknown_config_key_is_data_error(self, small_corpus, tmp_path):
         cfg = tmp_path / "cfg.json"

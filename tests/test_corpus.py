@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from synoie import corpus as c
 
 import worked_example as wx
+from tree_strategies import bracketed_trees, parents
 
 
 class TestBracketedTree:
@@ -44,13 +46,45 @@ class TestBracketedTree:
 
     def test_leaf_order_matches_tokens(self):
         tree = c.read_bracketed_tree(wx.CONST_PTB)
-        leaves = tree.leaf_ids_in_order()
-        assert [tree.nodes[i].leaf for i in leaves] == list(range(len(wx.TOKENS)))
+        leaves = [node for node in tree.nodes if node.is_preterminal]
+        assert [node.span for node in leaves] == [(i, i) for i in range(len(wx.TOKENS))]
         assert c.tree_leaf_surfaces(wx.CONST_PTB) == wx.TOKENS
 
     def test_token_spans(self):
         tree = c.read_bracketed_tree(wx.CONST_PTB)
-        assert tree.token_span(tree.root) == (0, 10)
+        assert tree.nodes[tree.root].span == (0, 10)
+
+    @settings(deadline=None)
+    @given(bracketed_trees)
+    def test_write_read_round_trip(self, text):
+        tree = c.read_bracketed_tree(text)
+        tokens = c.tree_leaf_surfaces(text)
+        deps = [[-1, "ROOT"]] + [[0, "dep"]] * (len(tokens) - 1)
+        s = c._build_sentence({"tokens": tokens, "const_ptb": text,
+                               "dep_conllu": deps, "verbs": []}, 0, c.DEFAULT_MAX_ARG)
+        written = c.write_bracketed_tree(s)
+        assert written == text
+        assert c.read_bracketed_tree(written) == tree
+
+    @settings(deadline=None)
+    @given(bracketed_trees)
+    def test_spans_are_min_max_leaf_below(self, text):
+        tree = c.read_bracketed_tree(text)
+        parent = parents(tree)
+        # post-order: children below parents, only the last node is the root
+        assert all(ch < p for ch, p in parent.items())
+        assert set(parent) == set(range(tree.root))
+        lo, hi = {}, {}
+        leaves = [nid for nid, node in enumerate(tree.nodes) if node.is_preterminal]
+        for leaf, nid in enumerate(leaves):
+            cur = nid
+            while cur is not None:
+                lo[cur] = min(lo.get(cur, leaf), leaf)
+                hi[cur] = max(hi.get(cur, leaf), leaf)
+                cur = parent.get(cur)
+        assert [node.span for node in tree.nodes] == \
+               [(lo[i], hi[i]) for i in range(len(tree.nodes))]
+        assert tree.n_leaves == len(leaves) == len(c.tree_leaf_surfaces(text))
 
 
 class TestConllu:
@@ -58,7 +92,7 @@ class TestConllu:
         rows = ["1\tword\t_\t_\t_\t_\t0\tROOT\t_\t_"]
         dep = c.read_conllu(rows)
         assert dep.heads == (c.ROOT_HEAD,)
-        assert dep.root_index == 0
+        assert dep.heads.index(c.ROOT_HEAD) == 0
 
     def test_two_roots(self):
         rows = ["1\ta\t_\t_\t_\t_\t0\tROOT\t_\t_",
@@ -96,7 +130,7 @@ class TestConllu:
             h = 0 if head == -1 else head + 1
             lines.append(f"{i + 1}\t{tok}\t_\t_\t_\t_\t{h}\t{rel}\t_\t_")
         dep = c.read_conllu(lines)
-        assert dep.root_index == wx.TOKENS.index("likes")
+        assert dep.heads.index(c.ROOT_HEAD) == wx.TOKENS.index("likes")
         assert dep.heads[wx.TOKENS.index("likes")] == c.ROOT_HEAD
 
 

@@ -3,11 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from synoie import corpus as c
 from synoie import graphs as g
 
 import worked_example as wx
+from tree_strategies import bracketed_trees, parents
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -62,23 +64,23 @@ class TestConstPaths:
         tree = c.read_bracketed_tree("(S (NN x))")
         assert g.build_const_paths(tree) == [["S"]]
 
-    def test_paths_are_root_walks(self, example_sentence):
+    @settings(deadline=None)
+    @example(wx.CONST_PTB)
+    @given(bracketed_trees)
+    def test_paths_are_root_walks(self, text):
         # independent check: walk up via parent pointers and compare
-        tree = example_sentence.const_tree
-        parent = {}
-        for nid, node in enumerate(tree.nodes):
-            if node.children:
-                for ch in node.children:
-                    parent[ch] = nid
+        tree = c.read_bracketed_tree(text)
+        parent = parents(tree)
         paths = g.build_const_paths(tree)
-        for leaf_id in tree.leaf_ids_in_order():
-            node = tree.nodes[leaf_id]
+        leaves = [nid for nid, node in enumerate(tree.nodes) if node.is_preterminal]
+        assert len(paths) == len(leaves)
+        for leaf_id in leaves:
             walk = []
             cur = leaf_id
             while cur in parent:
                 cur = parent[cur]
                 walk.append(tree.nodes[cur].tag)
-            assert list(reversed(walk)) == paths[node.leaf]
+            assert list(reversed(walk)) == paths[tree.nodes[leaf_id].span[0]]
 
 
 class TestFlatten:
