@@ -49,8 +49,7 @@ def _seed_default(value: int | None) -> int:
     return int(os.environ.get("SMILE_SEED", "0"))
 
 
-def _flatten_from_args(args, base: graphs_mod.FlattenConfig | None = None):
-    base = base or graphs_mod.FlattenConfig()
+def _flatten_from_args(args, base: graphs_mod.FlattenConfig = graphs_mod.FlattenConfig()):
     kwargs = {}
     if getattr(args, "max_distance", None) is not None:
         kwargs["max_distance"] = args.max_distance
@@ -258,9 +257,22 @@ def _load_pred_file(path, gold_sentences):
                 raise ev.UnalignedIds(f"line {lineno + 1}: duplicate sentence_id {sid}")
             toks = gold_sentences[sid].tokens
             tuples = []
-            for t in rec.get("tuples", []):
-                conf = float(t.get("confidence", 1.0))
-                if "texts" in t:
+            recs = rec.get("tuples", [])
+            if not isinstance(recs, list):
+                raise ValueError(f"line {lineno + 1}: tuples must be a list")
+            for t in recs:
+                if not isinstance(t, dict):
+                    raise ValueError(f"line {lineno + 1}: tuple {t!r} is not an object")
+                conf = t.get("confidence", 1.0)
+                # the bound is false for NaN and, unlike float(), cannot overflow
+                if (isinstance(conf, bool) or not isinstance(conf, (int, float))
+                        or not abs(conf) <= sys.float_info.max):
+                    raise ValueError(
+                        f"line {lineno + 1}: confidence {conf!r} is not a finite number")
+                field = "texts" if "texts" in t else "spans"
+                if not isinstance(t.get(field), dict):
+                    raise ValueError(f"line {lineno + 1}: tuple {field} must be an object")
+                if field == "texts":
                     texts = {r: str(x) for r, x in t["texts"].items()}
                 else:
                     texts = {}
@@ -273,7 +285,7 @@ def _load_pred_file(path, gold_sentences):
                                 f"[first, last] pair within {len(toks)} tokens")
                         texts[r] = " ".join(toks[i].surface
                                             for i in range(sp[0], sp[1] + 1))
-                tuples.append(ev.TupleTexts(texts=texts, confidence=conf))
+                tuples.append(ev.TupleTexts(texts=texts, confidence=float(conf)))
             by_id[sid] = tuples
     return [by_id.get(i, []) for i in range(len(gold_sentences))]
 

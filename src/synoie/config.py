@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
-from .encoder import ENCODER_KINDS, TOY
 from .graphs import FlattenConfig
 from .losses import LossWeights
 
@@ -27,8 +26,7 @@ class TrainConfig:
     use_r1: bool = True
     use_r2: bool = True
     use_r3: bool = True
-    mv_exclude_self_loops: bool = True
-    encoder_kind: str = TOY
+    # per-token vectors replayed in place of the window-3 encoder when set
     encoder_vectors: str | None = None
     # stop once training token accuracy reaches this level; None disables
     early_stop_train_acc: float | None = 0.9995
@@ -43,40 +41,33 @@ class TrainConfig:
             raise ValueError("dev_fraction must lie in [0, 1)")
         if self.max_arg < 0:
             raise ValueError("max_arg must be >= 0")
-        if self.encoder_kind not in ENCODER_KINDS:
-            raise ValueError(f"encoder_kind must be one of {ENCODER_KINDS}")
 
     def n_views(self) -> int:
         return 1 + int(self.use_const) + int(self.use_dep)
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["weights"] = {"alpha": self.weights.alpha, "beta": self.weights.beta,
-                        "gamma": self.weights.gamma}
-        d["flatten"] = {
-            "max_distance": self.flatten.max_distance,
-            "variant": self.flatten.variant,
-            "clause_tags": sorted(self.flatten.clause_tags),
-            "punct_tags": sorted(self.flatten.punct_tags),
-        }
+        d["flatten"]["clause_tags"] = sorted(self.flatten.clause_tags)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
         if "weights" in d:
-            d["weights"] = LossWeights(**d["weights"])
+            d["weights"] = _build(LossWeights, d["weights"])
         if "flatten" in d:
             f = dict(d["flatten"])
             if "clause_tags" in f:
                 f["clause_tags"] = frozenset(f["clause_tags"])
-            if "punct_tags" in f:
-                f["punct_tags"] = frozenset(f["punct_tags"])
-            d["flatten"] = FlattenConfig(**f)
-        unknown = set(d) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
+            d["flatten"] = _build(FlattenConfig, f)
+        return _build(cls, d)
 
     def with_overrides(self, **kwargs) -> "TrainConfig":
         return replace(self, **kwargs)
+
+
+def _build(cls, d: dict):
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    return cls(**d)

@@ -34,10 +34,6 @@ class MalformedTree(CorpusError):
     pass
 
 
-class LeafCountMismatch(CorpusError):
-    pass
-
-
 class MissingRoot(CorpusError):
     pass
 
@@ -405,6 +401,8 @@ def iter_conllu_sentences(text: str) -> Iterable[list[str]]:
 # ---------------------------------------------------------------------------
 
 def _build_sentence(rec: dict, line: int, max_arg: int) -> ParsedSentence:
+    if not isinstance(rec, dict):
+        raise SchemaViolation(line, "a sentence record must be a JSON object")
     for key in ("tokens", "const_ptb", "dep_conllu", "verbs"):
         if key not in rec:
             raise SchemaViolation(line, f"missing key {key!r}")
@@ -414,47 +412,63 @@ def _build_sentence(rec: dict, line: int, max_arg: int) -> ParsedSentence:
     tokens = [Token(i, s) for i, s in enumerate(surfaces)]
     n = len(tokens)
 
+    if not isinstance(rec["const_ptb"], str):
+        raise SchemaViolation(line, "const_ptb must be a bracketed-tree string")
     tree = read_bracketed_tree(rec["const_ptb"])
     if tree.n_leaves != n:
         raise AlignmentError(
             line, f"constituency tree has {tree.n_leaves} leaves for {n} tokens")
 
     pairs = rec["dep_conllu"]
+    if not (isinstance(pairs, list)
+            and all(isinstance(p, list) and len(p) == 2 and is_json_int(p[0])
+                    and isinstance(p[1], str) for p in pairs)):
+        raise SchemaViolation(line, "dep_conllu must be a list of [head, deprel] pairs")
     if len(pairs) != n:
         raise AlignmentError(line, f"{len(pairs)} dependency rows for {n} tokens")
     try:
-        dep = DependencyRows(
-            heads=tuple(int(h) for h, _ in pairs),
-            deprels=tuple(str(d) for _, d in pairs),
-        )
+        dep = DependencyRows(heads=tuple(h for h, _ in pairs),
+                             deprels=tuple(d for _, d in pairs))
     except CorpusError as exc:
         raise AlignmentError(line, str(exc)) from exc
 
     verbs = rec["verbs"]
+    if not (isinstance(verbs, list) and all(map(is_json_int, verbs))):
+        raise SchemaViolation(line, "verbs must be a list of token indices")
     if len(set(verbs)) != len(verbs):
         raise SchemaViolation(line, "duplicate verb indices")
     for v in verbs:
-        if not (isinstance(v, int) and 0 <= v < n):
+        if not 0 <= v < n:
             raise AlignmentError(line, f"verb index {v} out of range")
 
     tuples = []
     seen_verbs = set()
-    for trec in rec.get("tuples", []):
-        if "verb" not in trec or "spans" not in trec:
+    trecs = rec.get("tuples", [])
+    if not isinstance(trecs, list):
+        raise SchemaViolation(line, "tuples must be a list")
+    for trec in trecs:
+        if not (isinstance(trec, dict) and "verb" in trec and "spans" in trec):
             raise SchemaViolation(line, "tuple record needs 'verb' and 'spans'")
         verb = trec["verb"]
+        if not is_json_int(verb):
+            raise SchemaViolation(line, f"tuple verb {verb!r} is not an integer")
         if verb not in verbs:
             raise AlignmentError(line, f"tuple verb {verb} not in verb list")
         if verb in seen_verbs:
             raise SchemaViolation(line, f"verb {verb} aligned to several tuples")
         seen_verbs.add(verb)
+        if not isinstance(trec["spans"], dict):
+            raise SchemaViolation(line, "tuple spans must be an object")
         spans = {}
         for role, span in trec["spans"].items():
             if role != REL and not (role.startswith("ARG") and role[3:].isdigit()):
                 raise SchemaViolation(line, f"unknown role {role!r}")
             if role != REL and int(role[3:]) > max_arg:
                 raise SchemaViolation(line, f"role {role!r} beyond ARG{max_arg}")
-            s, e = int(span[0]), int(span[1])
+            if not (isinstance(span, list) and len(span) == 2
+                    and all(map(is_json_int, span))):
+                raise SchemaViolation(line, f"{role} span {span!r} is not two indices")
+            s, e = span
             if not (0 <= s <= e < n):
                 raise AlignmentError(line, f"{role} span [{s},{e}] out of bounds")
             spans[role] = (s, e)

@@ -1,12 +1,13 @@
 """Contextual token representations from word + verb-indicator embeddings.
 
-The default encoder mixes a 3-token window through one ReLU layer; any
-token-aligned encoder of the same output width can be substituted (the
-``PrecomputedEncoder`` replays vectors from a file).
+The default encoder mixes a 3-token window through one ReLU layer.  A
+config that names ``encoder_vectors`` replaces it with the
+``PrecomputedEncoder``, which replays fixed per-token vectors from that file.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,10 +18,6 @@ from .autodiff import Tensor
 from .corpus import ParsedSentence, is_json_int
 
 UNK = "<unk>"
-
-TOY = "toy"
-PRECOMPUTED = "external-precomputed"
-ENCODER_KINDS = (TOY, PRECOMPUTED)
 
 
 class Vocabulary:
@@ -82,15 +79,9 @@ def embed(params: EncoderParams, vocab: Vocabulary, surfaces: list[str],
 class ToyEncoder:
     """Window-3 mixing layer: h_i = ReLU(W [w_{i-1}; w_i; w_{i+1}] + b)."""
 
-    kind = TOY
-
     def __init__(self, params: EncoderParams, vocab: Vocabulary):
         self.params = params
         self.vocab = vocab
-
-    @property
-    def d_h(self) -> int:
-        return self.params.b_mix.shape[0]
 
     def encode(self, sentence: ParsedSentence, indicator_verb: int,
                sentence_id: int | None = None) -> Tensor:
@@ -108,35 +99,35 @@ class ToyEncoder:
 class PrecomputedEncoder:
     """Replays fixed per-token vectors keyed by sentence id (non-trainable)."""
 
-    kind = PRECOMPUTED
-
     def __init__(self, vectors: dict[int, np.ndarray], d_h: int):
         self.vectors = vectors
         self.d_h = d_h
 
     @classmethod
-    def load(cls, path: str | Path) -> "PrecomputedEncoder":
-        import json
-
+    def load(cls, path: str | Path, d_h: int) -> "PrecomputedEncoder":
+        """Read ``{"sentence_id", "vectors"}`` lines, each a finite (n, d_h) array."""
         vectors = {}
-        d_h = None
         with open(path, encoding="utf-8") as f:
             for line in f:
                 if not line.strip():
                     continue
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError(f"vectors line is not a JSON object: {rec!r}")
                 sid = rec["sentence_id"]
                 if not is_json_int(sid):
                     raise ValueError(f"sentence_id {sid!r} is not an integer")
-                arr = np.asarray(rec["vectors"], dtype=np.float64)
-                if arr.ndim != 2 or not np.isfinite(arr).all():
-                    raise ValueError(f"vectors for sentence {sid} are not a "
-                                     f"finite 2-D array (shape {arr.shape})")
+                try:
+                    arr = np.asarray(rec["vectors"], dtype=np.float64)
+                except TypeError as exc:
+                    raise ValueError(f"vectors for sentence {sid}: {exc}") from exc
+                if arr.ndim != 2 or arr.shape[1] != d_h or not np.isfinite(arr).all():
+                    raise ValueError(f"vectors for sentence {sid} are not a finite "
+                                     f"2-D array of width {d_h} (shape {arr.shape})")
                 if sid in vectors:
                     raise ValueError(f"duplicate sentence_id {sid}")
                 vectors[sid] = arr
-                d_h = arr.shape[1]
-        if d_h is None:
+        if not vectors:
             raise ValueError(f"no vectors found in {path}")
         return cls(vectors, d_h)
 

@@ -8,6 +8,7 @@ by descending pair F1 for lexical mode.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -24,6 +25,11 @@ class TupleTexts:
 
     texts: dict[str, str]
     confidence: float = 1.0
+
+    def __post_init__(self):
+        # the P-R sweep groups equal confidences, and NaN equals nothing
+        if not math.isfinite(self.confidence):
+            raise ValueError(f"confidence {self.confidence!r} is not finite")
 
     @classmethod
     def from_extraction(cls, e: Extraction, tokens) -> "TupleTexts":

@@ -46,7 +46,6 @@ class FlattenConfig:
     max_distance: int = 8
     variant: str = "paper"
     clause_tags: frozenset = DEFAULT_CLAUSE_TAGS
-    punct_tags: frozenset = DEFAULT_PUNCT_TAGS
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -115,9 +114,9 @@ def build_const_paths(tree: ConstituencyTree) -> list[list[str]]:
     return paths
 
 
-def flatten_const_relations(tree: ConstituencyTree, cfg: FlattenConfig | None = None) -> frozenset:
+def flatten_const_relations(tree: ConstituencyTree,
+                            cfg: FlattenConfig = FlattenConfig()) -> frozenset:
     """Flatten phrase structure into typed word-to-word edges (rules 1-4)."""
-    cfg = cfg or FlattenConfig()
     edges: set[tuple[int, int, str]] = set()
 
     def add(i: int, j: int, etype: str):
@@ -140,7 +139,7 @@ def flatten_const_relations(tree: ConstituencyTree, cfg: FlattenConfig | None = 
         # rule 2: word child to first (v2: last) word of each phrasal sibling
         word_children = [c for c in node.children
                          if tree.nodes[c].is_preterminal
-                         and tree.nodes[c].tag not in cfg.punct_tags]
+                         and tree.nodes[c].tag not in DEFAULT_PUNCT_TAGS]
         phrase_children = [c for c in node.children
                            if not tree.nodes[c].is_preterminal]
         for w in word_children:
@@ -155,8 +154,7 @@ def flatten_const_relations(tree: ConstituencyTree, cfg: FlattenConfig | None = 
     return frozenset(edges)
 
 
-def build_const_graph(s: ParsedSentence, cfg: FlattenConfig | None = None) -> SyntacticGraph:
-    cfg = cfg or FlattenConfig()
+def build_const_graph(s: ParsedSentence, cfg: FlattenConfig = FlattenConfig()) -> SyntacticGraph:
     paths = build_const_paths(s.const_tree)
     if cfg.variant == "v1":
         paths = [p[-1:] for p in paths]

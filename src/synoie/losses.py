@@ -43,19 +43,17 @@ def log_prob_matrix(h_z: Tensor, h_other: Tensor) -> Tensor:
     return ad.log_softmax_rows(ad.matmul(h_z, h_other, transpose_b=True))
 
 
-def _selection(adj: np.ndarray, exclude_self: bool) -> np.ndarray:
+def _selection(adj: np.ndarray) -> np.ndarray:
+    """The graph's edges without its self-loops: a node never selects itself."""
     sel = adj.astype(float)
-    if exclude_self:
-        np.fill_diagonal(sel, 0.0)
+    np.fill_diagonal(sel, 0.0)
     return sel
 
 
 def loss_r1(h_by_view: dict[str, Tensor],
-            adj_by_view: dict[str, np.ndarray],
-            exclude_self_loops: bool = True) -> Tensor:
+            adj_by_view: dict[str, np.ndarray]) -> Tensor:
     """Inter-node intra-view: connected nodes score high under their own view."""
-    terms = [ad.masked_sum(log_prob_matrix(h, h),
-                           -_selection(adj_by_view[view], exclude_self_loops))
+    terms = [ad.masked_sum(log_prob_matrix(h, h), -_selection(adj_by_view[view]))
              for view, h in h_by_view.items()]
     return ad.combine(terms, [1.0] * len(terms))
 
@@ -77,12 +75,9 @@ def loss_r2(h_con: Tensor, h_dep: Tensor) -> Tensor:
 
 
 def loss_r3(h_con: Tensor, h_dep: Tensor,
-            adj_con: np.ndarray, adj_dep: np.ndarray,
-            exclude_self_loops: bool = True) -> Tensor:
+            adj_con: np.ndarray, adj_dep: np.ndarray) -> Tensor:
     """Inter-node inter-view: view-z edges pull in other-view neighbours."""
-    return _inter_view(h_con, h_dep,
-                       _selection(adj_dep, exclude_self_loops),
-                       _selection(adj_con, exclude_self_loops))
+    return _inter_view(h_con, h_dep, _selection(adj_dep), _selection(adj_con))
 
 
 def tagging_loss(logits: Tensor, gold_ids: list[int]) -> Tensor:

@@ -13,8 +13,7 @@ from . import tagger
 from .autodiff import Tensor
 from .config import TrainConfig
 from .corpus import ParsedSentence, TaggedInstance, tag_inventory
-from .encoder import (EncoderParams, PrecomputedEncoder, ToyEncoder,
-                      Vocabulary, PRECOMPUTED)
+from .encoder import EncoderParams, PrecomputedEncoder, ToyEncoder, Vocabulary
 from .gcn import GcnParams, LabelVocab
 from .graphs import build_const_graph, build_dep_graph, SyntacticGraph
 
@@ -63,14 +62,8 @@ class Model:
         self.w_tag = ad.parameter(rng.uniform(-0.1, 0.1, (len(self.tags), head_width)))
         self.b_tag = ad.parameter(np.zeros(len(self.tags)))
 
-        if cfg.encoder_kind == PRECOMPUTED:
-            if cfg.encoder_vectors is None:
-                raise ValueError("external-precomputed encoder needs encoder_vectors")
-            self.encoder = PrecomputedEncoder.load(cfg.encoder_vectors)
-            if self.encoder.d_h != cfg.d_h:
-                raise ValueError(
-                    f"precomputed vectors have width {self.encoder.d_h}, "
-                    f"config says d_h={cfg.d_h}")
+        if cfg.encoder_vectors is not None:
+            self.encoder = PrecomputedEncoder.load(cfg.encoder_vectors, cfg.d_h)
         else:
             self.encoder = ToyEncoder(self.enc_params, vocab)
 
@@ -148,15 +141,13 @@ class Model:
         w = cfg.weights
         l_r1 = l_r2 = l_r3 = None
         if cfg.use_r1 and w.alpha != 0.0 and h_by_view:
-            l_r1 = losses_mod.loss_r1(h_by_view, adj_by_view,
-                                      cfg.mv_exclude_self_loops)
+            l_r1 = losses_mod.loss_r1(h_by_view, adj_by_view)
         if cfg.use_r2 and w.beta != 0.0 and both:
             l_r2 = losses_mod.loss_r2(fwd.h_con, fwd.h_dep)
         if cfg.use_r3 and w.gamma != 0.0 and both:
             l_r3 = losses_mod.loss_r3(fwd.h_con, fwd.h_dep,
                                       graphs.const.adjacency,
-                                      graphs.dep.adjacency,
-                                      cfg.mv_exclude_self_loops)
+                                      graphs.dep.adjacency)
         total = losses_mod.combined_loss(l_ce, l_r1, l_r2, l_r3, w)
         pred_ids = np.argmax(fwd.logits.data, axis=1).tolist()
         return {"total": total, "ce": l_ce, "r1": l_r1, "r2": l_r2, "r3": l_r3,

@@ -24,7 +24,7 @@ from .encoder import Vocabulary
 from .gcn import LabelVocab
 from .model import Model, SentenceGraphs
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class TrainingError(Exception):

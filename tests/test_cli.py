@@ -4,6 +4,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from synoie import cli
 from synoie.corpus import load_corpus
@@ -231,21 +233,116 @@ class TestScoreErrors:
         [0, []],
         {"sentence_id": 0, "tuples": [{"spans": {"REL": [1, 5]}}]},
         {"sentence_id": 0, "tuples": [{"spans": {"REL": 1}}]},
-    ], ids=["not-an-object", "span-past-the-end", "span-not-a-pair"])
+        {"sentence_id": 0, "tuples": [5]},
+        {"sentence_id": 0, "tuples": {"REL": [1, 1]}},
+        {"sentence_id": 0, "tuples": [{"spans": [[1, 1]]}]},
+        {"sentence_id": 0, "tuples": [{"texts": "likes"}]},
+        {"sentence_id": 0, "tuples": [{"confidence": None, "spans": {"REL": [1, 1]}}]},
+        {"sentence_id": 0, "tuples": [{"confidence": [0.5], "spans": {"REL": [1, 1]}}]},
+        {"sentence_id": 0, "tuples": [{"confidence": True, "spans": {"REL": [1, 1]}}]},
+        {"sentence_id": 0, "tuples": [{"confidence": float("nan"),
+                                       "spans": {"REL": [1, 1]}}]},
+        {"sentence_id": 0, "tuples": [{"confidence": float("inf"),
+                                       "texts": {"REL": "likes"}}]},
+    ], ids=["not-an-object", "span-past-the-end", "span-not-a-pair",
+            "tuple-not-an-object", "tuples-not-a-list", "spans-not-an-object",
+            "texts-not-an-object", "confidence-null", "confidence-list",
+            "confidence-bool", "confidence-nan", "confidence-inf"])
     def test_pred_line_malformed(self, tmp_path, capsys, line):
         bad = tmp_path / "pred.jsonl"
         bad.write_text(json.dumps(line) + "\n")
-        rc = cli.main(["score", "--pred", str(bad),
-                       "--gold", str(DATA / "score_fixture_gold.jsonl")])
+        with time_limit(10):
+            rc = cli.main(["score", "--pred", str(bad),
+                           "--gold", str(DATA / "score_fixture_gold.jsonl")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("data error: line 1:")
 
-    def test_unknown_config_key_is_data_error(self, small_corpus, tmp_path):
+    def test_missing_vectors_file_is_data_error(self, small_corpus, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"d_h": 8, "mystery_knob": 3}))
+        cfg.write_text(json.dumps({"d_h": 8, "d_l": 4, "epochs": 1,
+                                   "encoder_vectors": str(tmp_path / "nope.jsonl")}))
         rc = cli.main(["train", "--corpus", str(small_corpus),
                        "--config", str(cfg), "--out-ckpt", str(tmp_path / "m")])
-        assert rc != 0
+        assert rc == 2
+
+    def test_unknown_config_key_is_data_error(self, small_corpus, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        # the last two were config keys before checkpoint format 2
+        for raw in ({"d_h": 8, "mystery_knob": 3}, {"weights": {"delta": 1.0}},
+                    {"flatten": {"punct_tags": ["."]}}, {"encoder_kind": "toy"}):
+            cfg.write_text(json.dumps(raw))
+            rc = cli.main(["train", "--corpus", str(small_corpus),
+                           "--config", str(cfg), "--out-ckpt", str(tmp_path / "m")])
+            assert rc == 2
+
+
+# any JSON value, including NaN and the infinities that json.loads accepts
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=3)),
+    max_leaves=6)
+
+GOLD_RECORD = json.loads((DATA / "score_fixture_gold.jsonl").read_text().splitlines()[0])
+CORPUS_FIELDS = [(), ("tokens",), ("tokens", 0), ("const_ptb",), ("dep_conllu",),
+                 ("dep_conllu", 0), ("dep_conllu", 0, 0), ("dep_conllu", 0, 1),
+                 ("verbs",), ("verbs", 0), ("tuples",), ("tuples", 0),
+                 ("tuples", 0, "verb"), ("tuples", 0, "spans"),
+                 ("tuples", 0, "spans", "REL"), ("tuples", 0, "spans", "ARG1", 1)]
+
+PRED_RECORD = {"sentence_id": 0, "tuples": [
+    {"confidence": 0.9, "spans": {"ARG0": [0, 0], "REL": [1, 1]}},
+    {"confidence": 0.5, "texts": {"REL": "likes", "ARG1": "the apple"}}]}
+PRED_FIELDS = [(), ("sentence_id",), ("tuples",), ("tuples", 0),
+               ("tuples", 0, "confidence"), ("tuples", 0, "spans"),
+               ("tuples", 0, "spans", "REL"), ("tuples", 0, "spans", "REL", 0),
+               ("tuples", 1, "confidence"), ("tuples", 1, "texts"),
+               ("tuples", 1, "texts", "ARG1")]
+
+
+def replaced(record, path, value):
+    """A copy of ``record`` with the item at ``path`` set to ``value``."""
+    if not path:
+        return value
+    out = json.loads(json.dumps(record))
+    inner = out
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestMalformedInputFuzz:
+    """One field of a valid record replaced by any JSON value: exit 0 or 2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(CORPUS_FIELDS), value=json_values)
+    def test_corpus_record(self, fuzz_dir, path, value):
+        corpus = fuzz_dir / "corpus.jsonl"
+        corpus.write_text(json.dumps(replaced(GOLD_RECORD, path, value)) + "\n")
+        with time_limit(10):
+            rc = cli.main(["build-graphs", "--corpus", str(corpus),
+                           "--out", str(fuzz_dir / "graphs")])
+        assert rc in (0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(PRED_FIELDS), value=json_values,
+           mode=st.sampled_from(["exact", "lexical"]), binary=st.booleans())
+    @example(path=("tuples", 0, "confidence"), value=float("nan"),
+             mode="exact", binary=False)
+    def test_pred_record(self, fuzz_dir, path, value, mode, binary):
+        pred = fuzz_dir / "pred.jsonl"
+        pred.write_text(json.dumps(replaced(PRED_RECORD, path, value)) + "\n")
+        with time_limit(10):
+            rc = cli.main(["score", "--pred", str(pred), "--mode", mode,
+                           "--gold", str(DATA / "score_fixture_gold.jsonl")]
+                          + ["--binary"] * binary)
+        assert rc in (0, 2)
 
 
 class TestScoreFixture:

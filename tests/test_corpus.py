@@ -204,6 +204,35 @@ class TestLoadCorpus:
             c.load_corpus(p)
         assert len(c.load_corpus(p, max_arg=9)) == 1
 
+    @pytest.mark.parametrize("record", [
+        5,
+        None,
+        dict(wx.RECORD, const_ptb=7),
+        dict(wx.RECORD, dep_conllu=[-1]),
+        dict(wx.RECORD, dep_conllu=[[float(h), d] for h, d in wx.DEP_CONLLU]),
+        dict(wx.RECORD, dep_conllu=wx.DEP_CONLLU[:3] + [[-1, "ROOT", 3]]
+             + wx.DEP_CONLLU[4:]),
+        dict(wx.RECORD, verbs=0),
+        dict(wx.RECORD, verbs=[True, 4]),
+        dict(wx.RECORD, verbs=[[3]]),
+        dict(wx.RECORD, tuples={}),
+        dict(wx.RECORD, tuples=[5]),
+        dict(wx.RECORD, tuples=[dict(wx.GOLD_TUPLE, verb=3.0)]),
+        dict(wx.RECORD, tuples=[dict(wx.GOLD_TUPLE, spans=[[3, 4]])]),
+        dict(wx.RECORD, tuples=[{"verb": 3, "spans": {"REL": 0}}]),
+        dict(wx.RECORD, tuples=[{"verb": 3, "spans": {"REL": [2.7, "4"]}}]),
+    ], ids=["int", "null", "const-not-a-string", "dep-row-not-a-pair",
+            "dep-head-float", "dep-row-of-three", "verbs-not-a-list",
+            "verb-bool", "verb-a-list", "tuples-not-a-list", "tuple-not-an-object",
+            "tuple-verb-float", "spans-not-an-object", "span-not-a-pair",
+            "span-ends-not-integers"])
+    def test_malformed_record_names_its_line(self, tmp_path, record):
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(wx.RECORD) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(c.SchemaViolation) as e:
+            c.load_corpus(p)
+        assert e.value.line == 1
+
     def test_round_trip(self, example_corpus_path, tmp_path):
         sentences = c.load_corpus(example_corpus_path)
         out = tmp_path / "round.jsonl"

@@ -110,7 +110,7 @@ class TestPrecomputedEncoder:
         arr = np.arange(n * d, dtype=float).reshape(n, d)
         p = tmp_path / "vecs.jsonl"
         p.write_text(json.dumps({"sentence_id": 0, "vectors": arr.tolist()}) + "\n")
-        pe = enc.PrecomputedEncoder.load(p)
+        pe = enc.PrecomputedEncoder.load(p, 4)
         hs = pe.encode(example_sentence, 3, sentence_id=0)
         np.testing.assert_array_equal(hs.data, arr)
 
@@ -118,7 +118,7 @@ class TestPrecomputedEncoder:
         p = tmp_path / "vecs.jsonl"
         p.write_text(json.dumps({"sentence_id": 0,
                                  "vectors": [[0.0] * 4] * 11}) + "\n")
-        pe = enc.PrecomputedEncoder.load(p)
+        pe = enc.PrecomputedEncoder.load(p, 4)
         with pytest.raises(KeyError):
             pe.encode(example_sentence, 3, sentence_id=7)
 
@@ -135,21 +135,31 @@ class TestPrecomputedEncoderRejects:
     def test_non_finite_vectors(self, write):
         p = write({"sentence_id": 0, "vectors": [[0.0, float("nan")]]})
         with pytest.raises(ValueError, match="finite"):
-            enc.PrecomputedEncoder.load(p)
+            enc.PrecomputedEncoder.load(p, 2)
 
     def test_vectors_not_2d(self, write):
         p = write({"sentence_id": 0, "vectors": [0.0, 1.0]})
         with pytest.raises(ValueError, match="2-D"):
-            enc.PrecomputedEncoder.load(p)
+            enc.PrecomputedEncoder.load(p, 2)
 
     @pytest.mark.parametrize("sid", [1.5, 1.0, True, "1"])
     def test_sentence_id_not_an_integer(self, write, sid):
         p = write({"sentence_id": sid, "vectors": [[0.0, 1.0]]})
         with pytest.raises(ValueError, match="not an integer"):
-            enc.PrecomputedEncoder.load(p)
+            enc.PrecomputedEncoder.load(p, 2)
+
+    @pytest.mark.parametrize("line", [[0, [[0.0]]], 5, None])
+    def test_line_not_an_object(self, write, line):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            enc.PrecomputedEncoder.load(write(line), 1)
+
+    def test_vectors_not_numbers(self, write):
+        p = write({"sentence_id": 0, "vectors": [[{}]]})
+        with pytest.raises(ValueError, match="sentence 0"):
+            enc.PrecomputedEncoder.load(p, 2)
 
     def test_duplicate_sentence_id(self, write):
         p = write({"sentence_id": 0, "vectors": [[0.0, 1.0]]},
                   {"sentence_id": 0, "vectors": [[2.0, 3.0]]})
         with pytest.raises(ValueError, match="duplicate"):
-            enc.PrecomputedEncoder.load(p)
+            enc.PrecomputedEncoder.load(p, 2)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from synoie import corpus as c
 from synoie import graphs as g
@@ -187,6 +188,25 @@ class TestRandomTreeProperties:
             root_tag = s.const_tree.nodes[s.const_tree.root].tag
             for path in g.build_const_paths(s.const_tree):
                 assert path[0] == root_tag
+
+
+    @settings(deadline=None)
+    @given(text=bracketed_trees, variant=st.sampled_from(g.VARIANTS),
+           max_distance=st.integers(1, 12))
+    def test_adjacency_invariants(self, text, variant, max_distance):
+        tokens = c.tree_leaf_surfaces(text)
+        s = make_sentence(tokens, text,
+                          [[-1, "ROOT"]] + [[0, "dep"]] * (len(tokens) - 1))
+        const = g.build_const_graph(s, g.FlattenConfig(max_distance, variant))
+        for graph in (const, g.build_dep_graph(s)):
+            adj = graph.adjacency
+            assert (adj == adj.T).all()
+            assert adj.diagonal().all()
+            assert set(zip(*np.nonzero(np.triu(adj, 1)))) == \
+                {(i, j) for i, j, _ in graph.edges}
+        if variant != "v3":
+            i, j = np.nonzero(const.adjacency)
+            assert (abs(i - j) <= max_distance).all()
 
 
 class TestHarderTrees:

@@ -16,16 +16,14 @@ def naive_prob(target, anchor, candidates):
     return exps[target] / sum(exps)
 
 
-def brute_r1(h_by_view, adj_by_view, exclude_self=True):
+def brute_r1(h_by_view, adj_by_view):
     total = 0.0
     for z, h in h_by_view.items():
         adj = adj_by_view[z]
         n = len(h)
         for i in range(n):
             for j in range(n):
-                if exclude_self and i == j:
-                    continue
-                if adj[i][j]:
+                if i != j and adj[i][j]:
                     total -= math.log(naive_prob(j, h[i], h))
     return total
 
@@ -39,15 +37,13 @@ def brute_r2(h_con, h_dep):
     return total
 
 
-def brute_r3(h_con, h_dep, adj_con, adj_dep, exclude_self=True):
+def brute_r3(h_con, h_dep, adj_con, adj_dep):
     total = 0.0
     n = len(h_con)
     for h_z, h_other, adj in ((h_dep, h_con, adj_dep), (h_con, h_dep, adj_con)):
         for j in range(n):
             for i in range(n):
-                if exclude_self and i == j:
-                    continue
-                if adj[i][j]:
+                if i != j and adj[i][j]:
                     total -= math.log(naive_prob(i, h_z[j], h_other))
     return total
 
@@ -108,29 +104,11 @@ class TestLossR1:
                             {"con": adj_con, "dep": adj_dep})
             assert abs(float(got.data) - want) < 1e-10
 
-    def test_self_loops_only_when_included(self):
-        # with self-loops counted, each term is -log P(h_i | h_i)
-        rng = np.random.default_rng(1)
-        h = [rng.normal(size=3) for _ in range(3)]
-        adj = np.eye(3, dtype=bool)
-        got = L.loss_r1({"dep": as_tensors(h)}, {"dep": adj},
-                        exclude_self_loops=False)
-        want = -sum(math.log(naive_prob(i, h[i], h)) for i in range(3))
-        assert abs(float(got.data) - want) < 1e-12
-
     def test_self_loops_excluded_by_default(self):
         rng = np.random.default_rng(2)
         h = [rng.normal(size=3) for _ in range(2)]
         got = L.loss_r1({"dep": as_tensors(h)}, {"dep": np.eye(2, dtype=bool)})
         assert float(got.data) == 0.0
-
-    def test_single_node_contributes_nothing_beyond_self(self):
-        h = [np.array([1.0, 2.0])]
-        adj = np.eye(1, dtype=bool)
-        incl = L.loss_r1({"dep": as_tensors(h)}, {"dep": adj},
-                         exclude_self_loops=False)
-        # softmax over one candidate is 1, so -log 1 = 0
-        assert float(incl.data) == pytest.approx(0.0)
 
 
 class TestLossR2:
@@ -163,15 +141,6 @@ class TestLossR3:
                             adj_con, adj_dep)
             want = brute_r3(h_con, h_dep, adj_con, adj_dep)
             assert abs(float(got.data) - want) < 1e-10
-
-    def test_self_loops_only_reduces_to_r2_like_sum(self):
-        rng = np.random.default_rng(5)
-        h_con, h_dep, _, _ = random_views(rng, 4)
-        eye = np.eye(4, dtype=bool)
-        got = L.loss_r3(as_tensors(h_con), as_tensors(h_dep), eye, eye,
-                        exclude_self_loops=False)
-        want = brute_r2(h_con, h_dep)
-        assert abs(float(got.data) - want) < 1e-10
 
     def test_disjoint_edge_sets_finite(self):
         rng = np.random.default_rng(6)

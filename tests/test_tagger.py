@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from synoie import autodiff as ad
 from synoie import tagger
@@ -12,6 +14,22 @@ import worked_example as wx
 
 def uniform_probs(tags, p=0.9):
     return [p] * len(tags)
+
+
+ROLES = sorted({t[2:] for t in tag_inventory() if t != "O"})
+
+
+@st.composite
+def role_spans(draw):
+    """Disjoint, possibly adjacent spans for distinct roles, and a length n."""
+    roles = draw(st.permutations(ROLES))
+    segments = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)),
+                             max_size=len(roles)))
+    spans, end = {}, 0
+    for role, (gap, length) in zip(roles, segments):
+        spans[role] = (end + gap, end + gap + length - 1)
+        end += gap + length
+    return spans, end + draw(st.integers(0, 3))
 
 
 class TestTagLogits:
@@ -79,6 +97,13 @@ class TestDecodeBio:
         lo = tagger.decode_bio(tags, [0.5, 0.6, 0.7, 0.1], 0).confidence
         hi = tagger.decode_bio(tags, [0.6, 0.7, 0.8, 0.05], 0).confidence
         assert hi > lo
+
+    @given(role_spans())
+    def test_bio_runs_invert_spans_to_bio(self, case):
+        spans, n = case
+        runs = tagger.bio_runs(spans_to_bio(spans, n))
+        assert len(runs) == len(spans)
+        assert {role: (s, e) for role, s, e in runs} == spans
 
     def test_round_trip_on_well_formed_spans(self):
         rng = np.random.default_rng(0)

@@ -7,7 +7,7 @@ import pytest
 from synoie import training as tr
 from synoie.config import TrainConfig
 from synoie.corpus import load_corpus
-from synoie.model import Model
+from synoie.model import Model, SentenceGraphs
 from synoie.synthetic import generate_corpus
 
 FAST = dict(d_h=8, d_l=4, epochs=6, batch_size=4, early_stop_train_acc=None)
@@ -126,13 +126,18 @@ class TestCheckpoint:
     def test_bad_version_rejected(self, corpus12, tmp_path):
         ckpt = tr.train(corpus12, TrainConfig(seed=2, **FAST))
         path = tmp_path / "model.npz"
-        meta = {"format_version": 99, "config": ckpt.config.to_dict(),
-                "vocab_tokens": [], "dep_labels": [], "con_labels": [],
-                "epoch": 0, "history": []}
-        np.savez(path, __meta__=np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8))
-        with pytest.raises(tr.TrainingError):
-            tr.Checkpoint.load(path)
+        # format 1 also saved three config keys that format 2 dropped
+        config_1 = ckpt.config.to_dict()
+        config_1.update(encoder_kind="toy", mv_exclude_self_loops=True)
+        config_1["flatten"]["punct_tags"] = [".", ","]
+        for version, config in ((1, config_1), (99, ckpt.config.to_dict())):
+            meta = {"format_version": version, "config": config,
+                    "vocab_tokens": [], "dep_labels": [], "con_labels": [],
+                    "epoch": 0, "history": []}
+            np.savez(path, __meta__=np.frombuffer(
+                json.dumps(meta).encode(), dtype=np.uint8))
+            with pytest.raises(tr.TrainingError, match=f"version {version}"):
+                tr.Checkpoint.load(path)
 
 
 @pytest.fixture(scope="module")
@@ -163,18 +168,33 @@ class TestEvaluateCheckpoint:
 
 
 class TestPrecomputedEncoderPath:
-    def test_training_with_external_vectors(self, corpus12, tmp_path):
-        d_h = 8
+    @pytest.fixture
+    def vectors(self, corpus12, tmp_path):
+        """Width-8 random vectors for every sentence, and the file holding them."""
         rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=(len(s.tokens), 8)) for s in corpus12]
         vec_path = tmp_path / "vectors.jsonl"
-        with open(vec_path, "w") as f:
-            for i, s in enumerate(corpus12):
-                arr = rng.normal(size=(len(s.tokens), d_h))
-                f.write(json.dumps({"sentence_id": i,
-                                    "vectors": arr.tolist()}) + "\n")
-        cfg = TrainConfig(seed=0, d_h=d_h, d_l=4, epochs=3, batch_size=4,
-                          encoder_kind="external-precomputed",
-                          encoder_vectors=str(vec_path),
-                          early_stop_train_acc=None)
+        vec_path.write_text("".join(
+            json.dumps({"sentence_id": i, "vectors": arr.tolist()}) + "\n"
+            for i, arr in enumerate(arrays)))
+        return arrays, str(vec_path)
+
+    def test_training_with_external_vectors(self, corpus12, vectors):
+        # naming the vectors file is all it takes to replace the toy encoder
+        arrays, vec_path = vectors
+        cfg = TrainConfig(seed=0, d_h=8, d_l=4, epochs=3, batch_size=4,
+                          encoder_vectors=vec_path, early_stop_train_acc=None)
         ckpt = tr.train(corpus12, cfg)
         assert all(np.isfinite(r["loss"]) for r in ckpt.history)
+        model = ckpt.to_model()
+        for i in (0, 5):
+            s = corpus12[i]
+            fwd = model.forward(s, s.verbs[0], SentenceGraphs.build(s, cfg.flatten),
+                                sentence_id=i)
+            np.testing.assert_array_equal(fwd.h_ctx.data, arrays[i])
+
+    def test_vector_width_must_match_d_h(self, corpus12, vectors):
+        cfg = TrainConfig(seed=0, d_h=6, d_l=4, epochs=1,
+                          encoder_vectors=vectors[1])
+        with pytest.raises(ValueError, match="width 6"):
+            tr.train(corpus12, cfg)
