@@ -91,8 +91,10 @@ def _result(data, parents, backward) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray):
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            # a copy, since g may be a view of another node's gradient
+            t.grad = np.array(g, dtype=np.float64)
+        else:
+            t.grad += g
 
 
 class Tape:
@@ -135,14 +137,13 @@ def _check_finite(arr: np.ndarray, op: str):
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b, where b has a's shape or is one row added to every row of a."""
-    row = a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]
-    if a.shape != b.shape and not row:
+    """a + b for two tensors of one shape."""
+    if a.shape != b.shape:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
 
     def backward(g):
         _accumulate(a, g)
-        _accumulate(b, g.sum(axis=0) if row else g)
+        _accumulate(b, g)
 
     return _result(a.data + b.data, (a, b), backward)
 
@@ -193,19 +194,45 @@ def gather_rows(table: Tensor, index) -> Tensor:
     return _result(table.data[idx], (table,), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w.T + b: an (n, d_in) matrix through a (d_out, d_in) weight and a
+    (d_out,) bias added to every row."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeMismatch(f"linear: {x.shape}, {w.shape}, {b.shape}")
+    if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
+        raise ShapeMismatch(f"linear: {x.shape} @ {w.shape}.T + {b.shape}")
+    xd, wd = x.data, w.data
+
+    def backward(g):
+        if x.requires_grad:
+            _accumulate(x, g @ wd)
+        if w.requires_grad:
+            _accumulate(w, g.T @ xd)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+
+    # as in matmul, overflow is left to the consumer
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = xd @ wd.T + b.data
+    return _result(out, (x, w, b), backward)
+
+
 def hstack(parts: list[Tensor]) -> Tensor:
     """Column-wise concatenation of matrices with one row count."""
     if not parts:
         raise ShapeMismatch("hstack of zero tensors")
     if any(p.data.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
         raise ShapeMismatch(f"hstack: {[p.shape for p in parts]}")
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def backward(g):
-        for p, s, e in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[:, s:e])
+        start = 0
+        for p in parts:
+            end = start + p.shape[1]
+            _accumulate(p, g[:, start:end])
+            start = end
 
-    return _result(np.hstack([p.data for p in parts]), tuple(parts), backward)
+    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts),
+                   backward)
 
 
 def _shift(x: np.ndarray, k: int) -> np.ndarray:
@@ -238,7 +265,8 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
         raise ShapeMismatch(f"masked_softmax: logits {x.shape}, mask {mask.shape}")
     if not mask.any(axis=1).all():
         raise EmptyMask("softmax over an empty active set")
-    _check_finite(x[mask], "masked softmax logits")
+    if not np.isfinite(x).all():
+        _check_finite(x[mask], "masked softmax logits")
     z = np.where(mask, x, -np.inf)
     ex = np.exp(z - z.max(axis=1, keepdims=True))
     probs = ex / ex.sum(axis=1, keepdims=True)

@@ -73,8 +73,8 @@ def _config_from_args(args) -> TrainConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as f:
             raw = json.load(f)
-        file_has_seed = "seed" in raw
         cfg = TrainConfig.from_dict(raw)
+        file_has_seed = "seed" in raw
     else:
         cfg = TrainConfig()
     overrides = {}
@@ -272,6 +272,10 @@ def _load_pred_file(path, gold_sentences):
                 field = "texts" if "texts" in t else "spans"
                 if not isinstance(t.get(field), dict):
                     raise ValueError(f"line {lineno + 1}: tuple {field} must be an object")
+                for role in t[field]:
+                    if not corpus_mod.is_role(role):
+                        raise ValueError(f"line {lineno + 1}: unknown role {role!r} "
+                                         f"(not REL or ARG<k>)")
                 if field == "texts":
                     texts = {r: str(x) for r, x in t["texts"].items()}
                 else:

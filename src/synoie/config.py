@@ -4,8 +4,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, asdict, replace
 
+from .corpus import is_json_int
 from .graphs import FlattenConfig
 from .losses import LossWeights
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON value check per field annotation; nested objects are checked by _build
+_JSON_TYPES = {
+    "int": is_json_int,
+    "float": _is_number,
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
+    "float | None": lambda v: v is None or _is_number(v),
+}
 
 
 @dataclass(frozen=True)
@@ -52,13 +68,19 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
+        """Config from a JSON object; an unknown key or a value of the wrong
+        JSON type raises ValueError naming the key."""
+        d = dict(_object(d, "config"))
         if "weights" in d:
-            d["weights"] = _build(LossWeights, d["weights"])
+            d["weights"] = _build(LossWeights, _object(d["weights"], "weights"))
         if "flatten" in d:
-            f = dict(d["flatten"])
+            f = dict(_object(d["flatten"], "flatten"))
             if "clause_tags" in f:
-                f["clause_tags"] = frozenset(f["clause_tags"])
+                tags = f["clause_tags"]
+                if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+                    raise ValueError(f"flatten.clause_tags must be a list of "
+                                     f"strings, got {tags!r}")
+                f["clause_tags"] = frozenset(tags)
             d["flatten"] = _build(FlattenConfig, f)
         return _build(cls, d)
 
@@ -66,8 +88,20 @@ class TrainConfig:
         return replace(self, **kwargs)
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _build(cls, d: dict):
-    unknown = set(d) - {f.name for f in fields(cls)}
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(d) - set(types)
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    for key, value in d.items():
+        check = _JSON_TYPES.get(types[key])
+        if check is not None and not check(value):
+            raise ValueError(f"{cls.__name__} key {key!r} must be of type "
+                             f"{types[key]}, got {value!r}")
     return cls(**d)

@@ -19,7 +19,19 @@ DEFAULT_MAX_ARG = 5
 
 
 class CorpusError(Exception):
-    """Base class for all corpus validation failures."""
+    """Base class for all corpus validation failures.
+
+    ``line`` is the 1-based corpus line the failure is on, when known.
+    """
+
+    line = None
+
+    def at_line(self, line: int) -> "CorpusError":
+        """Attach ``line`` to the error and its message, unless it has one."""
+        if self.line is None:
+            self.line = line
+            self.args = (f"line {line}: {self}",)
+        return self
 
 
 class UnbalancedBrackets(CorpusError):
@@ -60,19 +72,25 @@ class OverlappingGoldSpans(CorpusError):
 
 class SchemaViolation(CorpusError):
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+        super().__init__(message)
+        self.at_line(line)
 
 
 class AlignmentError(CorpusError):
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+        super().__init__(message)
+        self.at_line(line)
 
 
 def is_json_int(value) -> bool:
     """True for a JSON integer; a bool is an int subclass, a float is not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_role(role: str) -> bool:
+    """True for ``REL`` and ``ARG<k>`` with k written in ASCII digits."""
+    k = role[3:]
+    return role == REL or (role.startswith("ARG") and k.isascii() and k.isdigit())
 
 
 @dataclass(frozen=True)
@@ -461,7 +479,7 @@ def _build_sentence(rec: dict, line: int, max_arg: int) -> ParsedSentence:
             raise SchemaViolation(line, "tuple spans must be an object")
         spans = {}
         for role, span in trec["spans"].items():
-            if role != REL and not (role.startswith("ARG") and role[3:].isdigit()):
+            if not is_role(role):
                 raise SchemaViolation(line, f"unknown role {role!r}")
             if role != REL and int(role[3:]) > max_arg:
                 raise SchemaViolation(line, f"role {role!r} beyond ARG{max_arg}")
@@ -485,17 +503,21 @@ def _build_sentence(rec: dict, line: int, max_arg: int) -> ParsedSentence:
 
 
 def load_corpus(path: str | Path, max_arg: int = DEFAULT_MAX_ARG) -> list[ParsedSentence]:
-    """Load a JSONL corpus; every error carries the offending line number."""
+    """Load a JSONL corpus; every error carries the offending line number,
+    counted from 1."""
     sentences = []
     with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f):
+        for lineno, raw in enumerate(f, start=1):
             if not raw.strip():
                 continue
             try:
                 rec = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise SchemaViolation(lineno, f"bad JSON: {exc}") from exc
-            sentences.append(_build_sentence(rec, lineno, max_arg))
+            try:
+                sentences.append(_build_sentence(rec, lineno, max_arg))
+            except CorpusError as exc:
+                raise exc.at_line(lineno)
     return sentences
 
 

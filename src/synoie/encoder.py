@@ -92,8 +92,7 @@ class ToyEncoder:
     def contextualize(self, ws: Tensor) -> Tensor:
         """(n, d_h) -> (n, d_h); the window is zero-padded at both ends."""
         window = ad.hstack([ad.shift_rows(ws, 1), ws, ad.shift_rows(ws, -1)])
-        mixed = ad.matmul(window, self.params.w_mix, transpose_b=True)
-        return ad.relu(ad.add(mixed, self.params.b_mix))
+        return ad.relu(ad.linear(window, self.params.w_mix, self.params.b_mix))
 
 
 class PrecomputedEncoder:

@@ -19,10 +19,6 @@ from .graphs import SyntacticGraph, CONST_VIEW, DEP_VIEW
 UNK_LABEL = "<unk>"
 
 
-class EmptyPath(Exception):
-    pass
-
-
 class LabelVocab:
     """Label-id map with an UNK fallback row for unseen labels."""
 
@@ -69,20 +65,23 @@ def node_label_embed_dep(g: SyntacticGraph, params: GcnParams,
                          labels: LabelVocab) -> Tensor:
     """(n, d_l): the W1 row of each node's dependency label."""
     assert g.view == DEP_VIEW
-    return ad.gather_rows(params.w1, [labels.lookup(l) for l in g.node_labels])
+    label_set, rows = g.label_rows
+    ids = np.array([labels.lookup(l) for l in label_set], dtype=np.intp)
+    return ad.gather_rows(params.w1, ids[rows.argmax(axis=1)])
 
 
 def node_label_embed_const(g: SyntacticGraph, params: GcnParams,
                            labels: LabelVocab) -> Tensor:
     """(n, d_l): mean of the tag embeddings along each node's constituency
-    path, as one constant path-averaging matrix times W1."""
+    path, as one constant path-averaging matrix times W1.
+
+    The matrix spreads the graph's cached label rows over the label ids;
+    tags the vocabulary lacks share the UNK column.
+    """
     assert g.view == CONST_VIEW
+    label_set, rows = g.label_rows
     avg = np.zeros((g.n, params.w1.shape[0]))
-    for i, path in enumerate(g.node_labels):
-        if not path:
-            raise EmptyPath(f"node {i} has an empty constituency path")
-        for tag in path:
-            avg[i, labels.lookup(tag)] += 1.0 / len(path)
+    np.add.at(avg, (slice(None), [labels.lookup(t) for t in label_set]), rows)
     return ad.matmul(ad.constant(avg), params.w1)
 
 
@@ -103,7 +102,7 @@ def gcn_layer(g: SyntacticGraph, h_ctx: Tensor, l: Tensor,
 
 def label_projection(l: Tensor, params: GcnParams) -> Tensor:
     """GCN-ablated view state: projected label embedding, no message passing."""
-    return ad.add(ad.matmul(l, params.w2, transpose_b=True), params.b)
+    return ad.linear(l, params.w2, params.b)
 
 
 def aggregate(h_ctx: Tensor, h_con: Tensor | None = None,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,10 @@ DEFAULT_PUNCT_TAGS = frozenset({".", ",", ":", "``", "''", "-LRB-", "-RRB-"})
 
 
 class UnknownFormat(ValueError):
+    pass
+
+
+class EmptyPath(Exception):
     pass
 
 
@@ -69,6 +74,23 @@ class SyntacticGraph:
     node_labels: list
     edges: frozenset
     adjacency: np.ndarray = field(repr=False)
+
+    @cached_property
+    def label_rows(self) -> tuple[list[str], np.ndarray]:
+        """The distinct node labels, sorted, and the (n, U) matrix whose row i
+        averages node i's labels over them: a dep node has one label, a const
+        node the tags of its path.  Built on first use, then kept."""
+        paths = (self.node_labels if self.view == CONST_VIEW
+                 else [[label] for label in self.node_labels])
+        label_set = sorted({tag for path in paths for tag in path})
+        column = {tag: k for k, tag in enumerate(label_set)}
+        rows = np.zeros((self.n, len(label_set)))
+        for i, path in enumerate(paths):
+            if not path:
+                raise EmptyPath(f"node {i} has an empty constituency path")
+            for tag in path:
+                rows[i, column[tag]] += 1.0 / len(path)
+        return label_set, rows
 
 
 def _adjacency_from_edges(n: int, edges) -> np.ndarray:

@@ -47,25 +47,73 @@ class Model:
     def __init__(self, cfg: TrainConfig, vocab: Vocabulary,
                  dep_labels: LabelVocab, con_labels: LabelVocab,
                  rng: np.random.Generator | None = None):
+        """A model with parameters drawn from ``rng`` (default: ``cfg.seed``)."""
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
+        n_tags = len(tag_inventory(cfg.max_arg))
+        self._assemble(
+            cfg, vocab, dep_labels, con_labels,
+            EncoderParams.init(len(vocab), cfg.d_h, rng),
+            GcnParams.init(len(dep_labels), cfg.d_h, cfg.d_l, rng),
+            GcnParams.init(len(con_labels), cfg.d_h, cfg.d_l, rng),
+            ad.parameter(rng.uniform(-0.1, 0.1, (n_tags, cfg.d_h * cfg.n_views()))),
+            ad.parameter(np.zeros(n_tags)))
+
+    @classmethod
+    def from_arrays(cls, cfg: TrainConfig, vocab: Vocabulary,
+                    dep_labels: LabelVocab, con_labels: LabelVocab,
+                    arrays: dict[str, np.ndarray]) -> "Model":
+        """A model holding copies of ``arrays``, keyed by the names
+        ``named_params`` gives, with nothing drawn at random.
+
+        Raises KeyError for a missing tensor and ValueError for a tensor whose
+        shape does not follow from the config and the vocabularies.
+        """
+        d_h, d_l = cfg.d_h, cfg.d_l
+        n_tags = len(tag_inventory(cfg.max_arg))
+        shapes = {
+            "enc.w_word": (len(vocab), d_h), "enc.w_verb": (2, d_h),
+            "enc.w_mix": (d_h, 3 * d_h), "enc.b_mix": (d_h,),
+            "gcn.dep.w1": (len(dep_labels), d_l), "gcn.dep.w2": (d_h, d_l),
+            "gcn.dep.b": (d_h,),
+            "gcn.con.w1": (len(con_labels), d_l), "gcn.con.w2": (d_h, d_l),
+            "gcn.con.b": (d_h,),
+            "head.w": (n_tags, d_h * cfg.n_views()), "head.b": (n_tags,),
+        }
+        p = {}
+        for name, shape in shapes.items():
+            if name not in arrays:
+                raise KeyError(f"checkpoint is missing tensor {name!r}")
+            if arrays[name].shape != shape:
+                raise ValueError(f"tensor {name!r}: checkpoint shape "
+                                 f"{arrays[name].shape} vs model {shape}")
+            p[name] = ad.parameter(np.array(arrays[name], dtype=np.float64))
+        model = cls.__new__(cls)
+        model._assemble(
+            cfg, vocab, dep_labels, con_labels,
+            EncoderParams(p["enc.w_word"], p["enc.w_verb"], p["enc.w_mix"],
+                          p["enc.b_mix"]),
+            GcnParams(p["gcn.dep.w1"], p["gcn.dep.w2"], p["gcn.dep.b"]),
+            GcnParams(p["gcn.con.w1"], p["gcn.con.w2"], p["gcn.con.b"]),
+            p["head.w"], p["head.b"])
+        return model
+
+    def _assemble(self, cfg, vocab, dep_labels, con_labels, enc_params,
+                  dep_params, con_params, w_tag, b_tag):
         self.cfg = cfg
         self.vocab = vocab
         self.dep_labels = dep_labels
         self.con_labels = con_labels
         self.tags = tag_inventory(cfg.max_arg)
         self.tag_ids = {t: i for i, t in enumerate(self.tags)}
-
-        self.enc_params = EncoderParams.init(len(vocab), cfg.d_h, rng)
-        self.dep_params = GcnParams.init(len(dep_labels), cfg.d_h, cfg.d_l, rng)
-        self.con_params = GcnParams.init(len(con_labels), cfg.d_h, cfg.d_l, rng)
-        head_width = cfg.d_h * cfg.n_views()
-        self.w_tag = ad.parameter(rng.uniform(-0.1, 0.1, (len(self.tags), head_width)))
-        self.b_tag = ad.parameter(np.zeros(len(self.tags)))
-
+        self.enc_params = enc_params
+        self.dep_params = dep_params
+        self.con_params = con_params
+        self.w_tag = w_tag
+        self.b_tag = b_tag
         if cfg.encoder_vectors is not None:
             self.encoder = PrecomputedEncoder.load(cfg.encoder_vectors, cfg.d_h)
         else:
-            self.encoder = ToyEncoder(self.enc_params, vocab)
+            self.encoder = ToyEncoder(enc_params, vocab)
 
     # -- parameters ---------------------------------------------------------
 
@@ -78,15 +126,6 @@ class Model:
 
     def param_tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]):
-        for name, t in self.named_params():
-            if name not in arrays:
-                raise KeyError(f"checkpoint is missing tensor {name!r}")
-            if arrays[name].shape != t.data.shape:
-                raise ValueError(f"tensor {name!r}: checkpoint shape "
-                                 f"{arrays[name].shape} vs model {t.data.shape}")
-            t.data = arrays[name].astype(np.float64).copy()
 
     def export_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_params()}

@@ -10,7 +10,7 @@ from .corpus import Extraction, ParsedSentence, REL
 
 def tag_logits(h_final, w_tag, b_tag):
     """(n, n_tags) tag scores from one linear layer over the fused states."""
-    return ad.add(ad.matmul(h_final, w_tag, transpose_b=True), b_tag)
+    return ad.linear(h_final, w_tag, b_tag)
 
 
 def bio_runs(tags: list[str]) -> list[tuple[str, int, int]]:

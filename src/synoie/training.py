@@ -50,10 +50,9 @@ class Checkpoint:
     history: list[dict] = field(default_factory=list)
 
     def to_model(self) -> Model:
-        model = Model(self.config, Vocabulary(self.vocab_tokens),
-                      LabelVocab(self.dep_labels), LabelVocab(self.con_labels))
-        model.load_arrays(self.arrays)
-        return model
+        return Model.from_arrays(self.config, Vocabulary(self.vocab_tokens),
+                                 LabelVocab(self.dep_labels),
+                                 LabelVocab(self.con_labels), self.arrays)
 
     def save(self, path: str | Path):
         meta = {

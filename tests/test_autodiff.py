@@ -94,13 +94,31 @@ class TestGradients:
         np.testing.assert_array_equal(table.grad, expected)
 
     def test_row_broadcast_add_sums_gradient_over_rows(self):
-        a = ad.parameter(np.zeros((3, 2)))
+        # linear's bias is one row added to every row of x @ w.T
+        x = ad.parameter(np.zeros((3, 2)))
+        w = ad.parameter(np.eye(2))
         b = ad.parameter([1.0, 2.0])
-        out = ad.add(a, b)
+        out = ad.linear(x, w, b)
         np.testing.assert_array_equal(out.data, [[1, 2]] * 3)
         ad.masked_sum(out, np.ones((3, 2))).backward()
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
-        np.testing.assert_array_equal(a.grad, np.ones((3, 2)))
+        np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
+
+    def test_linear_gradient(self):
+        rng = np.random.default_rng(12)
+        readout = rng.normal(size=(4, 3))
+        err = ad.grad_check(
+            lambda x, w, b: ad.masked_sum(ad.linear(x, w, b), readout),
+            [ad.parameter(rng.normal(size=(4, 5))),
+             ad.parameter(rng.normal(size=(3, 5))),
+             ad.parameter(rng.normal(size=3))])
+        assert err < 1e-8
+
+    def test_linear_equals_matmul_plus_bias(self):
+        rng = np.random.default_rng(13)
+        x, w, b = rng.normal(size=(4, 5)), rng.normal(size=(3, 5)), rng.normal(size=3)
+        out = ad.linear(ad.constant(x), ad.constant(w), ad.constant(b))
+        assert out.data.tobytes() == (x @ w.T + b).tobytes()
 
     def test_matmul_vector_and_matrix(self):
         readout = np.array([[1.0, 2.0, 3.0]]).T
@@ -233,11 +251,32 @@ class TestNonFinite:
         with pytest.raises(ad.NonFiniteValue):
             ad.masked_softmax(dots, [[True]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_masked_softmax_active_non_finite(self, bad):
+        # a non-finite logit at an active entry raises, even next to a
+        # masked one that alone would be ignored
+        logits = ad.constant([[0.5, bad, np.nan, 1.0]])
+        with pytest.raises(ad.NonFiniteValue):
+            ad.masked_softmax(logits, [[True, True, False, True]])
+
 
 class TestShapeErrors:
     def test_add_mismatch(self):
         with pytest.raises(ad.ShapeMismatch):
             ad.add(ad.constant([1.0]), ad.constant([1.0, 2.0]))
+        with pytest.raises(ad.ShapeMismatch):  # a row is added through linear
+            ad.add(ad.constant(np.zeros((3, 2))), ad.constant([1.0, 2.0]))
+
+    @pytest.mark.parametrize("x, w, b", [
+        ((3, 2), (4, 3), (4,)),   # x width vs w width
+        ((3, 2), (4, 2), (3,)),   # bias vs output width
+        ((3, 2), (4, 2), (1, 4)),  # bias not a vector
+        ((2,), (4, 2), (4,)),      # x not a matrix
+    ])
+    def test_linear_mismatch(self, x, w, b):
+        with pytest.raises(ad.ShapeMismatch):
+            ad.linear(ad.constant(np.zeros(x)), ad.constant(np.zeros(w)),
+                      ad.constant(np.zeros(b)))
 
     def test_gather_row_outside_table(self):
         with pytest.raises(ad.ShapeMismatch):

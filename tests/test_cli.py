@@ -91,6 +91,15 @@ class TestBuildGraphs:
                        "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_bad_tree_names_its_line(self, example_corpus_path, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        good = example_corpus_path.read_text()
+        bad.write_text(good + json.dumps(dict(json.loads(good), tokens=["x"],
+                                              const_ptb="(S (NN x)")) + "\n")
+        rc = cli.main(["build-graphs", "--corpus", str(bad), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "data error: line 2: missing ')'\n"
+
     def test_variant_flag(self, example_corpus_path, tmp_path):
         rc = cli.main(["build-graphs", "--corpus", str(example_corpus_path),
                        "--view", "const", "--out", str(tmp_path),
@@ -244,18 +253,25 @@ class TestScoreErrors:
                                        "spans": {"REL": [1, 1]}}]},
         {"sentence_id": 0, "tuples": [{"confidence": float("inf"),
                                        "texts": {"REL": "likes"}}]},
+        {"sentence_id": 0, "tuples": [{"texts": {"REL": "likes", "foo": "Ann"}}]},
+        {"sentence_id": 0, "tuples": [{"spans": {"REL": [1, 1], "ARG": [0, 0]}}]},
     ], ids=["not-an-object", "span-past-the-end", "span-not-a-pair",
             "tuple-not-an-object", "tuples-not-a-list", "spans-not-an-object",
             "texts-not-an-object", "confidence-null", "confidence-list",
-            "confidence-bool", "confidence-nan", "confidence-inf"])
-    def test_pred_line_malformed(self, tmp_path, capsys, line):
+            "confidence-bool", "confidence-nan", "confidence-inf",
+            "role-unknown", "role-without-index"])
+    def test_pred_line_malformed(self, tmp_path, capsys, request, line):
         bad = tmp_path / "pred.jsonl"
         bad.write_text(json.dumps(line) + "\n")
         with time_limit(10):
             rc = cli.main(["score", "--pred", str(bad),
                            "--gold", str(DATA / "score_fixture_gold.jsonl")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("data error: line 1:")
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 1:")
+        if request.node.callspec.id.startswith("role-"):
+            role = "foo" if "foo" in json.dumps(line) else "ARG"
+            assert f"unknown role {role!r}" in err
 
     def test_missing_vectors_file_is_data_error(self, small_corpus, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -274,6 +290,29 @@ class TestScoreErrors:
             rc = cli.main(["train", "--corpus", str(small_corpus),
                            "--config", str(cfg), "--out-ckpt", str(tmp_path / "m")])
             assert rc == 2
+
+    @pytest.mark.parametrize("raw, named", [
+        ({"d_h": "8"}, "'d_h'"),
+        ([1], "config must be a JSON object"),
+        ("d_h", "config must be a JSON object"),
+        ({"flatten": {"clause_tags": 5}}, "flatten.clause_tags"),
+        ({"flatten": {"clause_tags": ["S", 1]}}, "flatten.clause_tags"),
+        ({"flatten": [8]}, "flatten must be a JSON object"),
+        ({"weights": {"alpha": "0.1"}}, "'alpha'"),
+        ({"use_r1": 0}, "'use_r1'"),
+        ({"encoder_vectors": 3}, "'encoder_vectors'"),
+    ], ids=["int-as-string", "list", "string", "clause-tags-int",
+            "clause-tag-not-a-string", "flatten-list", "weight-as-string",
+            "bool-as-int", "path-as-int"])
+    def test_config_value_of_wrong_type_is_data_error(self, small_corpus, tmp_path,
+                                                      capsys, raw, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        rc = cli.main(["train", "--corpus", str(small_corpus),
+                       "--config", str(cfg), "--out-ckpt", str(tmp_path / "m")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and named in err
 
 
 # any JSON value, including NaN and the infinities that json.loads accepts

@@ -153,7 +153,7 @@ class TestLoadCorpus:
         p.write_text(json.dumps(rec) + "\n")
         with pytest.raises(c.AlignmentError) as e:
             c.load_corpus(p)
-        assert e.value.line == 0
+        assert e.value.line == 1  # lines count from 1, as in score --pred
 
     def test_rel_must_cover_verb(self, tmp_path):
         rec = json.loads(json.dumps(wx.RECORD))
@@ -176,7 +176,7 @@ class TestLoadCorpus:
         p.write_text(json.dumps(wx.RECORD) + "\n{oops\n")
         with pytest.raises(c.SchemaViolation) as e:
             c.load_corpus(p)
-        assert e.value.line == 1
+        assert e.value.line == 2
 
     def test_verb_out_of_range(self, tmp_path):
         rec = json.loads(json.dumps(wx.RECORD))
@@ -231,7 +231,24 @@ class TestLoadCorpus:
         p.write_text(json.dumps(wx.RECORD) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(c.SchemaViolation) as e:
             c.load_corpus(p)
-        assert e.value.line == 1
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize("record, error", [
+        (dict(wx.RECORD, const_ptb="(S (NN x)"), c.UnbalancedBrackets),
+        (dict(wx.RECORD, const_ptb="(S (NP (NN a) b))"), c.MalformedTree),
+        (dict(wx.RECORD, tokens=[""] + wx.TOKENS[1:]), c.CorpusError),
+        (dict(wx.RECORD, tuples=[dict(wx.GOLD_TUPLE, spans=dict(
+            wx.GOLD_TUPLE["spans"], ARG1=[4, 6]))]), c.OverlappingGoldSpans),
+    ], ids=["unbalanced-tree", "malformed-tree", "empty-token", "overlapping-spans"])
+    def test_error_below_the_record_names_its_line(self, tmp_path, record, error):
+        # raised by the tree reader, Token or the span check, which know no
+        # line; the loader attaches it and keeps the error's type
+        p = tmp_path / "bad.jsonl"
+        p.write_text(json.dumps(wx.RECORD) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(error) as e:
+            c.load_corpus(p)
+        assert e.value.line == 2
+        assert str(e.value).startswith("line 2: ")
 
     def test_round_trip(self, example_corpus_path, tmp_path):
         sentences = c.load_corpus(example_corpus_path)

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synoie import autodiff as ad
+from synoie import corpus as c
 from synoie import gcn
-from synoie.graphs import SyntacticGraph, CONST_VIEW, DEP_VIEW
+from synoie import graphs
+from synoie.graphs import EmptyPath, SyntacticGraph, CONST_VIEW, DEP_VIEW
+
+from tree_strategies import PHRASE_TAGS, bracketed_trees
+
+DEPRELS = ["nsubj", "obj", "det", "punct", "ROOT"]
 
 
 def make_graph(view, n, edges, labels=None):
@@ -86,8 +94,80 @@ class TestLabelEmbeddings:
     def test_empty_path(self, small_params):
         labels = gcn.LabelVocab(["<unk>"])
         g = make_graph(CONST_VIEW, 1, [], [[]])
-        with pytest.raises(gcn.EmptyPath):
+        with pytest.raises(EmptyPath):
             gcn.node_label_embed_const(g, small_params, labels)
+
+
+def old_embed_const(g, params, labels) -> ad.Tensor:
+    """The per-path loop the graph's cached label rows replace (oracle):
+    the averaging matrix is built one tag of one path at a time, per verb."""
+    avg = np.zeros((g.n, len(labels)))
+    for i, path in enumerate(g.node_labels):
+        if not path:
+            raise EmptyPath(f"node {i} has an empty constituency path")
+        for tag in path:
+            avg[i, labels.lookup(tag)] += 1.0 / len(path)
+    return ad.matmul(ad.constant(avg), params.w1)
+
+
+def old_embed_dep(g, params, labels) -> ad.Tensor:
+    """One label lookup per node, per verb (oracle)."""
+    return ad.gather_rows(params.w1, [labels.lookup(l) for l in g.node_labels])
+
+
+class TestLabelRowsProperty:
+    """The cached label rows give what the per-node loops gave, in value and
+    in W1's gradient, for random trees, both views and the v1 variant.
+
+    The result is bit-identical unless one path holds two distinct tags the
+    vocabulary lacks: both fall back to UNK, whose weight the loop summed tag
+    by tag and the rows sum label by label, so it may differ in the last bit.
+    """
+
+    @settings(deadline=None, max_examples=150)
+    @given(text=bracketed_trees, variant=st.sampled_from(["paper", "v1"]),
+           known_tags=st.sets(st.sampled_from(PHRASE_TAGS)),
+           known_rels=st.sets(st.sampled_from(DEPRELS)), data=st.data())
+    def test_matches_per_node_loops(self, text, variant, known_tags, known_rels,
+                                    data):
+        tokens = c.tree_leaf_surfaces(text)
+        rels = data.draw(st.lists(st.sampled_from(DEPRELS[:-1]),
+                                  min_size=len(tokens) - 1,
+                                  max_size=len(tokens) - 1))
+        s = c._build_sentence({"tokens": tokens, "const_ptb": text,
+                               "dep_conllu": [[-1, "ROOT"]]
+                               + [[0, r] for r in rels],
+                               "verbs": []}, 0, 5)
+        views = [(graphs.build_const_graph(s, graphs.FlattenConfig(variant=variant)),
+                  gcn.node_label_embed_const, old_embed_const,
+                  gcn.LabelVocab.collect(known_tags)),
+                 (graphs.build_dep_graph(s), gcn.node_label_embed_dep,
+                  old_embed_dep, gcn.LabelVocab.collect(known_rels))]
+        rng = np.random.default_rng(len(tokens))
+        for g, embed, oracle, labels in views:
+            params = gcn.GcnParams.init(len(labels), d_h=4, d_l=3, rng=rng)
+            readout = rng.normal(size=(g.n, 3))
+            try:
+                want = oracle(g, params, labels)
+            except EmptyPath:
+                # a tree that is one preterminal leaves its word no path
+                with pytest.raises(EmptyPath):
+                    embed(g, params, labels)
+                continue
+            ad.masked_sum(want, readout).backward()
+            want_grad, params.w1.grad = params.w1.grad, None
+            exact = g.view == DEP_VIEW or all(
+                len({t for t in path if t not in labels.ids}) < 2
+                for path in g.node_labels)
+            same = (np.testing.assert_array_equal if exact else
+                    lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-14,
+                                                            atol=1e-15))
+            for _ in range(2):  # the second call reads the cached rows
+                got = embed(g, params, labels)
+                same(got.data, want.data)
+                ad.masked_sum(got, readout).backward()
+                same(params.w1.grad, want_grad)
+                params.w1.grad = None
 
 
 class TestGcnLayer:

@@ -1,14 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from synoie import autodiff as ad
 from synoie.config import TrainConfig
-from synoie.corpus import expand_instances
+from synoie.corpus import expand_instances, load_corpus
 from synoie.encoder import Vocabulary
 
 from synoie.model import Model
 from synoie.synthetic import generate_corpus
 from synoie.training import _label_inventories, build_graph_cache
+
+SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.jsonl"
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +105,21 @@ class TestInstanceLosses:
         assert err < 1e-4
 
 
+class TestTapeSize:
+    def test_default_instance_records_61_nodes(self):
+        # Guards the op count of one training instance: the encoder (gather,
+        # shift, window, mix), two GCN views, the head and CE + R1/R2/R3.
+        # A change that adds primitives to the per-instance path must update
+        # this count on purpose.
+        sentences = load_corpus(SAMPLE_CORPUS)
+        cfg = TrainConfig()
+        cache = build_graph_cache(sentences, cfg.flatten)
+        dl, cl = _label_inventories(cache, range(len(sentences)))
+        model = Model(cfg, Vocabulary.from_sentences(sentences), dl, cl)
+        parts = model.instance_losses(expand_instances(sentences[0])[0], cache[0], 0)
+        assert len(ad.Tape(parts["total"]).order) == 61
+
+
 class TestPredict:
     def test_predict_returns_valid_tags(self, setup):
         sentences, cache, model = build(setup)
@@ -121,17 +140,40 @@ class TestArraysRoundTrip:
     def test_export_load_identical_forward(self, setup):
         sentences, cache, model = build(setup)
         arrays = model.export_arrays()
-        other = Model(model.cfg, model.vocab, model.dep_labels,
-                      model.con_labels, np.random.default_rng(99))
-        other.load_arrays(arrays)
+        other = Model.from_arrays(model.cfg, model.vocab, model.dep_labels,
+                                  model.con_labels, arrays)
         s = sentences[0]
         a = model.forward(s, s.verbs[0], cache[0])
         b = other.forward(s, s.verbs[0], cache[0])
         assert a.logits.data.tobytes() == b.logits.data.tobytes()
+        # the model holds copies: updating it leaves the arrays alone
+        other.w_tag.data += 1.0
+        np.testing.assert_array_equal(arrays["head.w"], model.w_tag.data)
 
     def test_missing_tensor_rejected(self, setup):
         _, _, model = build(setup)
         arrays = model.export_arrays()
         arrays.pop("head.w")
-        with pytest.raises(KeyError):
-            model.load_arrays(arrays)
+        with pytest.raises(KeyError, match="head.w"):
+            Model.from_arrays(model.cfg, model.vocab, model.dep_labels,
+                              model.con_labels, arrays)
+
+    @pytest.mark.parametrize("name", ["enc.w_word", "gcn.con.w1", "head.b"])
+    def test_wrong_shape_rejected(self, setup, name):
+        _, _, model = build(setup)
+        arrays = model.export_arrays()
+        arrays[name] = arrays[name][:-1]
+        with pytest.raises(ValueError, match=name):
+            Model.from_arrays(model.cfg, model.vocab, model.dep_labels,
+                              model.con_labels, arrays)
+
+    def test_from_arrays_draws_nothing(self, setup, monkeypatch):
+        _, _, model = build(setup)
+        arrays = model.export_arrays()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("from_arrays drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        Model.from_arrays(model.cfg, model.vocab, model.dep_labels,
+                          model.con_labels, arrays)

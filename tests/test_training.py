@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,17 @@ class TestCheckpoint:
                 json.dumps(meta).encode(), dtype=np.uint8))
             with pytest.raises(tr.TrainingError, match=f"version {version}"):
                 tr.Checkpoint.load(path)
+
+    def test_to_model_checks_every_tensor(self, corpus12):
+        ckpt = tr.train(corpus12, TrainConfig(seed=2, **FAST))
+        missing = dict(ckpt.arrays)
+        missing.pop("gcn.dep.w2")
+        with pytest.raises(KeyError, match="missing tensor 'gcn.dep.w2'"):
+            replace(ckpt, arrays=missing).to_model()
+        wide = dict(ckpt.arrays)
+        wide["enc.w_mix"] = np.zeros((wide["enc.w_mix"].shape[0], 1))
+        with pytest.raises(ValueError, match="'enc.w_mix': checkpoint shape"):
+            replace(ckpt, arrays=wide).to_model()
 
 
 @pytest.fixture(scope="module")
