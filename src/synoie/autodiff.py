@@ -306,29 +306,6 @@ def masked_sum(a: Tensor, mask) -> Tensor:
     return _result(np.sum(a.data * mask), (a,), backward)
 
 
-def cross_entropy_rows(logits: Tensor, gold) -> Tensor:
-    """Mean over rows of the cross entropy of row i against class gold[i]."""
-    x = logits.data
-    gold = np.asarray(gold, dtype=np.intp)
-    if x.ndim != 2 or x.shape[0] == 0 or gold.shape != (x.shape[0],):
-        raise ShapeMismatch(f"cross entropy: logits {x.shape}, gold {gold.shape}")
-    if gold.min() < 0 or gold.max() >= x.shape[1]:
-        raise ShapeMismatch(f"gold index outside {x.shape[1]} classes")
-    rows = np.arange(x.shape[0])
-    m = x.max(axis=1, keepdims=True)
-    ex = np.exp(x - m)
-    z = ex.sum(axis=1, keepdims=True)
-    loss = np.mean(m[:, 0] + np.log(z[:, 0]) - x[rows, gold])
-    _check_finite(np.asarray(loss), "cross entropy")
-    d = ex / z
-    d[rows, gold] -= 1.0
-
-    def backward(g):
-        _accumulate(logits, (float(g) / x.shape[0]) * d)
-
-    return _result(loss, (logits,), backward)
-
-
 def combine(terms: list[Tensor], weights: list[float]) -> Tensor:
     """weights[0] * terms[0] + weights[1] * terms[1] + ..., left to right."""
     if not terms or len(terms) != len(weights):

@@ -433,6 +433,10 @@ def _build_sentence(rec: dict, line: int, max_arg: int) -> ParsedSentence:
     if not isinstance(rec["const_ptb"], str):
         raise SchemaViolation(line, "const_ptb must be a bracketed-tree string")
     tree = read_bracketed_tree(rec["const_ptb"])
+    if tree.nodes[tree.root].is_preterminal:
+        # the word would sit under no phrase and have an empty tag path
+        raise MalformedTree(f"the root {tree.nodes[tree.root].tag} is a bare "
+                            f"preterminal; wrap it in a phrase")
     if tree.n_leaves != n:
         raise AlignmentError(
             line, f"constituency tree has {tree.n_leaves} leaves for {n} tokens")
@@ -521,11 +525,11 @@ def load_corpus(path: str | Path, max_arg: int = DEFAULT_MAX_ARG) -> list[Parsed
     return sentences
 
 
-def sentence_to_record(s: ParsedSentence, const_ptb: Optional[str] = None) -> dict:
+def sentence_to_record(s: ParsedSentence) -> dict:
     """Serialize back to the JSONL schema (inverse of loading)."""
     return {
         "tokens": s.surfaces(),
-        "const_ptb": const_ptb if const_ptb is not None else write_bracketed_tree(s),
+        "const_ptb": write_bracketed_tree(s),
         "dep_conllu": [[h, d] for h, d in zip(s.dep_rows.heads, s.dep_rows.deprels)],
         "verbs": list(s.verbs),
         "tuples": [

@@ -42,10 +42,6 @@ class UnknownFormat(ValueError):
     pass
 
 
-class EmptyPath(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class FlattenConfig:
     max_distance: int = 8
@@ -86,8 +82,6 @@ class SyntacticGraph:
         column = {tag: k for k, tag in enumerate(label_set)}
         rows = np.zeros((self.n, len(label_set)))
         for i, path in enumerate(paths):
-            if not path:
-                raise EmptyPath(f"node {i} has an empty constituency path")
             for tag in path:
                 rows[i, column[tag]] += 1.0 / len(path)
         return label_set, rows

@@ -1,11 +1,13 @@
 """Tagging loss, the three multi-view relationship losses, and their sum.
 
-All pairwise probabilities are softmaxes of raw dot products over one
-sentence's node set (the candidate set is the view supplying the target
-vector): the row log-softmax of ``H_z H_other^T``.  Each loss is the
-negated sum of the entries a constant selection mask picks from such a
-matrix, so every loss is non-negative; batch-level normalization is the
-trainer's concern.
+All four losses share one form: the negated sum of the entries a constant
+selection mask picks from a row log-softmax.  For the tagging loss the rows
+are the tag logits and the mask picks each token's gold tag at weight 1/n.
+For R1-R3 the rows are pairwise probabilities over one sentence's node set
+(the candidate set is the view supplying the target vector): the row
+log-softmax of ``H_z H_other^T``, masked by a graph's edges or the identity.
+So every loss is non-negative; batch-level normalization is the trainer's
+concern.
 """
 
 from __future__ import annotations
@@ -16,10 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-
-class EmptyCandidates(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -38,8 +36,6 @@ class LossWeights:
 def log_prob_matrix(h_z: Tensor, h_other: Tensor) -> Tensor:
     """(n_z, n_other) log P(h_other[j] | h_z[i]): the row log-softmax of
     H_z H_other^T, so each row is a distribution over the candidate set."""
-    if h_other.shape[0] == 0:
-        raise EmptyCandidates("no candidate vectors")
     return ad.log_softmax_rows(ad.matmul(h_z, h_other, transpose_b=True))
 
 
@@ -58,31 +54,46 @@ def loss_r1(h_by_view: dict[str, Tensor],
     return ad.combine(terms, [1.0] * len(terms))
 
 
-def _inter_view(h_con: Tensor, h_dep: Tensor, sel_dep: np.ndarray,
+def inter_view_log_probs(h_con: Tensor, h_dep: Tensor) -> tuple[Tensor, Tensor]:
+    """The pair R2 and R3 both read: dep anchors over con candidates, and
+    con anchors over dep candidates."""
+    return log_prob_matrix(h_dep, h_con), log_prob_matrix(h_con, h_dep)
+
+
+def _inter_view(inter: tuple[Tensor, Tensor], sel_dep: np.ndarray,
                 sel_con: np.ndarray) -> Tensor:
-    """Both directions: dep anchors over con candidates picked by sel_dep,
-    con anchors over dep candidates picked by sel_con."""
-    if h_con.shape[0] != h_dep.shape[0]:
-        raise ad.ShapeMismatch("views disagree on node count")
-    return ad.add(ad.masked_sum(log_prob_matrix(h_dep, h_con), -sel_dep),
-                  ad.masked_sum(log_prob_matrix(h_con, h_dep), -sel_con))
+    """Both directions: dep anchors pick con candidates by sel_dep, con
+    anchors pick dep candidates by sel_con."""
+    dep_anchored, con_anchored = inter
+    return ad.add(ad.masked_sum(dep_anchored, -sel_dep),
+                  ad.masked_sum(con_anchored, -sel_con))
 
 
-def loss_r2(h_con: Tensor, h_dep: Tensor) -> Tensor:
+def loss_r2(inter: tuple[Tensor, Tensor]) -> Tensor:
     """Intra-node inter-view: each node close to its own other-view state."""
-    eye = np.eye(h_con.shape[0])
-    return _inter_view(h_con, h_dep, eye, eye)
+    eye = np.eye(inter[0].shape[0])
+    return _inter_view(inter, eye, eye)
 
 
-def loss_r3(h_con: Tensor, h_dep: Tensor,
+def loss_r3(inter: tuple[Tensor, Tensor],
             adj_con: np.ndarray, adj_dep: np.ndarray) -> Tensor:
     """Inter-node inter-view: view-z edges pull in other-view neighbours."""
-    return _inter_view(h_con, h_dep, _selection(adj_dep), _selection(adj_con))
+    return _inter_view(inter, _selection(adj_dep), _selection(adj_con))
 
 
 def tagging_loss(logits: Tensor, gold_ids: list[int]) -> Tensor:
     """Mean token-level cross entropy for one instance."""
-    return ad.cross_entropy_rows(logits, gold_ids)
+    log_probs = ad.log_softmax_rows(logits)
+    n, n_tags = log_probs.shape
+    gold = np.asarray(gold_ids, dtype=np.intp)
+    if n == 0 or gold.shape != (n,):
+        raise ad.ShapeMismatch(f"tagging loss: logits {logits.shape}, "
+                               f"gold {gold.shape}")
+    if gold.min() < 0 or gold.max() >= n_tags:
+        raise ad.ShapeMismatch(f"gold index outside {n_tags} tags")
+    pick = np.zeros((n, n_tags))
+    pick[np.arange(n), gold] = -1.0 / n
+    return ad.masked_sum(log_probs, pick)
 
 
 def combined_loss(l_ce: Tensor, l_r1: Tensor | None, l_r2: Tensor | None,

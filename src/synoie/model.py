@@ -181,12 +181,15 @@ class Model:
         l_r1 = l_r2 = l_r3 = None
         if cfg.use_r1 and w.alpha != 0.0 and h_by_view:
             l_r1 = losses_mod.loss_r1(h_by_view, adj_by_view)
-        if cfg.use_r2 and w.beta != 0.0 and both:
-            l_r2 = losses_mod.loss_r2(fwd.h_con, fwd.h_dep)
-        if cfg.use_r3 and w.gamma != 0.0 and both:
-            l_r3 = losses_mod.loss_r3(fwd.h_con, fwd.h_dep,
-                                      graphs.const.adjacency,
-                                      graphs.dep.adjacency)
+        run_r2 = cfg.use_r2 and w.beta != 0.0 and both
+        run_r3 = cfg.use_r3 and w.gamma != 0.0 and both
+        if run_r2 or run_r3:
+            inter = losses_mod.inter_view_log_probs(fwd.h_con, fwd.h_dep)
+            if run_r2:
+                l_r2 = losses_mod.loss_r2(inter)
+            if run_r3:
+                l_r3 = losses_mod.loss_r3(inter, graphs.const.adjacency,
+                                          graphs.dep.adjacency)
         total = losses_mod.combined_loss(l_ce, l_r1, l_r2, l_r3, w)
         pred_ids = np.argmax(fwd.logits.data, axis=1).tolist()
         return {"total": total, "ce": l_ce, "r1": l_r1, "r2": l_r2, "r3": l_r3,

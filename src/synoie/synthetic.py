@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import ParsedSentence, _build_sentence, save_corpus
+from .corpus import ParsedSentence, _build_sentence
 
 NAMES = ["Alice", "Bob", "Carol", "David", "Emma", "Frank"]
 TRANS_VERBS = ["likes", "sees", "buys", "finds", "wants"]
@@ -94,7 +94,3 @@ def generate_corpus(n_sentences: int, seed: int = 0,
         rec = TEMPLATES[i % len(TEMPLATES)](rng)
         sentences.append(_build_sentence(rec, i, max_arg))
     return sentences
-
-
-def write_corpus(path, n_sentences: int, seed: int = 0):
-    save_corpus(generate_corpus(n_sentences, seed), path)

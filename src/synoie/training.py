@@ -232,12 +232,11 @@ def extract_corpus(ckpt: Checkpoint, sentences: list[ParsedSentence],
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, sentences: list[ParsedSentence],
-                        mode: str = "exact", binary: bool = False,
-                        workers: int = 1) -> ev.ScoreReport:
+                        mode: str = "exact") -> ev.ScoreReport:
     if not sentences:
         raise EmptyCorpus("no sentences to evaluate on")
-    extractions = extract_corpus(ckpt, sentences, workers=workers)
+    extractions = extract_corpus(ckpt, sentences)
     pred = [[ev.TupleTexts.from_extraction(t, s.tokens) for t in ts]
             for s, ts in zip(sentences, extractions)]
     gold = ev.gold_tuple_texts(sentences)
-    return ev.score_tuples(pred, gold, mode=mode, binary=binary)
+    return ev.score_tuples(pred, gold, mode=mode)

@@ -20,10 +20,10 @@ from synoie import gcn as gcn_mod
 from synoie import graphs as g
 from synoie import losses as L
 from synoie.config import TrainConfig
-from synoie.corpus import expand_instances, load_corpus
+from synoie.corpus import expand_instances, load_corpus, save_corpus
 from synoie.encoder import Vocabulary
 from synoie.model import Model
-from synoie.synthetic import generate_corpus, write_corpus
+from synoie.synthetic import generate_corpus
 from synoie.training import (_label_inventories, build_graph_cache,
                              evaluate_checkpoint, train)
 
@@ -200,7 +200,7 @@ def test_criterion_8_ablation_grid_runs(tmp_path, capsys):
         assert "not reproducible" in readme
 
         corpus_path = tmp_path / "ablate.jsonl"
-        write_corpus(corpus_path, 12, seed=4)
+        save_corpus(generate_corpus(12, seed=4), corpus_path)
         rc = cli.main(["ablate", "--corpus", str(corpus_path),
                        "--report", "json", "--d-h", "8", "--d-l", "4",
                        "--epochs", "4", "--seed", "0",

@@ -1,4 +1,8 @@
+import ast
+import importlib
+import inspect
 import json
+import pkgutil
 import signal
 from contextlib import contextmanager
 from pathlib import Path
@@ -7,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import synoie
+from synoie import autodiff as ad
 from synoie import cli
-from synoie.corpus import load_corpus
+from synoie.corpus import load_corpus, save_corpus
 from synoie.graphs import FlattenConfig
 from synoie.model import SentenceGraphs
-from synoie.synthetic import write_corpus
+from synoie.synthetic import generate_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -19,7 +25,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "small.jsonl"
-    write_corpus(path, 8, seed=2)
+    save_corpus(generate_corpus(8, seed=2), path)
     return path
 
 
@@ -436,3 +442,52 @@ class TestAblateCommand:
         assert len(rows) == 8
         names = [r["name"] for r in rows]
         assert names[0] == "full" and "w/o GCN -R3" in names
+
+
+# Exceptions cli.main lets through: each signals a bug, not bad input.
+INTERNAL_INVARIANTS = {
+    ad.NumericsError: "base class of the kernel's errors; never raised itself",
+    ad.ShapeMismatch: "kernel operands of the wrong shape; inputs are checked "
+                      "before they reach the kernel",
+    ad.EmptyMask: "a softmax over no entries; every graph view has self-loops",
+}
+
+
+def caught_by_main() -> tuple[type, ...]:
+    """The exception classes named by the except clauses of cli.main."""
+    caught = []
+    for node in ast.walk(ast.parse(inspect.getsource(cli.main))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named = eval(compile(ast.Expression(node.type), "except", "eval"),
+                         vars(cli))
+            caught.extend(named if isinstance(named, tuple) else [named])
+    return tuple(caught)
+
+
+def package_exceptions() -> set[type]:
+    """Every Exception subclass defined in a synoie module."""
+    found = set()
+    for info in pkgutil.iter_modules(synoie.__path__):
+        module = importlib.import_module(f"synoie.{info.name}")
+        found.update(obj for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, Exception)
+                     and obj.__module__ == module.__name__)
+    return found
+
+
+class TestExitCodes:
+    def test_every_exception_maps_to_an_exit_code(self):
+        exceptions = package_exceptions()
+        assert len(exceptions) > len(INTERNAL_INVARIANTS)
+        uncaught = {e for e in exceptions if not issubclass(e, caught_by_main())}
+        assert uncaught == set(INTERNAL_INVARIANTS)
+
+    def test_bare_preterminal_root_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "go.jsonl"
+        corpus.write_text(json.dumps({"tokens": ["Go"], "const_ptb": "(VB Go)",
+                                      "dep_conllu": [[-1, "ROOT"]],
+                                      "verbs": [0]}) + "\n")
+        rc = cli.main(["train", "--corpus", str(corpus),
+                       "--out-ckpt", str(tmp_path / "m.npz")] + FAST_FLAGS)
+        assert rc == 2
+        assert "line 1" in capsys.readouterr().err

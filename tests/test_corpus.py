@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from synoie import corpus as c
 
 import worked_example as wx
-from tree_strategies import bracketed_trees, parents
+from tree_strategies import bracketed_trees, parents, root_is_preterminal
 
 
 class TestBracketedTree:
@@ -60,8 +60,13 @@ class TestBracketedTree:
         tree = c.read_bracketed_tree(text)
         tokens = c.tree_leaf_surfaces(text)
         deps = [[-1, "ROOT"]] + [[0, "dep"]] * (len(tokens) - 1)
-        s = c._build_sentence({"tokens": tokens, "const_ptb": text,
-                               "dep_conllu": deps, "verbs": []}, 0, c.DEFAULT_MAX_ARG)
+        record = {"tokens": tokens, "const_ptb": text, "dep_conllu": deps,
+                  "verbs": []}
+        if root_is_preterminal(text):
+            with pytest.raises(c.MalformedTree):
+                c._build_sentence(record, 0, c.DEFAULT_MAX_ARG)
+            return
+        s = c._build_sentence(record, 0, c.DEFAULT_MAX_ARG)
         written = c.write_bracketed_tree(s)
         assert written == text
         assert c.read_bracketed_tree(written) == tree
@@ -249,6 +254,20 @@ class TestLoadCorpus:
             c.load_corpus(p)
         assert e.value.line == 2
         assert str(e.value).startswith("line 2: ")
+
+    def test_bare_preterminal_root_names_its_line(self, tmp_path):
+        # a one-word tree needs a phrase above the word, or the word gets
+        # no constituency path
+        go = {"tokens": ["Go"], "dep_conllu": [[-1, "ROOT"]], "verbs": [0]}
+        p = tmp_path / "go.jsonl"
+        p.write_text(json.dumps(dict(go, const_ptb="(S (VB Go))")) + "\n"
+                     + json.dumps(dict(go, const_ptb="(VB Go)")) + "\n")
+        with pytest.raises(c.MalformedTree) as e:
+            c.load_corpus(p)
+        assert e.value.line == 2
+        p.write_text(json.dumps(dict(go, const_ptb="(S (VB Go))")) + "\n")
+        [s] = c.load_corpus(p)
+        assert s.const_tree.nodes[s.const_tree.root].tag == "S"
 
     def test_round_trip(self, example_corpus_path, tmp_path):
         sentences = c.load_corpus(example_corpus_path)

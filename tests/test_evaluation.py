@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synoie import evaluation as ev
 
@@ -178,3 +180,47 @@ class TestScoreReportInvariants:
                     2 * r.precision * r.recall / (r.precision + r.recall))
             else:
                 assert r.f1 == 0.0
+
+
+# Random tuple sets over a small vocabulary, so that pred and gold overlap.
+_texts = st.dictionaries(
+    st.sampled_from(["REL", "ARG0", "ARG1", "ARG2"]),
+    st.lists(st.sampled_from(["a", "b", "c", "A"]), min_size=1, max_size=3)
+    .map(" ".join), min_size=1, max_size=4)
+_tuples = st.builds(ev.TupleTexts, texts=_texts,
+                    confidence=st.sampled_from([0.2, 0.5, 0.9, 1.0])
+                    | st.floats(0.01, 1.0))
+_sentences = st.lists(_tuples, max_size=3)
+_modes = st.sampled_from(["exact", "lexical"])
+
+
+@st.composite
+def aligned_sets(draw):
+    n = draw(st.integers(1, 4))
+    return (draw(st.lists(_sentences, min_size=n, max_size=n)),
+            draw(st.lists(_sentences, min_size=n, max_size=n)))
+
+
+class TestScorerProperties:
+    # the trapezoid sum telescopes recall steps, so it may pass 1 by rounding
+    SLACK = 1e-12
+
+    @settings(deadline=None, max_examples=150)
+    @given(sets=aligned_sets(), mode=_modes, binary=st.booleans())
+    def test_scores_are_ratios_and_recall_never_falls(self, sets, mode, binary):
+        pred, gold = sets
+        r = ev.score_tuples(pred, gold, mode=mode, binary=binary)
+        for value in (r.precision, r.recall, r.f1, r.auc):
+            assert 0.0 <= value <= 1.0 + self.SLACK
+        recalls = [rec for rec, _ in r.curve]
+        assert recalls == sorted(recalls)
+        assert all(0.0 <= p <= 1.0 for _, p in r.curve)
+
+    @settings(deadline=None, max_examples=150)
+    @given(gold=st.lists(_sentences, min_size=1, max_size=4), mode=_modes,
+           binary=st.booleans())
+    def test_pred_equal_to_gold_scores_one(self, gold, mode, binary):
+        if not any(gold):
+            gold[0] = [ev.TupleTexts({"REL": "a"})]
+        r = ev.score_tuples(gold, gold, mode=mode, binary=binary)
+        assert (r.precision, r.recall) == (1.0, 1.0)

@@ -7,9 +7,9 @@ from synoie import autodiff as ad
 from synoie import corpus as c
 from synoie import gcn
 from synoie import graphs
-from synoie.graphs import EmptyPath, SyntacticGraph, CONST_VIEW, DEP_VIEW
+from synoie.graphs import SyntacticGraph, CONST_VIEW, DEP_VIEW
 
-from tree_strategies import PHRASE_TAGS, bracketed_trees
+from tree_strategies import PHRASE_TAGS, bracketed_trees, root_is_preterminal
 
 DEPRELS = ["nsubj", "obj", "det", "punct", "ROOT"]
 
@@ -91,20 +91,12 @@ class TestLabelEmbeddings:
         out = gcn.node_label_embed_const(g, small_params, labels)
         np.testing.assert_allclose(out.data[0], out.data[1])
 
-    def test_empty_path(self, small_params):
-        labels = gcn.LabelVocab(["<unk>"])
-        g = make_graph(CONST_VIEW, 1, [], [[]])
-        with pytest.raises(EmptyPath):
-            gcn.node_label_embed_const(g, small_params, labels)
-
 
 def old_embed_const(g, params, labels) -> ad.Tensor:
     """The per-path loop the graph's cached label rows replace (oracle):
     the averaging matrix is built one tag of one path at a time, per verb."""
     avg = np.zeros((g.n, len(labels)))
     for i, path in enumerate(g.node_labels):
-        if not path:
-            raise EmptyPath(f"node {i} has an empty constituency path")
         for tag in path:
             avg[i, labels.lookup(tag)] += 1.0 / len(path)
     return ad.matmul(ad.constant(avg), params.w1)
@@ -134,10 +126,15 @@ class TestLabelRowsProperty:
         rels = data.draw(st.lists(st.sampled_from(DEPRELS[:-1]),
                                   min_size=len(tokens) - 1,
                                   max_size=len(tokens) - 1))
-        s = c._build_sentence({"tokens": tokens, "const_ptb": text,
-                               "dep_conllu": [[-1, "ROOT"]]
-                               + [[0, r] for r in rels],
-                               "verbs": []}, 0, 5)
+        record = {"tokens": tokens, "const_ptb": text,
+                  "dep_conllu": [[-1, "ROOT"]] + [[0, r] for r in rels],
+                  "verbs": []}
+        if root_is_preterminal(text):
+            # its word would have no path: the corpus rejects the tree
+            with pytest.raises(c.MalformedTree):
+                c._build_sentence(record, 0, 5)
+            return
+        s = c._build_sentence(record, 0, 5)
         views = [(graphs.build_const_graph(s, graphs.FlattenConfig(variant=variant)),
                   gcn.node_label_embed_const, old_embed_const,
                   gcn.LabelVocab.collect(known_tags)),
@@ -147,13 +144,7 @@ class TestLabelRowsProperty:
         for g, embed, oracle, labels in views:
             params = gcn.GcnParams.init(len(labels), d_h=4, d_l=3, rng=rng)
             readout = rng.normal(size=(g.n, 3))
-            try:
-                want = oracle(g, params, labels)
-            except EmptyPath:
-                # a tree that is one preterminal leaves its word no path
-                with pytest.raises(EmptyPath):
-                    embed(g, params, labels)
-                continue
+            want = oracle(g, params, labels)
             ad.masked_sum(want, readout).backward()
             want_grad, params.w1.grad = params.w1.grad, None
             exact = g.view == DEP_VIEW or all(

@@ -10,7 +10,7 @@ from synoie import corpus as c
 from synoie import graphs as g
 
 import worked_example as wx
-from tree_strategies import bracketed_trees, parents
+from tree_strategies import bracketed_trees, parents, root_is_preterminal
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -195,8 +195,12 @@ class TestRandomTreeProperties:
            max_distance=st.integers(1, 12))
     def test_adjacency_invariants(self, text, variant, max_distance):
         tokens = c.tree_leaf_surfaces(text)
-        s = make_sentence(tokens, text,
-                          [[-1, "ROOT"]] + [[0, "dep"]] * (len(tokens) - 1))
+        deps = [[-1, "ROOT"]] + [[0, "dep"]] * (len(tokens) - 1)
+        if root_is_preterminal(text):
+            with pytest.raises(c.MalformedTree):
+                make_sentence(tokens, text, deps)
+            return
+        s = make_sentence(tokens, text, deps)
         const = g.build_const_graph(s, g.FlattenConfig(max_distance, variant))
         for graph in (const, g.build_dep_graph(s)):
             adj = graph.adjacency

@@ -65,6 +65,11 @@ def as_tensors(vectors):
     return ad.constant(np.stack(vectors))
 
 
+def inter(h_con, h_dep):
+    """The inter-view log-prob pair R2 and R3 read, from per-node vectors."""
+    return L.inter_view_log_probs(as_tensors(h_con), as_tensors(h_dep))
+
+
 def pairwise_prob(target, anchor, candidates):
     """P(candidates[target] | anchor) read off the loss's log-prob matrix."""
     log_probs = L.log_prob_matrix(ad.constant([anchor]), candidates)
@@ -89,7 +94,7 @@ class TestPairwiseProb:
         assert got == pytest.approx(naive_prob(1, anchor, cands), abs=1e-12)
 
     def test_empty_candidates(self):
-        with pytest.raises(L.EmptyCandidates):
+        with pytest.raises(ad.ShapeMismatch):
             pairwise_prob(0, [1.0], ad.constant(np.zeros((0, 1))))
 
 
@@ -116,19 +121,19 @@ class TestLossR2:
         rng = np.random.default_rng(3)
         for n in (2, 4, 6):
             h_con, h_dep, _, _ = random_views(rng, n)
-            got = L.loss_r2(as_tensors(h_con), as_tensors(h_dep))
+            got = L.loss_r2(inter(h_con, h_dep))
             assert abs(float(got.data) - brute_r2(h_con, h_dep)) < 1e-10
 
     def test_identical_vectors_give_uniform(self):
         n = 5
         v = np.array([0.3, -0.7])
         h = [v.copy() for _ in range(n)]
-        got = L.loss_r2(as_tensors(h), as_tensors(h))
+        got = L.loss_r2(inter(h, h))
         assert float(got.data) == pytest.approx(2 * n * math.log(n))
 
     def test_single_node_is_zero(self):
         h = [np.array([1.0, -1.0])]
-        got = L.loss_r2(as_tensors(h), as_tensors(h))
+        got = L.loss_r2(inter(h, h))
         assert float(got.data) == pytest.approx(0.0)
 
 
@@ -137,8 +142,7 @@ class TestLossR3:
         rng = np.random.default_rng(4)
         for n in (2, 3, 5, 6):
             h_con, h_dep, adj_con, adj_dep = random_views(rng, n)
-            got = L.loss_r3(as_tensors(h_con), as_tensors(h_dep),
-                            adj_con, adj_dep)
+            got = L.loss_r3(inter(h_con, h_dep), adj_con, adj_dep)
             want = brute_r3(h_con, h_dep, adj_con, adj_dep)
             assert abs(float(got.data) - want) < 1e-10
 
@@ -149,8 +153,20 @@ class TestLossR3:
         adj_con[0, 1] = adj_con[1, 0] = True
         adj_dep = np.eye(4, dtype=bool)
         adj_dep[2, 3] = adj_dep[3, 2] = True
-        got = L.loss_r3(as_tensors(h_con), as_tensors(h_dep), adj_con, adj_dep)
+        got = L.loss_r3(inter(h_con, h_dep), adj_con, adj_dep)
         assert np.isfinite(got.data)
+
+
+class TestInterViewPair:
+    def test_node_count_mismatch(self):
+        rng = np.random.default_rng(5)
+        h_con, _, adj_con, _ = random_views(rng, 3)
+        _, h_dep, _, adj_dep = random_views(rng, 4)
+        pair = inter(h_con, h_dep)
+        with pytest.raises(ad.ShapeMismatch):
+            L.loss_r2(pair)
+        with pytest.raises(ad.ShapeMismatch):
+            L.loss_r3(pair, adj_con, adj_dep)
 
 
 class TestTaggingLoss:
@@ -170,6 +186,21 @@ class TestTaggingLoss:
         out = L.tagging_loss(logits, [0, 1])
         want = (math.log(math.exp(2) + 1) - 2 + math.log(1 + math.e) - 1) / 2
         assert float(out.data) == pytest.approx(want, abs=1e-12)
+
+    def test_gradient_is_softmax_minus_gold_over_n(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(4, 5))
+        gold = [0, 4, 2, 2]
+        logits = ad.parameter(x)
+        L.tagging_loss(logits, gold).backward()
+        probs = np.exp(x) / np.exp(x).sum(axis=1, keepdims=True)
+        probs[np.arange(4), gold] -= 1.0
+        np.testing.assert_allclose(logits.grad, probs / 4, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("gold", [[0], [0, 1, 1], [0, 2], [-1, 0]])
+    def test_bad_gold_ids(self, gold):
+        with pytest.raises(ad.ShapeMismatch):
+            L.tagging_loss(ad.constant(np.zeros((2, 2))), gold)
 
 
 class TestCombinedLoss:
@@ -198,7 +229,7 @@ class TestCombinedLoss:
             for t in (h_con, h_dep):
                 t.zero_grad()
             ce = ad.constant(np.array(1.0))
-            r2 = L.loss_r2(h_con, h_dep)
+            r2 = L.loss_r2(L.inter_view_log_probs(h_con, h_dep))
             out = L.combined_loss(ce, None, r2, None,
                                   L.LossWeights(0.0, beta, 0.0))
             out.backward()
@@ -217,9 +248,9 @@ class TestCombinedLoss:
             hb = {"con": as_tensors(h_con), "dep": as_tensors(h_dep)}
             ab = {"con": adj_con, "dep": adj_dep}
             assert float(L.loss_r1(hb, ab).data) >= 0.0
-            assert float(L.loss_r2(hb["con"], hb["dep"]).data) >= 0.0
-            assert float(L.loss_r3(hb["con"], hb["dep"], adj_con,
-                                   adj_dep).data) >= 0.0
+            pair = L.inter_view_log_probs(hb["con"], hb["dep"])
+            assert float(L.loss_r2(pair).data) >= 0.0
+            assert float(L.loss_r3(pair, adj_con, adj_dep).data) >= 0.0
 
 
 def test_loss_weights_validate():

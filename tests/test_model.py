@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from synoie import autodiff as ad
+from synoie import losses
 from synoie.config import TrainConfig
 from synoie.corpus import expand_instances, load_corpus
 from synoie.encoder import Vocabulary
@@ -106,18 +107,35 @@ class TestInstanceLosses:
 
 
 class TestTapeSize:
-    def test_default_instance_records_61_nodes(self):
-        # Guards the op count of one training instance: the encoder (gather,
-        # shift, window, mix), two GCN views, the head and CE + R1/R2/R3.
-        # A change that adds primitives to the per-instance path must update
-        # this count on purpose.
+    @staticmethod
+    def default_instance_losses():
         sentences = load_corpus(SAMPLE_CORPUS)
         cfg = TrainConfig()
         cache = build_graph_cache(sentences, cfg.flatten)
         dl, cl = _label_inventories(cache, range(len(sentences)))
         model = Model(cfg, Vocabulary.from_sentences(sentences), dl, cl)
-        parts = model.instance_losses(expand_instances(sentences[0])[0], cache[0], 0)
-        assert len(ad.Tape(parts["total"]).order) == 61
+        return model.instance_losses(expand_instances(sentences[0])[0], cache[0], 0)
+
+    def test_default_instance_records_58_nodes(self):
+        # Guards the op count of one training instance: the encoder (gather,
+        # shift, window, mix), two GCN views, the head and CE + R1/R2/R3.
+        # A change that adds primitives to the per-instance path must update
+        # this count on purpose.
+        parts = self.default_instance_losses()
+        assert len(ad.Tape(parts["total"]).order) == 58
+
+    def test_r2_and_r3_share_their_log_prob_matrices(self, monkeypatch):
+        # R1 builds one matrix per view; R2 and R3 read one inter-view pair
+        calls = []
+        inner = losses.log_prob_matrix
+
+        def counted(h_z, h_other):
+            calls.append(h_z.shape)
+            return inner(h_z, h_other)
+
+        monkeypatch.setattr(losses, "log_prob_matrix", counted)
+        self.default_instance_losses()
+        assert len(calls) == 4
 
 
 class TestPredict:

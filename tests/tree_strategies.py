@@ -3,6 +3,7 @@
 A generated tree has up to 12 words, up to 4 children per phrase, and above
 any node a unary chain of up to 50 phrase tags.  Words are w0, w1, ... left
 to right, so a written-back tree can be compared with the text it came from.
+A drawn tree may be one bare preterminal (``root_is_preterminal``).
 """
 
 from hypothesis import strategies as st
@@ -34,6 +35,12 @@ def _render(node, words: list[str]) -> str:
 
 bracketed_trees = st.recursive(_preterminal, _phrase, max_leaves=12).map(
     lambda node: _render(node, []))
+
+
+def root_is_preterminal(text: str) -> bool:
+    """True for a tree that is one bare preterminal, like ``(NN w0)``, which
+    the corpus rejects: its word would sit under no phrase."""
+    return text.count("(") == 1
 
 
 def parents(tree) -> dict[int, int]:
