@@ -430,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (corpus_mod.CorpusError, ev.UnalignedIds, training.TrainingError,
             FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+            MemoryError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, asdict, replace
 
 from .corpus import is_json_int
@@ -10,7 +11,14 @@ from .losses import LossWeights
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number a float can hold; a bool is not one."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 # JSON value check per field annotation; nested objects are checked by _build
@@ -51,8 +59,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.d_h <= 0 or self.d_l <= 0:
             raise ValueError("d_h and d_l must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be a positive finite real")
+        if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
+            raise ValueError("epochs, batch_size and eval_every must be >= 1")
         if not 0.0 <= self.dev_fraction < 1.0:
             raise ValueError("dev_fraction must lie in [0, 1)")
         if self.max_arg < 0:

@@ -87,10 +87,14 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_ascii_digits(text: str) -> bool:
+    """True for a non-empty run of ASCII digits (no sign, no ``_``)."""
+    return text.isascii() and text.isdigit()
+
+
 def is_role(role: str) -> bool:
     """True for ``REL`` and ``ARG<k>`` with k written in ASCII digits."""
-    k = role[3:]
-    return role == REL or (role.startswith("ARG") and k.isascii() and k.isdigit())
+    return role == REL or (role.startswith("ARG") and is_ascii_digits(role[3:]))
 
 
 @dataclass(frozen=True)
@@ -229,6 +233,11 @@ class TaggedInstance:
 # ---------------------------------------------------------------------------
 # BIO tag inventory and label encoding
 # ---------------------------------------------------------------------------
+
+def tag_count(max_arg: int = DEFAULT_MAX_ARG) -> int:
+    """``len(tag_inventory(max_arg))``, without building the list."""
+    return 3 + 2 * (max_arg + 1)
+
 
 def tag_inventory(max_arg: int = DEFAULT_MAX_ARG) -> list[str]:
     """Ordered tag set: O, B/I-REL, B/I-ARG0 .. B/I-ARG<max_arg>."""
@@ -385,15 +394,16 @@ def read_conllu(rows: Iterable[str]) -> DependencyRows:
         if len(cols) != N_CONLLU_COLUMNS:
             raise BadColumnCount(
                 f"expected {N_CONLLU_COLUMNS} columns, got {len(cols)}: {line!r}")
-        tid = cols[_ID]
+        tid, head = cols[_ID], cols[_HEAD]
         if "-" in tid or "." in tid:
             raise UnsupportedConlluNode(f"unsupported token id {tid!r}")
-        if int(tid) != expected_id:
+        if not is_ascii_digits(tid) or int(tid) != expected_id:
             raise UnsupportedConlluNode(
                 f"non-consecutive token id {tid!r} (expected {expected_id})")
+        if not is_ascii_digits(head):
+            raise UnsupportedConlluNode(f"head {head!r} is not a token id")
         expected_id += 1
-        head = int(cols[_HEAD])
-        heads.append(ROOT_HEAD if head == 0 else head - 1)
+        heads.append(ROOT_HEAD if int(head) == 0 else int(head) - 1)
         deprels.append(cols[_DEPREL])
     if not heads:
         raise MissingRoot("empty CoNLL-U sentence")
@@ -562,25 +572,35 @@ def load_split_files(ptb_path: str | Path, conllu_path: str | Path,
     """Load a corpus given as parallel .ptb / .conllu / .verbs files.
 
     Sentences are zipped by order; tokens come from the tree leaves.  No gold
-    tuples are available in this form.
+    tuples are available in this form.  Every error carries the number of
+    the sentence it is in, counted from 1, as its line; for files of unequal
+    length that is the first sentence some file lacks.
     """
     with open(ptb_path, encoding="utf-8") as f:
         ptb_lines = [l.strip() for l in f if l.strip()]
     conllu_blocks = list(iter_conllu_sentences(Path(conllu_path).read_text(encoding="utf-8")))
     verb_lines = Path(verbs_path).read_text(encoding="utf-8").splitlines()
-    if not (len(ptb_lines) == len(conllu_blocks) == len(verb_lines)):
-        raise AlignmentError(0, (
-            f"{len(ptb_lines)} trees vs {len(conllu_blocks)} dependency blocks "
-            f"vs {len(verb_lines)} verb lines"))
+    counts = (len(ptb_lines), len(conllu_blocks), len(verb_lines))
+    if len(set(counts)) != 1:
+        raise AlignmentError(min(counts) + 1, (
+            "{} trees vs {} dependency blocks vs {} verb lines".format(*counts)))
 
     sentences = []
-    for i, (ptb, block, vline) in enumerate(zip(ptb_lines, conllu_blocks, verb_lines)):
-        dep = read_conllu(block)
-        rec = {
-            "tokens": tree_leaf_surfaces(ptb),
-            "const_ptb": ptb,
-            "dep_conllu": [[h, d] for h, d in zip(dep.heads, dep.deprels)],
-            "verbs": [int(v) for v in vline.split()],
-        }
-        sentences.append(_build_sentence(rec, i, DEFAULT_MAX_ARG))
+    for line, (ptb, block, vline) in enumerate(
+            zip(ptb_lines, conllu_blocks, verb_lines), start=1):
+        try:
+            dep = read_conllu(block)
+            verbs = vline.split()
+            for v in verbs:
+                if not is_ascii_digits(v):
+                    raise SchemaViolation(line, f"verb {v!r} is not a token index")
+            rec = {
+                "tokens": tree_leaf_surfaces(ptb),
+                "const_ptb": ptb,
+                "dep_conllu": [[h, d] for h, d in zip(dep.heads, dep.deprels)],
+                "verbs": [int(v) for v in verbs],
+            }
+            sentences.append(_build_sentence(rec, line, DEFAULT_MAX_ARG))
+        except CorpusError as exc:
+            raise exc.at_line(line)
     return sentences

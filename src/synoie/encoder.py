@@ -68,11 +68,14 @@ class EncoderParams:
                 ("enc.w_mix", self.w_mix), ("enc.b_mix", self.b_mix)]
 
 
-def embed(params: EncoderParams, vocab: Vocabulary, surfaces: list[str],
-          indicator_verb: int) -> Tensor:
-    """(n, d_h) rows: word embedding + indicator row (row 1 only at the verb)."""
-    words = ad.gather_rows(params.w_word, [vocab.lookup(s) for s in surfaces])
-    flags = (np.arange(len(surfaces)) == indicator_verb).astype(np.intp)
+def word_rows(params: EncoderParams, vocab: Vocabulary, surfaces: list[str]) -> Tensor:
+    """(n, d_h): each token's word-table row, the same for every verb."""
+    return ad.gather_rows(params.w_word, [vocab.lookup(s) for s in surfaces])
+
+
+def embed(params: EncoderParams, words: Tensor, indicator_verb: int) -> Tensor:
+    """(n, d_h) rows: word rows + indicator row (row 1 only at the verb)."""
+    flags = (np.arange(words.shape[0]) == indicator_verb).astype(np.intp)
     return ad.add(words, ad.gather_rows(params.w_verb, flags))
 
 
@@ -83,11 +86,13 @@ class ToyEncoder:
         self.params = params
         self.vocab = vocab
 
-    def encode(self, sentence: ParsedSentence, indicator_verb: int,
-               sentence_id: int | None = None) -> Tensor:
-        ws = embed(self.params, self.vocab, [t.surface for t in sentence.tokens],
-                   indicator_verb)
-        return self.contextualize(ws)
+    def base(self, sentence: ParsedSentence, sentence_id: int | None = None) -> Tensor:
+        """The verb-independent rows ``encode`` starts from: the word rows."""
+        return word_rows(self.params, self.vocab, [t.surface for t in sentence.tokens])
+
+    def encode(self, base: Tensor, indicator_verb: int) -> Tensor:
+        """(n, d_h) states of one verb from the sentence's ``base`` rows."""
+        return self.contextualize(embed(self.params, base, indicator_verb))
 
     def contextualize(self, ws: Tensor) -> Tensor:
         """(n, d_h) -> (n, d_h); the window is zero-padded at both ends."""
@@ -130,8 +135,8 @@ class PrecomputedEncoder:
             raise ValueError(f"no vectors found in {path}")
         return cls(vectors, d_h)
 
-    def encode(self, sentence: ParsedSentence, indicator_verb: int,
-               sentence_id: int | None = None) -> Tensor:
+    def base(self, sentence: ParsedSentence, sentence_id: int | None = None) -> Tensor:
+        """The stored vectors of ``sentence_id``, checked against the sentence."""
         if sentence_id not in self.vectors:
             raise KeyError(f"no precomputed vectors for sentence {sentence_id}")
         arr = self.vectors[sentence_id]
@@ -140,3 +145,7 @@ class PrecomputedEncoder:
                 f"vectors for sentence {sentence_id} have shape {arr.shape}, "
                 f"expected ({len(sentence.tokens)}, {self.d_h})")
         return ad.constant(arr)
+
+    def encode(self, base: Tensor, indicator_verb: int) -> Tensor:
+        """The stored vectors ``base``, whatever the verb."""
+        return base

@@ -3,7 +3,10 @@
 One GCN per view.  A node's message vector is its contextual state
 concatenated with its label embedding; attention over neighbours (self-loop
 included) is the masked softmax of raw message dot products, and the layer
-output is the ReLU of the attention-weighted neighbour sum.
+output is the ReLU of the attention-weighted neighbour sum.  A view's label
+embedding L and its projection L W2ᵀ + b do not depend on the verb, so a
+sentence builds them once (``Model.sentence_state``) and each verb's layer
+takes both as inputs.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ def node_label_embed_const(g: SyntacticGraph, params: GcnParams,
 
 
 def gcn_layer(g: SyntacticGraph, h_ctx: Tensor, l: Tensor,
-              params: GcnParams) -> tuple[Tensor, Tensor]:
-    """One graph convolution; returns the (n, d_h) node states and the
+              proj: Tensor) -> tuple[Tensor, Tensor]:
+    """One graph convolution over label embeddings ``l`` and their
+    ``label_projection`` ``proj``; returns the (n, d_h) node states and the
     (n, n) attention matrix.
 
     Attention row i is a masked softmax of the message dot products over the
@@ -96,12 +100,12 @@ def gcn_layer(g: SyntacticGraph, h_ctx: Tensor, l: Tensor,
     msgs = ad.hstack([h_ctx, l])
     alpha = ad.masked_softmax(ad.matmul(msgs, msgs, transpose_b=True),
                               g.adjacency)
-    contrib = ad.add(h_ctx, label_projection(l, params))
-    return ad.relu(ad.matmul(alpha, contrib)), alpha
+    return ad.relu(ad.matmul(alpha, ad.add(h_ctx, proj))), alpha
 
 
 def label_projection(l: Tensor, params: GcnParams) -> Tensor:
-    """GCN-ablated view state: projected label embedding, no message passing."""
+    """(n, d_h) L W2ᵀ + b: the GCN's message term, and the whole view state
+    when the GCN is ablated."""
     return ad.linear(l, params.w2, params.b)
 
 

@@ -12,6 +12,7 @@ concern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ class LossWeights:
     def __post_init__(self):
         for name, w in (("alpha", self.alpha), ("beta", self.beta),
                         ("gamma", self.gamma)):
-            if not (np.isfinite(w) and w >= 0):
+            if not (math.isfinite(w) and w >= 0):
                 raise ValueError(f"{name} must be a non-negative finite real")
 
 

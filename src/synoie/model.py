@@ -1,7 +1,14 @@
-"""Full tagging model: contextual encoder, per-view GCNs, linear tag head."""
+"""Full tagging model: contextual encoder, per-view GCNs, linear tag head.
+
+A ``SentenceState`` holds the verb-independent half of the forward pass (the
+encoder's base rows and each view's label embedding L and projection
+L W2ᵀ + b), so a sentence builds it once and all of its verbs share it.
+"""
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,10 +19,39 @@ from . import losses as losses_mod
 from . import tagger
 from .autodiff import Tensor
 from .config import TrainConfig
-from .corpus import ParsedSentence, TaggedInstance, tag_inventory
+from .corpus import ParsedSentence, TaggedInstance, tag_count, tag_inventory
 from .encoder import EncoderParams, PrecomputedEncoder, ToyEncoder, Vocabulary
 from .gcn import GcnParams, LabelVocab
 from .graphs import build_const_graph, build_dep_graph, SyntacticGraph
+
+
+# float64 arrays a trained parameter holds: its value, its gradient and
+# Adam's two moments
+TRAINING_COPIES = 4
+
+
+def physical_memory() -> int | None:
+    """This machine's physical memory in bytes, or None where the OS does not
+    say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def param_shapes(cfg: TrainConfig, n_words: int, n_dep_labels: int,
+                 n_con_labels: int) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape, keyed by the names ``Model.named_params`` gives."""
+    d_h, d_l, n_tags = cfg.d_h, cfg.d_l, tag_count(cfg.max_arg)
+    return {
+        "enc.w_word": (n_words, d_h), "enc.w_verb": (2, d_h),
+        "enc.w_mix": (d_h, 3 * d_h), "enc.b_mix": (d_h,),
+        "gcn.dep.w1": (n_dep_labels, d_l), "gcn.dep.w2": (d_h, d_l),
+        "gcn.dep.b": (d_h,),
+        "gcn.con.w1": (n_con_labels, d_l), "gcn.con.w2": (d_h, d_l),
+        "gcn.con.b": (d_h,),
+        "head.w": (n_tags, d_h * cfg.n_views()), "head.b": (n_tags,),
+    }
 
 
 @dataclass
@@ -27,6 +63,19 @@ class SentenceGraphs:
     def build(cls, sentence: ParsedSentence, flatten_cfg) -> "SentenceGraphs":
         return cls(const=build_const_graph(sentence, flatten_cfg),
                    dep=build_dep_graph(sentence))
+
+
+@dataclass
+class SentenceState:
+    """``con`` and ``dep`` are a view's (L, L W2ᵀ + b) pair, or None when
+    the view is off; ``graphs`` and ``sentence_id`` name what the state was
+    built for."""
+
+    graphs: SentenceGraphs
+    sentence_id: int | None
+    base: Tensor
+    con: tuple[Tensor, Tensor] | None
+    dep: tuple[Tensor, Tensor] | None
 
 
 @dataclass
@@ -47,9 +96,21 @@ class Model:
     def __init__(self, cfg: TrainConfig, vocab: Vocabulary,
                  dep_labels: LabelVocab, con_labels: LabelVocab,
                  rng: np.random.Generator | None = None):
-        """A model with parameters drawn from ``rng`` (default: ``cfg.seed``)."""
+        """A model with parameters drawn from ``rng`` (default: ``cfg.seed``).
+
+        Raises ValueError, before drawing anything, when the parameters and
+        their training copies would not fit in this machine's memory.
+        """
+        shapes = param_shapes(cfg, len(vocab), len(dep_labels), len(con_labels))
+        need = TRAINING_COPIES * 8 * sum(math.prod(s) for s in shapes.values())
+        limit = physical_memory()
+        if limit is not None and need > limit:
+            raise ValueError(
+                f"d_h={cfg.d_h}, d_l={cfg.d_l} and max_arg={cfg.max_arg} ask for "
+                f"{need / 2**20:,.0f} MiB of parameters, gradients and Adam "
+                f"moments; this machine has {limit / 2**20:,.0f} MiB")
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-        n_tags = len(tag_inventory(cfg.max_arg))
+        n_tags = shapes["head.b"][0]
         self._assemble(
             cfg, vocab, dep_labels, con_labels,
             EncoderParams.init(len(vocab), cfg.d_h, rng),
@@ -68,17 +129,7 @@ class Model:
         Raises KeyError for a missing tensor and ValueError for a tensor whose
         shape does not follow from the config and the vocabularies.
         """
-        d_h, d_l = cfg.d_h, cfg.d_l
-        n_tags = len(tag_inventory(cfg.max_arg))
-        shapes = {
-            "enc.w_word": (len(vocab), d_h), "enc.w_verb": (2, d_h),
-            "enc.w_mix": (d_h, 3 * d_h), "enc.b_mix": (d_h,),
-            "gcn.dep.w1": (len(dep_labels), d_l), "gcn.dep.w2": (d_h, d_l),
-            "gcn.dep.b": (d_h,),
-            "gcn.con.w1": (len(con_labels), d_l), "gcn.con.w2": (d_h, d_l),
-            "gcn.con.b": (d_h,),
-            "head.w": (n_tags, d_h * cfg.n_views()), "head.b": (n_tags,),
-        }
+        shapes = param_shapes(cfg, len(vocab), len(dep_labels), len(con_labels))
         p = {}
         for name, shape in shapes.items():
             if name not in arrays:
@@ -132,34 +183,51 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def forward(self, sentence: ParsedSentence, indicator_verb: int,
-                graphs: SentenceGraphs, sentence_id: int | None = None) -> ForwardResult:
-        cfg = self.cfg
-        h_ctx = self.encoder.encode(sentence, indicator_verb, sentence_id)
-
-        h_con = h_dep = alphas_con = alphas_dep = None
-        if cfg.use_const:
+    def sentence_state(self, sentence: ParsedSentence, graphs: SentenceGraphs,
+                       sentence_id: int | None = None) -> SentenceState:
+        """The part of ``forward`` that every verb of ``sentence`` shares."""
+        con = dep = None
+        if self.cfg.use_const:
             l_con = gcn_mod.node_label_embed_const(graphs.const, self.con_params,
                                                    self.con_labels)
-            if cfg.use_gcn:
-                h_con, alphas_con = gcn_mod.gcn_layer(graphs.const, h_ctx, l_con,
-                                                      self.con_params)
-            else:
-                h_con = gcn_mod.label_projection(l_con, self.con_params)
-        if cfg.use_dep:
+            con = l_con, gcn_mod.label_projection(l_con, self.con_params)
+        if self.cfg.use_dep:
             l_dep = gcn_mod.node_label_embed_dep(graphs.dep, self.dep_params,
                                                  self.dep_labels)
-            if cfg.use_gcn:
-                h_dep, alphas_dep = gcn_mod.gcn_layer(graphs.dep, h_ctx, l_dep,
-                                                      self.dep_params)
-            else:
-                h_dep = gcn_mod.label_projection(l_dep, self.dep_params)
+            dep = l_dep, gcn_mod.label_projection(l_dep, self.dep_params)
+        return SentenceState(graphs, sentence_id,
+                             self.encoder.base(sentence, sentence_id), con, dep)
 
+    def forward(self, sentence: ParsedSentence, indicator_verb: int,
+                graphs: SentenceGraphs, sentence_id: int | None = None,
+                state: SentenceState | None = None) -> ForwardResult:
+        """One verb's forward pass over ``state``, built here when not given.
+
+        Raises ValueError for a state built for other graphs or another
+        sentence id.
+        """
+        if state is None:
+            state = self.sentence_state(sentence, graphs, sentence_id)
+        elif state.graphs is not graphs or state.sentence_id != sentence_id:
+            raise ValueError("sentence state was built for other graphs "
+                             "or another sentence id")
+        h_ctx = self.encoder.encode(state.base, indicator_verb)
+        h_con, alphas_con = self._view(graphs.const, h_ctx, state.con)
+        h_dep, alphas_dep = self._view(graphs.dep, h_ctx, state.dep)
         h_final = gcn_mod.aggregate(h_ctx, h_con, h_dep)
         logits = tagger.tag_logits(h_final, self.w_tag, self.b_tag)
         return ForwardResult(logits=logits, h_ctx=h_ctx, h_con=h_con,
                              h_dep=h_dep, alphas_con=alphas_con,
                              alphas_dep=alphas_dep)
+
+    def _view(self, g: SyntacticGraph, h_ctx: Tensor, labels):
+        """A view's states and attention from its (L, L W2ᵀ + b) pair."""
+        if labels is None:
+            return None, None
+        l, proj = labels
+        if not self.cfg.use_gcn:
+            return proj, None
+        return gcn_mod.gcn_layer(g, h_ctx, l, proj)
 
     def instance_losses(self, inst: TaggedInstance, graphs: SentenceGraphs,
                         sentence_id: int | None = None) -> dict:
@@ -196,10 +264,12 @@ class Model:
                 "pred_ids": pred_ids, "gold_ids": gold_ids}
 
     def predict(self, sentence: ParsedSentence, indicator_verb: int,
-                graphs: SentenceGraphs, sentence_id: int | None = None):
+                graphs: SentenceGraphs, sentence_id: int | None = None,
+                state: SentenceState | None = None):
         """Argmax tags and their probabilities, without recording gradients."""
         with ad.no_grad():
-            fwd = self.forward(sentence, indicator_verb, graphs, sentence_id)
+            fwd = self.forward(sentence, indicator_verb, graphs, sentence_id,
+                               state)
         x = fwd.logits.data
         ex = np.exp(x - x.max(axis=1, keepdims=True))
         p = ex / ex.sum(axis=1, keepdims=True)

@@ -59,10 +59,17 @@ def decode_bio(tags: list[str], probs: list[float],
 
 def extract(sentence: ParsedSentence, model, graphs,
             sentence_id: int | None = None) -> list[Extraction]:
-    """Run one instance per candidate verb; at most one tuple per verb."""
+    """Run one instance per candidate verb; at most one tuple per verb.
+
+    The verbs share one ``model.sentence_state``, built here.
+    """
+    if not sentence.verbs:
+        return []
+    with ad.no_grad():
+        state = model.sentence_state(sentence, graphs, sentence_id)
     out = []
     for verb in sentence.verbs:
-        tags, probs = model.predict(sentence, verb, graphs, sentence_id)
+        tags, probs = model.predict(sentence, verb, graphs, sentence_id, state)
         t = decode_bio(tags, probs, verb)
         if t is not None:
             out.append(t)

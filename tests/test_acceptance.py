@@ -135,7 +135,8 @@ def test_criterion_5_normalization_invariants():
             graph = make_graph("dep", n, edges)
             h_ctx = ad.constant(rng.normal(size=(n, 5)))
             l = ad.constant(rng.normal(size=(n, 3)))
-            _, alphas = gcn_mod.gcn_layer(graph, h_ctx, l, params)
+            _, alphas = gcn_mod.gcn_layer(graph, h_ctx, l,
+                                           gcn_mod.label_projection(l, params))
             for i, alpha in enumerate(alphas.data):
                 assert abs(alpha.sum() - 1.0) <= 1e-9
                 assert (alpha[~graph.adjacency[i]] == 0.0).all()

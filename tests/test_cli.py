@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 import signal
 from contextlib import contextmanager
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import synoie
 from synoie import autodiff as ad
 from synoie import cli
+from synoie import model as model_mod
 from synoie.corpus import load_corpus, save_corpus
 from synoie.graphs import FlattenConfig
 from synoie.model import SentenceGraphs
@@ -357,9 +359,52 @@ def replaced(record, path, value):
     return out
 
 
+# every TrainConfig key; training stops after its first epoch (accuracy >= 0),
+# so a replaced ``epochs`` asks for no long run
+CONFIG_RECORD = {
+    "seed": 0, "d_h": 4, "d_l": 3, "lr": 0.01, "epochs": 2, "batch_size": 8,
+    "max_arg": 5, "dev_fraction": 0.0,
+    "weights": {"alpha": 0.024, "beta": 0.012, "gamma": 0.012},
+    "flatten": {"max_distance": 8, "variant": "paper", "clause_tags": ["S", "SBAR"]},
+    "use_dep": True, "use_const": True, "use_gcn": True, "use_r1": True,
+    "use_r2": True, "use_r3": True, "encoder_vectors": None,
+    "early_stop_train_acc": 0.0, "eval_every": 1}
+CONFIG_FIELDS = [(), *((k,) for k in CONFIG_RECORD),
+                 ("weights", "alpha"), ("weights", "beta"), ("weights", "gamma"),
+                 ("flatten", "max_distance"), ("flatten", "variant"),
+                 ("flatten", "clause_tags"), ("flatten", "clause_tags", 0)]
+VECTORS_FIELDS = [(), ("sentence_id",), ("vectors",), ("vectors", 0),
+                  ("vectors", 0, 0)]
+
+
+def vectors_record(n_tokens, d_h=4):
+    return {"sentence_id": 0,
+            "vectors": [[0.1 * (i - j) for j in range(d_h)] for i in range(n_tokens)]}
+
+
+def overflows_training(path, value):
+    """Whether exit 3, the numeric failure, is a right answer: only for a
+    finite ``lr`` or replayed vector entry so large that training overflows
+    float64.  The states grow as lr**4 and the message grams as an entry's
+    square, which pass 1.8e308 from about 1e77 and 1e154; 1e50 leaves margin.
+    """
+    return (path in {("lr",), ("vectors", 0, 0)}
+            and isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 1e50 <= abs(value) < math.inf)
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def small_memory():
+    """Lets a fresh model ask for 64 MiB at most, so that a drawn width or
+    max_arg is rejected before anything large is allocated."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "physical_memory", lambda: 64 << 20)
+        yield
 
 
 class TestMalformedInputFuzz:
@@ -388,6 +433,68 @@ class TestMalformedInputFuzz:
                            "--gold", str(DATA / "score_fixture_gold.jsonl")]
                           + ["--binary"] * binary)
         assert rc in (0, 2)
+
+    def train(self, fuzz_dir, corpus, config):
+        cfg = fuzz_dir / "config.json"
+        cfg.write_text(json.dumps(config))
+        with time_limit(10):
+            return cli.main(["train", "--corpus", str(corpus), "--config", str(cfg),
+                             "--out-ckpt", str(fuzz_dir / "model")])
+
+    @pytest.mark.usefixtures("small_memory")
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(CONFIG_FIELDS), value=json_values)
+    @example(path=("weights", "alpha"), value=2 ** 100)  # was a TypeError
+    @example(path=("d_h",), value=2000)  # 384 MiB with its training copies
+    @example(path=("lr",), value=1e300)
+    def test_train_config(self, fuzz_dir, example_corpus_path, path, value):
+        rc = self.train(fuzz_dir, example_corpus_path,
+                        replaced(CONFIG_RECORD, path, value))
+        assert rc in ((0, 2, 3) if overflows_training(path, value) else (0, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=st.sampled_from(VECTORS_FIELDS), value=json_values)
+    @example(path=("vectors", 0, 0), value=1e300)
+    def test_encoder_vectors(self, fuzz_dir, example_corpus_path, path, value):
+        n = len(load_corpus(example_corpus_path)[0].tokens)
+        vectors = fuzz_dir / "vectors.jsonl"
+        vectors.write_text(json.dumps(replaced(vectors_record(n), path, value)) + "\n")
+        rc = self.train(fuzz_dir, example_corpus_path,
+                        dict(CONFIG_RECORD, encoder_vectors=str(vectors)))
+        assert rc in ((0, 2, 3) if overflows_training(path, value) else (0, 2))
+
+    def test_valid_records_train(self, fuzz_dir, example_corpus_path):
+        n = len(load_corpus(example_corpus_path)[0].tokens)
+        vectors = fuzz_dir / "vectors.jsonl"
+        vectors.write_text(json.dumps(vectors_record(n)) + "\n")
+        assert self.train(fuzz_dir, example_corpus_path, CONFIG_RECORD) == 0
+        assert self.train(fuzz_dir, example_corpus_path,
+                          dict(CONFIG_RECORD, encoder_vectors=str(vectors))) == 0
+
+    @pytest.mark.usefixtures("small_memory")
+    @pytest.mark.parametrize("path, value", [
+        (("lr",), float("nan")), (("lr",), float("inf")), (("lr",), 0),
+        (("lr",), -0.01), (("eval_every",), 0), (("d_h",), 10 ** 5),
+        (("d_l",), 10 ** 9), (("max_arg",), 10 ** 9), (("lr",), 2 ** 1100),
+    ], ids=["lr-nan", "lr-inf", "lr-zero", "lr-negative", "eval-every-zero",
+            "d-h-huge", "d-l-huge", "max-arg-huge", "lr-beyond-float"])
+    def test_out_of_range_config_is_data_error(self, fuzz_dir, example_corpus_path,
+                                               capsys, path, value):
+        # before: exit 3, a ZeroDivisionError or MemoryError traceback, or a
+        # run building 2e9 tags
+        rc = self.train(fuzz_dir, example_corpus_path,
+                        replaced(CONFIG_RECORD, path, value))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_memory_error_is_data_error(self, fuzz_dir, example_corpus_path, capsys,
+                                        monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 9.0 GiB")
+
+        monkeypatch.setattr(model_mod.EncoderParams, "init", no_memory)
+        assert self.train(fuzz_dir, example_corpus_path, CONFIG_RECORD) == 2
+        assert capsys.readouterr().err.startswith("data error: Unable to allocate")
 
 
 class TestScoreFixture:

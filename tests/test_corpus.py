@@ -293,6 +293,67 @@ class TestLoadCorpus:
         assert got[0].gold_tuples == []
 
 
+def conllu_block(dep_rows=wx.DEP_CONLLU, tokens=wx.TOKENS):
+    """CoNLL-U lines of the worked example, heads made 1-based again."""
+    return [f"{i + 1}\t{tok}\t_\t_\t_\t_\t{0 if h == -1 else h + 1}\t{rel}\t_\t_"
+            for i, (tok, (h, rel)) in enumerate(zip(tokens, dep_rows))]
+
+
+class TestSplitFiles:
+    """Errors in a .ptb/.conllu/.verbs triple carry the 1-based sentence
+    number as their line, like ``load_corpus``'s record lines."""
+
+    @pytest.fixture
+    def load(self, tmp_path):
+        def load(ptbs, blocks, verb_lines):
+            (tmp_path / "a.ptb").write_text("".join(t + "\n" for t in ptbs))
+            (tmp_path / "a.conllu").write_text(
+                "".join("\n".join(b) + "\n\n" for b in blocks))
+            (tmp_path / "a.verbs").write_text("".join(v + "\n" for v in verb_lines))
+            return c.load_split_files(tmp_path / "a.ptb", tmp_path / "a.conllu",
+                                      tmp_path / "a.verbs")
+        return load
+
+    def test_two_sentences_load(self, load):
+        got = load([wx.CONST_PTB] * 2, [conllu_block()] * 2, ["3 4", ""])
+        assert [s.verbs for s in got] == [[3, 4], []]
+
+    @pytest.mark.parametrize("verbs", ["5 x", "1.5", "1_0", "-1", "３", "0x3"])
+    def test_verb_token_not_ascii_digits(self, load, verbs):
+        with pytest.raises(c.SchemaViolation) as e:
+            load([wx.CONST_PTB] * 2, [conllu_block()] * 2, ["3", verbs])
+        assert e.value.line == 2
+        assert str(e.value).startswith("line 2: ")
+
+    @pytest.mark.parametrize("second, error", [
+        ((wx.CONST_PTB, conllu_block(), "99"), c.AlignmentError),
+        (("(VB Go)", conllu_block([[-1, "ROOT"]], ["Go"]), "0"), c.MalformedTree),
+        ((wx.CONST_PTB, [l + "\tx" for l in conllu_block()], "3"), c.BadColumnCount),
+        ((wx.CONST_PTB, conllu_block()[1:], "3"), c.UnsupportedConlluNode),
+        ((wx.CONST_PTB, [l.replace("\t4\t", "\tx\t", 1) for l in conllu_block()],
+          "3"), c.UnsupportedConlluNode),
+        (("(S (NN x)", conllu_block(), "3"), c.UnbalancedBrackets),
+    ], ids=["verb-out-of-range", "bare-preterminal-root", "conllu-columns",
+            "conllu-ids", "conllu-head-not-a-number", "unbalanced-tree"])
+    def test_error_names_its_sentence(self, load, second, error):
+        ptb, block, verbs = second
+        with pytest.raises(error) as e:
+            load([wx.CONST_PTB, ptb], [conllu_block(), block], ["3", verbs])
+        assert e.value.line == 2
+        assert str(e.value).startswith("line 2: ")
+
+    def test_first_sentence_is_line_one(self, load):
+        with pytest.raises(c.AlignmentError) as e:
+            load([wx.CONST_PTB], [conllu_block()], ["99"])
+        assert e.value.line == 1
+
+    def test_count_mismatch_names_the_first_missing_sentence(self, load):
+        with pytest.raises(c.AlignmentError) as e:
+            load([wx.CONST_PTB] * 3, [conllu_block()] * 2, ["3"] * 3)
+        assert e.value.line == 3
+        assert "3 trees vs 2 dependency blocks vs 3 verb lines" in str(e.value)
+
+
 class TestExpandInstances:
     def test_counts(self, example_sentence):
         insts = c.expand_instances(example_sentence)
@@ -339,3 +400,8 @@ def test_tag_inventory_size():
     # O + B/I-REL + B/I-ARG0..5
     assert len(c.tag_inventory(5)) == 2 + 2 * (5 + 1) + 1
     assert c.tag_inventory(0) == ["O", "B-REL", "I-REL", "B-ARG0", "I-ARG0"]
+
+
+@pytest.mark.parametrize("max_arg", [0, 1, 5, 40])
+def test_tag_count_is_the_inventory_size(max_arg):
+    assert c.tag_count(max_arg) == len(c.tag_inventory(max_arg))

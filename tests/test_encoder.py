@@ -34,7 +34,8 @@ class TestVocabulary:
 
 class TestEmbed:
     def test_indicator_shifts_by_verb_row_difference(self, params, vocab):
-        ws = enc.embed(params, vocab, ["cat", "cat"], indicator_verb=1)
+        ws = enc.embed(params, enc.word_rows(params, vocab, ["cat", "cat"]),
+                       indicator_verb=1)
         diff = ws.data[1] - ws.data[0]
         expected = params.w_verb.data[1] - params.w_verb.data[0]
         np.testing.assert_allclose(diff, expected)
@@ -42,14 +43,14 @@ class TestEmbed:
     def test_tied_verb_rows_remove_indicator_effect(self, vocab):
         params = enc.EncoderParams.init(6, 4, np.random.default_rng(1))
         params.w_verb.data[1] = params.w_verb.data[0]
-        a = enc.embed(params, vocab, ["cat", "likes", "toys"], 1)
-        b = enc.embed(params, vocab, ["cat", "likes", "toys"], 2)
+        a = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes", "toys"]), 1)
+        b = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes", "toys"]), 2)
         for x, y in zip(a.data, b.data):
             np.testing.assert_array_equal(x, y)
 
     def test_only_indicator_position_gets_row_one(self, params, vocab, example_sentence):
         surfaces = [t.surface for t in example_sentence.tokens]
-        ws = enc.embed(params, vocab, surfaces, indicator_verb=3)
+        ws = enc.embed(params, enc.word_rows(params, vocab, surfaces), indicator_verb=3)
         for i, w in enumerate(ws.data):
             row = 1 if i == 3 else 0
             base = params.w_word.data[vocab.lookup(surfaces[i])]
@@ -67,14 +68,14 @@ class TestToyEncoder:
         params.w_word.data = np.abs(params.w_word.data)  # non-negative inputs
         params.w_verb.data = np.abs(params.w_verb.data)
         te = enc.ToyEncoder(params, vocab)
-        ws = enc.embed(params, vocab, ["cat", "likes"], 1)
+        ws = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes"]), 1)
         hs = te.contextualize(ws)
         for w, h in zip(ws.data, hs.data):
             np.testing.assert_allclose(h, w)
 
     def test_single_token_uses_zero_padding(self, params, vocab):
         te = enc.ToyEncoder(params, vocab)
-        ws = enc.embed(params, vocab, ["cat"], 0)
+        ws = enc.embed(params, enc.word_rows(params, vocab, ["cat"]), 0)
         hs = te.contextualize(ws)
         window = np.concatenate([np.zeros(4), ws.data[0], np.zeros(4)])
         expected = np.maximum(params.w_mix.data @ window + params.b_mix.data, 0)
@@ -82,7 +83,7 @@ class TestToyEncoder:
 
     def test_output_widths(self, params, vocab, example_sentence):
         te = enc.ToyEncoder(params, vocab)
-        hs = te.encode(example_sentence, 3)
+        hs = te.encode(te.base(example_sentence), 3)
         assert len(hs.data) == len(example_sentence.tokens)
         assert all(h.shape == (4,) for h in hs.data)
 
@@ -90,13 +91,13 @@ class TestToyEncoder:
         def run():
             params = enc.EncoderParams.init(6, 4, np.random.default_rng(5))
             te = enc.ToyEncoder(params, vocab)
-            return te.encode(example_sentence, 3).data
+            return te.encode(te.base(example_sentence), 3).data
 
         np.testing.assert_array_equal(run(), run())
 
     def test_gradient_flows_to_tables(self, params, vocab):
         te = enc.ToyEncoder(params, vocab)
-        ws = enc.embed(params, vocab, ["cat", "likes"], 0)
+        ws = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes"]), 0)
         hs = te.contextualize(ws)
         # h_0 . h_1
         ad.masked_sum(ad.matmul(hs, hs, transpose_b=True), [[0, 1], [0, 0]]).backward()
@@ -111,7 +112,7 @@ class TestPrecomputedEncoder:
         p = tmp_path / "vecs.jsonl"
         p.write_text(json.dumps({"sentence_id": 0, "vectors": arr.tolist()}) + "\n")
         pe = enc.PrecomputedEncoder.load(p, 4)
-        hs = pe.encode(example_sentence, 3, sentence_id=0)
+        hs = pe.encode(pe.base(example_sentence, 0), 3)
         np.testing.assert_array_equal(hs.data, arr)
 
     def test_unknown_sentence(self, tmp_path, example_sentence):
@@ -120,7 +121,7 @@ class TestPrecomputedEncoder:
                                  "vectors": [[0.0] * 4] * 11}) + "\n")
         pe = enc.PrecomputedEncoder.load(p, 4)
         with pytest.raises(KeyError):
-            pe.encode(example_sentence, 3, sentence_id=7)
+            pe.base(example_sentence, 7)
 
 
 class TestPrecomputedEncoderRejects:

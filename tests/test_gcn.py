@@ -171,7 +171,8 @@ class TestGcnLayer:
         rng = np.random.default_rng(1)
         g = make_graph(DEP_VIEW, 2, [])
         h_ctx, l = self._inputs(rng, 2)
-        out, alphas = gcn.gcn_layer(g, h_ctx, l, small_params)
+        out, alphas = gcn.gcn_layer(g, h_ctx, l,
+                                    gcn.label_projection(l, small_params))
         np.testing.assert_allclose(alphas.data[0], [1.0, 0.0])
         expected = np.maximum(
             h_ctx.data[0] + small_params.w2.data @ l.data[0]
@@ -182,7 +183,8 @@ class TestGcnLayer:
         g = make_graph(DEP_VIEW, 3, [(0, 1), (0, 2)])
         h_ctx = ad.constant(np.ones((3, 4)))
         l = ad.constant(np.ones((3, 3)))
-        _, alphas = gcn.gcn_layer(g, h_ctx, l, small_params)
+        _, alphas = gcn.gcn_layer(g, h_ctx, l,
+                                  gcn.label_projection(l, small_params))
         np.testing.assert_allclose(alphas.data[0], [1 / 3] * 3)
         np.testing.assert_allclose(alphas.data[1], [0.5, 0.5, 0.0])
 
@@ -190,7 +192,8 @@ class TestGcnLayer:
         rng = np.random.default_rng(2)
         g = make_graph(DEP_VIEW, 3, [(0, 1), (1, 2)])  # path graph
         h_ctx, l = self._inputs(rng, 3)
-        out, alphas = gcn.gcn_layer(g, h_ctx, l, small_params)
+        out, alphas = gcn.gcn_layer(g, h_ctx, l,
+                                    gcn.label_projection(l, small_params))
         exp_h, exp_a = naive_gcn(g.adjacency, h_ctx.data, l.data,
                                  small_params.w2.data, small_params.b.data)
         np.testing.assert_allclose(out.data, exp_h, atol=1e-12)
@@ -204,7 +207,8 @@ class TestGcnLayer:
                      for a, b in rng.integers(0, n, size=(n, 2)) if a != b]
             g = make_graph(DEP_VIEW, n, edges)
             h_ctx, l = self._inputs(rng, n)
-            _, alphas = gcn.gcn_layer(g, h_ctx, l, small_params)
+            _, alphas = gcn.gcn_layer(g, h_ctx, l,
+                                      gcn.label_projection(l, small_params))
             for i, alpha in enumerate(alphas.data):
                 assert abs(alpha.sum() - 1.0) < 1e-9
                 assert (alpha[~g.adjacency[i]] == 0.0).all()
@@ -213,7 +217,8 @@ class TestGcnLayer:
         rng = np.random.default_rng(4)
         g = make_graph(DEP_VIEW, 4, [(0, 1), (2, 3), (1, 2)])
         h_ctx, l = self._inputs(rng, 4)
-        out, _ = gcn.gcn_layer(g, h_ctx, l, small_params)
+        out, _ = gcn.gcn_layer(g, h_ctx, l,
+                               gcn.label_projection(l, small_params))
         assert (out.data >= 0).all()
 
     def test_permutation_equivariance(self, small_params):
@@ -222,7 +227,8 @@ class TestGcnLayer:
         edges = [(0, 1), (1, 2), (2, 4), (3, 4)]
         g = make_graph(DEP_VIEW, n, edges)
         h_ctx, l = self._inputs(rng, n)
-        out, _ = gcn.gcn_layer(g, h_ctx, l, small_params)
+        out, _ = gcn.gcn_layer(g, h_ctx, l,
+                               gcn.label_projection(l, small_params))
 
         perm = list(rng.permutation(n))  # new index -> old index
         perm_inv = {old: new for new, old in enumerate(perm)}
@@ -230,7 +236,8 @@ class TestGcnLayer:
         pg = make_graph(DEP_VIEW, n, pedges)
         ph = ad.constant(h_ctx.data[perm])
         pl = ad.constant(l.data[perm])
-        pout, _ = gcn.gcn_layer(pg, ph, pl, small_params)
+        pout, _ = gcn.gcn_layer(pg, ph, pl,
+                                gcn.label_projection(pl, small_params))
         for new, old in enumerate(perm):
             np.testing.assert_allclose(pout.data[new], out.data[old], atol=1e-12)
 
@@ -242,7 +249,8 @@ class TestGcnLayer:
         readout = rng.normal(size=4)
 
         def f(*params):
-            out, _ = gcn.gcn_layer(g, h_ctx, l, small_params)
+            out, _ = gcn.gcn_layer(g, h_ctx, l,
+                                   gcn.label_projection(l, small_params))
             # mean over nodes, dotted with the readout
             return ad.masked_sum(out, np.tile(readout, (3, 1)) / 3)
 

@@ -1,17 +1,24 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from synoie import autodiff as ad
-from synoie import losses
+from synoie import corpus as c
+from synoie import gcn, losses, tagger
+from synoie import model as model_mod
 from synoie.config import TrainConfig
 from synoie.corpus import expand_instances, load_corpus
 from synoie.encoder import Vocabulary
 
-from synoie.model import Model
+from synoie.model import Model, SentenceGraphs
 from synoie.synthetic import generate_corpus
 from synoie.training import _label_inventories, build_graph_cache
+
+from tree_strategies import bracketed_trees, root_is_preterminal
 
 SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.jsonl"
 
@@ -195,3 +202,124 @@ class TestArraysRoundTrip:
         monkeypatch.setattr(np.random, "default_rng", no_draw)
         Model.from_arrays(model.cfg, model.vocab, model.dep_labels,
                           model.con_labels, arrays)
+
+
+class TestMemoryCheck:
+    def test_need_is_every_parameter_four_times(self, setup, monkeypatch):
+        _, _, model = build(setup)
+        need = 4 * 8 * sum(t.data.size for t in model.param_tensors())
+        monkeypatch.setattr(model_mod, "physical_memory", lambda: need)
+        build(setup)
+        monkeypatch.setattr(model_mod, "physical_memory", lambda: need - 1)
+        with pytest.raises(ValueError, match="MiB of parameters"):
+            build(setup)
+
+    def test_unknown_memory_checks_nothing(self, setup, monkeypatch):
+        monkeypatch.setattr(model_mod, "physical_memory", lambda: None)
+        build(setup)
+
+    def test_checkpoint_tensors_are_not_checked(self, setup, monkeypatch):
+        _, _, model = build(setup)
+        monkeypatch.setattr(model_mod, "physical_memory", lambda: 0)
+        Model.from_arrays(model.cfg, model.vocab, model.dep_labels,
+                          model.con_labels, model.export_arrays())
+
+    @pytest.mark.parametrize("d_h", [1536, 3072, 4096])
+    def test_wide_replayed_vectors_are_a_valid_config(self, d_h):
+        cfg = TrainConfig(d_h=d_h, encoder_vectors="vectors.jsonl")
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+SHARED_STATE_CONFIGS = ["default", "no-gcn", "no-dep", "no-const", "vectors"]
+DRAWN_ID = 10_000  # the sentence id a drawn sentence's vectors are stored under
+
+
+@pytest.fixture(scope="module")
+def sample_models(tmp_path_factory):
+    """The sample corpus, its graphs, and one model per shared-state config."""
+    sentences = load_corpus(SAMPLE_CORPUS)
+    cfg = TrainConfig(seed=4, d_h=8, d_l=4)
+    cache = build_graph_cache(sentences, cfg.flatten)
+    vocab = Vocabulary.from_sentences(sentences)
+    dl, cl = _label_inventories(cache, range(len(sentences)))
+    rng = np.random.default_rng(4)
+    vec_path = tmp_path_factory.mktemp("vectors") / "vectors.jsonl"
+    vec_path.write_text("".join(
+        json.dumps({"sentence_id": i,
+                    "vectors": rng.normal(size=(len(s.tokens), 8)).tolist()}) + "\n"
+        for i, s in enumerate(sentences)))
+    overrides = {"default": {}, "no-gcn": {"use_gcn": False},
+                 "no-dep": {"use_dep": False}, "no-const": {"use_const": False},
+                 "vectors": {"encoder_vectors": str(vec_path)}}
+    models = {name: Model(cfg.with_overrides(**kw), vocab, dl, cl,
+                          np.random.default_rng(5))
+              for name, kw in overrides.items()}
+    return sentences, cache, models
+
+
+def assert_shared_state_changes_nothing(model, s, graphs, sid):
+    """Every verb's predict over one shared state equals, bit for bit, the
+    predict that builds its own state."""
+    with ad.no_grad():
+        state = model.sentence_state(s, graphs, sid)
+    for verb in s.verbs:
+        tags, probs = model.predict(s, verb, graphs, sid)
+        shared_tags, shared_probs = model.predict(s, verb, graphs, sid, state)
+        assert shared_tags == tags
+        assert np.array(shared_probs).tobytes() == np.array(probs).tobytes()
+
+
+class TestSentenceState:
+    @pytest.mark.parametrize("config", SHARED_STATE_CONFIGS)
+    def test_sample_corpus_every_verb(self, sample_models, config):
+        sentences, cache, models = sample_models
+        for i, s in enumerate(sentences):
+            assert_shared_state_changes_nothing(models[config], s, cache[i], i)
+
+    @settings(deadline=None, max_examples=60)
+    @given(text=bracketed_trees, config=st.sampled_from(SHARED_STATE_CONFIGS),
+           data=st.data())
+    def test_drawn_trees_every_token_a_verb(self, sample_models, text, config,
+                                            data):
+        assume(not root_is_preterminal(text))
+        _, _, models = sample_models
+        model = models[config]
+        tokens = c.tree_leaf_surfaces(text)
+        n = len(tokens)
+        heads = [-1] + [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+        rels = data.draw(st.lists(st.sampled_from(model.dep_labels.labels + ["new"]),
+                                  min_size=n, max_size=n))
+        s = c._build_sentence({"tokens": tokens, "const_ptb": text,
+                               "dep_conllu": [list(p) for p in zip(heads, rels)],
+                               "verbs": list(range(n))}, 1, model.cfg.max_arg)
+        if config == "vectors":
+            model.encoder.vectors[DRAWN_ID] = np.random.default_rng(n).normal(
+                size=(n, model.cfg.d_h))
+        assert_shared_state_changes_nothing(
+            model, s, SentenceGraphs.build(s, model.cfg.flatten), DRAWN_ID)
+
+    def test_extract_builds_the_shared_half_once(self, sample_models, monkeypatch):
+        sentences, cache, models = sample_models
+        calls = {"node_label_embed_const": 0, "node_label_embed_dep": 0,
+                 "label_projection": 0}
+        for name in calls:
+            def counted(*args, _inner=getattr(gcn, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(gcn, name, counted)
+        i, s = next((i, s) for i, s in enumerate(sentences) if len(s.verbs) >= 2)
+        tagger.extract(s, models["default"], cache[i], i)
+        assert calls == {"node_label_embed_const": 1, "node_label_embed_dep": 1,
+                         "label_projection": 2}
+
+    def test_state_for_other_graphs_rejected(self, sample_models):
+        sentences, cache, models = sample_models
+        model = models["default"]
+        state = model.sentence_state(sentences[0], cache[0], 0)
+        with pytest.raises(ValueError, match="other graphs"):
+            model.forward(sentences[1], sentences[1].verbs[0], cache[1], 1, state)
+        rebuilt = SentenceGraphs.build(sentences[0], model.cfg.flatten)
+        with pytest.raises(ValueError, match="other graphs"):
+            model.predict(sentences[0], sentences[0].verbs[0], rebuilt, 0, state)
+        with pytest.raises(ValueError, match="another sentence id"):
+            model.predict(sentences[0], sentences[0].verbs[0], cache[0], 1, state)

@@ -131,7 +131,10 @@ class FakeModel:
         self.by_verb = by_verb
         self.n = n
 
-    def predict(self, sentence, verb, graphs, sentence_id=None):
+    def sentence_state(self, sentence, graphs, sentence_id=None):
+        return None
+
+    def predict(self, sentence, verb, graphs, sentence_id=None, state=None):
         tags = self.by_verb.get(verb, ["O"] * self.n)
         return tags, [0.9] * self.n
 
