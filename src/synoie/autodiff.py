@@ -148,15 +148,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def backward(g):
-        _accumulate(a, g * mask)
-
-    return _result(a.data * mask, (a,), backward)
-
-
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """a @ b, or a @ b.T with ``transpose_b``; both operands 2-D."""
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -235,41 +226,28 @@ def hstack(parts: list[Tensor]) -> Tensor:
                    backward)
 
 
-def _shift(x: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros_like(x)
-    n = x.shape[0]
-    if k >= 0:
-        out[k:] = x[:max(n - k, 0)]
-    else:
-        out[:max(n + k, 0)] = x[-k:]
-    return out
-
-
-def shift_rows(a: Tensor, k: int) -> Tensor:
-    """out[i] = a[i - k], with zero rows where i - k falls outside a."""
-    if a.data.ndim != 2:
-        raise ShapeMismatch("shift_rows expects a 2-D tensor")
-
-    def backward(g):
-        _accumulate(a, _shift(g, -k))
-
-    return _result(_shift(a.data, k), (a,), backward)
+def _masked_softmax_probs(x: np.ndarray, mask) -> np.ndarray:
+    """The checked forward of ``masked_softmax``, shared with
+    ``attention_layer``."""
+    mask = np.asarray(mask, dtype=bool)
+    if x.ndim != 2 or mask.shape != x.shape:
+        raise ShapeMismatch(f"masked_softmax: logits {x.shape}, mask {mask.shape}")
+    z = np.where(mask, x, -np.inf)
+    top = z.max(axis=1, keepdims=True)
+    # an empty row leaves its maximum at -inf, so finite maxima and logits
+    # need neither check
+    if not (np.isfinite(top).all() and np.isfinite(x).all()):
+        if not mask.any(axis=1).all():
+            raise EmptyMask("softmax over an empty active set")
+        _check_finite(x[mask], "masked softmax logits")
+    ex = np.exp(z - top)
+    return ex / ex.sum(axis=1, keepdims=True)
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:
     """Softmax of each row over its active (mask-true) entries; exact zeros
     elsewhere.  Logits at masked entries are ignored, even if not finite."""
-    x = logits.data
-    mask = np.asarray(mask, dtype=bool)
-    if x.ndim != 2 or mask.shape != x.shape:
-        raise ShapeMismatch(f"masked_softmax: logits {x.shape}, mask {mask.shape}")
-    if not mask.any(axis=1).all():
-        raise EmptyMask("softmax over an empty active set")
-    if not np.isfinite(x).all():
-        _check_finite(x[mask], "masked softmax logits")
-    z = np.where(mask, x, -np.inf)
-    ex = np.exp(z - z.max(axis=1, keepdims=True))
-    probs = ex / ex.sum(axis=1, keepdims=True)
+    probs = _masked_softmax_probs(logits.data, mask)
 
     def backward(g):
         _accumulate(logits, probs * (g - (probs * g).sum(axis=1, keepdims=True)))
@@ -322,6 +300,123 @@ def combine(terms: list[Tensor], weights: list[float]) -> Tensor:
             _accumulate(t, w * g)
 
     return _result(out, tuple(terms), backward)
+
+
+# ---------------------------------------------------------------------------
+# Fused layers: the encoder's window mix and one attention graph convolution,
+# each a single node with a hand-written backward
+# ---------------------------------------------------------------------------
+
+def window_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Row i is [x_{i-1}; x_i; x_{i+1}] @ w.T + b, for an (n, d) matrix x
+    zero-padded at both ends, a (d_out, 3d) weight and a (d_out,) bias."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeMismatch(f"window_linear: {x.shape}, {w.shape}, {b.shape}")
+    d = x.shape[1]
+    if w.shape[1] != 3 * d or w.shape[0] != b.shape[0]:
+        raise ShapeMismatch(f"window_linear: window of {x.shape} @ {w.shape}.T "
+                            f"+ {b.shape}")
+    xd, wd = x.data, w.data
+    win = np.zeros((xd.shape[0], 3 * d))
+    win[1:, :d] = xd[:-1]
+    win[:, d:2 * d] = xd
+    win[:-1, 2 * d:] = xd[1:]
+
+    def backward(g):
+        if x.requires_grad:
+            gwin = g @ wd
+            gx = gwin[:, d:2 * d].copy()
+            gx[:-1] += gwin[1:, :d]
+            gx[1:] += gwin[:-1, 2 * d:]
+            _accumulate(x, gx)
+        if w.requires_grad:
+            _accumulate(w, g.T @ win)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+
+    # as in matmul, overflow is left to the consumer
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = win @ wd.T + b.data
+    return _result(out, (x, w, b), backward)
+
+
+def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row: int) -> Tensor:
+    """ReLU of ``window_linear``'s output ``pre`` after input row ``row``
+    moves from ``marks[0]`` to ``marks[1]``.
+
+    The window mix is linear, so the move changes only output rows row - 1,
+    row and row + 1 (those inside the matrix), by the last, middle and first
+    (d_out, d) block of ``w`` times marks[1] - marks[0].  A ``row`` outside
+    [0, n) moves nothing.
+    """
+    if pre.data.ndim != 2 or marks.data.ndim != 2 or marks.shape[0] != 2 \
+            or w.shape != (pre.shape[1], 3 * marks.shape[1]):
+        raise ShapeMismatch(f"marked_window_relu: {pre.shape}, marks "
+                            f"{marks.shape}, weight {w.shape}")
+    n, d_out = pre.shape
+    d = marks.shape[1]
+    marked = 0 <= row < n
+    # output rows lo..hi-1 change; change row j of the 3 belongs to row - 1 + j
+    lo, hi = max(row - 1, 0), min(row + 2, n)
+    # row o * 3 + k of w_rows is block k's row o
+    w_rows = w.data.reshape(3 * d_out, d)
+    delta = marks.data[1] - marks.data[0]
+    z = pre.data.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if marked:
+            change = (w_rows @ delta).reshape(d_out, 3)[:, ::-1].T
+            z[lo:hi] += change[lo - row + 1:hi - row + 1]
+        out = np.maximum(z, 0.0)
+
+    def backward(g):
+        gz = g * (out > 0)
+        _accumulate(pre, gz)
+        if marked and (marks.requires_grad or w.requires_grad):
+            per_row = np.zeros((3, d_out))
+            per_row[lo - row + 1:hi - row + 1] = gz[lo:hi]
+            per_block = per_row[::-1].T.reshape(-1)  # index o * 3 + k, as w_rows
+            if marks.requires_grad:
+                g_delta = per_block @ w_rows
+                _accumulate(marks, np.stack([-g_delta, g_delta]))
+            if w.requires_grad:
+                _accumulate(w, np.outer(per_block, delta).reshape(d_out, 3 * d))
+
+    return _result(out, (pre, marks, w), backward)
+
+
+def attention_layer(h: Tensor, l: Tensor, proj: Tensor,
+                    mask) -> tuple[Tensor, Tensor]:
+    """One attention graph convolution: ReLU(A (h + proj)), where A is the
+    ``masked_softmax`` of M Mᵀ over ``mask`` for the messages M = [h l].
+
+    Returns the (n, d) states and A as a constant.  A raises what
+    ``masked_softmax`` raises on the same logits and mask.
+    """
+    hd, ld, pd = h.data, l.data, proj.data
+    if hd.ndim != 2 or ld.ndim != 2 or pd.shape != hd.shape \
+            or ld.shape[0] != hd.shape[0]:
+        raise ShapeMismatch(f"attention_layer: h {h.shape}, l {l.shape}, "
+                            f"proj {proj.shape}")
+    d = hd.shape[1]
+    msgs = np.concatenate([hd, ld], axis=1)
+    # overflow in the logits is left to the masked softmax's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = _masked_softmax_probs(msgs @ msgs.T, mask)
+        values = hd + pd
+        out = np.maximum(alpha @ values, 0.0)
+
+    def backward(g):
+        gz = g * (out > 0)
+        g_values = alpha.T @ gz
+        _accumulate(proj, g_values)
+        if h.requires_grad or l.requires_grad:
+            g_alpha = gz @ values.T
+            g_logits = alpha * (g_alpha - (alpha * g_alpha).sum(axis=1, keepdims=True))
+            g_msgs = (g_logits + g_logits.T) @ msgs
+            _accumulate(h, g_msgs[:, :d] + g_values)
+            _accumulate(l, g_msgs[:, d:])
+
+    return _result(out, (h, l, proj), backward), constant(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +485,15 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
         raise ShapeMismatch("params / grads / state length mismatch")
     state.t += 1
     t = state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.data.shape:
-            raise ShapeMismatch(f"grad {g.shape} vs param {p.data.shape}")
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1 ** t)
-        vhat = v / (1 - b2 ** t)
-        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+    # an update that overflows is left to the caller's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, g, m, v in zip(params, grads, state.m, state.v):
+            if g.shape != p.data.shape:
+                raise ShapeMismatch(f"grad {g.shape} vs param {p.data.shape}")
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            mhat = m / (1 - b1 ** t)
+            vhat = v / (1 - b2 ** t)
+            p.data -= lr * mhat / (np.sqrt(vhat) + eps)

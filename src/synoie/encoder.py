@@ -1,8 +1,10 @@
 """Contextual token representations from word + verb-indicator embeddings.
 
-The default encoder mixes a 3-token window through one ReLU layer.  A
-config that names ``encoder_vectors`` replaces it with the
-``PrecomputedEncoder``, which replays fixed per-token vectors from that file.
+The default encoder mixes a 3-token window through one ReLU layer, as two
+fused autodiff nodes: the mix of the unmarked rows, once per sentence, and
+per verb the marked rows plus the ReLU.  A config that names
+``encoder_vectors`` replaces it with the ``PrecomputedEncoder``, which replays
+fixed per-token vectors from that file.
 """
 
 from __future__ import annotations
@@ -74,30 +76,39 @@ def word_rows(params: EncoderParams, vocab: Vocabulary, surfaces: list[str]) -> 
 
 
 def embed(params: EncoderParams, words: Tensor, indicator_verb: int) -> Tensor:
-    """(n, d_h) rows: word rows + indicator row (row 1 only at the verb)."""
+    """(n, d_h) rows: word rows + indicator row (row 1 only at the verb; a
+    verb outside [0, n) marks no row)."""
     flags = (np.arange(words.shape[0]) == indicator_verb).astype(np.intp)
     return ad.add(words, ad.gather_rows(params.w_verb, flags))
 
 
+# an indicator verb that marks no row
+NO_VERB = -1
+
+
 class ToyEncoder:
-    """Window-3 mixing layer: h_i = ReLU(W [w_{i-1}; w_i; w_{i+1}] + b)."""
+    """Window-3 mixing layer: h_i = ReLU(W [x_{i-1}; x_i; x_{i+1}] + b) over
+    the embedded rows x, zero-padded at both ends.
+
+    The mix is linear before its ReLU, so ``base`` mixes the rows with no
+    verb marked once per sentence, and ``encode`` adds what marking one verb
+    changes: three rows at most.
+    """
 
     def __init__(self, params: EncoderParams, vocab: Vocabulary):
         self.params = params
         self.vocab = vocab
 
     def base(self, sentence: ParsedSentence, sentence_id: int | None = None) -> Tensor:
-        """The verb-independent rows ``encode`` starts from: the word rows."""
-        return word_rows(self.params, self.vocab, [t.surface for t in sentence.tokens])
+        """(n, d_h) pre-activation with no verb marked, which every verb shares."""
+        words = word_rows(self.params, self.vocab, [t.surface for t in sentence.tokens])
+        return ad.window_linear(embed(self.params, words, NO_VERB),
+                                self.params.w_mix, self.params.b_mix)
 
     def encode(self, base: Tensor, indicator_verb: int) -> Tensor:
-        """(n, d_h) states of one verb from the sentence's ``base`` rows."""
-        return self.contextualize(embed(self.params, base, indicator_verb))
-
-    def contextualize(self, ws: Tensor) -> Tensor:
-        """(n, d_h) -> (n, d_h); the window is zero-padded at both ends."""
-        window = ad.hstack([ad.shift_rows(ws, 1), ws, ad.shift_rows(ws, -1)])
-        return ad.relu(ad.linear(window, self.params.w_mix, self.params.b_mix))
+        """(n, d_h) states of one verb from the sentence's ``base``."""
+        return ad.marked_window_relu(base, self.params.w_verb, self.params.w_mix,
+                                     indicator_verb)
 
 
 class PrecomputedEncoder:

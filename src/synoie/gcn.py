@@ -92,15 +92,13 @@ def gcn_layer(g: SyntacticGraph, h_ctx: Tensor, l: Tensor,
               proj: Tensor) -> tuple[Tensor, Tensor]:
     """One graph convolution over label embeddings ``l`` and their
     ``label_projection`` ``proj``; returns the (n, d_h) node states and the
-    (n, n) attention matrix.
+    (n, n) attention matrix, a constant.
 
     Attention row i is a masked softmax of the message dot products over the
-    adjacency row (self-loop included), so isolated nodes cannot occur.
+    adjacency row (self-loop included), so isolated nodes cannot occur.  The
+    whole layer is one autodiff node (``ad.attention_layer``).
     """
-    msgs = ad.hstack([h_ctx, l])
-    alpha = ad.masked_softmax(ad.matmul(msgs, msgs, transpose_b=True),
-                              g.adjacency)
-    return ad.relu(ad.matmul(alpha, ad.add(h_ctx, proj))), alpha
+    return ad.attention_layer(h_ctx, l, proj, g.adjacency)
 
 
 def label_projection(l: Tensor, params: GcnParams) -> Tensor:

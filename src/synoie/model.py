@@ -1,8 +1,9 @@
 """Full tagging model: contextual encoder, per-view GCNs, linear tag head.
 
 A ``SentenceState`` holds the verb-independent half of the forward pass (the
-encoder's base rows and each view's label embedding L and projection
-L W2ᵀ + b), so a sentence builds it once and all of its verbs share it.
+encoder's ``base``: for the window encoder its pre-activation with no verb
+marked; and each view's label embedding L and projection L W2ᵀ + b), so a
+sentence builds it once and all of its verbs share it.
 """
 
 from __future__ import annotations
@@ -272,7 +273,6 @@ class Model:
                                state)
         x = fwd.logits.data
         ex = np.exp(x - x.max(axis=1, keepdims=True))
-        p = ex / ex.sum(axis=1, keepdims=True)
-        best = np.argmax(p, axis=1)
-        return ([self.tags[k] for k in best],
-                p[np.arange(len(best)), best].tolist())
+        # the best tag's exp is exp(0) = 1, so its probability is 1 / row sum
+        best = ex.argmax(axis=1).tolist()
+        return [self.tags[k] for k in best], (1.0 / ex.sum(axis=1)).tolist()

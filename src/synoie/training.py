@@ -97,6 +97,21 @@ def _label_inventories(graph_cache, idxs):
     return LabelVocab.collect(dep), LabelVocab.collect(con)
 
 
+def _diverged_group(model: Model) -> str | None:
+    """The first parameter group (``enc``, ``gcn.dep``, ``gcn.con``, ``head``)
+    whose squared L2 norm is not a finite float64, or None.
+
+    A group with entries past about 1e154 is still finite but counts: the
+    forward squares it in the message grams, so it cannot give a finite loss.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, t in model.named_params():
+            flat = t.data.ravel()
+            if not np.isfinite(flat @ flat):
+                return name.rsplit(".", 1)[0]
+    return None
+
+
 def _exact_f1(model: Model, sentences, graph_cache, idxs) -> float:
     pred = []
     for i in idxs:
@@ -171,6 +186,11 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
             grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
                      for p in params]
             ad.adam_step(params, grads, adam, lr=cfg.lr)
+            group = _diverged_group(model)
+            if group is not None:
+                raise NonFiniteLoss(
+                    f"epoch {epoch}, batch at instance {start}: parameter group "
+                    f"{group} has a non-finite squared L2 norm after the Adam update")
             epoch_loss += float(batch_loss.data) * len(batch)
         epoch_loss /= len(instances)
         train_acc = correct / total if total else 0.0
@@ -179,7 +199,10 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
                 and train_acc >= cfg.early_stop_train_acc)
         record = {"epoch": epoch, "loss": epoch_loss, "train_acc": train_acc}
         if stop or epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            dev_f1 = _exact_f1(model, sentences, graph_cache, dev_idx)
+            try:
+                dev_f1 = _exact_f1(model, sentences, graph_cache, dev_idx)
+            except ad.NonFiniteValue as exc:
+                raise NonFiniteLoss(f"epoch {epoch}, dev eval: {exc}") from exc
             record["dev_f1"] = dev_f1
             if dev_f1 >= best_f1:
                 best_f1, best_arrays, best_epoch = dev_f1, model.export_arrays(), epoch

@@ -26,12 +26,14 @@ class TestForwardValues:
         with pytest.raises(ad.EmptyMask):
             ad.masked_softmax(ad.constant([[0.0]]), [[False]])
 
-    def test_relu(self):
-        x = ad.parameter([-1.0, 2.0])
-        y = ad.relu(x)
-        np.testing.assert_allclose(y.data, [0.0, 2.0])
-        ad.masked_sum(y, [1.0, 1.0]).backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0])
+    def test_marked_window_relu_zeroes_negatives(self):
+        # with no row marked the kernel is the ReLU of its pre-activation
+        x = ad.parameter([[-1.0, 2.0]])
+        y = ad.marked_window_relu(x, ad.constant(np.ones((2, 2))),
+                                  ad.constant(np.ones((2, 6))), row=-1)
+        np.testing.assert_allclose(y.data, [[0.0, 2.0]])
+        ad.masked_sum(y, [[1.0, 1.0]]).backward()
+        np.testing.assert_allclose(x.grad, [[0.0, 1.0]])
 
     def test_log_softmax_matches_log_of_softmax(self):
         rng = np.random.default_rng(0)
@@ -49,12 +51,17 @@ class TestForwardValues:
                                            np.ones((1, 5), bool)).data),
             atol=1e-12)
 
-    def test_shift_rows_pads_with_zeros(self):
+    def test_window_linear_pads_with_zeros(self):
         x = ad.constant(np.arange(6.0).reshape(3, 2))
-        np.testing.assert_array_equal(ad.shift_rows(x, 1).data,
-                                      [[0, 0], [0, 1], [2, 3]])
-        np.testing.assert_array_equal(ad.shift_rows(x, -1).data,
-                                      [[2, 3], [4, 5], [0, 0]])
+        pick = np.zeros((2, 6))
+        pick[:, :2] = np.eye(2)  # the row above
+        np.testing.assert_array_equal(
+            ad.window_linear(x, ad.constant(pick), ad.constant(np.zeros(2))).data,
+            [[0, 0], [0, 1], [2, 3]])
+        pick = np.roll(pick, 4, axis=1)  # the row below
+        np.testing.assert_array_equal(
+            ad.window_linear(x, ad.constant(pick), ad.constant(np.zeros(2))).data,
+            [[2, 3], [4, 5], [0, 0]])
 
     def test_cross_entropy_uniform(self):
         # cross entropy is the negated gold entry of the row log-softmax
@@ -151,34 +158,39 @@ class TestGradCheck:
 
     def test_rejects_vector_output(self):
         with pytest.raises(ad.ShapeMismatch):
-            ad.grad_check(lambda x: ad.relu(x), ad.parameter([1.0, 2.0]))
+            ad.grad_check(lambda x: ad.add(x, x), ad.parameter([1.0, 2.0]))
 
 
-def _random_composition(rng, xs, table):
+def _random_composition(rng, xs, table, mix, bias):
     """Random expression over the kernel's primitives, scalar-valued.
 
-    ``xs`` are (n, d) matrices and ``table`` a (4, d) parameter table.
+    ``xs`` are (n, d) matrices, ``table`` a (4, d) parameter table and
+    ``mix``, ``bias`` a (d, 3d) window weight and its (d,) bias.
     """
     mats = list(xs)
     n, d = xs[0].shape
     mats.append(ad.gather_rows(table, rng.integers(table.shape[0], size=n)))
     for _ in range(int(rng.integers(1, 5))):  # depth <= 4
-        op = rng.integers(5)
+        op = rng.integers(6)
         a = mats[int(rng.integers(len(mats)))]
         b = mats[int(rng.integers(len(mats)))]
+        mask = rng.random((n, n)) < 0.5
+        mask[np.arange(n), rng.integers(n, size=n)] = True
         if op == 0:
             mats.append(ad.add(a, b))
         elif op == 1:
             mats.append(ad.combine([a, b], [float(rng.normal()), 0.5]))
         elif op == 2:
-            mats.append(ad.relu(ad.shift_rows(a, int(rng.integers(-1, 2)))))
+            marks = ad.gather_rows(table, rng.integers(table.shape[0], size=2))
+            mats.append(ad.marked_window_relu(ad.window_linear(a, mix, bias),
+                                              marks, mix, int(rng.integers(-1, n + 1))))
         elif op == 3:
             mats.append(ad.matmul(ad.matmul(a, table, transpose_b=True), table))
-        else:
-            mask = rng.random((n, n)) < 0.5
-            mask[np.arange(n), rng.integers(n, size=n)] = True
+        elif op == 4:
             w = ad.masked_softmax(ad.matmul(a, b, transpose_b=True), mask)
             mats.append(ad.matmul(w, mats[0]))
+        else:
+            mats.append(ad.attention_layer(a, mats[-1], b, mask)[0])
     log_probs = ad.log_softmax_rows(ad.matmul(mats[-1], mats[1], transpose_b=True))
     picked = ad.masked_sum(log_probs, rng.normal(size=(n, n)))
     gold = -np.eye(2 * d)[rng.integers(2 * d, size=n)] / n
@@ -194,13 +206,15 @@ class TestRandomCompositions:
             dim = int(rng.integers(2, 7))  # dims <= 6
             xs = [ad.parameter(rng.normal(size=(3, dim)) * 0.7) for _ in range(3)]
             table = ad.parameter(rng.normal(size=(4, dim)) * 0.5)
+            mix = ad.parameter(rng.normal(size=(dim, 3 * dim)) * 0.5)
+            bias = ad.parameter(rng.normal(size=dim) * 0.5)
             seed_state = rng.integers(1 << 30)
 
             def f(*params):
                 local = np.random.default_rng(int(seed_state))
-                return _random_composition(local, params[:3], params[3])
+                return _random_composition(local, params[:3], *params[3:])
 
-            err = ad.grad_check(f, xs + [table])
+            err = ad.grad_check(f, xs + [table, mix, bias])
             worst = max(worst, err)
         assert worst < 1e-6
 

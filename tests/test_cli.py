@@ -5,6 +5,7 @@ import json
 import math
 import pkgutil
 import signal
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -495,6 +496,38 @@ class TestMalformedInputFuzz:
         monkeypatch.setattr(model_mod.EncoderParams, "init", no_memory)
         assert self.train(fuzz_dir, example_corpus_path, CONFIG_RECORD) == 2
         assert capsys.readouterr().err.startswith("data error: Unable to allocate")
+
+
+class TestDivergedTraining:
+    def test_huge_lr_names_epoch_batch_and_group(self, tmp_path, capsys):
+        # lr 1e300 leaves every parameter near 1e300 after the first Adam
+        # step: finite, but squared in the message grams.  Before: exit 3 from
+        # dev eval naming neither epoch nor group, after numpy's
+        # "invalid value encountered in multiply" warning.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"lr": 1e300}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["train", "--corpus", str(DATA / "example_corpus.jsonl"),
+                           "--config", str(cfg), "--out-ckpt", str(tmp_path / "m")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: epoch 1, batch at instance 0: parameter group enc "
+            "has a non-finite squared L2 norm after the Adam update\n")
+
+    def test_overflow_in_dev_eval_names_epoch(self, tmp_path, capsys):
+        # lr 1e80 keeps the parameters' squares finite, but the forward of the
+        # dev evaluation overflows
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"lr": 1e80}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["train", "--corpus", str(DATA / "example_corpus.jsonl"),
+                           "--config", str(cfg), "--out-ckpt", str(tmp_path / "m")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: epoch 1, dev eval: non-finite value produced by "
+            "masked softmax logits\n")
 
 
 class TestScoreFixture:

@@ -6,6 +6,8 @@ import pytest
 from synoie import autodiff as ad
 from synoie import encoder as enc
 
+from tree_strategies import flat_sentence
+
 
 
 @pytest.fixture
@@ -69,14 +71,14 @@ class TestToyEncoder:
         params.w_verb.data = np.abs(params.w_verb.data)
         te = enc.ToyEncoder(params, vocab)
         ws = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes"]), 1)
-        hs = te.contextualize(ws)
+        hs = te.encode(te.base(flat_sentence(["cat", "likes"])), 1)
         for w, h in zip(ws.data, hs.data):
             np.testing.assert_allclose(h, w)
 
     def test_single_token_uses_zero_padding(self, params, vocab):
         te = enc.ToyEncoder(params, vocab)
         ws = enc.embed(params, enc.word_rows(params, vocab, ["cat"]), 0)
-        hs = te.contextualize(ws)
+        hs = te.encode(te.base(flat_sentence(["cat"])), 0)
         window = np.concatenate([np.zeros(4), ws.data[0], np.zeros(4)])
         expected = np.maximum(params.w_mix.data @ window + params.b_mix.data, 0)
         np.testing.assert_allclose(hs.data[0], expected)
@@ -97,12 +99,12 @@ class TestToyEncoder:
 
     def test_gradient_flows_to_tables(self, params, vocab):
         te = enc.ToyEncoder(params, vocab)
-        ws = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes"]), 0)
-        hs = te.contextualize(ws)
+        hs = te.encode(te.base(flat_sentence(["cat", "likes"])), 0)
         # h_0 . h_1
         ad.masked_sum(ad.matmul(hs, hs, transpose_b=True), [[0, 1], [0, 0]]).backward()
         assert params.w_word.grad is not None
         assert params.w_mix.grad is not None
+        assert params.w_verb.grad is not None
 
 
 class TestPrecomputedEncoder:

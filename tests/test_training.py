@@ -1,5 +1,7 @@
 import json
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +34,6 @@ class TestTrainLoop:
         assert [r.get("dev_f1") for r in h1] == [r.get("dev_f1") for r in h2]
 
     def test_loss_finite_throughout_on_bundled_sample_corpus(self):
-        from pathlib import Path
-
         sample = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.jsonl"
         ckpt = tr.train(load_corpus(sample), TrainConfig(seed=0, **FAST))
         assert all(np.isfinite(r["loss"]) for r in ckpt.history)
@@ -84,13 +84,23 @@ class TestTrainLoop:
             assert a.arrays[name].tobytes() == b.arrays[name].tobytes()
 
     def test_bundled_sample_corpus_overfits(self):
-        from pathlib import Path
-
         sample = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.jsonl"
         corpus = load_corpus(sample)
         cfg = TrainConfig(seed=0, epochs=200, dev_fraction=0.0)
         ckpt = tr.train(corpus, cfg)
         assert ckpt.history[-1]["train_acc"] >= 0.99
+
+
+class TestNoNumpyWarnings:
+    def test_train_and_extract_emit_none(self):
+        # any numpy RuntimeWarning from the kernels or Adam fails this test
+        sample = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.jsonl"
+        sentences = load_corpus(sample)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ckpt = tr.train(sentences, TrainConfig(seed=0, epochs=1))
+            tuples = tr.extract_corpus(ckpt, sentences)
+        assert len(tuples) == len(sentences)
 
 
 class TestOverfitWorkedExample:

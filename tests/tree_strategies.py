@@ -1,4 +1,5 @@
-"""Random bracketed constituency trees for property tests, and their parents.
+"""Random bracketed constituency trees for property tests, their parents, and
+one flat sentence of given words.
 
 A generated tree has up to 12 words, up to 4 children per phrase, and above
 any node a unary chain of up to 50 phrase tags.  Words are w0, w1, ... left
@@ -7,6 +8,8 @@ A drawn tree may be one bare preterminal (``root_is_preterminal``).
 """
 
 from hypothesis import strategies as st
+
+from synoie import corpus as c
 
 PHRASE_TAGS = ["S", "NP", "VP", "PP", "SBAR"]
 POS_TAGS = ["NN", "VBZ", "DT", "."]
@@ -46,3 +49,12 @@ def root_is_preterminal(text: str) -> bool:
 def parents(tree) -> dict[int, int]:
     """Child node id -> parent node id; the root has no entry."""
     return {ch: nid for nid, node in enumerate(tree.nodes) for ch in node.children}
+
+
+def flat_sentence(words: list[str]):
+    """A sentence of ``words`` under one S node, each word a verb candidate."""
+    return c._build_sentence(
+        {"tokens": words,
+         "const_ptb": "(S " + " ".join(f"(NN {w})" for w in words) + ")",
+         "dep_conllu": [[-1, "ROOT"]] + [[0, "dep"]] * (len(words) - 1),
+         "verbs": list(range(len(words)))}, 0, 5)
