@@ -202,7 +202,10 @@ def _cmd_build_graphs(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    sentences = corpus_mod.load_corpus(args.corpus, max_arg=cfg.max_arg)
+    if Path(args.out_ckpt).is_dir():
+        # fail now rather than after the whole training run
+        raise IsADirectoryError(f"--out-ckpt {args.out_ckpt} is a directory")
+    sentences = corpus_mod.load_corpus(args.corpus)
     log = print if args.verbose else None
     ckpt = training.train(sentences, cfg, log=log)
     ckpt.save(args.out_ckpt)
@@ -229,8 +232,10 @@ def _write_extractions(path, sentences, extractions):
 
 
 def _cmd_extract(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     ckpt = training.Checkpoint.load(args.ckpt)
-    sentences = corpus_mod.load_corpus(args.corpus, max_arg=ckpt.config.max_arg)
+    sentences = corpus_mod.load_corpus(args.corpus)
     extractions = training.extract_corpus(ckpt, sentences, workers=args.workers)
     _write_extractions(args.out, sentences, extractions)
     n = sum(len(ts) for ts in extractions)
@@ -330,7 +335,7 @@ def gradcheck_run(seed: int, size: int, n_instances: int,
     dep_labels, con_labels = _label_inventories(cache, range(len(sentences)))
     rng = np.random.default_rng(seed)
     model = Model(cfg, vocab, dep_labels, con_labels, rng)
-    params = model.param_tensors()
+    params = list(model.params.values())
 
     instances = []
     for i, s in enumerate(sentences):
@@ -385,11 +390,10 @@ def ablation_grid(kind: str) -> list[tuple[str, dict]]:
 
 def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
-    sentences = corpus_mod.load_corpus(args.corpus, max_arg=cfg.max_arg)
+    sentences = corpus_mod.load_corpus(args.corpus)
     eval_sentences = sentences
     if args.eval_corpus:
-        eval_sentences = corpus_mod.load_corpus(args.eval_corpus,
-                                                max_arg=cfg.max_arg)
+        eval_sentences = corpus_mod.load_corpus(args.eval_corpus)
     print(DESK_SCALE_NOTE)
     rows = []
     for name, overrides in ablation_grid(args.grid):
@@ -429,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (corpus_mod.CorpusError, ev.UnalignedIds, training.TrainingError,
-            FileNotFoundError, json.JSONDecodeError, KeyError,
+            OSError, json.JSONDecodeError, KeyError,
             MemoryError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,6 @@ class TrainConfig:
     lr: float = 1e-3
     epochs: int = 50
     batch_size: int = 8
-    max_arg: int = 5
     dev_fraction: float = 0.1
     weights: LossWeights = field(default_factory=LossWeights)
     flatten: FlattenConfig = field(default_factory=FlattenConfig)
@@ -65,8 +64,6 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and eval_every must be >= 1")
         if not 0.0 <= self.dev_fraction < 1.0:
             raise ValueError("dev_fraction must lie in [0, 1)")
-        if self.max_arg < 0:
-            raise ValueError("max_arg must be >= 0")
 
     def n_views(self) -> int:
         return 1 + int(self.use_const) + int(self.use_dep)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 ROOT_HEAD = -1  # head sentinel for the dependency root
 REL = "REL"
-DEFAULT_MAX_ARG = 5
+MAX_ARG = 5  # the highest argument role a corpus may use
 
 
 class CorpusError(Exception):
@@ -234,18 +234,10 @@ class TaggedInstance:
 # BIO tag inventory and label encoding
 # ---------------------------------------------------------------------------
 
-def tag_count(max_arg: int = DEFAULT_MAX_ARG) -> int:
-    """``len(tag_inventory(max_arg))``, without building the list."""
-    return 3 + 2 * (max_arg + 1)
-
-
-def tag_inventory(max_arg: int = DEFAULT_MAX_ARG) -> list[str]:
-    """Ordered tag set: O, B/I-REL, B/I-ARG0 .. B/I-ARG<max_arg>."""
-    tags = ["O", "B-REL", "I-REL"]
-    for k in range(max_arg + 1):
-        tags.append(f"B-ARG{k}")
-        tags.append(f"I-ARG{k}")
-    return tags
+# the BIO tag set: O, B/I-REL, B/I-ARG0 .. B/I-ARG<MAX_ARG>
+TAGS = ("O", "B-REL", "I-REL",
+        *(f"{p}-ARG{k}" for k in range(MAX_ARG + 1) for p in "BI"))
+TAG_IDS = {t: i for i, t in enumerate(TAGS)}
 
 
 def check_spans_disjoint(spans: dict[str, tuple[int, int]]):
@@ -428,7 +420,7 @@ def iter_conllu_sentences(text: str) -> Iterable[list[str]]:
 # JSONL corpus
 # ---------------------------------------------------------------------------
 
-def _build_sentence(rec: dict, line: int, max_arg: int) -> ParsedSentence:
+def _build_sentence(rec: dict, line: int) -> ParsedSentence:
     if not isinstance(rec, dict):
         raise SchemaViolation(line, "a sentence record must be a JSON object")
     for key in ("tokens", "const_ptb", "dep_conllu", "verbs"):
@@ -495,8 +487,8 @@ def _build_sentence(rec: dict, line: int, max_arg: int) -> ParsedSentence:
         for role, span in trec["spans"].items():
             if not is_role(role):
                 raise SchemaViolation(line, f"unknown role {role!r}")
-            if role != REL and int(role[3:]) > max_arg:
-                raise SchemaViolation(line, f"role {role!r} beyond ARG{max_arg}")
+            if role != REL and int(role[3:]) > MAX_ARG:
+                raise SchemaViolation(line, f"role {role!r} beyond ARG{MAX_ARG}")
             if not (isinstance(span, list) and len(span) == 2
                     and all(map(is_json_int, span))):
                 raise SchemaViolation(line, f"{role} span {span!r} is not two indices")
@@ -516,7 +508,7 @@ def _build_sentence(rec: dict, line: int, max_arg: int) -> ParsedSentence:
                           verbs=list(verbs), gold_tuples=tuples)
 
 
-def load_corpus(path: str | Path, max_arg: int = DEFAULT_MAX_ARG) -> list[ParsedSentence]:
+def load_corpus(path: str | Path) -> list[ParsedSentence]:
     """Load a JSONL corpus; every error carries the offending line number,
     counted from 1."""
     sentences = []
@@ -529,7 +521,7 @@ def load_corpus(path: str | Path, max_arg: int = DEFAULT_MAX_ARG) -> list[Parsed
             except json.JSONDecodeError as exc:
                 raise SchemaViolation(lineno, f"bad JSON: {exc}") from exc
             try:
-                sentences.append(_build_sentence(rec, lineno, max_arg))
+                sentences.append(_build_sentence(rec, lineno))
             except CorpusError as exc:
                 raise exc.at_line(lineno)
     return sentences
@@ -600,7 +592,7 @@ def load_split_files(ptb_path: str | Path, conllu_path: str | Path,
                 "dep_conllu": [[h, d] for h, d in zip(dep.heads, dep.deprels)],
                 "verbs": [int(v) for v in verbs],
             }
-            sentences.append(_build_sentence(rec, line, DEFAULT_MAX_ARG))
+            sentences.append(_build_sentence(rec, line))
         except CorpusError as exc:
             raise exc.at_line(line)
     return sentences

@@ -55,20 +55,6 @@ class EncoderParams:
     w_mix: Tensor    # (d_h, 3*d_h)
     b_mix: Tensor    # (d_h,)
 
-    @classmethod
-    def init(cls, vocab_size: int, d_h: int, rng: np.random.Generator) -> "EncoderParams":
-        u = lambda *shape: rng.uniform(-0.1, 0.1, size=shape)
-        return cls(
-            w_word=ad.parameter(u(vocab_size, d_h)),
-            w_verb=ad.parameter(u(2, d_h)),
-            w_mix=ad.parameter(u(d_h, 3 * d_h)),
-            b_mix=ad.parameter(np.zeros(d_h)),
-        )
-
-    def named(self) -> list[tuple[str, Tensor]]:
-        return [("enc.w_word", self.w_word), ("enc.w_verb", self.w_verb),
-                ("enc.w_mix", self.w_mix), ("enc.b_mix", self.b_mix)]
-
 
 def word_rows(params: EncoderParams, vocab: Vocabulary, surfaces: list[str]) -> Tensor:
     """(n, d_h): each token's word-table row, the same for every verb."""

@@ -30,6 +30,8 @@ class LabelVocab:
             labels = [UNK_LABEL] + list(labels)
         self.labels = list(labels)
         self.ids = {l: i for i, l in enumerate(self.labels)}
+        if len(self.ids) != len(self.labels):
+            raise ValueError("duplicate label entries")
         self.unk_id = self.ids[UNK_LABEL]
 
     def __len__(self):
@@ -50,18 +52,6 @@ class GcnParams:
     w1: Tensor  # (N_labels, d_l)
     w2: Tensor  # (d_h, d_l)
     b: Tensor   # (d_h,)
-
-    @classmethod
-    def init(cls, n_labels: int, d_h: int, d_l: int,
-             rng: np.random.Generator) -> "GcnParams":
-        u = lambda *shape: rng.uniform(-0.1, 0.1, size=shape)
-        return cls(w1=ad.parameter(u(n_labels, d_l)),
-                   w2=ad.parameter(u(d_h, d_l)),
-                   b=ad.parameter(np.zeros(d_h)))
-
-    def named(self, view: str) -> list[tuple[str, Tensor]]:
-        return [(f"gcn.{view}.w1", self.w1), (f"gcn.{view}.w2", self.w2),
-                (f"gcn.{view}.b", self.b)]
 
 
 def node_label_embed_dep(g: SyntacticGraph, params: GcnParams,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import losses as losses_mod
 from . import tagger
 from .autodiff import Tensor
 from .config import TrainConfig
-from .corpus import ParsedSentence, TaggedInstance, tag_count, tag_inventory
+from .corpus import TAG_IDS, TAGS, ParsedSentence, TaggedInstance
 from .encoder import EncoderParams, PrecomputedEncoder, ToyEncoder, Vocabulary
 from .gcn import GcnParams, LabelVocab
 from .graphs import build_const_graph, build_dep_graph, SyntacticGraph
@@ -42,8 +42,9 @@ def physical_memory() -> int | None:
 
 def param_shapes(cfg: TrainConfig, n_words: int, n_dep_labels: int,
                  n_con_labels: int) -> dict[str, tuple[int, ...]]:
-    """Every tensor's shape, keyed by the names ``Model.named_params`` gives."""
-    d_h, d_l, n_tags = cfg.d_h, cfg.d_l, tag_count(cfg.max_arg)
+    """Every tensor's name and shape, in the order ``Model`` draws them: each
+    2-D weight from U(-0.1, 0.1), each 1-D bias zero."""
+    d_h, d_l, n_tags = cfg.d_h, cfg.d_l, len(TAGS)
     return {
         "enc.w_word": (n_words, d_h), "enc.w_verb": (2, d_h),
         "enc.w_mix": (d_h, 3 * d_h), "enc.b_mix": (d_h,),
@@ -107,80 +108,61 @@ class Model:
         limit = physical_memory()
         if limit is not None and need > limit:
             raise ValueError(
-                f"d_h={cfg.d_h}, d_l={cfg.d_l} and max_arg={cfg.max_arg} ask for "
+                f"d_h={cfg.d_h} and d_l={cfg.d_l} ask for "
                 f"{need / 2**20:,.0f} MiB of parameters, gradients and Adam "
                 f"moments; this machine has {limit / 2**20:,.0f} MiB")
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-        n_tags = shapes["head.b"][0]
-        self._assemble(
-            cfg, vocab, dep_labels, con_labels,
-            EncoderParams.init(len(vocab), cfg.d_h, rng),
-            GcnParams.init(len(dep_labels), cfg.d_h, cfg.d_l, rng),
-            GcnParams.init(len(con_labels), cfg.d_h, cfg.d_l, rng),
-            ad.parameter(rng.uniform(-0.1, 0.1, (n_tags, cfg.d_h * cfg.n_views()))),
-            ad.parameter(np.zeros(n_tags)))
+        self._assemble(cfg, vocab, dep_labels, con_labels, {
+            name: rng.uniform(-0.1, 0.1, shape) if len(shape) == 2
+            else np.zeros(shape) for name, shape in shapes.items()})
 
     @classmethod
     def from_arrays(cls, cfg: TrainConfig, vocab: Vocabulary,
                     dep_labels: LabelVocab, con_labels: LabelVocab,
                     arrays: dict[str, np.ndarray]) -> "Model":
         """A model holding copies of ``arrays``, keyed by the names
-        ``named_params`` gives, with nothing drawn at random.
+        ``param_shapes`` gives, with nothing drawn at random.
 
         Raises KeyError for a missing tensor and ValueError for a tensor whose
         shape does not follow from the config and the vocabularies.
         """
         shapes = param_shapes(cfg, len(vocab), len(dep_labels), len(con_labels))
-        p = {}
         for name, shape in shapes.items():
             if name not in arrays:
                 raise KeyError(f"checkpoint is missing tensor {name!r}")
             if arrays[name].shape != shape:
                 raise ValueError(f"tensor {name!r}: checkpoint shape "
                                  f"{arrays[name].shape} vs model {shape}")
-            p[name] = ad.parameter(np.array(arrays[name], dtype=np.float64))
         model = cls.__new__(cls)
-        model._assemble(
-            cfg, vocab, dep_labels, con_labels,
-            EncoderParams(p["enc.w_word"], p["enc.w_verb"], p["enc.w_mix"],
-                          p["enc.b_mix"]),
-            GcnParams(p["gcn.dep.w1"], p["gcn.dep.w2"], p["gcn.dep.b"]),
-            GcnParams(p["gcn.con.w1"], p["gcn.con.w2"], p["gcn.con.b"]),
-            p["head.w"], p["head.b"])
+        model._assemble(cfg, vocab, dep_labels, con_labels, {
+            name: np.array(arrays[name], dtype=np.float64) for name in shapes})
         return model
 
-    def _assemble(self, cfg, vocab, dep_labels, con_labels, enc_params,
-                  dep_params, con_params, w_tag, b_tag):
+    def _assemble(self, cfg, vocab, dep_labels, con_labels, arrays):
+        """Wrap ``arrays``, in ``param_shapes`` order, as the parameters."""
         self.cfg = cfg
         self.vocab = vocab
         self.dep_labels = dep_labels
         self.con_labels = con_labels
-        self.tags = tag_inventory(cfg.max_arg)
-        self.tag_ids = {t: i for i, t in enumerate(self.tags)}
-        self.enc_params = enc_params
-        self.dep_params = dep_params
-        self.con_params = con_params
-        self.w_tag = w_tag
-        self.b_tag = b_tag
+        self.params = {name: ad.parameter(a) for name, a in arrays.items()}
+        self.enc_params = self._group(EncoderParams, "enc")
+        self.dep_params = self._group(GcnParams, "gcn.dep")
+        self.con_params = self._group(GcnParams, "gcn.con")
+        self.w_tag = self.params["head.w"]
+        self.b_tag = self.params["head.b"]
         if cfg.encoder_vectors is not None:
             self.encoder = PrecomputedEncoder.load(cfg.encoder_vectors, cfg.d_h)
         else:
-            self.encoder = ToyEncoder(enc_params, vocab)
+            self.encoder = ToyEncoder(self.enc_params, vocab)
+
+    def _group(self, cls, prefix: str):
+        """The typed view ``cls`` over the parameters named ``prefix.<field>``."""
+        return cls(**{f.name: self.params[f"{prefix}.{f.name}"] for f in fields(cls)})
 
     # -- parameters ---------------------------------------------------------
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        named = list(self.enc_params.named())
-        named += self.dep_params.named("dep")
-        named += self.con_params.named("con")
-        named += [("head.w", self.w_tag), ("head.b", self.b_tag)]
-        return named
-
-    def param_tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
-
     def export_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_params()}
+        return {name: t.data.copy() for name, t in self.params.items()}
 
     # -- forward ------------------------------------------------------------
 
@@ -238,7 +220,7 @@ class Model:
         """
         cfg = self.cfg
         fwd = self.forward(inst.sentence, inst.indicator_verb, graphs, sentence_id)
-        gold_ids = [self.tag_ids[l] for l in inst.labels]
+        gold_ids = [TAG_IDS[l] for l in inst.labels]
         l_ce = losses_mod.tagging_loss(fwd.logits, gold_ids)
 
         h_by_view = {view: h for view, h in (("con", fwd.h_con), ("dep", fwd.h_dep))
@@ -275,4 +257,4 @@ class Model:
         ex = np.exp(x - x.max(axis=1, keepdims=True))
         # the best tag's exp is exp(0) = 1, so its probability is 1 / row sum
         best = ex.argmax(axis=1).tolist()
-        return [self.tags[k] for k in best], (1.0 / ex.sum(axis=1)).tolist()
+        return [TAGS[k] for k in best], (1.0 / ex.sum(axis=1)).tolist()

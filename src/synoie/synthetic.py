@@ -86,11 +86,10 @@ def _modal(rng) -> dict:
 TEMPLATES = [_sv, _svo, _svo_pp, _modal]
 
 
-def generate_corpus(n_sentences: int, seed: int = 0,
-                    max_arg: int = 5) -> list[ParsedSentence]:
+def generate_corpus(n_sentences: int, seed: int = 0) -> list[ParsedSentence]:
     rng = np.random.default_rng(seed)
     sentences = []
     for i in range(n_sentences):
         rec = TEMPLATES[i % len(TEMPLATES)](rng)
-        sentences.append(_build_sentence(rec, i, max_arg))
+        sentences.append(_build_sentence(rec, i))
     return sentences

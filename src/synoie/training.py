@@ -9,6 +9,8 @@ sentences themselves, which is the intended setup for overfit experiments.
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,12 +21,27 @@ from . import evaluation as ev
 from . import tagger
 from .autodiff import AdamState
 from .config import TrainConfig
-from .corpus import ParsedSentence, expand_instances
+from .corpus import ParsedSentence, expand_instances, is_json_int
 from .encoder import Vocabulary
 from .gcn import LabelVocab
 from .model import Model, SentenceGraphs
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
+
+
+def _is_str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+# the JSON type of each checkpoint meta field past the format and the config
+_META_FIELDS = {
+    "vocab_tokens": (_is_str_list, "a list of strings"),
+    "dep_labels": (_is_str_list, "a list of strings"),
+    "con_labels": (_is_str_list, "a list of strings"),
+    "epoch": (is_json_int, "an integer"),
+    "history": (lambda v: isinstance(v, list) and all(isinstance(r, dict) for r in v),
+                "a list of objects"),
+}
 
 
 class TrainingError(Exception):
@@ -71,13 +88,35 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        with np.load(path) as z:
-            meta = json.loads(bytes(z["__meta__"]).decode("utf-8"))
-            if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-                raise TrainingError(
-                    f"unsupported checkpoint version {meta.get('format_version')}")
-            arrays = {k: z[k] for k in z.files if k != "__meta__"}
-        return cls(config=TrainConfig.from_dict(meta["config"]),
+        """Read a checkpoint written by ``save``.
+
+        Raises TrainingError, naming the field or tensor, for a file that is
+        not an ``.npz`` archive, another format version, a meta field of the
+        wrong JSON type, or a tensor that is not a finite real array.
+        """
+        try:
+            z = np.load(path)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("an .npy array, not an .npz archive")
+            with z:
+                meta = json.loads(bytes(z["__meta__"]).decode("utf-8"))
+                arrays = {k: z[k] for k in z.files if k != "__meta__"}
+        except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise TrainingError(f"{path} is not a checkpoint: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise TrainingError("checkpoint meta is not a JSON object")
+        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise TrainingError(
+                f"unsupported checkpoint version {meta.get('format_version')}")
+        for key, (ok, what) in _META_FIELDS.items():
+            if not ok(meta.get(key)):
+                raise TrainingError(f"checkpoint field {key!r} is missing or "
+                                    f"not {what}")
+        for name, a in arrays.items():
+            if a.dtype.kind not in "fiu" or not np.isfinite(a).all():
+                raise TrainingError(f"checkpoint tensor {name!r} is not a "
+                                    f"finite real array")
+        return cls(config=TrainConfig.from_dict(meta.get("config")),
                    vocab_tokens=meta["vocab_tokens"],
                    dep_labels=meta["dep_labels"],
                    con_labels=meta["con_labels"],
@@ -105,7 +144,7 @@ def _diverged_group(model: Model) -> str | None:
     forward squares it in the message grams, so it cannot give a finite loss.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, t in model.named_params():
+        for name, t in model.params.items():
             flat = t.data.ravel()
             if not np.isfinite(flat @ flat):
                 return name.rsplit(".", 1)[0]
@@ -150,7 +189,7 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
     if not instances:
         raise EmptyCorpus("no verbs anywhere in the training split")
 
-    params = model.param_tensors()
+    params = list(model.params.values())
     adam = AdamState.for_params(params)
     best_f1, best_arrays, best_epoch = -1.0, model.export_arrays(), 0
     history = []
@@ -238,8 +277,11 @@ def _pool_extract(args):
 
 def extract_corpus(ckpt: Checkpoint, sentences: list[ParsedSentence],
                    workers: int = 1) -> list[list]:
-    """Per-sentence tuple lists, in corpus order."""
-    if workers <= 1:
+    """Per-sentence tuple lists, in corpus order, from a pool of ``workers``
+    processes at most: no more than the sentences or the CPUs, and serial
+    for one."""
+    if workers <= 1 or (size := min(workers, len(sentences),
+                                     os.cpu_count() or 1)) <= 1:
         model = ckpt.to_model()
         out = []
         for i, s in enumerate(sentences):
@@ -248,7 +290,7 @@ def extract_corpus(ckpt: Checkpoint, sentences: list[ParsedSentence],
         return out
     import multiprocessing as mp
 
-    with mp.Pool(workers, initializer=_pool_init, initargs=(ckpt,)) as pool:
+    with mp.Pool(size, initializer=_pool_init, initargs=(ckpt,)) as pool:
         results = pool.map(_pool_extract, list(enumerate(sentences)))
     results.sort(key=lambda r: r[0])
     return [tuples for _, tuples in results]

@@ -125,8 +125,9 @@ def test_criterion_4_loss_oracles():
 def test_criterion_5_normalization_invariants():
     with criterion(5, "softmax normalization on 1,000 random graphs"):
         rng = np.random.default_rng(17)
-        params = gcn_mod.GcnParams.init(n_labels=4, d_h=5, d_l=3, rng=rng)
-        from test_gcn import make_graph
+        from test_gcn import draw_params, make_graph
+
+        params = draw_params(n_labels=4, d_h=5, d_l=3, rng=rng)
 
         for _ in range(1000):
             n = int(rng.integers(1, 9))

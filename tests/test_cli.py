@@ -3,12 +3,15 @@ import importlib
 import inspect
 import json
 import math
+import multiprocessing
+import os
 import pkgutil
 import signal
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,11 +39,17 @@ FAST_FLAGS = ["--d-h", "8", "--d-l", "4", "--epochs", "3", "--seed", "0",
               "--dev-fraction", "0.0"]
 
 
+class Overrun(BaseException):
+    """Raised by ``time_limit``.  Not an ``Exception``, so no handler in the
+    CLI can turn a hang into an exit code (``TimeoutError`` is an ``OSError``,
+    which ``cli.main`` maps to exit 2)."""
+
+
 @contextmanager
 def time_limit(seconds: int):
-    """Fail the block with TimeoutError once it has run ``seconds`` seconds."""
+    """Fail the block with ``Overrun`` once it has run ``seconds`` seconds."""
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise Overrun(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
@@ -292,9 +301,10 @@ class TestScoreErrors:
 
     def test_unknown_config_key_is_data_error(self, small_corpus, tmp_path):
         cfg = tmp_path / "cfg.json"
-        # the last two were config keys before checkpoint format 2
+        # the last three were config keys before checkpoint formats 2 and 3
         for raw in ({"d_h": 8, "mystery_knob": 3}, {"weights": {"delta": 1.0}},
-                    {"flatten": {"punct_tags": ["."]}}, {"encoder_kind": "toy"}):
+                    {"flatten": {"punct_tags": ["."]}}, {"encoder_kind": "toy"},
+                    {"max_arg": 5}):
             cfg.write_text(json.dumps(raw))
             rc = cli.main(["train", "--corpus", str(small_corpus),
                            "--config", str(cfg), "--out-ckpt", str(tmp_path / "m")])
@@ -364,7 +374,7 @@ def replaced(record, path, value):
 # so a replaced ``epochs`` asks for no long run
 CONFIG_RECORD = {
     "seed": 0, "d_h": 4, "d_l": 3, "lr": 0.01, "epochs": 2, "batch_size": 8,
-    "max_arg": 5, "dev_fraction": 0.0,
+    "dev_fraction": 0.0,
     "weights": {"alpha": 0.024, "beta": 0.012, "gamma": 0.012},
     "flatten": {"max_distance": 8, "variant": "paper", "clause_tags": ["S", "SBAR"]},
     "use_dep": True, "use_const": True, "use_gcn": True, "use_r1": True,
@@ -394,6 +404,26 @@ def overflows_training(path, value):
             and 1e50 <= abs(value) < math.inf)
 
 
+CKPT_META_FIELDS = [(), ("format_version",), ("config",), ("config", "d_h"),
+                    ("config", "encoder_vectors"), ("vocab_tokens",),
+                    ("vocab_tokens", 0), ("dep_labels",), ("dep_labels", 0),
+                    ("con_labels",), ("epoch",), ("history",), ("history", 0)]
+
+
+def read_checkpoint(path):
+    """A checkpoint's meta object and its tensors."""
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    return json.loads(bytes(arrays.pop("__meta__")).decode()), arrays
+
+
+def write_checkpoint(path, meta, arrays):
+    """A checkpoint file holding ``meta``, which may be any JSON value."""
+    with open(path, "wb") as f:
+        np.savez(f, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **arrays)
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -401,8 +431,8 @@ def fuzz_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def small_memory():
-    """Lets a fresh model ask for 64 MiB at most, so that a drawn width or
-    max_arg is rejected before anything large is allocated."""
+    """Lets a fresh model ask for 64 MiB at most, so that a drawn width is
+    rejected before anything large is allocated."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model_mod, "physical_memory", lambda: 64 << 20)
         yield
@@ -464,6 +494,24 @@ class TestMalformedInputFuzz:
                         dict(CONFIG_RECORD, encoder_vectors=str(vectors)))
         assert rc in ((0, 2, 3) if overflows_training(path, value) else (0, 2))
 
+    @settings(max_examples=60, deadline=None)
+    @given(change=st.one_of(st.tuples(st.sampled_from(CKPT_META_FIELDS), json_values),
+                            st.integers(min_value=0)))
+    @example(change=((), [1]))
+    @example(change=(("vocab_tokens",), None))
+    def test_checkpoint(self, fuzz_dir, ckpt_path, small_corpus, change):
+        ckpt = fuzz_dir / "model.npz"
+        if isinstance(change, int):
+            data = ckpt_path.read_bytes()
+            ckpt.write_bytes(data[:change % len(data)])
+        else:
+            meta, arrays = read_checkpoint(ckpt_path)
+            write_checkpoint(ckpt, replaced(meta, *change), arrays)
+        with time_limit(10):
+            rc = cli.main(["extract", "--ckpt", str(ckpt), "--corpus", str(small_corpus),
+                           "--out", str(fuzz_dir / "pred.jsonl")])
+        assert rc in (0, 2)
+
     def test_valid_records_train(self, fuzz_dir, example_corpus_path):
         n = len(load_corpus(example_corpus_path)[0].tokens)
         vectors = fuzz_dir / "vectors.jsonl"
@@ -476,13 +524,12 @@ class TestMalformedInputFuzz:
     @pytest.mark.parametrize("path, value", [
         (("lr",), float("nan")), (("lr",), float("inf")), (("lr",), 0),
         (("lr",), -0.01), (("eval_every",), 0), (("d_h",), 10 ** 5),
-        (("d_l",), 10 ** 9), (("max_arg",), 10 ** 9), (("lr",), 2 ** 1100),
+        (("d_l",), 10 ** 9), (("lr",), 2 ** 1100),
     ], ids=["lr-nan", "lr-inf", "lr-zero", "lr-negative", "eval-every-zero",
-            "d-h-huge", "d-l-huge", "max-arg-huge", "lr-beyond-float"])
+            "d-h-huge", "d-l-huge", "lr-beyond-float"])
     def test_out_of_range_config_is_data_error(self, fuzz_dir, example_corpus_path,
                                                capsys, path, value):
-        # before: exit 3, a ZeroDivisionError or MemoryError traceback, or a
-        # run building 2e9 tags
+        # before: exit 3, or a ZeroDivisionError or MemoryError traceback
         rc = self.train(fuzz_dir, example_corpus_path,
                         replaced(CONFIG_RECORD, path, value))
         assert rc == 2
@@ -490,10 +537,20 @@ class TestMalformedInputFuzz:
 
     def test_memory_error_is_data_error(self, fuzz_dir, example_corpus_path, capsys,
                                         monkeypatch):
-        def no_memory(*args):
-            raise MemoryError("Unable to allocate 9.0 GiB")
+        class NoMemory:
+            """A generator whose draws of the model's weights fail."""
 
-        monkeypatch.setattr(model_mod.EncoderParams, "init", no_memory)
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def uniform(self, *args):
+                raise MemoryError("Unable to allocate 9.0 GiB")
+
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: NoMemory(real(*a)))
         assert self.train(fuzz_dir, example_corpus_path, CONFIG_RECORD) == 2
         assert capsys.readouterr().err.startswith("data error: Unable to allocate")
 
@@ -558,7 +615,187 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().err
 
 
+class TestCheckpointErrors:
+    """A malformed checkpoint: exit 2 naming the field or tensor."""
+
+    @pytest.mark.parametrize("field", ["vocab_tokens", "dep_labels", "con_labels"])
+    @pytest.mark.parametrize("value", [5, None, [["a"]]], ids=["int", "null", "nested"])
+    def test_label_list_of_wrong_type(self, ckpt_path, small_corpus, tmp_path,
+                                      capsys, field, value):
+        meta, arrays = read_checkpoint(ckpt_path)
+        meta[field] = value
+        assert self.extract(small_corpus, tmp_path, meta, arrays) == 2
+        assert f"checkpoint field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("epoch", "3"), ("epoch", 1.5),
+                                              ("history", [1]), ("history", {})])
+    def test_epoch_and_history_of_wrong_type(self, ckpt_path, small_corpus, tmp_path,
+                                             capsys, field, value):
+        meta, arrays = read_checkpoint(ckpt_path)
+        meta[field] = value
+        assert self.extract(small_corpus, tmp_path, meta, arrays) == 2
+        assert f"checkpoint field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["vocab_tokens", "dep_labels", "con_labels"])
+    def test_duplicate_labels(self, ckpt_path, small_corpus, tmp_path, capsys, field):
+        # before: a dep_labels or con_labels list with a repeat, of the
+        # trained length, loaded and left a W1 row unused
+        meta, arrays = read_checkpoint(ckpt_path)
+        meta[field][-1] = meta[field][-2]
+        assert self.extract(small_corpus, tmp_path, meta, arrays) == 2
+        assert "duplicate" in capsys.readouterr().err
+
+    def test_meta_list(self, ckpt_path, small_corpus, tmp_path, capsys):
+        _, arrays = read_checkpoint(ckpt_path)
+        assert self.extract(small_corpus, tmp_path, [1], arrays) == 2
+        assert "meta is not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor(self, ckpt_path, small_corpus, tmp_path, capsys,
+                               value):
+        # before: a NaN head.w loaded, and extract exited 0 with no tuples
+        meta, arrays = read_checkpoint(ckpt_path)
+        arrays["head.w"][0, 0] = value
+        assert self.extract(small_corpus, tmp_path, meta, arrays) == 2
+        assert "tensor 'head.w' is not a finite real array" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["truncated", "npy", "empty", "text"])
+    def test_not_an_npz_archive(self, ckpt_path, small_corpus, tmp_path, capsys,
+                                kind):
+        bad = tmp_path / "bad.npz"
+        if kind == "truncated":
+            bad.write_bytes(ckpt_path.read_bytes()[:-100])
+        elif kind == "npy":
+            with open(bad, "wb") as f:
+                np.save(f, np.zeros(3))
+        else:
+            bad.write_text("" if kind == "empty" else "not a checkpoint\n")
+        rc = cli.main(["extract", "--ckpt", str(bad), "--corpus", str(small_corpus),
+                       "--out", str(tmp_path / "pred.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"data error: {bad} is not a checkpoint")
+
+    @staticmethod
+    def extract(corpus, tmp_path, meta, arrays):
+        bad = tmp_path / "bad.npz"
+        write_checkpoint(bad, meta, arrays)
+        return cli.main(["extract", "--ckpt", str(bad), "--corpus", str(corpus),
+                         "--out", str(tmp_path / "pred.jsonl")])
+
+
+class TestFileSystemErrors:
+    @pytest.mark.parametrize("case", ["build-graphs-out-is-a-file",
+                                      "train-corpus-is-a-directory",
+                                      "train-out-ckpt-is-a-directory",
+                                      "extract-out-is-a-directory"])
+    def test_os_error_is_data_error(self, ckpt_path, small_corpus, tmp_path,
+                                    capsys, case):
+        # before: FileExistsError and IsADirectoryError tracebacks
+        a_file = tmp_path / "file"
+        a_file.write_text("x")
+        argv = {
+            "build-graphs-out-is-a-file": ["build-graphs", "--corpus", str(small_corpus),
+                                           "--out", str(a_file)],
+            "train-corpus-is-a-directory": ["train", "--corpus", str(tmp_path),
+                                            "--out-ckpt", str(tmp_path / "m.npz")],
+            "train-out-ckpt-is-a-directory": ["train", "--corpus", str(small_corpus),
+                                              "--out-ckpt", str(tmp_path)],
+            "extract-out-is-a-directory": ["extract", "--ckpt", str(ckpt_path),
+                                           "--corpus", str(small_corpus),
+                                           "--out", str(tmp_path)],
+        }[case]
+        assert cli.main(argv + FAST_FLAGS * argv[0].startswith("train")) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_time_limit_still_fails_a_hang_inside_main(self, monkeypatch):
+        # mapping OSError to exit 2 must not swallow the fuzz tests' hang guard
+        def hang(args):
+            signal.pause()
+
+        monkeypatch.setattr(cli, "_cmd_score", hang)
+        with pytest.raises(Overrun):
+            with time_limit(1):
+                cli.main(["score", "--pred", "p", "--gold", "g"])
+
+
+class TestFixedTagSet:
+    @pytest.mark.parametrize("command", ["train", "extract", "score", "build-graphs"])
+    def test_role_beyond_arg5_is_data_error(self, ckpt_path, small_corpus,
+                                            example_corpus_path, tmp_path, capsys,
+                                            command):
+        # before: train and extract took ARG6 under {"max_arg": 7}
+        rec = json.loads(example_corpus_path.read_text())
+        spans = rec["tuples"][0]["spans"]
+        spans["ARG6"] = spans.pop("ARG2")
+        corpus = tmp_path / "arg6.jsonl"
+        corpus.write_text(small_corpus.read_text().splitlines()[0] + "\n"
+                          + json.dumps(rec) + "\n")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text("")
+        argv = {
+            "train": ["train", "--corpus", str(corpus),
+                      "--out-ckpt", str(tmp_path / "m.npz")] + FAST_FLAGS,
+            "extract": ["extract", "--ckpt", str(ckpt_path), "--corpus", str(corpus),
+                        "--out", str(pred)],
+            "score": ["score", "--pred", str(pred), "--gold", str(corpus)],
+            "build-graphs": ["build-graphs", "--corpus", str(corpus),
+                             "--out", str(tmp_path / "graphs")],
+        }[command]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: line 2: role 'ARG6' beyond ARG5\n")
+
+
+class FakePool:
+    """Stands in for ``multiprocessing.Pool``: records its size and maps in
+    this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, size, initializer, initargs):
+        FakePool.sizes.append(size)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
+
+
 class TestExtractWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, ckpt_path, small_corpus,
+                                              tmp_path, capsys, workers):
+        # before: silently serial
+        rc = cli.main(["extract", "--ckpt", str(ckpt_path), "--corpus",
+                       str(small_corpus), "--out", str(tmp_path / "p.jsonl"),
+                       "--workers", workers])
+        assert rc == 1
+        assert "--workers must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers, cpus, size", [
+        (100_000, 4, 4), (100_000, 64, 8), (3, 64, 3), (100_000, 1, None),
+        (100_000, None, None), (1, 64, None)])
+    def test_pool_size_is_bounded(self, ckpt_path, small_corpus, tmp_path,
+                                  monkeypatch, workers, cpus, size):
+        # before: --workers 100000 asked the OS for 100,000 processes
+        serial = tmp_path / "serial.jsonl"
+        assert cli.main(["extract", "--ckpt", str(ckpt_path), "--corpus",
+                         str(small_corpus), "--out", str(serial)]) == 0
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        out = tmp_path / "pooled.jsonl"
+        assert cli.main(["extract", "--ckpt", str(ckpt_path), "--corpus",
+                         str(small_corpus), "--out", str(out),
+                         "--workers", str(workers)]) == 0
+        assert FakePool.sizes == ([] if size is None else [size])
+        assert out.read_text() == serial.read_text()
+
     def test_parallel_matches_serial(self, ckpt_path, small_corpus, tmp_path):
         serial = tmp_path / "p1.jsonl"
         parallel = tmp_path / "p2.jsonl"

@@ -64,9 +64,9 @@ class TestBracketedTree:
                   "verbs": []}
         if root_is_preterminal(text):
             with pytest.raises(c.MalformedTree):
-                c._build_sentence(record, 0, c.DEFAULT_MAX_ARG)
+                c._build_sentence(record, 0)
             return
-        s = c._build_sentence(record, 0, c.DEFAULT_MAX_ARG)
+        s = c._build_sentence(record, 0)
         written = c.write_bracketed_tree(s)
         assert written == text
         assert c.read_bracketed_tree(written) == tree
@@ -207,7 +207,6 @@ class TestLoadCorpus:
         p.write_text(json.dumps(rec) + "\n")
         with pytest.raises(c.SchemaViolation):
             c.load_corpus(p)
-        assert len(c.load_corpus(p, max_arg=9)) == 1
 
     @pytest.mark.parametrize("record", [
         5,
@@ -398,10 +397,5 @@ class TestExpandInstances:
 
 def test_tag_inventory_size():
     # O + B/I-REL + B/I-ARG0..5
-    assert len(c.tag_inventory(5)) == 2 + 2 * (5 + 1) + 1
-    assert c.tag_inventory(0) == ["O", "B-REL", "I-REL", "B-ARG0", "I-ARG0"]
-
-
-@pytest.mark.parametrize("max_arg", [0, 1, 5, 40])
-def test_tag_count_is_the_inventory_size(max_arg):
-    assert c.tag_count(max_arg) == len(c.tag_inventory(max_arg))
+    assert len(c.TAGS) == 2 + 2 * (5 + 1) + 1
+    assert c.TAGS[:5] == ("O", "B-REL", "I-REL", "B-ARG0", "I-ARG0")

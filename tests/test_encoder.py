@@ -10,10 +10,16 @@ from tree_strategies import flat_sentence
 
 
 
+def draw_params(vocab_size, d_h, rng):
+    """Encoder tensors drawn as ``Model`` draws them: U(-0.1, 0.1), zero bias."""
+    u = lambda *shape: ad.parameter(rng.uniform(-0.1, 0.1, shape))
+    return enc.EncoderParams(w_word=u(vocab_size, d_h), w_verb=u(2, d_h),
+                             w_mix=u(d_h, 3 * d_h), b_mix=ad.parameter(np.zeros(d_h)))
+
+
 @pytest.fixture
 def params():
-    return enc.EncoderParams.init(vocab_size=6, d_h=4,
-                                  rng=np.random.default_rng(0))
+    return draw_params(vocab_size=6, d_h=4, rng=np.random.default_rng(0))
 
 
 @pytest.fixture
@@ -43,7 +49,7 @@ class TestEmbed:
         np.testing.assert_allclose(diff, expected)
 
     def test_tied_verb_rows_remove_indicator_effect(self, vocab):
-        params = enc.EncoderParams.init(6, 4, np.random.default_rng(1))
+        params = draw_params(6, 4, np.random.default_rng(1))
         params.w_verb.data[1] = params.w_verb.data[0]
         a = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes", "toys"]), 1)
         b = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes", "toys"]), 2)
@@ -62,7 +68,7 @@ class TestEmbed:
 class TestToyEncoder:
     def test_identity_configuration(self, vocab):
         d = 4
-        params = enc.EncoderParams.init(6, d, np.random.default_rng(2))
+        params = draw_params(6, d, np.random.default_rng(2))
         w_mix = np.zeros((d, 3 * d))
         w_mix[:, d:2 * d] = np.eye(d)
         params.w_mix.data = w_mix
@@ -91,7 +97,7 @@ class TestToyEncoder:
 
     def test_bitwise_reproducible(self, vocab, example_sentence):
         def run():
-            params = enc.EncoderParams.init(6, 4, np.random.default_rng(5))
+            params = draw_params(6, 4, np.random.default_rng(5))
             te = enc.ToyEncoder(params, vocab)
             return te.encode(te.base(example_sentence), 3).data
 

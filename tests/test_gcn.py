@@ -26,6 +26,13 @@ def make_graph(view, n, edges, labels=None):
                           adjacency=adj)
 
 
+def draw_params(n_labels, d_h, d_l, rng):
+    """View tensors drawn as ``Model`` draws them: U(-0.1, 0.1), zero bias."""
+    return gcn.GcnParams(w1=ad.parameter(rng.uniform(-0.1, 0.1, (n_labels, d_l))),
+                         w2=ad.parameter(rng.uniform(-0.1, 0.1, (d_h, d_l))),
+                         b=ad.parameter(np.zeros(d_h)))
+
+
 def naive_gcn(adj, h_ctx, l, w2, b):
     """Straight-line reimplementation of the layer equations (oracle)."""
     n, d_h = h_ctx.shape
@@ -48,8 +55,7 @@ def naive_gcn(adj, h_ctx, l, w2, b):
 
 @pytest.fixture
 def small_params():
-    return gcn.GcnParams.init(n_labels=5, d_h=4, d_l=3,
-                              rng=np.random.default_rng(0))
+    return draw_params(n_labels=5, d_h=4, d_l=3, rng=np.random.default_rng(0))
 
 
 class TestLabelEmbeddings:
@@ -132,9 +138,9 @@ class TestLabelRowsProperty:
         if root_is_preterminal(text):
             # its word would have no path: the corpus rejects the tree
             with pytest.raises(c.MalformedTree):
-                c._build_sentence(record, 0, 5)
+                c._build_sentence(record, 0)
             return
-        s = c._build_sentence(record, 0, 5)
+        s = c._build_sentence(record, 0)
         views = [(graphs.build_const_graph(s, graphs.FlattenConfig(variant=variant)),
                   gcn.node_label_embed_const, old_embed_const,
                   gcn.LabelVocab.collect(known_tags)),
@@ -142,7 +148,7 @@ class TestLabelRowsProperty:
                   old_embed_dep, gcn.LabelVocab.collect(known_rels))]
         rng = np.random.default_rng(len(tokens))
         for g, embed, oracle, labels in views:
-            params = gcn.GcnParams.init(len(labels), d_h=4, d_l=3, rng=rng)
+            params = draw_params(len(labels), d_h=4, d_l=3, rng=rng)
             readout = rng.normal(size=(g.n, 3))
             want = oracle(g, params, labels)
             ad.masked_sum(want, readout).backward()

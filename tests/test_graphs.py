@@ -18,7 +18,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 def make_sentence(tokens, ptb, deps, verbs=None):
     rec = {"tokens": tokens, "const_ptb": ptb, "dep_conllu": deps,
            "verbs": verbs or []}
-    return c._build_sentence(rec, 0, 5)
+    return c._build_sentence(rec, 0)
 
 
 @pytest.fixture

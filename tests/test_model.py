@@ -45,7 +45,7 @@ class TestForward:
         sentences, cache, model = build(setup)
         s = sentences[0]
         fwd = model.forward(s, s.verbs[0], cache[0])
-        assert fwd.logits.shape == (len(s.tokens), len(model.tags))
+        assert fwd.logits.shape == (len(s.tokens), len(c.TAGS))
 
     def test_head_width_tracks_views(self, setup):
         _, _, full = build(setup)
@@ -109,7 +109,7 @@ class TestInstanceLosses:
         def f(*params):
             return model.instance_losses(inst, cache[1], 1)["total"]
 
-        err = ad.grad_check(f, model.param_tensors(), eps=1e-5)
+        err = ad.grad_check(f, list(model.params.values()), eps=1e-5)
         assert err < 1e-4
 
 
@@ -152,14 +152,14 @@ class TestPredict:
         s = sentences[0]
         tags, probs = model.predict(s, s.verbs[0], cache[0])
         assert len(tags) == len(probs) == len(s.tokens)
-        assert all(t in model.tag_ids for t in tags)
+        assert all(t in c.TAGS for t in tags)
         assert all(0 < p <= 1 for p in probs)
 
     def test_predict_records_no_graph(self, setup):
         sentences, cache, model = build(setup)
         s = sentences[0]
         model.predict(s, s.verbs[0], cache[0])
-        assert all(t.grad is None for t in model.param_tensors())
+        assert all(t.grad is None for t in model.params.values())
 
 
 class TestArraysRoundTrip:
@@ -208,7 +208,7 @@ class TestArraysRoundTrip:
 class TestMemoryCheck:
     def test_need_is_every_parameter_four_times(self, setup, monkeypatch):
         _, _, model = build(setup)
-        need = 4 * 8 * sum(t.data.size for t in model.param_tensors())
+        need = 4 * 8 * sum(t.data.size for t in model.params.values())
         monkeypatch.setattr(model_mod, "physical_memory", lambda: need)
         build(setup)
         monkeypatch.setattr(model_mod, "physical_memory", lambda: need - 1)
@@ -292,7 +292,7 @@ class TestSentenceState:
                                   min_size=n, max_size=n))
         s = c._build_sentence({"tokens": tokens, "const_ptb": text,
                                "dep_conllu": [list(p) for p in zip(heads, rels)],
-                               "verbs": list(range(n))}, 1, model.cfg.max_arg)
+                               "verbs": list(range(n))}, 1)
         if config == "vectors":
             model.encoder.vectors[DRAWN_ID] = np.random.default_rng(n).normal(
                 size=(n, model.cfg.d_h))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from synoie import autodiff as ad
 from synoie import tagger
-from synoie.corpus import spans_to_bio, tag_inventory
+from synoie.corpus import TAGS, spans_to_bio
 
 import worked_example as wx
 
@@ -16,7 +16,7 @@ def uniform_probs(tags, p=0.9):
     return [p] * len(tags)
 
 
-ROLES = sorted({t[2:] for t in tag_inventory() if t != "O"})
+ROLES = sorted({t[2:] for t in TAGS if t != "O"})
 
 
 @st.composite
@@ -34,7 +34,7 @@ def role_spans(draw):
 
 class TestTagLogits:
     def test_zero_weights_give_uniform_distribution(self):
-        n_tags = len(tag_inventory(5))
+        n_tags = len(TAGS)
         w = ad.parameter(np.zeros((n_tags, 12)))
         b = ad.parameter(np.zeros(n_tags))
         h = ad.constant(np.random.default_rng(0).normal(size=(1, 12)))
@@ -44,7 +44,7 @@ class TestTagLogits:
 
     def test_tag_set_size(self):
         # O + B/I-REL + B/I per argument role
-        assert len(tag_inventory(5)) == 2 + 2 * (5 + 1) + 1
+        assert len(TAGS) == 2 + 2 * (5 + 1) + 1
 
     def test_seeded_reproducibility(self):
         def run():

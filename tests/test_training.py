@@ -137,11 +137,14 @@ class TestCheckpoint:
     def test_bad_version_rejected(self, corpus12, tmp_path):
         ckpt = tr.train(corpus12, TrainConfig(seed=2, **FAST))
         path = tmp_path / "model.npz"
-        # format 1 also saved three config keys that format 2 dropped
-        config_1 = ckpt.config.to_dict()
-        config_1.update(encoder_kind="toy", mv_exclude_self_loops=True)
+        # format 2 also saved a config key that format 3 dropped, and format 1
+        # three more that format 2 dropped
+        config_2 = dict(ckpt.config.to_dict(), max_arg=5)
+        config_1 = dict(ckpt.config.to_dict(), max_arg=5, encoder_kind="toy",
+                        mv_exclude_self_loops=True)
         config_1["flatten"]["punct_tags"] = [".", ","]
-        for version, config in ((1, config_1), (99, ckpt.config.to_dict())):
+        for version, config in ((1, config_1), (2, config_2),
+                                (99, ckpt.config.to_dict())):
             meta = {"format_version": version, "config": config,
                     "vocab_tokens": [], "dep_labels": [], "con_labels": [],
                     "epoch": 0, "history": []}
