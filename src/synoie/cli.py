@@ -187,13 +187,12 @@ def _cmd_build_graphs(args) -> int:
     ext = args.format
     count = 0
     for i, s in enumerate(sentences):
-        tokens = s.surfaces()
         for view in views:
             if view == "const":
                 g = graphs_mod.build_const_graph(s, flatten)
             else:
                 g = graphs_mod.build_dep_graph(s)
-            text = graphs_mod.export_graph(g, args.format, tokens=tokens)
+            text = graphs_mod.export_graph(g, args.format, tokens=s.tokens)
             (outdir / f"s{i:04d}.{view}.{ext}").write_text(text, encoding="utf-8")
             count += 1
     print(f"wrote {count} graph files to {outdir}")
@@ -234,6 +233,9 @@ def _write_extractions(path, sentences, extractions):
 def _cmd_extract(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    if Path(args.out).is_dir():
+        # fail now rather than after the whole extraction
+        raise IsADirectoryError(f"--out {args.out} is a directory")
     ckpt = training.Checkpoint.load(args.ckpt)
     sentences = corpus_mod.load_corpus(args.corpus)
     extractions = training.extract_corpus(ckpt, sentences, workers=args.workers)
@@ -245,57 +247,51 @@ def _cmd_extract(args) -> int:
 
 def _load_pred_file(path, gold_sentences):
     by_id = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise ValueError(f"line {lineno + 1}: not a JSON object")
-            sid = rec.get("sentence_id", lineno)
-            if not corpus_mod.is_json_int(sid):
-                raise ev.UnalignedIds(
-                    f"line {lineno + 1}: sentence_id {sid!r} is not an integer")
-            if not 0 <= sid < len(gold_sentences):
-                raise ev.UnalignedIds(f"sentence_id {sid} outside the gold corpus")
-            if sid in by_id:
-                raise ev.UnalignedIds(f"line {lineno + 1}: duplicate sentence_id {sid}")
-            toks = gold_sentences[sid].tokens
-            tuples = []
-            recs = rec.get("tuples", [])
-            if not isinstance(recs, list):
-                raise ValueError(f"line {lineno + 1}: tuples must be a list")
-            for t in recs:
-                if not isinstance(t, dict):
-                    raise ValueError(f"line {lineno + 1}: tuple {t!r} is not an object")
-                conf = t.get("confidence", 1.0)
-                # the bound is false for NaN and, unlike float(), cannot overflow
-                if (isinstance(conf, bool) or not isinstance(conf, (int, float))
-                        or not abs(conf) <= sys.float_info.max):
-                    raise ValueError(
-                        f"line {lineno + 1}: confidence {conf!r} is not a finite number")
-                field = "texts" if "texts" in t else "spans"
-                if not isinstance(t.get(field), dict):
-                    raise ValueError(f"line {lineno + 1}: tuple {field} must be an object")
-                for role in t[field]:
-                    if not corpus_mod.is_role(role):
-                        raise ValueError(f"line {lineno + 1}: unknown role {role!r} "
-                                         f"(not REL or ARG<k>)")
-                if field == "texts":
-                    texts = {r: str(x) for r, x in t["texts"].items()}
-                else:
-                    texts = {}
-                    for r, sp in t["spans"].items():
-                        if not (isinstance(sp, list) and len(sp) == 2
-                                and all(map(corpus_mod.is_json_int, sp))
-                                and 0 <= sp[0] <= sp[1] < len(toks)):
-                            raise ValueError(
-                                f"line {lineno + 1}: {r} span {sp!r} is not a "
-                                f"[first, last] pair within {len(toks)} tokens")
-                        texts[r] = " ".join(toks[i].surface
-                                            for i in range(sp[0], sp[1] + 1))
-                tuples.append(ev.TupleTexts(texts=texts, confidence=float(conf)))
-            by_id[sid] = tuples
+
+    def add(rec, line):
+        if not isinstance(rec, dict):
+            raise ValueError("not a JSON object")
+        sid = rec.get("sentence_id", line - 1)
+        if not corpus_mod.is_json_int(sid):
+            raise ValueError(f"sentence_id {sid!r} is not an integer")
+        if not 0 <= sid < len(gold_sentences):
+            raise ValueError(f"sentence_id {sid} outside the gold corpus")
+        if sid in by_id:
+            raise ValueError(f"duplicate sentence_id {sid}")
+        toks = gold_sentences[sid].tokens
+        tuples = []
+        recs = rec.get("tuples", [])
+        if not isinstance(recs, list):
+            raise ValueError("tuples must be a list")
+        for t in recs:
+            if not isinstance(t, dict):
+                raise ValueError(f"tuple {t!r} is not an object")
+            conf = t.get("confidence", 1.0)
+            # the bound is false for NaN and, unlike float(), cannot overflow
+            if (isinstance(conf, bool) or not isinstance(conf, (int, float))
+                    or not abs(conf) <= sys.float_info.max):
+                raise ValueError(f"confidence {conf!r} is not a finite number")
+            field = "texts" if "texts" in t else "spans"
+            if not isinstance(t.get(field), dict):
+                raise ValueError(f"tuple {field} must be an object")
+            for role in t[field]:
+                if not corpus_mod.is_role(role):
+                    raise ValueError(f"unknown role {role!r} (not REL or ARG<k>)")
+            if field == "texts":
+                texts = {r: str(x) for r, x in t["texts"].items()}
+            else:
+                texts = {}
+                for r, sp in t["spans"].items():
+                    if not (isinstance(sp, list) and len(sp) == 2
+                            and all(map(corpus_mod.is_json_int, sp))
+                            and 0 <= sp[0] <= sp[1] < len(toks)):
+                        raise ValueError(f"{r} span {sp!r} is not a [first, last] "
+                                         f"pair within {len(toks)} tokens")
+                    texts[r] = " ".join(toks[sp[0]:sp[1] + 1])
+            tuples.append(ev.TupleTexts(texts=texts, confidence=float(conf)))
+        by_id[sid] = tuples
+
+    corpus_mod.read_jsonl(path, add)
     return [by_id.get(i, []) for i in range(len(gold_sentences))]
 
 

@@ -26,12 +26,13 @@ class CorpusError(Exception):
 
     line = None
 
-    def at_line(self, line: int) -> "CorpusError":
-        """Attach ``line`` to the error and its message, unless it has one."""
-        if self.line is None:
-            self.line = line
-            self.args = (f"line {line}: {self}",)
-        return self
+
+def at_line(exc: Exception, line: int) -> Exception:
+    """Attach ``line`` to ``exc`` and its message, unless it has one."""
+    if getattr(exc, "line", None) is None:
+        exc.line = line
+        exc.args = (f"line {line}: {exc}",)
+    return exc
 
 
 class UnbalancedBrackets(CorpusError):
@@ -71,15 +72,11 @@ class OverlappingGoldSpans(CorpusError):
 
 
 class SchemaViolation(CorpusError):
-    def __init__(self, line: int, message: str):
-        super().__init__(message)
-        self.at_line(line)
+    pass
 
 
 class AlignmentError(CorpusError):
-    def __init__(self, line: int, message: str):
-        super().__init__(message)
-        self.at_line(line)
+    pass
 
 
 def is_json_int(value) -> bool:
@@ -95,20 +92,6 @@ def is_ascii_digits(text: str) -> bool:
 def is_role(role: str) -> bool:
     """True for ``REL`` and ``ARG<k>`` with k written in ASCII digits."""
     return role == REL or (role.startswith("ARG") and is_ascii_digits(role[3:]))
-
-
-@dataclass(frozen=True)
-class Token:
-    index: int
-    surface: str
-
-    @property
-    def lowercased(self) -> str:
-        return self.surface.lower()
-
-    def __post_init__(self):
-        if not self.surface:
-            raise CorpusError(f"empty token surface at index {self.index}")
 
 
 @dataclass(frozen=True)
@@ -194,18 +177,15 @@ class Extraction:
         if not 0.0 < self.confidence <= 1.0:
             raise CorpusError(f"confidence {self.confidence} outside (0, 1]")
 
-    def texts(self, tokens: list[Token]) -> dict[str, str]:
-        return {
-            role: " ".join(tokens[i].surface for i in range(s, e + 1))
-            for role, (s, e) in self.spans.items()
-        }
+    def texts(self, tokens: list[str]) -> dict[str, str]:
+        return {role: " ".join(tokens[s:e + 1]) for role, (s, e) in self.spans.items()}
 
 
 @dataclass(frozen=True)
 class ParsedSentence:
     """Read-only after construction; safe to share across workers."""
 
-    tokens: list[Token]
+    tokens: list[str]
     const_tree: ConstituencyTree
     dep_rows: DependencyRows
     verbs: list[int]
@@ -216,9 +196,6 @@ class ParsedSentence:
             if t.indicator_verb == verb:
                 return t
         return None
-
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
 
 
 @dataclass(frozen=True)
@@ -420,20 +397,20 @@ def iter_conllu_sentences(text: str) -> Iterable[list[str]]:
 # JSONL corpus
 # ---------------------------------------------------------------------------
 
-def _build_sentence(rec: dict, line: int) -> ParsedSentence:
+def _build_sentence(rec: dict) -> ParsedSentence:
     if not isinstance(rec, dict):
-        raise SchemaViolation(line, "a sentence record must be a JSON object")
+        raise SchemaViolation("a sentence record must be a JSON object")
     for key in ("tokens", "const_ptb", "dep_conllu", "verbs"):
         if key not in rec:
-            raise SchemaViolation(line, f"missing key {key!r}")
-    surfaces = rec["tokens"]
-    if not isinstance(surfaces, list) or not all(isinstance(s, str) for s in surfaces):
-        raise SchemaViolation(line, "tokens must be a list of strings")
-    tokens = [Token(i, s) for i, s in enumerate(surfaces)]
+            raise SchemaViolation(f"missing key {key!r}")
+    tokens = rec["tokens"]
+    if not (isinstance(tokens, list)
+            and all(isinstance(t, str) and t for t in tokens)):
+        raise SchemaViolation("tokens must be a list of non-empty strings")
     n = len(tokens)
 
     if not isinstance(rec["const_ptb"], str):
-        raise SchemaViolation(line, "const_ptb must be a bracketed-tree string")
+        raise SchemaViolation("const_ptb must be a bracketed-tree string")
     tree = read_bracketed_tree(rec["const_ptb"])
     if tree.nodes[tree.root].is_preterminal:
         # the word would sit under no phrase and have an empty tag path
@@ -441,96 +418,108 @@ def _build_sentence(rec: dict, line: int) -> ParsedSentence:
                             f"preterminal; wrap it in a phrase")
     if tree.n_leaves != n:
         raise AlignmentError(
-            line, f"constituency tree has {tree.n_leaves} leaves for {n} tokens")
+            f"constituency tree has {tree.n_leaves} leaves for {n} tokens")
 
     pairs = rec["dep_conllu"]
     if not (isinstance(pairs, list)
             and all(isinstance(p, list) and len(p) == 2 and is_json_int(p[0])
                     and isinstance(p[1], str) for p in pairs)):
-        raise SchemaViolation(line, "dep_conllu must be a list of [head, deprel] pairs")
+        raise SchemaViolation("dep_conllu must be a list of [head, deprel] pairs")
     if len(pairs) != n:
-        raise AlignmentError(line, f"{len(pairs)} dependency rows for {n} tokens")
+        raise AlignmentError(f"{len(pairs)} dependency rows for {n} tokens")
     try:
         dep = DependencyRows(heads=tuple(h for h, _ in pairs),
                              deprels=tuple(d for _, d in pairs))
     except CorpusError as exc:
-        raise AlignmentError(line, str(exc)) from exc
+        raise AlignmentError(str(exc)) from exc
 
     verbs = rec["verbs"]
     if not (isinstance(verbs, list) and all(map(is_json_int, verbs))):
-        raise SchemaViolation(line, "verbs must be a list of token indices")
+        raise SchemaViolation("verbs must be a list of token indices")
     if len(set(verbs)) != len(verbs):
-        raise SchemaViolation(line, "duplicate verb indices")
+        raise SchemaViolation("duplicate verb indices")
     for v in verbs:
         if not 0 <= v < n:
-            raise AlignmentError(line, f"verb index {v} out of range")
+            raise AlignmentError(f"verb index {v} out of range")
 
     tuples = []
     seen_verbs = set()
     trecs = rec.get("tuples", [])
     if not isinstance(trecs, list):
-        raise SchemaViolation(line, "tuples must be a list")
+        raise SchemaViolation("tuples must be a list")
     for trec in trecs:
         if not (isinstance(trec, dict) and "verb" in trec and "spans" in trec):
-            raise SchemaViolation(line, "tuple record needs 'verb' and 'spans'")
+            raise SchemaViolation("tuple record needs 'verb' and 'spans'")
         verb = trec["verb"]
         if not is_json_int(verb):
-            raise SchemaViolation(line, f"tuple verb {verb!r} is not an integer")
+            raise SchemaViolation(f"tuple verb {verb!r} is not an integer")
         if verb not in verbs:
-            raise AlignmentError(line, f"tuple verb {verb} not in verb list")
+            raise AlignmentError(f"tuple verb {verb} not in verb list")
         if verb in seen_verbs:
-            raise SchemaViolation(line, f"verb {verb} aligned to several tuples")
+            raise SchemaViolation(f"verb {verb} aligned to several tuples")
         seen_verbs.add(verb)
         if not isinstance(trec["spans"], dict):
-            raise SchemaViolation(line, "tuple spans must be an object")
+            raise SchemaViolation("tuple spans must be an object")
         spans = {}
         for role, span in trec["spans"].items():
             if not is_role(role):
-                raise SchemaViolation(line, f"unknown role {role!r}")
+                raise SchemaViolation(f"unknown role {role!r}")
             if role != REL and int(role[3:]) > MAX_ARG:
-                raise SchemaViolation(line, f"role {role!r} beyond ARG{MAX_ARG}")
+                raise SchemaViolation(f"role {role!r} beyond ARG{MAX_ARG}")
             if not (isinstance(span, list) and len(span) == 2
                     and all(map(is_json_int, span))):
-                raise SchemaViolation(line, f"{role} span {span!r} is not two indices")
+                raise SchemaViolation(f"{role} span {span!r} is not two indices")
             s, e = span
             if not (0 <= s <= e < n):
-                raise AlignmentError(line, f"{role} span [{s},{e}] out of bounds")
+                raise AlignmentError(f"{role} span [{s},{e}] out of bounds")
             spans[role] = (s, e)
         if REL not in spans:
-            raise SchemaViolation(line, "tuple lacks REL span")
+            raise SchemaViolation("tuple lacks REL span")
         rs, re_ = spans[REL]
         if not rs <= verb <= re_:
-            raise AlignmentError(line, f"REL span [{rs},{re_}] misses verb {verb}")
+            raise AlignmentError(f"REL span [{rs},{re_}] misses verb {verb}")
         check_spans_disjoint(spans)
         tuples.append(Extraction(spans=spans, indicator_verb=verb))
 
-    return ParsedSentence(tokens=tokens, const_tree=tree, dep_rows=dep,
+    return ParsedSentence(tokens=list(tokens), const_tree=tree, dep_rows=dep,
                           verbs=list(verbs), gold_tuples=tuples)
 
 
-def load_corpus(path: str | Path) -> list[ParsedSentence]:
-    """Load a JSONL corpus; every error carries the offending line number,
-    counted from 1."""
-    sentences = []
+def read_jsonl(path: str | Path, build) -> list:
+    """``build(value, line)`` for the JSON value of each non-blank line.
+
+    Lines count from 1.  Bad JSON is a SchemaViolation; it, and any
+    CorpusError or ValueError that ``build`` raises, carries the line.
+    """
+    out = []
     with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
+        for line, raw in enumerate(f, start=1):
             if not raw.strip():
                 continue
             try:
-                rec = json.loads(raw)
+                value = json.loads(raw)
             except json.JSONDecodeError as exc:
-                raise SchemaViolation(lineno, f"bad JSON: {exc}") from exc
+                raise at_line(SchemaViolation(
+                    f"bad JSON: {exc.msg} at column {exc.colno}"), line) from exc
+            except RecursionError as exc:
+                raise at_line(SchemaViolation("bad JSON: nested too deeply"),
+                              line) from exc
             try:
-                sentences.append(_build_sentence(rec, lineno))
-            except CorpusError as exc:
-                raise exc.at_line(lineno)
-    return sentences
+                out.append(build(value, line))
+            except (CorpusError, ValueError) as exc:
+                raise at_line(exc, line)
+    return out
+
+
+def load_corpus(path: str | Path) -> list[ParsedSentence]:
+    """Load a JSONL corpus; every error carries its line, counted from 1."""
+    return read_jsonl(path, lambda rec, line: _build_sentence(rec))
 
 
 def sentence_to_record(s: ParsedSentence) -> dict:
     """Serialize back to the JSONL schema (inverse of loading)."""
     return {
-        "tokens": s.surfaces(),
+        "tokens": list(s.tokens),
         "const_ptb": write_bracketed_tree(s),
         "dep_conllu": [[h, d] for h, d in zip(s.dep_rows.heads, s.dep_rows.deprels)],
         "verbs": list(s.verbs),
@@ -546,7 +535,7 @@ def write_bracketed_tree(s: ParsedSentence) -> str:
     texts: list[str] = []
     for node in s.const_tree.nodes:
         if node.is_preterminal:
-            inner = s.tokens[node.span[0]].surface
+            inner = s.tokens[node.span[0]]
         else:
             inner = " ".join(texts[c] for c in node.children)
         texts.append(f"({node.tag} {inner})")
@@ -574,8 +563,9 @@ def load_split_files(ptb_path: str | Path, conllu_path: str | Path,
     verb_lines = Path(verbs_path).read_text(encoding="utf-8").splitlines()
     counts = (len(ptb_lines), len(conllu_blocks), len(verb_lines))
     if len(set(counts)) != 1:
-        raise AlignmentError(min(counts) + 1, (
-            "{} trees vs {} dependency blocks vs {} verb lines".format(*counts)))
+        raise at_line(AlignmentError(
+            "{} trees vs {} dependency blocks vs {} verb lines".format(*counts)),
+            min(counts) + 1)
 
     sentences = []
     for line, (ptb, block, vline) in enumerate(
@@ -585,14 +575,14 @@ def load_split_files(ptb_path: str | Path, conllu_path: str | Path,
             verbs = vline.split()
             for v in verbs:
                 if not is_ascii_digits(v):
-                    raise SchemaViolation(line, f"verb {v!r} is not a token index")
+                    raise SchemaViolation(f"verb {v!r} is not a token index")
             rec = {
                 "tokens": tree_leaf_surfaces(ptb),
                 "const_ptb": ptb,
                 "dep_conllu": [[h, d] for h, d in zip(dep.heads, dep.deprels)],
                 "verbs": [int(v) for v in verbs],
             }
-            sentences.append(_build_sentence(rec, line))
+            sentences.append(_build_sentence(rec))
         except CorpusError as exc:
-            raise exc.at_line(line)
+            raise at_line(exc, line)
     return sentences

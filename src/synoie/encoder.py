@@ -9,7 +9,6 @@ fixed per-token vectors from that file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import ParsedSentence, is_json_int
+from .corpus import ParsedSentence, is_json_int, read_jsonl
 
 UNK = "<unk>"
 
@@ -42,7 +41,7 @@ class Vocabulary:
 
     @classmethod
     def from_sentences(cls, sentences: list[ParsedSentence]) -> "Vocabulary":
-        seen = {t.lowercased for s in sentences for t in s.tokens}
+        seen = {t.lower() for s in sentences for t in s.tokens}
         return cls([UNK] + sorted(seen))
 
 
@@ -87,7 +86,7 @@ class ToyEncoder:
 
     def base(self, sentence: ParsedSentence, sentence_id: int | None = None) -> Tensor:
         """(n, d_h) pre-activation with no verb marked, which every verb shares."""
-        words = word_rows(self.params, self.vocab, [t.surface for t in sentence.tokens])
+        words = word_rows(self.params, self.vocab, sentence.tokens)
         return ad.window_linear(embed(self.params, words, NO_VERB),
                                 self.params.w_mix, self.params.b_mix)
 
@@ -108,26 +107,28 @@ class PrecomputedEncoder:
     def load(cls, path: str | Path, d_h: int) -> "PrecomputedEncoder":
         """Read ``{"sentence_id", "vectors"}`` lines, each a finite (n, d_h) array."""
         vectors = {}
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError(f"vectors line is not a JSON object: {rec!r}")
-                sid = rec["sentence_id"]
-                if not is_json_int(sid):
-                    raise ValueError(f"sentence_id {sid!r} is not an integer")
-                try:
-                    arr = np.asarray(rec["vectors"], dtype=np.float64)
-                except TypeError as exc:
-                    raise ValueError(f"vectors for sentence {sid}: {exc}") from exc
-                if arr.ndim != 2 or arr.shape[1] != d_h or not np.isfinite(arr).all():
-                    raise ValueError(f"vectors for sentence {sid} are not a finite "
-                                     f"2-D array of width {d_h} (shape {arr.shape})")
-                if sid in vectors:
-                    raise ValueError(f"duplicate sentence_id {sid}")
-                vectors[sid] = arr
+
+        def add(rec, line):
+            if not isinstance(rec, dict):
+                raise ValueError("vectors line is not a JSON object")
+            for key in ("sentence_id", "vectors"):
+                if key not in rec:
+                    raise ValueError(f"missing key {key!r}")
+            sid = rec["sentence_id"]
+            if not is_json_int(sid):
+                raise ValueError(f"sentence_id {sid!r} is not an integer")
+            try:
+                arr = np.asarray(rec["vectors"], dtype=np.float64)
+            except TypeError as exc:
+                raise ValueError(f"vectors for sentence {sid}: {exc}") from exc
+            if arr.ndim != 2 or arr.shape[1] != d_h or not np.isfinite(arr).all():
+                raise ValueError(f"vectors for sentence {sid} are not a finite "
+                                 f"2-D array of width {d_h} (shape {arr.shape})")
+            if sid in vectors:
+                raise ValueError(f"duplicate sentence_id {sid}")
+            vectors[sid] = arr
+
+        read_jsonl(path, add)
         if not vectors:
             raise ValueError(f"no vectors found in {path}")
         return cls(vectors, d_h)

@@ -88,8 +88,5 @@ TEMPLATES = [_sv, _svo, _svo_pp, _modal]
 
 def generate_corpus(n_sentences: int, seed: int = 0) -> list[ParsedSentence]:
     rng = np.random.default_rng(seed)
-    sentences = []
-    for i in range(n_sentences):
-        rec = TEMPLATES[i % len(TEMPLATES)](rng)
-        sentences.append(_build_sentence(rec, i))
-    return sentences
+    return [_build_sentence(TEMPLATES[i % len(TEMPLATES)](rng))
+            for i in range(n_sentences)]

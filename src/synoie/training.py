@@ -21,7 +21,7 @@ from . import evaluation as ev
 from . import tagger
 from .autodiff import AdamState
 from .config import TrainConfig
-from .corpus import ParsedSentence, expand_instances, is_json_int
+from .corpus import Extraction, ParsedSentence, expand_instances, is_json_int
 from .encoder import Vocabulary
 from .gcn import LabelVocab
 from .model import Model, SentenceGraphs
@@ -130,9 +130,8 @@ def build_graph_cache(sentences: list[ParsedSentence], flatten_cfg) -> list[Sent
 def _label_inventories(graph_cache, idxs):
     dep, con = set(), set()
     for i in idxs:
-        dep.update(graph_cache[i].dep.node_labels)
-        for path in graph_cache[i].const.node_labels:
-            con.update(path)
+        dep.update(graph_cache[i].dep.label_rows[0])
+        con.update(graph_cache[i].const.label_rows[0])
     return LabelVocab.collect(dep), LabelVocab.collect(con)
 
 
@@ -269,31 +268,28 @@ def _pool_init(ckpt: Checkpoint):
     _POOL_MODEL = ckpt.to_model()
 
 
-def _pool_extract(args):
-    i, rec_sentence = args
-    graphs = SentenceGraphs.build(rec_sentence, _POOL_MODEL.cfg.flatten)
-    return i, tagger.extract(rec_sentence, _POOL_MODEL, graphs, sentence_id=i)
+def _extract_one(model: Model, i: int, sentence: ParsedSentence) -> list[Extraction]:
+    graphs = SentenceGraphs.build(sentence, model.cfg.flatten)
+    return tagger.extract(sentence, model, graphs, sentence_id=i)
+
+
+def _pool_extract(args) -> list[Extraction]:
+    return _extract_one(_POOL_MODEL, *args)
 
 
 def extract_corpus(ckpt: Checkpoint, sentences: list[ParsedSentence],
-                   workers: int = 1) -> list[list]:
+                   workers: int = 1) -> list[list[Extraction]]:
     """Per-sentence tuple lists, in corpus order, from a pool of ``workers``
     processes at most: no more than the sentences or the CPUs, and serial
     for one."""
     if workers <= 1 or (size := min(workers, len(sentences),
                                      os.cpu_count() or 1)) <= 1:
         model = ckpt.to_model()
-        out = []
-        for i, s in enumerate(sentences):
-            graphs = SentenceGraphs.build(s, model.cfg.flatten)
-            out.append(tagger.extract(s, model, graphs, sentence_id=i))
-        return out
+        return [_extract_one(model, i, s) for i, s in enumerate(sentences)]
     import multiprocessing as mp
 
     with mp.Pool(size, initializer=_pool_init, initargs=(ckpt,)) as pool:
-        results = pool.map(_pool_extract, list(enumerate(sentences)))
-    results.sort(key=lambda r: r[0])
-    return [tuples for _, tuples in results]
+        return pool.map(_pool_extract, list(enumerate(sentences)))
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, sentences: list[ParsedSentence],

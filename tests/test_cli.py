@@ -20,6 +20,7 @@ import synoie
 from synoie import autodiff as ad
 from synoie import cli
 from synoie import model as model_mod
+from synoie import training
 from synoie.corpus import load_corpus, save_corpus
 from synoie.graphs import FlattenConfig
 from synoie.model import SentenceGraphs
@@ -555,6 +556,64 @@ class TestMalformedInputFuzz:
         assert capsys.readouterr().err.startswith("data error: Unable to allocate")
 
 
+class TestInputLines:
+    """The corpus, a ``score --pred`` file and an ``encoder_vectors`` file
+    are read by one reader, so an error in any names its 1-based line."""
+
+    GOOD_LINE = {
+        "corpus": lambda i: GOLD_RECORD,
+        "pred": lambda i: {"tuples": []},
+        "vectors": lambda i: dict(vectors_record(5), sentence_id=i),
+    }
+
+    def run(self, tmp_path, kind, lines):
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        gold = str(DATA / "score_fixture_gold.jsonl")
+        if kind == "corpus":
+            argv = ["build-graphs", "--corpus", str(path), "--out", str(tmp_path / "g")]
+        elif kind == "pred":
+            argv = ["score", "--pred", str(path), "--gold", gold]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(dict(CONFIG_RECORD, encoder_vectors=str(path))))
+            argv = ["train", "--corpus", gold, "--config", str(cfg),
+                    "--out-ckpt", str(tmp_path / "m")]
+        return cli.main(argv)
+
+    def good_lines(self, kind, n):
+        return [json.dumps(self.GOOD_LINE[kind](i)) for i in range(n)]
+
+    @pytest.mark.parametrize("kind", ["corpus", "pred", "vectors"])
+    def test_bad_json_names_its_line(self, tmp_path, capsys, kind):
+        # before: json's own "line 1 column 31" for pred and vectors files
+        assert self.run(tmp_path, kind, self.good_lines(kind, 2) + ['{"a": oops}']) == 2
+        assert capsys.readouterr().err == (
+            "data error: line 3: bad JSON: Expecting value at column 7\n")
+
+    @pytest.mark.parametrize("kind, key", [
+        ("corpus", "tokens"), ("vectors", "sentence_id"), ("vectors", "vectors")])
+    def test_missing_key_names_key_and_line(self, tmp_path, capsys, kind, key):
+        # before: "data error: 'sentence_id'" for a vectors line
+        record = dict(self.GOOD_LINE[kind](1))
+        del record[key]
+        assert self.run(tmp_path, kind,
+                        self.good_lines(kind, 1) + [json.dumps(record)]) == 2
+        assert capsys.readouterr().err == f"data error: line 2: missing key {key!r}\n"
+
+    def test_pred_sentence_id_outside_gold_names_its_line(self, tmp_path, capsys):
+        # before: no line named
+        lines = self.good_lines("pred", 1) + [json.dumps({"sentence_id": 10})]
+        assert self.run(tmp_path, "pred", lines) == 2
+        assert capsys.readouterr().err == (
+            "data error: line 2: sentence_id 10 outside the gold corpus\n")
+
+    def test_pred_default_id_is_the_zero_based_line(self, tmp_path, capsys):
+        lines = self.good_lines("pred", 2) + [json.dumps({"sentence_id": 1})]
+        assert self.run(tmp_path, "pred", lines) == 2
+        assert capsys.readouterr().err == "data error: line 3: duplicate sentence_id 1\n"
+
+
 class TestDivergedTraining:
     def test_huge_lr_names_epoch_batch_and_group(self, tmp_path, capsys):
         # lr 1e300 leaves every parameter near 1e300 after the first Adam
@@ -706,6 +765,18 @@ class TestFileSystemErrors:
         }[case]
         assert cli.main(argv + FAST_FLAGS * argv[0].startswith("train")) == 2
         assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_extract_out_directory_fails_before_extracting(
+            self, ckpt_path, small_corpus, tmp_path, monkeypatch, capsys):
+        # before: exit 2 only once the whole extraction had run
+        def extract_corpus(*args, **kwargs):
+            raise AssertionError("extraction ran")
+
+        monkeypatch.setattr(training, "extract_corpus", extract_corpus)
+        assert cli.main(["extract", "--ckpt", str(ckpt_path), "--corpus",
+                         str(small_corpus), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: --out {tmp_path} is a directory\n")
 
     def test_time_limit_still_fails_a_hang_inside_main(self, monkeypatch):
         # mapping OSError to exit 2 must not swallow the fuzz tests' hang guard
@@ -868,3 +939,47 @@ class TestExitCodes:
                        "--out-ckpt", str(tmp_path / "m.npz")] + FAST_FLAGS)
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
+
+
+class JsonLoadsCalls(ast.NodeVisitor):
+    """``module.Class.function`` of every ``json.loads`` call in one module;
+    any other way to reach ``loads`` (``from json import``, an alias) counts
+    under ``<import>``."""
+
+    def __init__(self, module: str):
+        self.scope = [module]
+        self.found = set()
+
+    def visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr == "loads"
+                and isinstance(f.value, ast.Name) and f.value.id == "json"):
+            self.found.add(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_Import(self, node):
+        if any(a.name == "json" and a.asname for a in node.names):
+            self.found.add("<import>")
+
+    def visit_ImportFrom(self, node):
+        if node.module == "json":
+            self.found.add("<import>")
+
+
+def test_json_lines_are_read_in_one_place():
+    # corpus.read_jsonl reads every JSONL input (corpus, score --pred,
+    # encoder_vectors); the checkpoint's meta is the one other JSON text
+    callers = set()
+    for info in pkgutil.iter_modules(synoie.__path__):
+        module = importlib.import_module(f"synoie.{info.name}")
+        visitor = JsonLoadsCalls(info.name)
+        visitor.visit(ast.parse(inspect.getsource(module)))
+        callers |= visitor.found
+    assert callers == {"corpus.read_jsonl", "training.Checkpoint.load"}

@@ -64,9 +64,9 @@ class TestBracketedTree:
                   "verbs": []}
         if root_is_preterminal(text):
             with pytest.raises(c.MalformedTree):
-                c._build_sentence(record, 0)
+                c._build_sentence(record)
             return
-        s = c._build_sentence(record, 0)
+        s = c._build_sentence(record)
         written = c.write_bracketed_tree(s)
         assert written == text
         assert c.read_bracketed_tree(written) == tree
@@ -146,7 +146,7 @@ class TestLoadCorpus:
         assert c.load_corpus(p) == []
 
     def test_example_sentence(self, example_sentence):
-        assert example_sentence.surfaces() == wx.TOKENS
+        assert example_sentence.tokens == wx.TOKENS
         assert example_sentence.verbs == wx.VERBS
         assert len(example_sentence.gold_tuples) == 1
         assert example_sentence.gold_tuples[0].spans["REL"] == (3, 4)
@@ -245,8 +245,8 @@ class TestLoadCorpus:
             wx.GOLD_TUPLE["spans"], ARG1=[4, 6]))]), c.OverlappingGoldSpans),
     ], ids=["unbalanced-tree", "malformed-tree", "empty-token", "overlapping-spans"])
     def test_error_below_the_record_names_its_line(self, tmp_path, record, error):
-        # raised by the tree reader, Token or the span check, which know no
-        # line; the loader attaches it and keeps the error's type
+        # raised by the tree reader, the token check or the span check, which
+        # know no line; the loader attaches it and keeps the error's type
         p = tmp_path / "bad.jsonl"
         p.write_text(json.dumps(wx.RECORD) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(error) as e:
@@ -287,9 +287,64 @@ class TestLoadCorpus:
         got = c.load_split_files(tmp_path / "a.ptb", tmp_path / "a.conllu",
                                  tmp_path / "a.verbs")
         assert len(got) == 1
-        assert got[0].surfaces() == wx.TOKENS
+        assert got[0].tokens == wx.TOKENS
         assert got[0].verbs == [3, 4]
         assert got[0].gold_tuples == []
+
+
+class TestReadJsonl:
+    """The one JSONL reader: ``build(value, line)`` per non-blank line."""
+
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        p = tmp_path / "x.jsonl"
+        p.write_text('1\n\n  \n[2]\n"three"')
+        assert c.read_jsonl(p, lambda v, line: (line, v)) == [
+            (1, 1), (4, [2]), (5, "three")]
+
+    def test_bad_json_names_line_and_column_once(self, tmp_path):
+        p = tmp_path / "x.jsonl"
+        p.write_text('1\n\n{"a": oops}\n')
+        with pytest.raises(c.SchemaViolation) as e:
+            c.read_jsonl(p, lambda v, line: v)
+        assert e.value.line == 3
+        assert str(e.value) == "line 3: bad JSON: Expecting value at column 7"
+
+    def test_deeply_nested_json_is_bad_json(self, tmp_path):
+        # before: json's RecursionError, which no exit code maps
+        p = tmp_path / "x.jsonl"
+        p.write_text("1\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(c.SchemaViolation) as e:
+            c.read_jsonl(p, lambda v, line: v)
+        assert str(e.value) == "line 2: bad JSON: nested too deeply"
+
+    @pytest.mark.parametrize("error", [ValueError, c.AlignmentError])
+    def test_build_errors_get_the_line(self, tmp_path, error):
+        def build(value, line):
+            if value == 2:
+                raise error("no twos")
+            return value
+
+        p = tmp_path / "x.jsonl"
+        p.write_text("1\n2\n")
+        with pytest.raises(error) as e:
+            c.read_jsonl(p, build)
+        assert e.value.line == 2
+        assert str(e.value) == "line 2: no twos"
+
+    def test_a_line_already_attached_is_kept(self):
+        exc = c.at_line(c.SchemaViolation("x"), 4)
+        assert c.at_line(exc, 9) is exc
+        assert (exc.line, str(exc)) == (4, "line 4: x")
+
+    def test_other_errors_pass_through(self, tmp_path):
+        def build(value, line):
+            raise KeyError("k")
+
+        p = tmp_path / "x.jsonl"
+        p.write_text("1\n")
+        with pytest.raises(KeyError) as e:
+            c.read_jsonl(p, build)
+        assert not hasattr(e.value, "line")
 
 
 def conllu_block(dep_rows=wx.DEP_CONLLU, tokens=wx.TOKENS):

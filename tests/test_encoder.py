@@ -57,7 +57,7 @@ class TestEmbed:
             np.testing.assert_array_equal(x, y)
 
     def test_only_indicator_position_gets_row_one(self, params, vocab, example_sentence):
-        surfaces = [t.surface for t in example_sentence.tokens]
+        surfaces = example_sentence.tokens
         ws = enc.embed(params, enc.word_rows(params, vocab, surfaces), indicator_verb=3)
         for i, w in enumerate(ws.data):
             row = 1 if i == 3 else 0

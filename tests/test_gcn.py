@@ -138,9 +138,9 @@ class TestLabelRowsProperty:
         if root_is_preterminal(text):
             # its word would have no path: the corpus rejects the tree
             with pytest.raises(c.MalformedTree):
-                c._build_sentence(record, 0)
+                c._build_sentence(record)
             return
-        s = c._build_sentence(record, 0)
+        s = c._build_sentence(record)
         views = [(graphs.build_const_graph(s, graphs.FlattenConfig(variant=variant)),
                   gcn.node_label_embed_const, old_embed_const,
                   gcn.LabelVocab.collect(known_tags)),

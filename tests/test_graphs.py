@@ -18,7 +18,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 def make_sentence(tokens, ptb, deps, verbs=None):
     rec = {"tokens": tokens, "const_ptb": ptb, "dep_conllu": deps,
            "verbs": verbs or []}
-    return c._build_sentence(rec, 0)
+    return c._build_sentence(rec)
 
 
 @pytest.fixture
@@ -274,7 +274,7 @@ class TestExport:
 
     def test_dot_example_const(self, example_sentence):
         cg = g.build_const_graph(example_sentence)
-        dot = g.export_graph(cg, "dot", tokens=example_sentence.surfaces())
+        dot = g.export_graph(cg, "dot", tokens=example_sentence.tokens)
         assert dot.count(" -- ") == 9
         assert 'label="NP"' in dot and dot.startswith("graph const {")
 

@@ -123,7 +123,7 @@ class TestEncoderKernels:
         n = len(tokens)
         s = c._build_sentence({"tokens": tokens, "const_ptb": text,
                                "dep_conllu": [[-1, "ROOT"]] + [[0, "dep"]] * (n - 1),
-                               "verbs": list(range(n))}, 0)
+                               "verbs": list(range(n))})
         te = toy_encoder(tokens, seed)
         p = te.params
         base = te.base(s)

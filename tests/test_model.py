@@ -292,7 +292,7 @@ class TestSentenceState:
                                   min_size=n, max_size=n))
         s = c._build_sentence({"tokens": tokens, "const_ptb": text,
                                "dep_conllu": [list(p) for p in zip(heads, rels)],
-                               "verbs": list(range(n))}, 1)
+                               "verbs": list(range(n))})
         if config == "vectors":
             model.encoder.vectors[DRAWN_ID] = np.random.default_rng(n).normal(
                 size=(n, model.cfg.d_h))

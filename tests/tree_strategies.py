@@ -57,4 +57,4 @@ def flat_sentence(words: list[str]):
         {"tokens": words,
          "const_ptb": "(S " + " ".join(f"(NN {w})" for w in words) + ")",
          "dep_conllu": [[-1, "ROOT"]] + [[0, "dep"]] * (len(words) - 1),
-         "verbs": list(range(len(words)))}, 0)
+         "verbs": list(range(len(words)))})
