@@ -128,7 +128,7 @@ class Tape:
 
 
 def _check_finite(arr: np.ndarray, op: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteValue(f"non-finite value produced by {op}")
 
 
@@ -255,21 +255,98 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     return _result(probs, (logits,), backward)
 
 
-def log_softmax_rows(logits: Tensor) -> Tensor:
-    """Log-softmax of each row of a 2-D tensor over all of its entries."""
-    x = logits.data
+@dataclass(frozen=True, eq=False, slots=True)
+class RowSoftmax:
+    """The row softmax of a logits tensor ``a`` (``b`` None), or of the
+    product a bᵀ, as constant arrays.  Building it records no tape node;
+    ``masked_nll`` reads it and sends its gradient to ``a`` and ``b``."""
+
+    a: Tensor
+    b: Tensor | None
+    probs: np.ndarray
+    log_probs: np.ndarray
+
+    @property
+    def shape(self):
+        return self.log_probs.shape
+
+
+def _row_softmax(x: np.ndarray, a: Tensor, b: Tensor | None) -> RowSoftmax:
     if x.ndim != 2 or x.shape[1] == 0:
-        raise ShapeMismatch(f"log_softmax_rows: {x.shape}")
+        raise ShapeMismatch(f"row softmax: {x.shape}")
     _check_finite(x, "log-softmax logits")
     m = x.max(axis=1, keepdims=True)
     ex = np.exp(x - m)
     z = ex.sum(axis=1, keepdims=True)
-    probs = ex / z
+    return RowSoftmax(a, b, ex / z, x - (m + np.log(z)))
+
+
+def _product(a: Tensor, b: Tensor) -> np.ndarray:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeMismatch(f"row softmax of {a.shape} @ {b.shape}ᵀ")
+    # overflow is left to the softmax's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a.data @ b.data.T
+
+
+def row_softmax(a: Tensor, b: Tensor | None = None) -> RowSoftmax:
+    """The softmax of each row of the 2-D tensor ``a``, or of a bᵀ."""
+    return _row_softmax(a.data if b is None else _product(a, b), a, b)
+
+
+def row_softmax_pair(a: Tensor, b: Tensor) -> tuple[RowSoftmax, RowSoftmax]:
+    """The row softmaxes of a bᵀ and of its transpose b aᵀ, from one
+    product."""
+    x = _product(a, b)
+    return _row_softmax(x, a, b), _row_softmax(x.T, b, a)
+
+
+def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> Tensor:
+    """-Σₖ sum(Mₖ * log_probsₖ) over (row softmax, constant mask Mₖ) terms.
+
+    The gradient reaching term k's logits is rowsum(Mₖ) Pₖ - Mₖ.  Terms over
+    one product, or over a product and its transpose, share one gradient,
+    which reaches a and b through one matmul each, or ``a`` through one
+    (G + Gᵀ) a when a is b.
+    """
+    if not terms:
+        raise ShapeMismatch("masked_nll of zero terms")
+    masks = [np.asarray(mask, dtype=np.float64) for _, mask in terms]
+    total = 0.0
+    for (rows, _), mask in zip(terms, masks):
+        if mask.shape != rows.log_probs.shape:
+            raise ShapeMismatch(f"masked_nll: log-probs {rows.shape} vs "
+                                f"mask {mask.shape}")
+        total += (rows.log_probs * mask).sum()
+    parents = {id(t): t for rows, _ in terms for t in (rows.a, rows.b)
+               if t is not None}
 
     def backward(g):
-        _accumulate(logits, g - probs * g.sum(axis=1, keepdims=True))
+        grads = []  # [a, b, gradient of the logits a bᵀ (of a when b is None)]
+        for (rows, _), mask in zip(terms, masks):
+            gl = g * (mask.sum(axis=1, keepdims=True) * rows.probs - mask)
+            for entry in grads:
+                if entry[0] is rows.a and entry[1] is rows.b:
+                    entry[2] += gl
+                    break
+                if rows.b is not None and entry[0] is rows.b \
+                        and entry[1] is rows.a:
+                    entry[2] += gl.T
+                    break
+            else:
+                grads.append([rows.a, rows.b, gl])
+        for a, b, gl in grads:
+            if b is None:
+                _accumulate(a, gl)
+            elif a is b:
+                _accumulate(a, (gl + gl.T) @ a.data)
+            else:
+                if a.requires_grad:
+                    _accumulate(a, gl @ b.data)
+                if b.requires_grad:
+                    _accumulate(b, gl.T @ a.data)
 
-    return _result(x - (m + np.log(z)), (logits,), backward)
+    return _result(-total, parents.values(), backward)
 
 
 def masked_sum(a: Tensor, mask) -> Tensor:

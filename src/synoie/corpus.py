@@ -488,16 +488,25 @@ def _build_sentence(rec: dict) -> ParsedSentence:
 def read_jsonl(path: str | Path, build) -> list:
     """``build(value, line)`` for the JSON value of each non-blank line.
 
-    Lines count from 1.  Bad JSON is a SchemaViolation; it, and any
-    CorpusError or ValueError that ``build`` raises, carries the line.
+    Lines count from 1 and end at \\n, \\r or \\r\\n.  Bytes that are not
+    UTF-8 and bad JSON are a SchemaViolation; it, and any CorpusError or
+    ValueError that ``build`` raises, carries the line.
     """
     out = []
-    with open(path, encoding="utf-8") as f:
-        for line, raw in enumerate(f, start=1):
-            if not raw.strip():
+    with open(path, "rb") as f:
+        # each chunk ends at \n, so no \r\n straddles two chunks
+        lines = (raw for chunk in f for raw in chunk.splitlines())
+        for line, raw in enumerate(lines, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise at_line(SchemaViolation(
+                    f"not UTF-8: {exc.reason} at byte {exc.start + 1}"),
+                    line) from exc
+            if not text.strip():
                 continue
             try:
-                value = json.loads(raw)
+                value = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise at_line(SchemaViolation(
                     f"bad JSON: {exc.msg} at column {exc.colno}"), line) from exc

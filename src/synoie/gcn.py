@@ -11,6 +11,7 @@ takes both as inputs.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ class LabelVocab:
         if len(self.ids) != len(self.labels):
             raise ValueError("duplicate label entries")
         self.unk_id = self.ids[UNK_LABEL]
+        # each const graph's path-averaging matrix, dropped with the graph
+        self._path_averages = weakref.WeakKeyDictionary()
 
     def __len__(self):
         return len(self.labels)
@@ -43,6 +46,19 @@ class LabelVocab:
     @classmethod
     def collect(cls, labels) -> "LabelVocab":
         return cls([UNK_LABEL] + sorted(set(labels)))
+
+    def path_average(self, g: SyntacticGraph, width: int) -> np.ndarray:
+        """(n, width): the graph's cached label rows spread over the label
+        ids, with the tags this vocabulary lacks sharing the UNK column.
+        Built on the first call for ``g`` and kept until ``g`` is dropped."""
+        avg = self._path_averages.get(g)
+        if avg is None or avg.shape[1] != width:
+            label_set, rows = g.label_rows
+            avg = np.zeros((g.n, width))
+            np.add.at(avg, (slice(None), [self.lookup(t) for t in label_set]),
+                      rows)
+            self._path_averages[g] = avg
+        return avg
 
 
 @dataclass
@@ -66,16 +82,10 @@ def node_label_embed_dep(g: SyntacticGraph, params: GcnParams,
 def node_label_embed_const(g: SyntacticGraph, params: GcnParams,
                            labels: LabelVocab) -> Tensor:
     """(n, d_l): mean of the tag embeddings along each node's constituency
-    path, as one constant path-averaging matrix times W1.
-
-    The matrix spreads the graph's cached label rows over the label ids;
-    tags the vocabulary lacks share the UNK column.
-    """
+    path, as the constant ``labels.path_average`` matrix times W1."""
     assert g.view == CONST_VIEW
-    label_set, rows = g.label_rows
-    avg = np.zeros((g.n, params.w1.shape[0]))
-    np.add.at(avg, (slice(None), [labels.lookup(t) for t in label_set]), rows)
-    return ad.matmul(ad.constant(avg), params.w1)
+    return ad.matmul(ad.constant(labels.path_average(g, params.w1.shape[0])),
+                     params.w1)
 
 
 def gcn_layer(g: SyntacticGraph, h_ctx: Tensor, l: Tensor,

@@ -1,13 +1,13 @@
 """Tagging loss, the three multi-view relationship losses, and their sum.
 
-All four losses share one form: the negated sum of the entries a constant
-selection mask picks from a row log-softmax.  For the tagging loss the rows
-are the tag logits and the mask picks each token's gold tag at weight 1/n.
-For R1-R3 the rows are pairwise probabilities over one sentence's node set
-(the candidate set is the view supplying the target vector): the row
-log-softmax of ``H_z H_other^T``, masked by a graph's edges or the identity.
-So every loss is non-negative; batch-level normalization is the trainer's
-concern.
+All four losses share one form: the negated sum of the entries constant
+selection masks pick from row log-softmaxes, and each is one ``ad.masked_nll``
+node.  For the tagging loss the rows are the tag logits and the mask picks
+each token's gold tag at weight 1/n.  For R1-R3 the rows are pairwise
+probabilities over one sentence's node set (the candidate set is the view
+supplying the target vector): the row log-softmax of ``H_z H_otherᵀ``, masked
+by a graph's edges or the identity.  So every loss is non-negative;
+batch-level normalization is the trainer's concern.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ class LossWeights:
                 raise ValueError(f"{name} must be a non-negative finite real")
 
 
-def log_prob_matrix(h_z: Tensor, h_other: Tensor) -> Tensor:
-    """(n_z, n_other) log P(h_other[j] | h_z[i]): the row log-softmax of
-    H_z H_other^T, so each row is a distribution over the candidate set."""
-    return ad.log_softmax_rows(ad.matmul(h_z, h_other, transpose_b=True))
-
-
 def _selection(adj: np.ndarray) -> np.ndarray:
     """The graph's edges without its self-loops: a node never selects itself."""
     sel = adj.astype(float)
@@ -50,42 +44,35 @@ def _selection(adj: np.ndarray) -> np.ndarray:
 def loss_r1(h_by_view: dict[str, Tensor],
             adj_by_view: dict[str, np.ndarray]) -> Tensor:
     """Inter-node intra-view: connected nodes score high under their own view."""
-    terms = [ad.masked_sum(log_prob_matrix(h, h), -_selection(adj_by_view[view]))
-             for view, h in h_by_view.items()]
-    return ad.combine(terms, [1.0] * len(terms))
+    return ad.masked_nll([(ad.row_softmax(h, h), _selection(adj_by_view[view]))
+                          for view, h in h_by_view.items()])
 
 
-def inter_view_log_probs(h_con: Tensor, h_dep: Tensor) -> tuple[Tensor, Tensor]:
-    """The pair R2 and R3 both read: dep anchors over con candidates, and
-    con anchors over dep candidates."""
-    return log_prob_matrix(h_dep, h_con), log_prob_matrix(h_con, h_dep)
+def inter_view_log_probs(h_con: Tensor,
+                         h_dep: Tensor) -> tuple[ad.RowSoftmax, ad.RowSoftmax]:
+    """The pair R2 and R3 both read, from one product S = H_dep H_conᵀ: dep
+    anchors over con candidates (S), and con anchors over dep candidates
+    (Sᵀ)."""
+    return ad.row_softmax_pair(h_dep, h_con)
 
 
-def _inter_view(inter: tuple[Tensor, Tensor], sel_dep: np.ndarray,
-                sel_con: np.ndarray) -> Tensor:
-    """Both directions: dep anchors pick con candidates by sel_dep, con
-    anchors pick dep candidates by sel_con."""
-    dep_anchored, con_anchored = inter
-    return ad.add(ad.masked_sum(dep_anchored, -sel_dep),
-                  ad.masked_sum(con_anchored, -sel_con))
-
-
-def loss_r2(inter: tuple[Tensor, Tensor]) -> Tensor:
+def loss_r2(inter: tuple[ad.RowSoftmax, ad.RowSoftmax]) -> Tensor:
     """Intra-node inter-view: each node close to its own other-view state."""
     eye = np.eye(inter[0].shape[0])
-    return _inter_view(inter, eye, eye)
+    return ad.masked_nll([(inter[0], eye), (inter[1], eye)])
 
 
-def loss_r3(inter: tuple[Tensor, Tensor],
+def loss_r3(inter: tuple[ad.RowSoftmax, ad.RowSoftmax],
             adj_con: np.ndarray, adj_dep: np.ndarray) -> Tensor:
     """Inter-node inter-view: view-z edges pull in other-view neighbours."""
-    return _inter_view(inter, _selection(adj_dep), _selection(adj_con))
+    return ad.masked_nll([(inter[0], _selection(adj_dep)),
+                          (inter[1], _selection(adj_con))])
 
 
 def tagging_loss(logits: Tensor, gold_ids: list[int]) -> Tensor:
     """Mean token-level cross entropy for one instance."""
-    log_probs = ad.log_softmax_rows(logits)
-    n, n_tags = log_probs.shape
+    rows = ad.row_softmax(logits)
+    n, n_tags = rows.shape
     gold = np.asarray(gold_ids, dtype=np.intp)
     if n == 0 or gold.shape != (n,):
         raise ad.ShapeMismatch(f"tagging loss: logits {logits.shape}, "
@@ -93,8 +80,8 @@ def tagging_loss(logits: Tensor, gold_ids: list[int]) -> Tensor:
     if gold.min() < 0 or gold.max() >= n_tags:
         raise ad.ShapeMismatch(f"gold index outside {n_tags} tags")
     pick = np.zeros((n, n_tags))
-    pick[np.arange(n), gold] = -1.0 / n
-    return ad.masked_sum(log_probs, pick)
+    pick[np.arange(n), gold] = 1.0 / n
+    return ad.masked_nll([(rows, pick)])
 
 
 def combined_loss(l_ce: Tensor, l_r1: Tensor | None, l_r2: Tensor | None,

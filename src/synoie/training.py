@@ -103,6 +103,9 @@ class Checkpoint:
                 arrays = {k: z[k] for k in z.files if k != "__meta__"}
         except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise TrainingError(f"{path} is not a checkpoint: {exc}") from exc
+        except RecursionError as exc:
+            raise TrainingError(f"{path} is not a checkpoint: bad JSON meta: "
+                                f"nested too deeply") from exc
         if not isinstance(meta, dict):
             raise TrainingError("checkpoint meta is not a JSON object")
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:

@@ -41,11 +41,11 @@ class TestForwardValues:
         mask = np.array([[True, True, False, True, True]])
         soft = ad.masked_softmax(ad.constant(logits), mask).data
         # the masked softmax equals the softmax of the active entries alone
-        lsoft = ad.log_softmax_rows(ad.constant(logits[:, mask[0]])).data
+        lsoft = ad.row_softmax(ad.constant(logits[:, mask[0]])).log_probs
         active = mask
         np.testing.assert_allclose(lsoft[0], np.log(soft[active]), atol=1e-12)
         assert (soft[~active] == 0.0).all()
-        full = ad.log_softmax_rows(ad.constant(logits)).data
+        full = ad.row_softmax(ad.constant(logits)).log_probs
         np.testing.assert_allclose(
             full, np.log(ad.masked_softmax(ad.constant(logits),
                                            np.ones((1, 5), bool)).data),
@@ -66,7 +66,7 @@ class TestForwardValues:
     def test_cross_entropy_uniform(self):
         # cross entropy is the negated gold entry of the row log-softmax
         logits = ad.constant(np.zeros((1, 7)))
-        loss = ad.masked_sum(ad.log_softmax_rows(logits), -np.eye(7)[[3]])
+        loss = ad.masked_nll([(ad.row_softmax(logits), np.eye(7)[[3]])])
         np.testing.assert_allclose(loss.data, np.log(7.0))
 
 
@@ -191,10 +191,10 @@ def _random_composition(rng, xs, table, mix, bias):
             mats.append(ad.matmul(w, mats[0]))
         else:
             mats.append(ad.attention_layer(a, mats[-1], b, mask)[0])
-    log_probs = ad.log_softmax_rows(ad.matmul(mats[-1], mats[1], transpose_b=True))
-    picked = ad.masked_sum(log_probs, rng.normal(size=(n, n)))
-    gold = -np.eye(2 * d)[rng.integers(2 * d, size=n)] / n
-    ce = ad.masked_sum(ad.log_softmax_rows(ad.hstack(mats[:2])), gold)
+    picked = ad.masked_nll([(ad.row_softmax(mats[-1], mats[1]),
+                             rng.normal(size=(n, n)))])
+    gold = np.eye(2 * d)[rng.integers(2 * d, size=n)] / n
+    ce = ad.masked_nll([(ad.row_softmax(ad.hstack(mats[:2])), gold)])
     return ad.combine([picked, ce], [0.3, 1.0])
 
 
@@ -245,15 +245,15 @@ class TestFusedRowOps:
     def test_log_softmax_vector_values_and_grad(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 5))
-        out = ad.log_softmax_rows(ad.constant(x))
-        for row, got in zip(x, out.data):
+        out = ad.row_softmax(ad.constant(x)).log_probs
+        for row, got in zip(x, out):
             ex = np.exp(row - row.max())
             np.testing.assert_allclose(got, np.log(ex / ex.sum()), atol=1e-12)
             assert abs(np.exp(got).sum() - 1.0) < 1e-12
 
         sel = rng.normal(size=(2, 5))
         err = ad.grad_check(
-            lambda t: ad.masked_sum(ad.log_softmax_rows(t), sel),
+            lambda t: ad.masked_nll([(ad.row_softmax(t), sel)]),
             ad.parameter(rng.normal(size=(2, 5))))
         assert err < 1e-8
 
@@ -263,7 +263,9 @@ class TestNonFinite:
         big = ad.constant([[1e200, 1e200]])
         dots = ad.matmul(big, big, transpose_b=True)
         with pytest.raises(ad.NonFiniteValue):
-            ad.log_softmax_rows(dots)
+            ad.row_softmax(dots)
+        with pytest.raises(ad.NonFiniteValue):
+            ad.row_softmax(big, big)
         with pytest.raises(ad.NonFiniteValue):
             ad.masked_softmax(dots, [[True]])
 

@@ -567,8 +567,12 @@ class TestInputLines:
     }
 
     def run(self, tmp_path, kind, lines):
+        """The command reading ``lines`` (text, or raw bytes) as a ``kind``
+        file."""
         path = tmp_path / f"{kind}.jsonl"
-        path.write_text("".join(line + "\n" for line in lines))
+        path.write_bytes(b"".join(
+            (line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n"
+            for line in lines))
         gold = str(DATA / "score_fixture_gold.jsonl")
         if kind == "corpus":
             argv = ["build-graphs", "--corpus", str(path), "--out", str(tmp_path / "g")]
@@ -590,6 +594,18 @@ class TestInputLines:
         assert self.run(tmp_path, kind, self.good_lines(kind, 2) + ['{"a": oops}']) == 2
         assert capsys.readouterr().err == (
             "data error: line 3: bad JSON: Expecting value at column 7\n")
+
+    @pytest.mark.parametrize("kind", ["corpus", "pred", "vectors"])
+    @pytest.mark.parametrize("good, bad, error", [
+        (0, b"\xff\xfe", "invalid start byte at byte 1"),
+        (2, b'{"a": "\xe9"}', "invalid continuation byte at byte 8"),
+    ], ids=["utf-16-bom", "latin-1"])
+    def test_non_utf8_names_its_line(self, tmp_path, capsys, kind, good, bad,
+                                     error):
+        # before: exit 2 with the codec's message and no line
+        assert self.run(tmp_path, kind, self.good_lines(kind, good) + [bad]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: line {good + 1}: not UTF-8: {error}\n")
 
     @pytest.mark.parametrize("kind, key", [
         ("corpus", "tokens"), ("vectors", "sentence_id"), ("vectors", "vectors")])
@@ -708,6 +724,21 @@ class TestCheckpointErrors:
         _, arrays = read_checkpoint(ckpt_path)
         assert self.extract(small_corpus, tmp_path, [1], arrays) == 2
         assert "meta is not a JSON object" in capsys.readouterr().err
+
+    def test_meta_nested_too_deeply(self, ckpt_path, small_corpus, tmp_path,
+                                    capsys):
+        # before: json's RecursionError ended extract in a traceback
+        _, arrays = read_checkpoint(ckpt_path)
+        bad = tmp_path / "bad.npz"
+        meta = ("[" * 100_000 + "]" * 100_000).encode()
+        with open(bad, "wb") as f:
+            np.savez(f, __meta__=np.frombuffer(meta, dtype=np.uint8), **arrays)
+        rc = cli.main(["extract", "--ckpt", str(bad), "--corpus", str(small_corpus),
+                       "--out", str(tmp_path / "pred.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad} is not a checkpoint: bad JSON meta: "
+            f"nested too deeply\n")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_tensor(self, ckpt_path, small_corpus, tmp_path, capsys,

@@ -301,6 +301,13 @@ class TestReadJsonl:
         assert c.read_jsonl(p, lambda v, line: (line, v)) == [
             (1, 1), (4, [2]), (5, "three")]
 
+    def test_cr_and_crlf_end_lines_too(self, tmp_path):
+        # the reader reads bytes, and keeps text mode's line endings
+        p = tmp_path / "x.jsonl"
+        p.write_bytes(b'1\r\n\r[2]\r"three"\n')
+        assert c.read_jsonl(p, lambda v, line: (line, v)) == [
+            (1, 1), (3, [2]), (4, "three")]
+
     def test_bad_json_names_line_and_column_once(self, tmp_path):
         p = tmp_path / "x.jsonl"
         p.write_text('1\n\n{"a": oops}\n')

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +99,28 @@ class TestLabelEmbeddings:
         g = make_graph(CONST_VIEW, 2, [], [["S", "NP"], ["S", "NP", "NP", "S"]])
         out = gcn.node_label_embed_const(g, small_params, labels)
         np.testing.assert_allclose(out.data[0], out.data[1])
+
+    def test_const_matrix_built_once_per_graph(self, small_params, monkeypatch):
+        labels = gcn.LabelVocab(["<unk>", "S", "NP"])
+        g = make_graph(CONST_VIEW, 2, [], [["S", "NP"], ["S"]])
+        built = []
+        inner = ad.constant
+
+        def spy(data):
+            built.append(data)
+            return inner(data)
+
+        monkeypatch.setattr(ad, "constant", spy)
+        first = gcn.node_label_embed_const(g, small_params, labels)
+        second = gcn.node_label_embed_const(g, small_params, labels)
+        np.testing.assert_array_equal(first.data, second.data)
+        assert len(built) == 2 and built[1] is built[0]
+        # the vocabulary keeps no graph, and no matrix, alive
+        kept = weakref.ref(built.pop())
+        built.clear()
+        del g, first, second
+        gc.collect()
+        assert kept() is None
 
 
 def old_embed_const(g, params, labels) -> ad.Tensor:

@@ -2,9 +2,11 @@
 
 The encoder is ``ad.window_linear`` over the unmarked rows, once per
 sentence, then ``ad.marked_window_relu`` per verb; one GCN view is
-``ad.attention_layer``.  Each is checked against a numpy reference of the old
-chain, by gradcheck, and the attention kernel against ``masked_softmax``'s
-errors.  Any numpy warning fails these tests.
+``ad.attention_layer``; each loss is one ``ad.masked_nll`` over
+``ad.row_softmax`` records.  Each is checked against a numpy reference of the
+old chain and by gradcheck, the attention kernel against ``masked_softmax``'s
+errors and the loss kernel against the errors the old chain raised.  Any
+numpy warning fails these tests.
 """
 
 import numpy as np
@@ -183,3 +185,115 @@ class TestAttentionKernel:
             ad.masked_softmax(logits, mask)
         with pytest.raises(error):
             ad.attention_layer(*args)
+
+
+def old_loss(logits, masks, g=1.0):
+    """The old chain, in numpy: the sum over terms of masked_sum(
+    log_softmax_rows(x), -M), and each logits matrix's gradient through
+    log_softmax_rows' and masked_sum's backward for the seed ``g``."""
+    value, grads = 0.0, []
+    for x, mask in zip(logits, masks):
+        m = x.max(axis=1, keepdims=True)
+        ex = np.exp(x - m)
+        z = ex.sum(axis=1, keepdims=True)
+        value = value + np.sum((x - (m + np.log(z))) * -mask)
+        g_log = g * -mask
+        grads.append(g_log - ex / z * g_log.sum(axis=1, keepdims=True))
+    return value, grads
+
+
+def loss_case(case, n, rng):
+    """(inputs, terms builder, per-term (a, b) operands, masks) for one of the
+    three ways the losses use the kernel: tag logits (CE), a product of a
+    view with itself (R1) and the two products of two views (R2, R3)."""
+    if case == "logits":
+        xs = [ad.parameter(rng.normal(size=(n, 4)))]
+        operands = [(0, None), (0, None)]
+
+        def terms(x):
+            rows = ad.row_softmax(x)
+            return [rows, rows]
+    elif case == "a-is-b":
+        xs = [ad.parameter(rng.normal(size=(n, D))) for _ in range(2)]
+        operands = [(0, 0), (1, 1)]
+
+        def terms(a, b):
+            return [ad.row_softmax(a, a), ad.row_softmax(b, b)]
+    else:
+        xs = [ad.parameter(rng.normal(size=(n, D))) for _ in range(2)]
+        operands = [(1, 0), (0, 1), (1, 0)]
+
+        def terms(a, b):
+            return [*ad.row_softmax_pair(b, a), ad.row_softmax(b, a)]
+    masks = [rng.normal(size=(n, 4 if case == "logits" else n))
+             for _ in operands]
+    return xs, terms, operands, masks
+
+
+LOSS_CASES = ["logits", "a-is-b", "a-not-b"]
+
+
+class TestLossKernel:
+    """``ad.masked_nll`` over ``ad.row_softmax`` records against the
+    ``log_softmax_rows`` + ``masked_sum`` chain it replaces."""
+
+    @pytest.mark.parametrize("case", LOSS_CASES)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_old_chain(self, case, n):
+        rng = np.random.default_rng(30 + n)
+        xs, terms, operands, masks = loss_case(case, n, rng)
+        out = ad.masked_nll(list(zip(terms(*xs), masks)))
+        out.backward()
+        logits = [xs[i].data if j is None else xs[i].data @ xs[j].data.T
+                  for i, j in operands]
+        want, g_logits = old_loss(logits, masks)
+        assert abs(float(out.data) - want) < 1e-12
+        want_grads = [np.zeros_like(x.data) for x in xs]
+        for (i, j), gl in zip(operands, g_logits):
+            if j is None:
+                want_grads[i] += gl
+            else:
+                want_grads[i] += gl @ xs[j].data
+                want_grads[j] += gl.T @ xs[i].data
+        for x, gx in zip(xs, want_grads):
+            np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", LOSS_CASES)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_gradcheck(self, case, n):
+        rng = np.random.default_rng(40 + n)
+        xs, terms, _, masks = loss_case(case, n, rng)
+
+        def f(*params):
+            return ad.masked_nll(list(zip(terms(*params), masks)))
+
+        assert ad.grad_check(f, xs) < 1e-6
+
+    def test_records_no_node_of_its_own(self):
+        a = ad.parameter(np.ones((2, D)))
+        out = ad.masked_nll([(ad.row_softmax(a, a), np.eye(2))])
+        assert [t is a for t in ad.Tape(out).order] == [True, False]
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: ad.row_softmax(ad.constant([[0.0, np.nan]])), ad.NonFiniteValue),
+        (lambda: ad.row_softmax(ad.constant([[0.0, -np.inf]])), ad.NonFiniteValue),
+        (lambda: ad.row_softmax(ad.constant([[1e200]]), ad.constant([[1e200]])),
+         ad.NonFiniteValue),
+        (lambda: ad.row_softmax_pair(ad.constant([[1e200]]),
+                                     ad.constant([[1e200]])), ad.NonFiniteValue),
+        (lambda: ad.row_softmax(ad.constant(np.zeros((2, 0)))), ad.ShapeMismatch),
+        (lambda: ad.row_softmax(ad.constant(np.zeros(3))), ad.ShapeMismatch),
+        (lambda: ad.row_softmax(ad.constant(np.zeros((2, 3))),
+                                ad.constant(np.zeros((2, 2)))), ad.ShapeMismatch),
+        (lambda: ad.row_softmax_pair(ad.constant(np.zeros((0, 2))),
+                                     ad.constant(np.zeros((3, 2)))),
+         ad.ShapeMismatch),
+        (lambda: ad.masked_nll([(ad.row_softmax(ad.constant(np.zeros((2, 3)))),
+                                 np.zeros((3, 2)))]), ad.ShapeMismatch),
+        (lambda: ad.masked_nll([]), ad.ShapeMismatch),
+    ], ids=["nan", "neg-inf", "product-overflow", "pair-overflow", "no-columns",
+            "1-d", "inner-mismatch", "pair-no-rows", "mask-shape", "no-terms"])
+    def test_raises_what_the_old_chain_raised(self, build, error):
+        match = "log-softmax logits" if error is ad.NonFiniteValue else None
+        with pytest.raises(error, match=match):
+            build()

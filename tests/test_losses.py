@@ -71,9 +71,12 @@ def inter(h_con, h_dep):
 
 
 def pairwise_prob(target, anchor, candidates):
-    """P(candidates[target] | anchor) read off the loss's log-prob matrix."""
-    log_probs = L.log_prob_matrix(ad.constant([anchor]), candidates)
-    return math.exp(log_probs.data[0, target])
+    """P(candidates[target] | anchor) read off the losses' row softmax of
+    anchor · candidatesᵀ."""
+    rows = ad.row_softmax(ad.constant([anchor]), candidates)
+    assert math.exp(rows.log_probs[0, target]) == pytest.approx(
+        rows.probs[0, target], rel=1e-15)
+    return math.exp(rows.log_probs[0, target])
 
 
 class TestPairwiseProb:

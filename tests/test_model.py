@@ -123,27 +123,43 @@ class TestTapeSize:
         model = Model(cfg, Vocabulary.from_sentences(sentences), dl, cl)
         return model.instance_losses(expand_instances(sentences[0])[0], cache[0], 0)
 
-    def test_default_instance_records_45_nodes(self):
-        # Guards the op count of one training instance: the encoder (two
-        # gathers, the indicator add, the window mix and the marked ReLU),
-        # two GCN views of one node each, the head and CE + R1/R2/R3.
-        # A change that adds primitives to the per-instance path must update
-        # this count on purpose.
+    def test_default_instance_records_30_nodes(self):
+        # Guards the op count of one training instance: 12 parameter leaves,
+        # then the encoder (two gathers, the indicator add, the window mix
+        # and the marked ReLU), the label embeddings and projections of both
+        # views, two GCN views of one node each, their concatenation, the
+        # head, CE, R1, R2 and R3 of one ``masked_nll`` node each, and their
+        # weighted sum.  A change that adds primitives to the per-instance
+        # path must update this count on purpose.
         parts = self.default_instance_losses()
-        assert len(ad.Tape(parts["total"]).order) == 45
+        assert len(ad.Tape(parts["total"]).order) == 30
 
     def test_r2_and_r3_share_their_log_prob_matrices(self, monkeypatch):
-        # R1 builds one matrix per view; R2 and R3 read one inter-view pair
-        calls = []
-        inner = losses.log_prob_matrix
+        # one inter-view product per instance: R2 and R3 read the same two
+        # row softmaxes, over S = H_dep H_conᵀ and Sᵀ
+        pairs, singles, read = [], [], []
+        inner_pair, inner_single = ad.row_softmax_pair, ad.row_softmax
 
-        def counted(h_z, h_other):
-            calls.append(h_z.shape)
-            return inner(h_z, h_other)
+        def pair(a, b):
+            pairs.append(inner_pair(a, b))
+            return pairs[-1]
 
-        monkeypatch.setattr(losses, "log_prob_matrix", counted)
+        def single(a, b=None):
+            singles.append((a, b))
+            return inner_single(a, b)
+
+        monkeypatch.setattr(ad, "row_softmax_pair", pair)
+        monkeypatch.setattr(ad, "row_softmax", single)
+        for name in ("loss_r2", "loss_r3"):
+            def reading(inter, *args, _inner=getattr(losses, name)):
+                read.append(inter)
+                return _inner(inter, *args)
+            monkeypatch.setattr(losses, name, reading)
         self.default_instance_losses()
-        assert len(calls) == 4
+        assert len(pairs) == 1
+        assert len(read) == 2 and all(inter is pairs[0] for inter in read)
+        # the other products are R1's, one per view, each over its own view
+        assert [b is None or a is b for a, b in singles] == [True] * 3
 
 
 class TestPredict:
