@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -47,7 +48,8 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_depth")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -55,6 +57,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+        self._depth = 0  # a recorded op sits one above its deepest parent
 
     @property
     def shape(self):
@@ -78,14 +81,27 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _result(data, parents, backward) -> Tensor:
-    """Build an op result; record the graph only when a parent needs grads."""
+class NllTensor(Tensor):
+    """The scalar ``masked_nll`` returns.  It keeps its (row softmax, mask)
+    terms, so ``weighted_nll`` can merge several losses into one node."""
+
+    __slots__ = ("terms",)
+
+
+def _record(out: Tensor, parents, backward) -> Tensor:
+    """Record ``out``'s graph only when a parent needs grads."""
     track = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=track)
+    out.requires_grad = track
     if track:
         out._parents = tuple(parents)
         out._backward = backward
+        out._depth = 1 + max(p._depth for p in out._parents)
     return out
+
+
+def _result(data, parents, backward) -> Tensor:
+    """Build an op result and record its graph."""
+    return _record(Tensor(data), parents, backward)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -97,26 +113,23 @@ def _accumulate(t: Tensor, g: np.ndarray):
             t.grad += g
 
 
+_depth = attrgetter("_depth")
+
+
 class Tape:
     """Topologically ordered record of the ops reachable from an output."""
 
     def __init__(self, output: Tensor):
-        order: list[Tensor] = []
-        seen = set()
-        stack: list[tuple[Tensor, bool]] = [(output, False)]
+        reached, seen = [], set()
+        stack = [output]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
+            node = stack.pop()
+            if node.requires_grad and id(node) not in seen:
+                seen.add(id(node))
+                reached.append(node)
+                stack.extend(node._parents)
         self.output = output
-        self.order = order  # parents precede consumers
+        self.order = sorted(reached, key=_depth)  # parents precede consumers
 
     def backward(self, seed: np.ndarray | None = None):
         if seed is None:
@@ -168,21 +181,29 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     return _result(out, (a, b), backward)
 
 
-def gather_rows(table: Tensor, index) -> Tensor:
-    """Rows ``table[index]``; the gradient scatter-adds back onto the table."""
+def _row_index(op: str, table: Tensor, index) -> np.ndarray:
+    """``index`` as a checked 1-D array of rows of the 2-D ``table``."""
     idx = np.asarray(index, dtype=np.intp)
     if table.data.ndim != 2 or idx.ndim != 1:
-        raise ShapeMismatch(f"gather_rows: table {table.shape}, index {idx.shape}")
+        raise ShapeMismatch(f"{op}: table {table.shape}, index {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeMismatch(f"row index outside table of {table.shape[0]} rows")
+    return idx
 
-    def backward(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
 
-    return _result(table.data[idx], (table,), backward)
+def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray):
+    """Add row k of ``g`` to the gradient of row idx[k] of ``table``."""
+    if table.requires_grad:
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, idx, g)
+
+
+def gather_rows(table: Tensor, index) -> Tensor:
+    """Rows ``table[index]``; the gradient scatter-adds back onto the table."""
+    idx = _row_index("gather_rows", table, index)
+    return _result(table.data[idx], (table,),
+                   lambda g: _scatter_rows(table, idx, g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -301,7 +322,7 @@ def row_softmax_pair(a: Tensor, b: Tensor) -> tuple[RowSoftmax, RowSoftmax]:
     return _row_softmax(x, a, b), _row_softmax(x.T, b, a)
 
 
-def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> Tensor:
+def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> NllTensor:
     """-Σₖ sum(Mₖ * log_probsₖ) over (row softmax, constant mask Mₖ) terms.
 
     The gradient reaching term k's logits is rowsum(Mₖ) Pₖ - Mₖ.  Terms over
@@ -311,19 +332,54 @@ def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> Tensor:
     """
     if not terms:
         raise ShapeMismatch("masked_nll of zero terms")
-    masks = [np.asarray(mask, dtype=np.float64) for _, mask in terms]
+    checked = []
     total = 0.0
-    for (rows, _), mask in zip(terms, masks):
+    for rows, mask in terms:
+        mask = np.asarray(mask, dtype=np.float64)
         if mask.shape != rows.log_probs.shape:
             raise ShapeMismatch(f"masked_nll: log-probs {rows.shape} vs "
                                 f"mask {mask.shape}")
-        total += (rows.log_probs * mask).sum()
+        total += np.vdot(rows.log_probs, mask)
+        checked.append((rows, mask))
+    return _nll(-total, checked)
+
+
+def weighted_nll(losses: list[NllTensor], weights: list[float]) -> NllTensor:
+    """weights[0] * losses[0] + weights[1] * losses[1] + ... as one node.
+
+    The value is summed from the losses' values, left to right, as
+    ``combine`` sums them.  The gradient comes from the losses' terms, each
+    mask scaled by its loss's weight, and terms that read one row softmax
+    add their masks first.  The losses' own nodes are not on its tape.
+    """
+    if not losses or len(losses) != len(weights):
+        raise ShapeMismatch(f"{len(losses)} losses vs {len(weights)} weights")
+    ws = [float(w) for w in weights]
+    value = ws[0] * float(losses[0].data)
+    for w, loss in zip(ws[1:], losses[1:]):
+        value = value + w * float(loss.data)
+    merged = []  # [row softmax, summed mask]
+    for w, loss in zip(ws, losses):
+        for rows, mask in loss.terms:
+            for entry in merged:
+                if entry[0] is rows:
+                    entry[1] = entry[1] + w * mask
+                    break
+            else:
+                merged.append([rows, w * mask])
+    return _nll(value, merged)
+
+
+def _nll(value, terms) -> NllTensor:
+    """The node of ``value`` whose gradient is ``masked_nll``'s over ``terms``."""
+    out = NllTensor(value)
+    out.terms = terms
     parents = {id(t): t for rows, _ in terms for t in (rows.a, rows.b)
                if t is not None}
 
     def backward(g):
         grads = []  # [a, b, gradient of the logits a bᵀ (of a when b is None)]
-        for (rows, _), mask in zip(terms, masks):
+        for rows, mask in terms:
             gl = g * (mask.sum(axis=1, keepdims=True) * rows.probs - mask)
             for entry in grads:
                 if entry[0] is rows.a and entry[1] is rows.b:
@@ -346,7 +402,7 @@ def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> Tensor:
                 if b.requires_grad:
                     _accumulate(b, gl.T @ a.data)
 
-    return _result(-total, parents.values(), backward)
+    return _record(out, parents.values(), backward)
 
 
 def masked_sum(a: Tensor, mask) -> Tensor:
@@ -384,28 +440,35 @@ def combine(terms: list[Tensor], weights: list[float]) -> Tensor:
 # each a single node with a hand-written backward
 # ---------------------------------------------------------------------------
 
-def window_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Row i is [x_{i-1}; x_i; x_{i+1}] @ w.T + b, for an (n, d) matrix x
-    zero-padded at both ends, a (d_out, 3d) weight and a (d_out,) bias."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeMismatch(f"window_linear: {x.shape}, {w.shape}, {b.shape}")
-    d = x.shape[1]
-    if w.shape[1] != 3 * d or w.shape[0] != b.shape[0]:
-        raise ShapeMismatch(f"window_linear: window of {x.shape} @ {w.shape}.T "
-                            f"+ {b.shape}")
-    xd, wd = x.data, w.data
+def window_linear(table: Tensor, index, marks: Tensor, w: Tensor,
+                  b: Tensor) -> Tensor:
+    """Row i is [x_{i-1}; x_i; x_{i+1}] @ w.T + b over the rows
+    x = table[index] + marks[0], zero-padded at both ends: the window mix of
+    embedded rows with no verb marked, for a (V, d) table, an (n,) index, a
+    (2, d) indicator table, a (d_out, 3d) weight and a (d_out,) bias."""
+    idx = _row_index("window_linear", table, index)
+    d = table.shape[1]
+    if marks.shape != (2, d) or w.data.ndim != 2 or w.shape[1] != 3 * d \
+            or b.shape != (w.shape[0],):
+        raise ShapeMismatch(f"window_linear: window of {table.shape} rows and "
+                            f"marks {marks.shape} @ {w.shape}.T + {b.shape}")
+    xd, wd = table.data[idx] + marks.data[0], w.data
     win = np.zeros((xd.shape[0], 3 * d))
     win[1:, :d] = xd[:-1]
     win[:, d:2 * d] = xd
     win[:-1, 2 * d:] = xd[1:]
 
     def backward(g):
-        if x.requires_grad:
+        if table.requires_grad or marks.requires_grad:
             gwin = g @ wd
             gx = gwin[:, d:2 * d].copy()
             gx[:-1] += gwin[1:, :d]
             gx[1:] += gwin[:-1, 2 * d:]
-            _accumulate(x, gx)
+            _scatter_rows(table, idx, gx)
+            if marks.requires_grad:
+                g_marks = np.zeros_like(marks.data)
+                g_marks[0] = gx.sum(axis=0)
+                _accumulate(marks, g_marks)
         if w.requires_grad:
             _accumulate(w, g.T @ win)
         if b.requires_grad:
@@ -414,7 +477,7 @@ def window_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     # as in matmul, overflow is left to the consumer
     with np.errstate(over="ignore", invalid="ignore"):
         out = win @ wd.T + b.data
-    return _result(out, (x, w, b), backward)
+    return _result(out, (table, marks, w, b), backward)
 
 
 def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row: int) -> Tensor:
@@ -451,12 +514,17 @@ def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row: int) -> Tenso
         if marked and (marks.requires_grad or w.requires_grad):
             per_row = np.zeros((3, d_out))
             per_row[lo - row + 1:hi - row + 1] = gz[lo:hi]
-            per_block = per_row[::-1].T.reshape(-1)  # index o * 3 + k, as w_rows
             if marks.requires_grad:
+                per_block = per_row[::-1].T.reshape(-1)  # index o * 3 + k, as w_rows
                 g_delta = per_block @ w_rows
                 _accumulate(marks, np.stack([-g_delta, g_delta]))
             if w.requires_grad:
-                _accumulate(w, np.outer(per_block, delta).reshape(d_out, 3 * d))
+                # row j is the move as output row row - 1 + j sees it in its
+                # window: marks[1] - marks[0] in block 2 - j
+                moved = np.zeros((3, 3 * d))
+                for j in range(3):
+                    moved[j, (2 - j) * d:(3 - j) * d] = delta
+                _accumulate(w, per_row.T @ moved)
 
     return _result(out, (pre, marks, w), backward)
 

@@ -1,8 +1,8 @@
 """Contextual token representations from word + verb-indicator embeddings.
 
 The default encoder mixes a 3-token window through one ReLU layer, as two
-fused autodiff nodes: the mix of the unmarked rows, once per sentence, and
-per verb the marked rows plus the ReLU.  A config that names
+fused autodiff nodes: the word-row gather and mix of the unmarked rows, once
+per sentence, and per verb the marked rows plus the ReLU.  A config that names
 ``encoder_vectors`` replaces it with the ``PrecomputedEncoder``, which replays
 fixed per-token vectors from that file.
 """
@@ -55,25 +55,10 @@ class EncoderParams:
     b_mix: Tensor    # (d_h,)
 
 
-def word_rows(params: EncoderParams, vocab: Vocabulary, surfaces: list[str]) -> Tensor:
-    """(n, d_h): each token's word-table row, the same for every verb."""
-    return ad.gather_rows(params.w_word, [vocab.lookup(s) for s in surfaces])
-
-
-def embed(params: EncoderParams, words: Tensor, indicator_verb: int) -> Tensor:
-    """(n, d_h) rows: word rows + indicator row (row 1 only at the verb; a
-    verb outside [0, n) marks no row)."""
-    flags = (np.arange(words.shape[0]) == indicator_verb).astype(np.intp)
-    return ad.add(words, ad.gather_rows(params.w_verb, flags))
-
-
-# an indicator verb that marks no row
-NO_VERB = -1
-
-
 class ToyEncoder:
     """Window-3 mixing layer: h_i = ReLU(W [x_{i-1}; x_i; x_{i+1}] + b) over
-    the embedded rows x, zero-padded at both ends.
+    the embedded rows x, zero-padded at both ends.  Row x_i is token i's word
+    row plus indicator row 1 at the verb and row 0 elsewhere.
 
     The mix is linear before its ReLU, so ``base`` mixes the rows with no
     verb marked once per sentence, and ``encode`` adds what marking one verb
@@ -86,9 +71,9 @@ class ToyEncoder:
 
     def base(self, sentence: ParsedSentence, sentence_id: int | None = None) -> Tensor:
         """(n, d_h) pre-activation with no verb marked, which every verb shares."""
-        words = word_rows(self.params, self.vocab, sentence.tokens)
-        return ad.window_linear(embed(self.params, words, NO_VERB),
-                                self.params.w_mix, self.params.b_mix)
+        p = self.params
+        ids = [self.vocab.lookup(t) for t in sentence.tokens]
+        return ad.window_linear(p.w_word, ids, p.w_verb, p.w_mix, p.b_mix)
 
     def encode(self, base: Tensor, indicator_verb: int) -> Tensor:
         """(n, d_h) states of one verb from the sentence's ``base``."""

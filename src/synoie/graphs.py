@@ -86,6 +86,15 @@ class SyntacticGraph:
                 rows[i, column[tag]] += 1.0 / len(path)
         return label_set, rows
 
+    @cached_property
+    def selection(self) -> np.ndarray:
+        """The (n, n) float mask of the edges without self-loops, which the
+        R1 and R3 losses read: a node never selects itself.  Built on first
+        use, then kept."""
+        sel = self.adjacency.astype(float)
+        np.fill_diagonal(sel, 0.0)
+        return sel
+
 
 def _adjacency_from_edges(n: int, edges) -> np.ndarray:
     adj = np.eye(n, dtype=bool)

@@ -225,13 +225,13 @@ class Model:
 
         h_by_view = {view: h for view, h in (("con", fwd.h_con), ("dep", fwd.h_dep))
                      if h is not None}
-        adj_by_view = {"con": graphs.const.adjacency, "dep": graphs.dep.adjacency}
+        graph_by_view = {"con": graphs.const, "dep": graphs.dep}
 
         both = fwd.h_con is not None and fwd.h_dep is not None
         w = cfg.weights
         l_r1 = l_r2 = l_r3 = None
         if cfg.use_r1 and w.alpha != 0.0 and h_by_view:
-            l_r1 = losses_mod.loss_r1(h_by_view, adj_by_view)
+            l_r1 = losses_mod.loss_r1(h_by_view, graph_by_view)
         run_r2 = cfg.use_r2 and w.beta != 0.0 and both
         run_r3 = cfg.use_r3 and w.gamma != 0.0 and both
         if run_r2 or run_r3:
@@ -239,8 +239,7 @@ class Model:
             if run_r2:
                 l_r2 = losses_mod.loss_r2(inter)
             if run_r3:
-                l_r3 = losses_mod.loss_r3(inter, graphs.const.adjacency,
-                                          graphs.dep.adjacency)
+                l_r3 = losses_mod.loss_r3(inter, graphs.const, graphs.dep)
         total = losses_mod.combined_loss(l_ce, l_r1, l_r2, l_r3, w)
         pred_ids = np.argmax(fwd.logits.data, axis=1).tolist()
         return {"total": total, "ce": l_ce, "r1": l_r1, "r2": l_r2, "r3": l_r3,

@@ -53,14 +53,17 @@ class TestForwardValues:
 
     def test_window_linear_pads_with_zeros(self):
         x = ad.constant(np.arange(6.0).reshape(3, 2))
+        rows, marks = np.arange(3), ad.constant(np.zeros((2, 2)))
         pick = np.zeros((2, 6))
         pick[:, :2] = np.eye(2)  # the row above
         np.testing.assert_array_equal(
-            ad.window_linear(x, ad.constant(pick), ad.constant(np.zeros(2))).data,
+            ad.window_linear(x, rows, marks, ad.constant(pick),
+                             ad.constant(np.zeros(2))).data,
             [[0, 0], [0, 1], [2, 3]])
         pick = np.roll(pick, 4, axis=1)  # the row below
         np.testing.assert_array_equal(
-            ad.window_linear(x, ad.constant(pick), ad.constant(np.zeros(2))).data,
+            ad.window_linear(x, rows, marks, ad.constant(pick),
+                             ad.constant(np.zeros(2))).data,
             [[2, 3], [4, 5], [0, 0]])
 
     def test_cross_entropy_uniform(self):
@@ -82,6 +85,14 @@ class TestGradients:
         z = ad.add(y, y)
         z.backward()
         np.testing.assert_allclose(x.grad, 4.0)
+
+    def test_tape_holds_each_reached_node_once_parents_first(self):
+        x = ad.parameter(np.ones((2, 2)))
+        y = ad.add(x, ad.constant(np.ones((2, 2))))
+        ad.add(x, x)  # not reached from the output
+        inner = ad.add(y, x)
+        z = ad.add(inner, y)
+        assert ad.Tape(z).order == [x, y, inner, z]
 
     def test_concat_splits_gradient_exactly(self):
         a = ad.parameter([[1.0, 2.0]])
@@ -182,8 +193,9 @@ def _random_composition(rng, xs, table, mix, bias):
             mats.append(ad.combine([a, b], [float(rng.normal()), 0.5]))
         elif op == 2:
             marks = ad.gather_rows(table, rng.integers(table.shape[0], size=2))
-            mats.append(ad.marked_window_relu(ad.window_linear(a, mix, bias),
-                                              marks, mix, int(rng.integers(-1, n + 1))))
+            pre = ad.window_linear(a, np.arange(n), marks, mix, bias)
+            mats.append(ad.marked_window_relu(pre, marks, mix,
+                                              int(rng.integers(-1, n + 1))))
         elif op == 3:
             mats.append(ad.matmul(ad.matmul(a, table, transpose_b=True), table))
         elif op == 4:

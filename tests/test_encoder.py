@@ -17,6 +17,18 @@ def draw_params(vocab_size, d_h, rng):
                              w_mix=u(d_h, 3 * d_h), b_mix=ad.parameter(np.zeros(d_h)))
 
 
+def word_rows(params, vocab, surfaces):
+    """(n, d_h): each token's word-table row, the same for every verb."""
+    return ad.gather_rows(params.w_word, [vocab.lookup(s) for s in surfaces])
+
+
+def embed(params, words, indicator_verb):
+    """(n, d_h) rows: word rows + indicator row (row 1 only at the verb; a
+    verb outside [0, n) marks no row), the rows the encoder's window mixes."""
+    flags = (np.arange(words.shape[0]) == indicator_verb).astype(np.intp)
+    return ad.add(words, ad.gather_rows(params.w_verb, flags))
+
+
 @pytest.fixture
 def params():
     return draw_params(vocab_size=6, d_h=4, rng=np.random.default_rng(0))
@@ -42,7 +54,7 @@ class TestVocabulary:
 
 class TestEmbed:
     def test_indicator_shifts_by_verb_row_difference(self, params, vocab):
-        ws = enc.embed(params, enc.word_rows(params, vocab, ["cat", "cat"]),
+        ws = embed(params, word_rows(params, vocab, ["cat", "cat"]),
                        indicator_verb=1)
         diff = ws.data[1] - ws.data[0]
         expected = params.w_verb.data[1] - params.w_verb.data[0]
@@ -51,14 +63,14 @@ class TestEmbed:
     def test_tied_verb_rows_remove_indicator_effect(self, vocab):
         params = draw_params(6, 4, np.random.default_rng(1))
         params.w_verb.data[1] = params.w_verb.data[0]
-        a = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes", "toys"]), 1)
-        b = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes", "toys"]), 2)
+        a = embed(params, word_rows(params, vocab, ["cat", "likes", "toys"]), 1)
+        b = embed(params, word_rows(params, vocab, ["cat", "likes", "toys"]), 2)
         for x, y in zip(a.data, b.data):
             np.testing.assert_array_equal(x, y)
 
     def test_only_indicator_position_gets_row_one(self, params, vocab, example_sentence):
         surfaces = example_sentence.tokens
-        ws = enc.embed(params, enc.word_rows(params, vocab, surfaces), indicator_verb=3)
+        ws = embed(params, word_rows(params, vocab, surfaces), indicator_verb=3)
         for i, w in enumerate(ws.data):
             row = 1 if i == 3 else 0
             base = params.w_word.data[vocab.lookup(surfaces[i])]
@@ -76,14 +88,14 @@ class TestToyEncoder:
         params.w_word.data = np.abs(params.w_word.data)  # non-negative inputs
         params.w_verb.data = np.abs(params.w_verb.data)
         te = enc.ToyEncoder(params, vocab)
-        ws = enc.embed(params, enc.word_rows(params, vocab, ["cat", "likes"]), 1)
+        ws = embed(params, word_rows(params, vocab, ["cat", "likes"]), 1)
         hs = te.encode(te.base(flat_sentence(["cat", "likes"])), 1)
         for w, h in zip(ws.data, hs.data):
             np.testing.assert_allclose(h, w)
 
     def test_single_token_uses_zero_padding(self, params, vocab):
         te = enc.ToyEncoder(params, vocab)
-        ws = enc.embed(params, enc.word_rows(params, vocab, ["cat"]), 0)
+        ws = embed(params, word_rows(params, vocab, ["cat"]), 0)
         hs = te.encode(te.base(flat_sentence(["cat"])), 0)
         window = np.concatenate([np.zeros(4), ws.data[0], np.zeros(4)])
         expected = np.maximum(params.w_mix.data @ window + params.b_mix.data, 0)

@@ -1,9 +1,10 @@
 """The fused kernels against the primitive chains they replace.
 
-The encoder is ``ad.window_linear`` over the unmarked rows, once per
-sentence, then ``ad.marked_window_relu`` per verb; one GCN view is
+The encoder is ``ad.window_linear`` over the gathered, unmarked rows, once
+per sentence, then ``ad.marked_window_relu`` per verb; one GCN view is
 ``ad.attention_layer``; each loss is one ``ad.masked_nll`` over
-``ad.row_softmax`` records.  Each is checked against a numpy reference of the
+``ad.row_softmax`` records, and an instance's weighted sum of them is one
+``ad.weighted_nll`` node.  Each is checked against a numpy reference of the
 old chain and by gradcheck, the attention kernel against ``masked_softmax``'s
 errors and the loss kernel against the errors the old chain raised.  Any
 numpy warning fails these tests.
@@ -15,8 +16,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from synoie import autodiff as ad
+from synoie import cli
 from synoie import corpus as c
 from synoie import encoder as enc
+from synoie import losses as L
+from synoie.config import TrainConfig
+from synoie.graphs import SyntacticGraph
 
 from tree_strategies import bracketed_trees, flat_sentence, root_is_preterminal
 
@@ -129,12 +134,81 @@ class TestEncoderKernels:
         te = toy_encoder(tokens, seed)
         p = te.params
         base = te.base(s)
-        words = enc.word_rows(p, te.vocab, tokens)
+        words = p.w_word.data[[te.vocab.lookup(t) for t in tokens]]
         for verb in s.verbs:
-            direct = ad.window_linear(enc.embed(p, words, verb), p.w_mix, p.b_mix)
-            np.testing.assert_allclose(te.encode(base, verb).data,
-                                       np.maximum(direct.data, 0.0),
+            direct = old_encoder(words, p.w_verb.data, p.w_mix.data,
+                                 p.b_mix.data, verb)
+            np.testing.assert_allclose(te.encode(base, verb).data, direct,
                                        rtol=0, atol=1e-12)
+
+
+def old_encoder_input(table, ids, marks, w, b, readout):
+    """The gather, indicator add and window mix of the unmarked rows, in
+    numpy: window(table[ids] + marks[0]) @ wᵀ + b, and the gradients of
+    sum(readout * out) for table, marks, w and b."""
+    x = table[ids] + marks[0]
+    window = np.concatenate([shift(x, 1), x, shift(x, -1)], axis=1)
+    g_window = readout @ w
+    g_x = (g_window[:, D:2 * D] + shift(g_window[:, :D], -1)
+           + shift(g_window[:, 2 * D:], 1))
+    g_table = np.zeros_like(table)
+    np.add.at(g_table, ids, g_x)
+    g_marks = np.zeros_like(marks)
+    g_marks[0] = g_x.sum(axis=0)
+    return (window @ w.T + b,
+            [g_table, g_marks, readout.T @ window, readout.sum(axis=0)])
+
+
+def encoder_input_case(n, rng):
+    """A 4-row table, n row ids with repeats, the indicator table, the window
+    weight and bias, and a readout."""
+    xs = [ad.parameter(rng.normal(size=shape))
+          for shape in ((4, D), (2, D), (D, 3 * D), (D,))]
+    return xs, rng.integers(4, size=n), rng.normal(size=(n, D))
+
+
+class TestEncoderInputKernel:
+    """``ad.window_linear`` against the two gathers, the add and the window
+    mix it replaces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_old_chain(self, n):
+        xs, ids, readout = encoder_input_case(n, np.random.default_rng(50 + n))
+        out = ad.window_linear(xs[0], ids, *xs[1:])
+        ad.masked_sum(out, readout).backward()
+        table, marks, w, b = (x.data for x in xs)
+        want, want_grads = old_encoder_input(table, ids, marks, w, b, readout)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        for x, gx in zip(xs, want_grads):
+            np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_gradcheck(self, n):
+        xs, ids, readout = encoder_input_case(n, np.random.default_rng(60 + n))
+
+        def f(table, marks, w, b):
+            return ad.masked_sum(ad.window_linear(table, ids, marks, w, b), readout)
+
+        assert ad.grad_check(f, xs) < 1e-6
+
+    def test_records_one_node(self):
+        xs, ids, _ = encoder_input_case(3, np.random.default_rng(7))
+        out = ad.window_linear(xs[0], ids, *xs[1:])
+        assert ad.Tape(out).order[-1] is out and len(ad.Tape(out).order) == 5
+
+    @pytest.mark.parametrize("ids, shapes", [
+        ([0, 4], ((4, D), (2, D), (D, 3 * D), (D,))),
+        ([-1], ((4, D), (2, D), (D, 3 * D), (D,))),
+        ([[0]], ((4, D), (2, D), (D, 3 * D), (D,))),
+        ([0], ((4, D), (3, D), (D, 3 * D), (D,))),
+        ([0], ((4, D), (2, D), (D, 2 * D), (D,))),
+        ([0], ((4, D), (2, D), (D, 3 * D), (D + 1,))),
+    ], ids=["id-past-end", "negative-id", "2-d-ids", "marks-rows", "weight-width",
+            "bias-width"])
+    def test_rejects_bad_shapes(self, ids, shapes):
+        xs = [ad.constant(np.zeros(shape)) for shape in shapes]
+        with pytest.raises(ad.ShapeMismatch):
+            ad.window_linear(xs[0], ids, *xs[1:])
 
 
 class TestAttentionKernel:
@@ -297,3 +371,129 @@ class TestLossKernel:
         match = "log-softmax logits" if error is ad.NonFiniteValue else None
         with pytest.raises(error, match=match):
             build()
+
+
+def ablation_rows():
+    """(name, views, (alpha, beta, gamma)) for every ``cli.ablation_grid`` row,
+    each view off and each loss weight zero, as the loss node sees them: a
+    disabled R loss has weight 0, R2 and R3 need both views, and switching
+    the GCN off changes the states, not the node."""
+    rows = [(f"{kind}:{name}", overrides) for kind in ("table", "losses")
+            for name, overrides in cli.ablation_grid(kind)]
+    rows += [("w/o const", {"use_const": False}), ("w/o dep", {"use_dep": False})]
+    w = L.LossWeights()
+    rows += [("alpha=0", {"weights": L.LossWeights(0.0, w.beta, w.gamma)}),
+             ("beta=0", {"weights": L.LossWeights(w.alpha, 0.0, w.gamma)}),
+             ("gamma=0", {"weights": L.LossWeights(w.alpha, w.beta, 0.0)}),
+             ("all R off", {"weights": L.LossWeights(0.0, 0.0, 0.0)})]
+    out = []
+    for name, overrides in rows:
+        cfg = TrainConfig().with_overrides(**overrides)
+        views = tuple(v for v, on in (("con", cfg.use_const), ("dep", cfg.use_dep))
+                      if on)
+        both = len(views) == 2
+        weights = (cfg.weights.alpha if cfg.use_r1 else 0.0,
+                   cfg.weights.beta if cfg.use_r2 and both else 0.0,
+                   cfg.weights.gamma if cfg.use_r3 and both else 0.0)
+        out.append(pytest.param(views, weights, id=name))
+    return out
+
+
+ABLATION_ROWS = ablation_rows()
+
+
+def merged_case(views, weights, n, rng):
+    """The tag logits, H_con and H_dep as parameters; a builder of the
+    instance's combined loss from them, as ``Model.instance_losses`` calls the
+    losses; and its old chain as (weight, operand i, operand j, mask) terms
+    over xs, with j None for the logits."""
+    xs = [ad.parameter(rng.normal(size=(n, w))) for w in (5, D, D)]
+    gold = rng.integers(5, size=n)
+    masks = {"con": graph_mask(rng, n), "dep": graph_mask(rng, n)}
+    graphs = {v: SyntacticGraph(view=v, n=n, node_labels=[], edges=frozenset(),
+                                adjacency=masks[v]) for v in masks}
+    alpha, beta, gamma = weights
+
+    def build(logits, h_con, h_dep):
+        h = {"con": h_con, "dep": h_dep}
+        r1 = r2 = r3 = None
+        if alpha and views:
+            r1 = L.loss_r1({v: h[v] for v in views}, graphs)
+        if beta or gamma:
+            inter = L.inter_view_log_probs(h_con, h_dep)
+            r2 = L.loss_r2(inter) if beta else None
+            r3 = L.loss_r3(inter, graphs["con"], graphs["dep"]) if gamma else None
+        return L.combined_loss(L.tagging_loss(logits, gold.tolist()), r1, r2, r3,
+                               L.LossWeights(*weights))
+
+    pick = np.eye(5)[gold] / n
+    terms = [(1.0, 0, None, pick)]
+    sel = {v: masks[v] & ~np.eye(n, dtype=bool) for v in masks}
+    index = {"con": 1, "dep": 2}
+    if alpha:
+        terms += [(alpha, index[v], index[v], sel[v]) for v in views]
+    if beta:
+        terms += [(beta, 2, 1, np.eye(n)), (beta, 1, 2, np.eye(n))]
+    if gamma:
+        terms += [(gamma, 2, 1, sel["dep"]), (gamma, 1, 2, sel["con"])]
+    return xs, build, terms
+
+
+class TestMergedLossKernel:
+    """``losses.combined_loss``, one ``ad.weighted_nll`` node, against the
+    old chain: each loss its own ``log_softmax_rows`` + ``masked_sum`` chain,
+    then their weighted sum."""
+
+    @pytest.mark.parametrize("views, weights", ABLATION_ROWS)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_old_chain(self, views, weights, n):
+        xs, build, terms = merged_case(views, weights, n,
+                                       np.random.default_rng(70 + n))
+        out = build(*xs)
+        out.backward()
+        want, want_grads = 0.0, [np.zeros_like(x.data) for x in xs]
+        for w, i, j, mask in terms:
+            logits = xs[i].data if j is None else xs[i].data @ xs[j].data.T
+            value, (gl,) = old_loss([logits], [mask.astype(float)], g=w)
+            want = want + w * value
+            if j is None:
+                want_grads[i] += gl
+            else:
+                want_grads[i] += gl @ xs[j].data
+                want_grads[j] += gl.T @ xs[i].data
+        assert abs(float(out.data) - want) < 1e-12
+        for x, gx in zip(xs, want_grads):
+            got = np.zeros_like(x.data) if x.grad is None else x.grad
+            np.testing.assert_allclose(got, gx, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("views, weights", ABLATION_ROWS)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_gradcheck(self, views, weights, n):
+        xs, build, _ = merged_case(views, weights, n, np.random.default_rng(80 + n))
+        assert ad.grad_check(build, xs) < 1e-6
+
+    @pytest.mark.parametrize("views, weights", ABLATION_ROWS)
+    def test_records_one_node_over_the_inputs(self, views, weights):
+        xs, build, _ = merged_case(views, weights, 3, np.random.default_rng(9))
+        out = build(*xs)
+        order = ad.Tape(out).order
+        assert order[-1] is out
+        assert all(any(t is x for x in xs) for t in order[:-1])
+
+    def test_value_is_the_weighted_sum_of_the_parts(self):
+        xs, build, _ = merged_case(("con", "dep"), (0.5, 0.25, 2.0), 4,
+                                   np.random.default_rng(11))
+        logits, h_con, h_dep = xs
+        inter = L.inter_view_log_probs(h_con, h_dep)
+        parts = [L.tagging_loss(logits, [0, 1, 2, 3]),
+                 L.loss_r2(inter), L.loss_r2(inter)]
+        out = ad.weighted_nll(parts, [1.0, 0.5, 0.25])
+        want = 1.0 * parts[0].data + 0.5 * parts[1].data + 0.25 * parts[2].data
+        assert out.data.tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("losses, weights", [([], []), (["r"], [1.0, 2.0])],
+                             ids=["no-losses", "length-mismatch"])
+    def test_rejects_mismatched_weights(self, losses, weights):
+        r = ad.masked_nll([(ad.row_softmax(ad.constant([[0.0, 1.0]])), [[1.0, 0.0]])])
+        with pytest.raises(ad.ShapeMismatch):
+            ad.weighted_nll([r for _ in losses], weights)

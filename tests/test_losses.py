@@ -5,6 +5,7 @@ import pytest
 
 from synoie import autodiff as ad
 from synoie import losses as L
+from synoie.graphs import SyntacticGraph
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,20 @@ def as_tensors(vectors):
     return ad.constant(np.stack(vectors))
 
 
+def graph(adj):
+    """A graph whose adjacency is ``adj``, for the losses that read its
+    edges."""
+    return SyntacticGraph(view="dep", n=len(adj), node_labels=[], edges=frozenset(),
+                          adjacency=np.asarray(adj, dtype=bool))
+
+
+def nll(value):
+    """A ``masked_nll`` value of ``value`` over a constant uniform pair, whose
+    log-probability is -log 2 each."""
+    rows = ad.row_softmax(ad.constant([[0.0, 0.0]]))
+    return ad.masked_nll([(rows, [[value / math.log(2.0), 0.0]])])
+
+
 def inter(h_con, h_dep):
     """The inter-view log-prob pair R2 and R3 read, from per-node vectors."""
     return L.inter_view_log_probs(as_tensors(h_con), as_tensors(h_dep))
@@ -107,7 +122,7 @@ class TestLossR1:
         for n in (2, 3, 4, 6):
             h_con, h_dep, adj_con, adj_dep = random_views(rng, n)
             got = L.loss_r1({"con": as_tensors(h_con), "dep": as_tensors(h_dep)},
-                            {"con": adj_con, "dep": adj_dep})
+                            {"con": graph(adj_con), "dep": graph(adj_dep)})
             want = brute_r1({"con": h_con, "dep": h_dep},
                             {"con": adj_con, "dep": adj_dep})
             assert abs(float(got.data) - want) < 1e-10
@@ -115,7 +130,7 @@ class TestLossR1:
     def test_self_loops_excluded_by_default(self):
         rng = np.random.default_rng(2)
         h = [rng.normal(size=3) for _ in range(2)]
-        got = L.loss_r1({"dep": as_tensors(h)}, {"dep": np.eye(2, dtype=bool)})
+        got = L.loss_r1({"dep": as_tensors(h)}, {"dep": graph(np.eye(2, dtype=bool))})
         assert float(got.data) == 0.0
 
 
@@ -145,7 +160,7 @@ class TestLossR3:
         rng = np.random.default_rng(4)
         for n in (2, 3, 5, 6):
             h_con, h_dep, adj_con, adj_dep = random_views(rng, n)
-            got = L.loss_r3(inter(h_con, h_dep), adj_con, adj_dep)
+            got = L.loss_r3(inter(h_con, h_dep), graph(adj_con), graph(adj_dep))
             want = brute_r3(h_con, h_dep, adj_con, adj_dep)
             assert abs(float(got.data) - want) < 1e-10
 
@@ -156,7 +171,7 @@ class TestLossR3:
         adj_con[0, 1] = adj_con[1, 0] = True
         adj_dep = np.eye(4, dtype=bool)
         adj_dep[2, 3] = adj_dep[3, 2] = True
-        got = L.loss_r3(inter(h_con, h_dep), adj_con, adj_dep)
+        got = L.loss_r3(inter(h_con, h_dep), graph(adj_con), graph(adj_dep))
         assert np.isfinite(got.data)
 
 
@@ -169,7 +184,7 @@ class TestInterViewPair:
         with pytest.raises(ad.ShapeMismatch):
             L.loss_r2(pair)
         with pytest.raises(ad.ShapeMismatch):
-            L.loss_r3(pair, adj_con, adj_dep)
+            L.loss_r3(pair, graph(adj_con), graph(adj_dep))
 
 
 class TestTaggingLoss:
@@ -208,18 +223,18 @@ class TestTaggingLoss:
 
 class TestCombinedLoss:
     def test_zero_weights_bit_equal_to_ce(self):
-        ce = ad.constant(np.array(0.731))
-        r = ad.constant(np.array(9.9))
+        ce = nll(0.731)
+        r = nll(9.9)
         out = L.combined_loss(ce, r, r, r, L.LossWeights(0.0, 0.0, 0.0))
         assert out.data.tobytes() == ce.data.tobytes()
 
     def test_default_weights(self):
-        ce, r1, r2, r3 = (ad.constant(np.array(v)) for v in (1.0, 2.0, 3.0, 4.0))
+        ce, r1, r2, r3 = (nll(v) for v in (1.0, 2.0, 3.0, 4.0))
         out = L.combined_loss(ce, r1, r2, r3, L.LossWeights())
         assert float(out.data) == pytest.approx(1 + 0.024 * 2 + 0.012 * 3 + 0.012 * 4)
 
     def test_all_zero_sub_losses(self):
-        z = ad.constant(np.array(0.0))
+        z = nll(0.0)
         out = L.combined_loss(z, z, z, z, L.LossWeights())
         assert float(out.data) == 0.0
 
@@ -231,7 +246,7 @@ class TestCombinedLoss:
         def grads(beta):
             for t in (h_con, h_dep):
                 t.zero_grad()
-            ce = ad.constant(np.array(1.0))
+            ce = nll(1.0)
             r2 = L.loss_r2(L.inter_view_log_probs(h_con, h_dep))
             out = L.combined_loss(ce, None, r2, None,
                                   L.LossWeights(0.0, beta, 0.0))
@@ -249,11 +264,12 @@ class TestCombinedLoss:
         for _ in range(20):
             h_con, h_dep, adj_con, adj_dep = random_views(rng, 4)
             hb = {"con": as_tensors(h_con), "dep": as_tensors(h_dep)}
-            ab = {"con": adj_con, "dep": adj_dep}
+            ab = {"con": graph(adj_con), "dep": graph(adj_dep)}
             assert float(L.loss_r1(hb, ab).data) >= 0.0
             pair = L.inter_view_log_probs(hb["con"], hb["dep"])
             assert float(L.loss_r2(pair).data) >= 0.0
-            assert float(L.loss_r3(pair, adj_con, adj_dep).data) >= 0.0
+            assert float(L.loss_r3(pair, graph(adj_con),
+                                   graph(adj_dep)).data) >= 0.0
 
 
 def test_loss_weights_validate():

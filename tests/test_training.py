@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -89,6 +91,25 @@ class TestTrainLoop:
         cfg = TrainConfig(seed=0, epochs=200, dev_fraction=0.0)
         ckpt = tr.train(corpus, cfg)
         assert ckpt.history[-1]["train_acc"] >= 0.99
+
+
+class TestRepeatedTraining:
+    def test_keeps_no_memory_between_runs(self, corpus12):
+        # the per-graph and per-instance state a run builds (graphs and their
+        # cached masks, tapes, row softmaxes) must die with the run
+        cfg = TrainConfig(seed=2, **FAST)
+        tr.train(corpus12, cfg)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                tr.train(corpus12, cfg)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 50 * 1024
 
 
 class TestNoNumpyWarnings:
