@@ -63,9 +63,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         Tape(self).backward()
 
@@ -229,22 +226,34 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(out, (x, w, b), backward)
 
 
-def hstack(parts: list[Tensor]) -> Tensor:
-    """Column-wise concatenation of matrices with one row count."""
+def _concat(op: str, parts: list[Tensor], axis: int) -> Tensor:
+    """Concatenation of matrices along ``axis``; the gradient splits back."""
     if not parts:
-        raise ShapeMismatch("hstack of zero tensors")
-    if any(p.data.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
-        raise ShapeMismatch(f"hstack: {[p.shape for p in parts]}")
+        raise ShapeMismatch(f"{op} of zero tensors")
+    other = 1 - axis
+    if any(p.data.ndim != 2 or p.shape[other] != parts[0].shape[other]
+           for p in parts):
+        raise ShapeMismatch(f"{op}: {[p.shape for p in parts]}")
 
     def backward(g):
         start = 0
         for p in parts:
-            end = start + p.shape[1]
-            _accumulate(p, g[:, start:end])
+            end = start + p.shape[axis]
+            _accumulate(p, g[:, start:end] if axis else g[start:end])
             start = end
 
-    return _result(np.concatenate([p.data for p in parts], axis=1), tuple(parts),
-                   backward)
+    return _result(np.concatenate([p.data for p in parts], axis=axis),
+                   tuple(parts), backward)
+
+
+def hstack(parts: list[Tensor]) -> Tensor:
+    """Column-wise concatenation of matrices with one row count."""
+    return _concat("hstack", parts, 1)
+
+
+def vstack(parts: list[Tensor]) -> Tensor:
+    """Row-wise concatenation of matrices with one column count."""
+    return _concat("vstack", parts, 0)
 
 
 def _masked_softmax_probs(x: np.ndarray, mask) -> np.ndarray:
@@ -279,11 +288,13 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
 @dataclass(frozen=True, eq=False, slots=True)
 class RowSoftmax:
     """The row softmax of a logits tensor ``a`` (``b`` None), or of the
-    product a bᵀ, as constant arrays.  Building it records no tape node;
-    ``masked_nll`` reads it and sends its gradient to ``a`` and ``b``."""
+    product a bᵀ, as constant arrays, with each row normalised within each
+    of its column blocks of width ``block``.  Building it records no tape
+    node; ``masked_nll`` reads it and sends its gradient to ``a`` and ``b``."""
 
     a: Tensor
     b: Tensor | None
+    block: int
     probs: np.ndarray
     log_probs: np.ndarray
 
@@ -292,43 +303,38 @@ class RowSoftmax:
         return self.log_probs.shape
 
 
-def _row_softmax(x: np.ndarray, a: Tensor, b: Tensor | None) -> RowSoftmax:
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ShapeMismatch(f"row softmax: {x.shape}")
+def row_softmax(a: Tensor, b: Tensor | None = None,
+                block: int | None = None) -> RowSoftmax:
+    """The softmax of each row of the 2-D tensor ``a``, or of a bᵀ, within
+    each column block of width ``block`` (default: the whole row)."""
+    if b is None:
+        x = a.data
+    else:
+        if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+            raise ShapeMismatch(f"row softmax of {a.shape} @ {b.shape}ᵀ")
+        # overflow is left to the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = a.data @ b.data.T
+    if x.ndim != 2 or x.shape[1] == 0 \
+            or (block is not None and (block <= 0 or x.shape[1] % block)):
+        raise ShapeMismatch(f"row softmax: {x.shape} in column blocks of {block}")
     _check_finite(x, "log-softmax logits")
-    m = x.max(axis=1, keepdims=True)
-    ex = np.exp(x - m)
-    z = ex.sum(axis=1, keepdims=True)
-    return RowSoftmax(a, b, ex / z, x - (m + np.log(z)))
-
-
-def _product(a: Tensor, b: Tensor) -> np.ndarray:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeMismatch(f"row softmax of {a.shape} @ {b.shape}ᵀ")
-    # overflow is left to the softmax's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        return a.data @ b.data.T
-
-
-def row_softmax(a: Tensor, b: Tensor | None = None) -> RowSoftmax:
-    """The softmax of each row of the 2-D tensor ``a``, or of a bᵀ."""
-    return _row_softmax(a.data if b is None else _product(a, b), a, b)
-
-
-def row_softmax_pair(a: Tensor, b: Tensor) -> tuple[RowSoftmax, RowSoftmax]:
-    """The row softmaxes of a bᵀ and of its transpose b aᵀ, from one
-    product."""
-    x = _product(a, b)
-    return _row_softmax(x, a, b), _row_softmax(x.T, b, a)
+    r, c = x.shape
+    block = c if block is None else block
+    xb = x.reshape(r, c // block, block)
+    m = xb.max(axis=2, keepdims=True)
+    ex = np.exp(xb - m)
+    z = ex.sum(axis=2, keepdims=True)
+    return RowSoftmax(a, b, block, (ex / z).reshape(r, c),
+                      (xb - (m + np.log(z))).reshape(r, c))
 
 
 def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> NllTensor:
     """-Σₖ sum(Mₖ * log_probsₖ) over (row softmax, constant mask Mₖ) terms.
 
-    The gradient reaching term k's logits is rowsum(Mₖ) Pₖ - Mₖ.  Terms over
-    one product, or over a product and its transpose, share one gradient,
-    which reaches a and b through one matmul each, or ``a`` through one
-    (G + Gᵀ) a when a is b.
+    The gradient reaching term k's logits is rowsum(Mₖ) Pₖ - Mₖ, with the
+    row sums taken within each column block.  It reaches a and b through one
+    matmul each, or ``a`` through one (G + Gᵀ) a when a is b.
     """
     if not terms:
         raise ShapeMismatch("masked_nll of zero terms")
@@ -378,20 +384,14 @@ def _nll(value, terms) -> NllTensor:
                if t is not None}
 
     def backward(g):
-        grads = []  # [a, b, gradient of the logits a bᵀ (of a when b is None)]
         for rows, mask in terms:
-            gl = g * (mask.sum(axis=1, keepdims=True) * rows.probs - mask)
-            for entry in grads:
-                if entry[0] is rows.a and entry[1] is rows.b:
-                    entry[2] += gl
-                    break
-                if rows.b is not None and entry[0] is rows.b \
-                        and entry[1] is rows.a:
-                    entry[2] += gl.T
-                    break
-            else:
-                grads.append([rows.a, rows.b, gl])
-        for a, b, gl in grads:
+            # each block's rows sum their own mask entries
+            r, c = rows.shape
+            shape = (r, c // rows.block, rows.block)
+            mb = mask.reshape(shape)
+            gl = (g * (mb.sum(axis=2, keepdims=True) * rows.probs.reshape(shape)
+                       - mb)).reshape(r, c)
+            a, b = rows.a, rows.b
             if b is None:
                 _accumulate(a, gl)
             elif a is b:
@@ -611,34 +611,54 @@ def grad_check(f, xs, eps: float = 1e-5) -> float:
 
 @dataclass
 class AdamState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    """Adam's two moment vectors and step count, and the two scratch vectors
+    each update reuses for its numerator and denominator."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    num: np.ndarray = field(init=False, repr=False)
+    den: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.num = np.empty_like(self.m)
+        self.den = np.empty_like(self.m)
 
     @classmethod
-    def for_params(cls, params: list[Tensor]) -> "AdamState":
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params], t=0)
+    def for_vector(cls, theta: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
               lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
               eps: float = 1e-8):
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of the parameter vector ``theta`` for
+    its gradient vector ``grad``, in place and with no array allocated.
+
+    Each entry takes the arithmetic of the textbook update in its order:
+    m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g, then
+    theta -= (lr (m / (1 - b1ᵗ))) / (sqrt(v / (1 - b2ᵗ)) + eps).
+    """
     b1, b2 = betas
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatch("params / grads / state length mismatch")
+    if theta.ndim != 1 or grad.shape != theta.shape or state.m.shape != theta.shape:
+        raise ShapeMismatch(f"adam_step: theta {theta.shape}, grad {grad.shape}, "
+                            f"moments {state.m.shape}")
     state.t += 1
     t = state.t
+    m, v, num, den = state.m, state.v, state.num, state.den
     # an update that overflows is left to the caller's check
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, g, m, v in zip(params, grads, state.m, state.v):
-            if g.shape != p.data.shape:
-                raise ShapeMismatch(f"grad {g.shape} vs param {p.data.shape}")
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** t)
-            vhat = v / (1 - b2 ** t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+        m *= b1
+        np.multiply(grad, 1 - b1, out=num)
+        m += num
+        v *= b2
+        np.multiply(grad, 1 - b2, out=num)
+        num *= grad
+        v += num
+        np.divide(v, 1 - b2 ** t, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        np.divide(m, 1 - b1 ** t, out=num)
+        num *= lr
+        num /= den
+        theta -= num

@@ -3,13 +3,19 @@
 All four losses share one form: the negated sum of the entries constant
 selection masks pick from row log-softmaxes, and each is one ``ad.masked_nll``
 value.  For the tagging loss the rows are the tag logits and the mask picks
-each token's gold tag at weight 1/n.  For R1-R3 the rows are pairwise
-probabilities over one sentence's node set (the candidate set is the view
-supplying the target vector): the row log-softmax of ``H_z H_otherᵀ``, masked
-by a graph's ``selection`` (its edges without self-loops) or the identity.
-So every loss is non-negative; batch-level normalization is the trainer's
-concern.  Their weighted sum is one ``ad.weighted_nll`` node over the same
-terms, so an instance's losses record one node between them.
+each token's gold tag at weight 1/n.  R1-R3 score pairs over one sentence's
+node set, and under the two views every pair score is an entry of one
+similarity matrix G = H Hᵀ, for H = [H_con; H_dep] the row stack of the view
+states.  Its four n x n blocks are the four (anchor view, candidate view)
+products, so the losses read one block row log-softmax of G (each row
+normalised within each view's n columns) through three constant masks: R1
+the block diagonal of the views' ``selection`` masks (their edges without
+self-loops), R2 the identities of the off-diagonal blocks, and R3 the
+``selection`` masks in the off-diagonal blocks.  With one view on, G is that
+view's own n x n Gram.  So every loss is non-negative; batch-level
+normalization is the trainer's concern.  Their weighted sum is one
+``ad.weighted_nll`` node over the same terms, so an instance's losses record
+one node between them.
 """
 
 from __future__ import annotations
@@ -37,32 +43,48 @@ class LossWeights:
                 raise ValueError(f"{name} must be a non-negative finite real")
 
 
-def loss_r1(h_by_view: dict[str, Tensor],
-            graph_by_view: dict[str, SyntacticGraph]) -> ad.NllTensor:
-    """Inter-node intra-view: connected nodes score high under their own view."""
-    return ad.masked_nll([(ad.row_softmax(h, h), graph_by_view[view].selection)
-                          for view, h in h_by_view.items()])
+def view_gram(states: list[Tensor]) -> ad.RowSoftmax:
+    """The block row softmax of G = H Hᵀ, for H the row stack of the active
+    views' (n, d) ``states`` (con before dep), with one column block per
+    view."""
+    if any(s.shape[0] != states[0].shape[0] for s in states):
+        raise ad.ShapeMismatch(f"view states of {[s.shape for s in states]}")
+    h = states[0] if len(states) == 1 else ad.vstack(states)
+    return ad.row_softmax(h, h, block=states[0].shape[0])
 
 
-def inter_view_log_probs(h_con: Tensor,
-                         h_dep: Tensor) -> tuple[ad.RowSoftmax, ad.RowSoftmax]:
-    """The pair R2 and R3 both read, from one product S = H_dep H_conᵀ: dep
-    anchors over con candidates (S), and con anchors over dep candidates
-    (Sᵀ)."""
-    return ad.row_softmax_pair(h_dep, h_con)
+def _blocks(gram: ad.RowSoftmax, placed) -> np.ndarray:
+    """The mask over ``gram`` with ``mask`` at block (row k, column l), for
+    each (k, l, mask) in ``placed``, and zeros elsewhere."""
+    n = gram.block
+    views = gram.shape[1] // n
+    out = np.zeros((views, n, views, n))
+    for k, l, mask in placed:
+        if max(k, l) >= views or np.shape(mask) != (n, n):
+            raise ad.ShapeMismatch(f"a mask of {np.shape(mask)} at block "
+                                   f"({k}, {l}) of {gram.shape} in blocks of {n}")
+        out[k, :, l] = mask
+    return out.reshape(gram.shape)
 
 
-def loss_r2(inter: tuple[ad.RowSoftmax, ad.RowSoftmax]) -> ad.NllTensor:
+def loss_r1(gram: ad.RowSoftmax, graphs: list[SyntacticGraph]) -> ad.NllTensor:
+    """Inter-node intra-view: connected nodes score high under their own
+    view.  ``graphs`` are the views of ``gram``'s blocks, in its order."""
+    return ad.masked_nll([(gram, _blocks(gram, [(k, k, g.selection)
+                                                for k, g in enumerate(graphs)]))])
+
+
+def loss_r2(gram: ad.RowSoftmax) -> ad.NllTensor:
     """Intra-node inter-view: each node close to its own other-view state."""
-    eye = np.eye(inter[0].shape[0])
-    return ad.masked_nll([(inter[0], eye), (inter[1], eye)])
+    eye = np.eye(gram.block)
+    return ad.masked_nll([(gram, _blocks(gram, [(0, 1, eye), (1, 0, eye)]))])
 
 
-def loss_r3(inter: tuple[ad.RowSoftmax, ad.RowSoftmax],
-            g_con: SyntacticGraph, g_dep: SyntacticGraph) -> ad.NllTensor:
+def loss_r3(gram: ad.RowSoftmax, g_con: SyntacticGraph,
+            g_dep: SyntacticGraph) -> ad.NllTensor:
     """Inter-node inter-view: view-z edges pull in other-view neighbours."""
-    return ad.masked_nll([(inter[0], g_dep.selection),
-                          (inter[1], g_con.selection)])
+    return ad.masked_nll([(gram, _blocks(gram, [(0, 1, g_con.selection),
+                                                (1, 0, g_dep.selection)]))])
 
 
 def tagging_loss(logits: Tensor, gold_ids: list[int]) -> ad.NllTensor:

@@ -26,9 +26,10 @@ from .gcn import GcnParams, LabelVocab
 from .graphs import build_const_graph, build_dep_graph, SyntacticGraph
 
 
-# float64 arrays a trained parameter holds: its value, its gradient and
-# Adam's two moments
-TRAINING_COPIES = 4
+# float64 vectors training keeps the length of the parameter vector: the
+# values, the gradient, Adam's two moments and the two scratch vectors of
+# Adam's update
+TRAINING_COPIES = 6
 
 
 def physical_memory() -> int | None:
@@ -93,7 +94,8 @@ class ForwardResult:
 
 
 class Model:
-    """Owns all trainable tensors and runs one instance at a time."""
+    """Owns all trainable tensors, as views of one float64 vector ``theta``,
+    and runs one instance at a time."""
 
     def __init__(self, cfg: TrainConfig, vocab: Vocabulary,
                  dep_labels: LabelVocab, con_labels: LabelVocab,
@@ -110,17 +112,19 @@ class Model:
             raise ValueError(
                 f"d_h={cfg.d_h} and d_l={cfg.d_l} ask for "
                 f"{need / 2**20:,.0f} MiB of parameters, gradients and Adam "
-                f"moments; this machine has {limit / 2**20:,.0f} MiB")
+                f"state; this machine has {limit / 2**20:,.0f} MiB")
         rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-        self._assemble(cfg, vocab, dep_labels, con_labels, {
-            name: rng.uniform(-0.1, 0.1, shape) if len(shape) == 2
-            else np.zeros(shape) for name, shape in shapes.items()})
+        self._assemble(cfg, vocab, dep_labels, con_labels, shapes,
+                       np.zeros(sum(math.prod(s) for s in shapes.values())))
+        for name, shape in shapes.items():
+            if len(shape) == 2:
+                self.params[name].data[...] = rng.uniform(-0.1, 0.1, shape)
 
     @classmethod
     def from_arrays(cls, cfg: TrainConfig, vocab: Vocabulary,
                     dep_labels: LabelVocab, con_labels: LabelVocab,
                     arrays: dict[str, np.ndarray]) -> "Model":
-        """A model holding copies of ``arrays``, keyed by the names
+        """A model holding a copy of ``arrays``, keyed by the names
         ``param_shapes`` gives, with nothing drawn at random.
 
         Raises KeyError for a missing tensor and ValueError for a tensor whose
@@ -134,17 +138,22 @@ class Model:
                 raise ValueError(f"tensor {name!r}: checkpoint shape "
                                  f"{arrays[name].shape} vs model {shape}")
         model = cls.__new__(cls)
-        model._assemble(cfg, vocab, dep_labels, con_labels, {
-            name: np.array(arrays[name], dtype=np.float64) for name in shapes})
+        theta = np.concatenate([arrays[name].ravel() for name in shapes])
+        model._assemble(cfg, vocab, dep_labels, con_labels, shapes,
+                        theta.astype(np.float64, copy=False))
         return model
 
-    def _assemble(self, cfg, vocab, dep_labels, con_labels, arrays):
-        """Wrap ``arrays``, in ``param_shapes`` order, as the parameters."""
+    def _assemble(self, cfg, vocab, dep_labels, con_labels, shapes, theta):
+        """The parameters of ``shapes`` as views, in ``param_shapes`` order,
+        of the float64 vector ``theta``."""
         self.cfg = cfg
         self.vocab = vocab
         self.dep_labels = dep_labels
         self.con_labels = con_labels
-        self.params = {name: ad.parameter(a) for name, a in arrays.items()}
+        self.shapes = shapes
+        self.theta = theta
+        self.params = {name: ad.parameter(a)
+                       for name, a in self.split(self.theta).items()}
         self.enc_params = self._group(EncoderParams, "enc")
         self.dep_params = self._group(GcnParams, "gcn.dep")
         self.con_params = self._group(GcnParams, "gcn.con")
@@ -160,6 +169,19 @@ class Model:
         return cls(**{f.name: self.params[f"{prefix}.{f.name}"] for f in fields(cls)})
 
     # -- parameters ---------------------------------------------------------
+
+    def split(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of ``vec``, a vector as long as ``theta``, shaped and named
+        as the parameters it packs."""
+        if vec.shape != self.theta.shape:
+            raise ValueError(f"a vector of {vec.shape} for parameters of "
+                             f"{self.theta.shape}")
+        out, start = {}, 0
+        for name, shape in self.shapes.items():
+            end = start + math.prod(shape)
+            out[name] = vec[start:end].reshape(shape)
+            start = end
+        return out
 
     def export_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
@@ -213,33 +235,34 @@ class Model:
         return gcn_mod.gcn_layer(g, h_ctx, l, proj)
 
     def instance_losses(self, inst: TaggedInstance, graphs: SentenceGraphs,
-                        sentence_id: int | None = None) -> dict:
-        """Forward one instance and return its loss components.
+                        sentence_id: int | None = None,
+                        state: SentenceState | None = None) -> dict:
+        """Forward one instance over ``state`` (built here when not given)
+        and return its loss components.
 
         Keys: total, ce, r1, r2, r3 (r* are None when disabled), pred_ids.
         """
         cfg = self.cfg
-        fwd = self.forward(inst.sentence, inst.indicator_verb, graphs, sentence_id)
+        fwd = self.forward(inst.sentence, inst.indicator_verb, graphs, sentence_id,
+                           state)
         gold_ids = [TAG_IDS[l] for l in inst.labels]
         l_ce = losses_mod.tagging_loss(fwd.logits, gold_ids)
 
-        h_by_view = {view: h for view, h in (("con", fwd.h_con), ("dep", fwd.h_dep))
-                     if h is not None}
-        graph_by_view = {"con": graphs.const, "dep": graphs.dep}
-
-        both = fwd.h_con is not None and fwd.h_dep is not None
+        views = [(h, g) for h, g in ((fwd.h_con, graphs.const), (fwd.h_dep, graphs.dep))
+                 if h is not None]
         w = cfg.weights
+        run_r1 = cfg.use_r1 and w.alpha != 0.0 and bool(views)
+        run_r2 = cfg.use_r2 and w.beta != 0.0 and len(views) == 2
+        run_r3 = cfg.use_r3 and w.gamma != 0.0 and len(views) == 2
         l_r1 = l_r2 = l_r3 = None
-        if cfg.use_r1 and w.alpha != 0.0 and h_by_view:
-            l_r1 = losses_mod.loss_r1(h_by_view, graph_by_view)
-        run_r2 = cfg.use_r2 and w.beta != 0.0 and both
-        run_r3 = cfg.use_r3 and w.gamma != 0.0 and both
-        if run_r2 or run_r3:
-            inter = losses_mod.inter_view_log_probs(fwd.h_con, fwd.h_dep)
+        if run_r1 or run_r2 or run_r3:
+            gram = losses_mod.view_gram([h for h, _ in views])
+            if run_r1:
+                l_r1 = losses_mod.loss_r1(gram, [g for _, g in views])
             if run_r2:
-                l_r2 = losses_mod.loss_r2(inter)
+                l_r2 = losses_mod.loss_r2(gram)
             if run_r3:
-                l_r3 = losses_mod.loss_r3(inter, graphs.const, graphs.dep)
+                l_r3 = losses_mod.loss_r3(gram, graphs.const, graphs.dep)
         total = losses_mod.combined_loss(l_ce, l_r1, l_r2, l_r3, w)
         pred_ids = np.argmax(fwd.logits.data, axis=1).tolist()
         return {"total": total, "ce": l_ce, "r1": l_r1, "r2": l_r2, "r3": l_r3,

@@ -1,9 +1,10 @@
 """Training loop, checkpointing, and checkpoint evaluation.
 
 Batches are sets of per-verb instances; graphs are cached per sentence across
-epochs.  The best checkpoint (by dev exact-match F1, latest on ties) is
-returned.  With a zero dev fraction the dev set falls back to the training
-sentences themselves, which is the intended setup for overfit experiments.
+epochs, and the verbs of one sentence in a batch share its ``SentenceState``.
+The best checkpoint (by dev exact-match F1, latest on ties) is returned.
+With a zero dev fraction the dev set falls back to the training sentences
+themselves, which is the intended setup for overfit experiments.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ def _label_inventories(graph_cache, idxs):
 
 def _diverged_group(model: Model) -> str | None:
     """The first parameter group (``enc``, ``gcn.dep``, ``gcn.con``, ``head``)
-    whose squared L2 norm is not a finite float64, or None.
+    whose squared L2 norm is not a finite float64, or None.  Training asks
+    only when the whole parameter vector's squared norm is not finite.
 
     A group with entries past about 1e154 is still finite but counts: the
     forward squares it in the message grams, so it cannot give a finite loss.
@@ -191,8 +193,12 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
     if not instances:
         raise EmptyCorpus("no verbs anywhere in the training split")
 
-    params = list(model.params.values())
-    adam = AdamState.for_params(params)
+    # one gradient vector, zeroed once per batch, whose views are the
+    # parameters' gradients, so the backward accumulates straight into it
+    theta, grad = model.theta, np.zeros_like(model.theta)
+    for p, view in zip(model.params.values(), model.split(grad).values()):
+        p.grad = view
+    adam = AdamState.for_vector(theta)
     best_f1, best_arrays, best_epoch = -1.0, model.export_arrays(), 0
     history = []
 
@@ -203,11 +209,16 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
         for start in range(0, len(perm), cfg.batch_size):
             batch = perm[start:start + cfg.batch_size]
             per_instance = []
+            states = {}  # the parameters hold still within a batch
             try:
                 for k in batch:
                     sent_i, inst = instances[int(k)]
+                    if sent_i not in states:
+                        states[sent_i] = model.sentence_state(
+                            inst.sentence, graph_cache[sent_i], sent_i)
                     parts = model.instance_losses(inst, graph_cache[sent_i],
-                                                  sentence_id=sent_i)
+                                                  sentence_id=sent_i,
+                                                  state=states[sent_i])
                     per_instance.append(parts["total"])
                     correct += sum(int(p == g) for p, g in
                                    zip(parts["pred_ids"], parts["gold_ids"]))
@@ -221,14 +232,12 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch at instance {start}: "
                     f"loss={batch_loss.data!r}")
-            for p in params:
-                p.zero_grad()
+            grad.fill(0.0)
             batch_loss.backward()
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for p in params]
-            ad.adam_step(params, grads, adam, lr=cfg.lr)
-            group = _diverged_group(model)
-            if group is not None:
+            ad.adam_step(theta, grad, adam, lr=cfg.lr)
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(theta @ theta)
+            if not finite and (group := _diverged_group(model)) is not None:
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch at instance {start}: parameter group "
                     f"{group} has a non-finite squared L2 norm after the Adam update")

@@ -2,6 +2,11 @@ import numpy as np
 import pytest
 
 from synoie import autodiff as ad
+from synoie.config import TrainConfig
+from synoie.encoder import Vocabulary
+from synoie.model import Model
+from synoie.synthetic import generate_corpus
+from synoie.training import _label_inventories, build_graph_cache
 
 
 def sq_norm(x):
@@ -317,33 +322,79 @@ class TestShapeErrors:
             ad.matmul(ad.constant(np.eye(2)), ad.constant([1.0, 2.0, 3.0]))
 
 
+def per_tensor_adam(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
+    """The per-tensor update the flat ``adam_step`` replaces, as the
+    reference: ``state`` is [t, moments m, moments v]."""
+    b1, b2 = betas
+    state[0] += 1
+    t = state[0]
+    for p, g, m, v in zip(params, grads, state[1], state[2]):
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        mhat = m / (1 - b1 ** t)
+        vhat = v / (1 - b2 ** t)
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        p = ad.parameter([1.0, -2.0])
-        state = ad.AdamState.for_params([p])
-        ad.adam_step([p], [np.zeros(2)], state, lr=0.1)
-        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+        theta = np.array([1.0, -2.0])
+        state = ad.AdamState.for_vector(theta)
+        ad.adam_step(theta, np.zeros(2), state, lr=0.1)
+        np.testing.assert_array_equal(theta, [1.0, -2.0])
 
     def test_quadratic_descends(self):
         # gradient of x^2 at x=1 is 2
-        p = ad.parameter(np.array(1.0))
-        state = ad.AdamState.for_params([p])
-        ad.adam_step([p], [np.array(2.0)], state, lr=0.1)
-        assert p.data < 1.0
+        theta = np.array([1.0])
+        state = ad.AdamState.for_vector(theta)
+        ad.adam_step(theta, np.array([2.0]), state, lr=0.1)
+        assert theta[0] < 1.0
 
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(3)
-            p = ad.parameter(rng.normal(size=4))
-            state = ad.AdamState.for_params([p])
+            theta = rng.normal(size=4)
+            state = ad.AdamState.for_vector(theta)
             trace = []
             for _ in range(5):
-                g = 2 * p.data
-                ad.adam_step([p], [g], state, lr=0.05)
-                trace.append(p.data.copy())
+                g = 2 * theta
+                ad.adam_step(theta, g, state, lr=0.05)
+                trace.append(theta.copy())
             return np.stack(trace)
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_flat_update_matches_per_tensor_bit_for_bit(self):
+        # the tensors of a model at train-short's widths and corpus size,
+        # 20 steps of gradients whose scale spans several decades
+        sentences = generate_corpus(12, seed=1)
+        cfg = TrainConfig(d_h=64, d_l=32)
+        cache = build_graph_cache(sentences, cfg.flatten)
+        dl, cl = _label_inventories(cache, range(len(sentences)))
+        model = Model(cfg, Vocabulary.from_sentences(sentences), dl, cl)
+        theta = model.theta
+        tensors = [a.copy() for a in model.split(theta).values()]
+        flat_state = ad.AdamState.for_vector(theta)
+        ref_state = [0, [np.zeros_like(a) for a in tensors],
+                     [np.zeros_like(a) for a in tensors]]
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            grad = rng.normal(size=theta.size) * 10.0 ** rng.integers(-6, 3, theta.size)
+            ad.adam_step(theta, grad, flat_state, lr=0.05)
+            per_tensor_adam(tensors, list(model.split(grad).values()), ref_state, 0.05)
+        assert theta.tobytes() == np.concatenate([a.ravel() for a in tensors]).tobytes()
+        assert flat_state.t == 20
+
+    @pytest.mark.parametrize("theta, grad, moments", [
+        (np.zeros(3), np.zeros(2), np.zeros(3)),
+        (np.zeros(3), np.zeros(3), np.zeros(2)),
+        (np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1))),
+    ], ids=["grad", "moments", "2-d"])
+    def test_rejects_mismatched_vectors(self, theta, grad, moments):
+        with pytest.raises(ad.ShapeMismatch):
+            ad.adam_step(theta, grad, ad.AdamState.for_vector(moments))
 
 
 class TestNoGrad:

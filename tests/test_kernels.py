@@ -3,11 +3,12 @@
 The encoder is ``ad.window_linear`` over the gathered, unmarked rows, once
 per sentence, then ``ad.marked_window_relu`` per verb; one GCN view is
 ``ad.attention_layer``; each loss is one ``ad.masked_nll`` over
-``ad.row_softmax`` records, and an instance's weighted sum of them is one
-``ad.weighted_nll`` node.  Each is checked against a numpy reference of the
-old chain and by gradcheck, the attention kernel against ``masked_softmax``'s
-errors and the loss kernel against the errors the old chain raised.  Any
-numpy warning fails these tests.
+``ad.row_softmax`` records (R1-R3 over one block row softmax of the view
+states' Gram, ``losses.view_gram``), and an instance's weighted sum of them
+is one ``ad.weighted_nll`` node.  Each is checked against a numpy reference
+of the old chain and by gradcheck, the attention kernel against
+``masked_softmax``'s errors and the loss kernel against the errors the old
+chain raised.  Any numpy warning fails these tests.
 """
 
 import numpy as np
@@ -298,7 +299,8 @@ def loss_case(case, n, rng):
         operands = [(1, 0), (0, 1), (1, 0)]
 
         def terms(a, b):
-            return [*ad.row_softmax_pair(b, a), ad.row_softmax(b, a)]
+            return [ad.row_softmax(b, a), ad.row_softmax(a, b),
+                    ad.row_softmax(b, a)]
     masks = [rng.normal(size=(n, 4 if case == "logits" else n))
              for _ in operands]
     return xs, terms, operands, masks
@@ -353,24 +355,75 @@ class TestLossKernel:
         (lambda: ad.row_softmax(ad.constant([[0.0, -np.inf]])), ad.NonFiniteValue),
         (lambda: ad.row_softmax(ad.constant([[1e200]]), ad.constant([[1e200]])),
          ad.NonFiniteValue),
-        (lambda: ad.row_softmax_pair(ad.constant([[1e200]]),
-                                     ad.constant([[1e200]])), ad.NonFiniteValue),
+        (lambda: L.view_gram([ad.constant([[1e200]]), ad.constant([[1.0]])]),
+         ad.NonFiniteValue),
         (lambda: ad.row_softmax(ad.constant(np.zeros((2, 0)))), ad.ShapeMismatch),
         (lambda: ad.row_softmax(ad.constant(np.zeros(3))), ad.ShapeMismatch),
         (lambda: ad.row_softmax(ad.constant(np.zeros((2, 3))),
                                 ad.constant(np.zeros((2, 2)))), ad.ShapeMismatch),
-        (lambda: ad.row_softmax_pair(ad.constant(np.zeros((0, 2))),
-                                     ad.constant(np.zeros((3, 2)))),
+        (lambda: L.view_gram([ad.constant(np.zeros((0, 2))),
+                              ad.constant(np.zeros((3, 2)))]), ad.ShapeMismatch),
+        (lambda: ad.row_softmax(ad.constant(np.zeros((2, 3))), block=2),
+         ad.ShapeMismatch),
+        (lambda: ad.row_softmax(ad.constant(np.zeros((2, 3))), block=0),
          ad.ShapeMismatch),
         (lambda: ad.masked_nll([(ad.row_softmax(ad.constant(np.zeros((2, 3)))),
                                  np.zeros((3, 2)))]), ad.ShapeMismatch),
         (lambda: ad.masked_nll([]), ad.ShapeMismatch),
     ], ids=["nan", "neg-inf", "product-overflow", "pair-overflow", "no-columns",
-            "1-d", "inner-mismatch", "pair-no-rows", "mask-shape", "no-terms"])
+            "1-d", "inner-mismatch", "pair-no-rows", "block-not-dividing",
+            "zero-block", "mask-shape", "no-terms"])
     def test_raises_what_the_old_chain_raised(self, build, error):
         match = "log-softmax logits" if error is ad.NonFiniteValue else None
         with pytest.raises(error, match=match):
             build()
+
+
+def block_case(k, n, rng):
+    """k view states of n rows each, as parameters, and a random real mask
+    over their (k n, k n) Gram."""
+    return ([ad.parameter(rng.normal(size=(n, D))) for _ in range(k)],
+            rng.normal(size=(k * n, k * n)))
+
+
+VIEW_COUNTS = pytest.mark.parametrize("k", [1, 2], ids=["one-view", "two-views"])
+
+
+class TestBlockSoftmax:
+    """``losses.view_gram``, the row softmax of G = H Hᵀ for the row stack H
+    of the view states within each view's n columns, against the old chain
+    over each block's own product H_k H_lᵀ."""
+
+    @VIEW_COUNTS
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_per_block_chain(self, k, n):
+        xs, mask = block_case(k, n, np.random.default_rng(90 + n))
+        gram = L.view_gram(xs)
+        block_sums = gram.probs.reshape(k * n, k, n).sum(axis=2)
+        np.testing.assert_allclose(block_sums, 1.0, rtol=0, atol=1e-12)
+        out = ad.masked_nll([(gram, mask)])
+        out.backward()
+        want, want_grads = 0.0, [np.zeros_like(x.data) for x in xs]
+        for i in range(k):
+            for j in range(k):
+                block = mask[i * n:(i + 1) * n, j * n:(j + 1) * n]
+                value, (gl,) = old_loss([xs[i].data @ xs[j].data.T], [block])
+                want = want + value
+                want_grads[i] += gl @ xs[j].data
+                want_grads[j] += gl.T @ xs[i].data
+        assert abs(float(out.data) - want) < 1e-12
+        for x, gx in zip(xs, want_grads):
+            np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+
+    @VIEW_COUNTS
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_gradcheck(self, k, n):
+        xs, mask = block_case(k, n, np.random.default_rng(100 + n))
+
+        def f(*states):
+            return ad.masked_nll([(L.view_gram(list(states)), mask)])
+
+        assert ad.grad_check(f, xs) < 1e-6
 
 
 def ablation_rows():
@@ -417,12 +470,11 @@ def merged_case(views, weights, n, rng):
     def build(logits, h_con, h_dep):
         h = {"con": h_con, "dep": h_dep}
         r1 = r2 = r3 = None
-        if alpha and views:
-            r1 = L.loss_r1({v: h[v] for v in views}, graphs)
-        if beta or gamma:
-            inter = L.inter_view_log_probs(h_con, h_dep)
-            r2 = L.loss_r2(inter) if beta else None
-            r3 = L.loss_r3(inter, graphs["con"], graphs["dep"]) if gamma else None
+        if views and (alpha or beta or gamma):
+            gram = L.view_gram([h[v] for v in views])
+            r1 = L.loss_r1(gram, [graphs[v] for v in views]) if alpha else None
+            r2 = L.loss_r2(gram) if beta else None
+            r3 = L.loss_r3(gram, graphs["con"], graphs["dep"]) if gamma else None
         return L.combined_loss(L.tagging_loss(logits, gold.tolist()), r1, r2, r3,
                                L.LossWeights(*weights))
 
@@ -478,15 +530,19 @@ class TestMergedLossKernel:
         out = build(*xs)
         order = ad.Tape(out).order
         assert order[-1] is out
-        assert all(any(t is x for x in xs) for t in order[:-1])
+        # besides the inputs, at most the row stack of the two view states
+        others = [t for t in order[:-1] if not any(t is x for x in xs)]
+        assert len(others) <= 1
+        assert all([p is x for p, x in zip(t._parents, xs[1:])] == [True, True]
+                   for t in others)
 
     def test_value_is_the_weighted_sum_of_the_parts(self):
         xs, build, _ = merged_case(("con", "dep"), (0.5, 0.25, 2.0), 4,
                                    np.random.default_rng(11))
         logits, h_con, h_dep = xs
-        inter = L.inter_view_log_probs(h_con, h_dep)
+        gram = L.view_gram([h_con, h_dep])
         parts = [L.tagging_loss(logits, [0, 1, 2, 3]),
-                 L.loss_r2(inter), L.loss_r2(inter)]
+                 L.loss_r2(gram), L.loss_r2(gram)]
         out = ad.weighted_nll(parts, [1.0, 0.5, 0.25])
         want = 1.0 * parts[0].data + 0.5 * parts[1].data + 0.25 * parts[2].data
         assert out.data.tobytes() == np.asarray(want).tobytes()

@@ -80,9 +80,10 @@ def nll(value):
     return ad.masked_nll([(rows, [[value / math.log(2.0), 0.0]])])
 
 
-def inter(h_con, h_dep):
-    """The inter-view log-prob pair R2 and R3 read, from per-node vectors."""
-    return L.inter_view_log_probs(as_tensors(h_con), as_tensors(h_dep))
+def two_view_gram(h_con, h_dep):
+    """The block row softmax R1-R3 read over both views, from per-node
+    vectors."""
+    return L.view_gram([as_tensors(h_con), as_tensors(h_dep)])
 
 
 def pairwise_prob(target, anchor, candidates):
@@ -121,8 +122,8 @@ class TestLossR1:
         rng = np.random.default_rng(0)
         for n in (2, 3, 4, 6):
             h_con, h_dep, adj_con, adj_dep = random_views(rng, n)
-            got = L.loss_r1({"con": as_tensors(h_con), "dep": as_tensors(h_dep)},
-                            {"con": graph(adj_con), "dep": graph(adj_dep)})
+            got = L.loss_r1(two_view_gram(h_con, h_dep),
+                            [graph(adj_con), graph(adj_dep)])
             want = brute_r1({"con": h_con, "dep": h_dep},
                             {"con": adj_con, "dep": adj_dep})
             assert abs(float(got.data) - want) < 1e-10
@@ -130,7 +131,7 @@ class TestLossR1:
     def test_self_loops_excluded_by_default(self):
         rng = np.random.default_rng(2)
         h = [rng.normal(size=3) for _ in range(2)]
-        got = L.loss_r1({"dep": as_tensors(h)}, {"dep": graph(np.eye(2, dtype=bool))})
+        got = L.loss_r1(L.view_gram([as_tensors(h)]), [graph(np.eye(2, dtype=bool))])
         assert float(got.data) == 0.0
 
 
@@ -139,19 +140,19 @@ class TestLossR2:
         rng = np.random.default_rng(3)
         for n in (2, 4, 6):
             h_con, h_dep, _, _ = random_views(rng, n)
-            got = L.loss_r2(inter(h_con, h_dep))
+            got = L.loss_r2(two_view_gram(h_con, h_dep))
             assert abs(float(got.data) - brute_r2(h_con, h_dep)) < 1e-10
 
     def test_identical_vectors_give_uniform(self):
         n = 5
         v = np.array([0.3, -0.7])
         h = [v.copy() for _ in range(n)]
-        got = L.loss_r2(inter(h, h))
+        got = L.loss_r2(two_view_gram(h, h))
         assert float(got.data) == pytest.approx(2 * n * math.log(n))
 
     def test_single_node_is_zero(self):
         h = [np.array([1.0, -1.0])]
-        got = L.loss_r2(inter(h, h))
+        got = L.loss_r2(two_view_gram(h, h))
         assert float(got.data) == pytest.approx(0.0)
 
 
@@ -160,7 +161,8 @@ class TestLossR3:
         rng = np.random.default_rng(4)
         for n in (2, 3, 5, 6):
             h_con, h_dep, adj_con, adj_dep = random_views(rng, n)
-            got = L.loss_r3(inter(h_con, h_dep), graph(adj_con), graph(adj_dep))
+            got = L.loss_r3(two_view_gram(h_con, h_dep), graph(adj_con),
+                            graph(adj_dep))
             want = brute_r3(h_con, h_dep, adj_con, adj_dep)
             assert abs(float(got.data) - want) < 1e-10
 
@@ -171,20 +173,27 @@ class TestLossR3:
         adj_con[0, 1] = adj_con[1, 0] = True
         adj_dep = np.eye(4, dtype=bool)
         adj_dep[2, 3] = adj_dep[3, 2] = True
-        got = L.loss_r3(inter(h_con, h_dep), graph(adj_con), graph(adj_dep))
+        got = L.loss_r3(two_view_gram(h_con, h_dep), graph(adj_con),
+                        graph(adj_dep))
         assert np.isfinite(got.data)
 
 
 class TestInterViewPair:
     def test_node_count_mismatch(self):
         rng = np.random.default_rng(5)
-        h_con, _, adj_con, _ = random_views(rng, 3)
-        _, h_dep, _, adj_dep = random_views(rng, 4)
-        pair = inter(h_con, h_dep)
+        h_con, h_dep, adj_con, _ = random_views(rng, 3)
+        _, h_other, _, adj_dep = random_views(rng, 4)
+        for n_con, n_dep in ((h_con, h_other), (h_con[:2], h_other)):
+            with pytest.raises(ad.ShapeMismatch):
+                two_view_gram(n_con, n_dep)
+        gram = two_view_gram(h_con, h_dep)
         with pytest.raises(ad.ShapeMismatch):
-            L.loss_r2(pair)
+            L.loss_r3(gram, graph(adj_con), graph(adj_dep))
         with pytest.raises(ad.ShapeMismatch):
-            L.loss_r3(pair, graph(adj_con), graph(adj_dep))
+            L.loss_r1(gram, [graph(adj_con), graph(adj_dep)])
+        # R2 and R3 need both views
+        with pytest.raises(ad.ShapeMismatch):
+            L.loss_r2(L.view_gram([as_tensors(h_con)]))
 
 
 class TestTaggingLoss:
@@ -245,9 +254,9 @@ class TestCombinedLoss:
 
         def grads(beta):
             for t in (h_con, h_dep):
-                t.zero_grad()
+                t.grad = None
             ce = nll(1.0)
-            r2 = L.loss_r2(L.inter_view_log_probs(h_con, h_dep))
+            r2 = L.loss_r2(L.view_gram([h_con, h_dep]))
             out = L.combined_loss(ce, None, r2, None,
                                   L.LossWeights(0.0, beta, 0.0))
             out.backward()
@@ -265,11 +274,10 @@ class TestCombinedLoss:
             h_con, h_dep, adj_con, adj_dep = random_views(rng, 4)
             hb = {"con": as_tensors(h_con), "dep": as_tensors(h_dep)}
             ab = {"con": graph(adj_con), "dep": graph(adj_dep)}
-            assert float(L.loss_r1(hb, ab).data) >= 0.0
-            pair = L.inter_view_log_probs(hb["con"], hb["dep"])
-            assert float(L.loss_r2(pair).data) >= 0.0
-            assert float(L.loss_r3(pair, graph(adj_con),
-                                   graph(adj_dep)).data) >= 0.0
+            gram = L.view_gram([hb["con"], hb["dep"]])
+            assert float(L.loss_r1(gram, [ab["con"], ab["dep"]]).data) >= 0.0
+            assert float(L.loss_r2(gram).data) >= 0.0
+            assert float(L.loss_r3(gram, ab["con"], ab["dep"]).data) >= 0.0
 
 
 def test_loss_weights_validate():

@@ -112,54 +112,64 @@ class TestInstanceLosses:
         err = ad.grad_check(f, list(model.params.values()), eps=1e-5)
         assert err < 1e-4
 
+    def test_given_state_changes_nothing(self, setup):
+        sentences, cache, model = build(setup)
+        i, s = next((i, s) for i, s in enumerate(sentences) if len(s.verbs) >= 2)
+        state = model.sentence_state(s, cache[i], i)
+        for inst in expand_instances(s):
+            own = model.instance_losses(inst, cache[i], i)
+            shared = model.instance_losses(inst, cache[i], i, state=state)
+            for key in ("total", "ce", "r1", "r2", "r3"):
+                assert shared[key].data.tobytes() == own[key].data.tobytes()
+
+
+def default_instance_losses():
+    """The loss parts of the first instance of the sample corpus under the
+    default config."""
+    sentences = load_corpus(SAMPLE_CORPUS)
+    cfg = TrainConfig()
+    cache = build_graph_cache(sentences, cfg.flatten)
+    dl, cl = _label_inventories(cache, range(len(sentences)))
+    model = Model(cfg, Vocabulary.from_sentences(sentences), dl, cl)
+    return model.instance_losses(expand_instances(sentences[0])[0], cache[0], 0)
+
 
 class TestTapeSize:
-    @staticmethod
-    def default_instance_losses():
-        sentences = load_corpus(SAMPLE_CORPUS)
-        cfg = TrainConfig()
-        cache = build_graph_cache(sentences, cfg.flatten)
-        dl, cl = _label_inventories(cache, range(len(sentences)))
-        model = Model(cfg, Vocabulary.from_sentences(sentences), dl, cl)
-        return model.instance_losses(expand_instances(sentences[0])[0], cache[0], 0)
-
-    def test_default_instance_records_23_nodes(self):
+    def test_default_instance_records_24_nodes(self):
         # Guards the op count of one training instance: 12 parameter leaves,
         # then the encoder (the unmarked window mix over the gathered word
         # rows, and the marked ReLU), the label embeddings and projections of
         # both views, two GCN views of one node each, their concatenation,
-        # the head, and one ``weighted_nll`` node for CE, R1, R2 and R3 and
-        # their weighted sum.  A change that adds primitives to the
-        # per-instance path must update this count on purpose.
-        parts = self.default_instance_losses()
-        assert len(ad.Tape(parts["total"]).order) == 23
+        # the head, the row stack of the two view states that R1-R3 read,
+        # and one ``weighted_nll`` node for CE, R1, R2 and R3 and their
+        # weighted sum.  A change that adds primitives to the per-instance
+        # path must update this count on purpose.
+        parts = default_instance_losses()
+        assert len(ad.Tape(parts["total"]).order) == 24
 
-    def test_r2_and_r3_share_their_log_prob_matrices(self, monkeypatch):
-        # one inter-view product per instance: R2 and R3 read the same two
-        # row softmaxes, over S = H_dep H_conᵀ and Sᵀ
-        pairs, singles, read = [], [], []
-        inner_pair, inner_single = ad.row_softmax_pair, ad.row_softmax
+    def test_r1_to_r3_read_one_record_from_one_product(self, monkeypatch):
+        # one row softmax for R1, R2 and R3: the block softmax of G = H Hᵀ
+        # over the row stack H = [H_con; H_dep]; the only other is CE's
+        records, read = [], []
+        inner = ad.row_softmax
 
-        def pair(a, b):
-            pairs.append(inner_pair(a, b))
-            return pairs[-1]
+        def counted(a, b=None, block=None):
+            records.append(inner(a, b, block))
+            return records[-1]
 
-        def single(a, b=None):
-            singles.append((a, b))
-            return inner_single(a, b)
-
-        monkeypatch.setattr(ad, "row_softmax_pair", pair)
-        monkeypatch.setattr(ad, "row_softmax", single)
-        for name in ("loss_r2", "loss_r3"):
-            def reading(inter, *args, _inner=getattr(losses, name)):
-                read.append(inter)
-                return _inner(inter, *args)
+        monkeypatch.setattr(ad, "row_softmax", counted)
+        for name in ("loss_r1", "loss_r2", "loss_r3"):
+            def reading(gram, *args, _inner=getattr(losses, name)):
+                read.append(gram)
+                return _inner(gram, *args)
             monkeypatch.setattr(losses, name, reading)
-        self.default_instance_losses()
-        assert len(pairs) == 1
-        assert len(read) == 2 and all(inter is pairs[0] for inter in read)
-        # the other products are R1's, one per view, each over its own view
-        assert [b is None or a is b for a, b in singles] == [True] * 3
+        parts = default_instance_losses()
+        assert len(records) == 2
+        ce, gram = records
+        assert ce.b is None
+        assert len(read) == 3 and all(r is gram for r in read)
+        n = parts["ce"].terms[0][0].shape[0]
+        assert gram.a is gram.b and gram.shape == (2 * n, 2 * n) and gram.block == n
 
 
 class TestPredict:
@@ -176,6 +186,53 @@ class TestPredict:
         s = sentences[0]
         model.predict(s, s.verbs[0], cache[0])
         assert all(t.grad is None for t in model.params.values())
+
+
+def assert_views_of_theta(model):
+    """Every parameter is the next stretch of ``model.theta``, in
+    ``param_shapes`` order, and shares its memory."""
+    start = 0
+    for name, t in model.params.items():
+        assert t.shape == model.shapes[name]
+        assert np.shares_memory(t.data, model.theta)
+        assert t.data.ravel().tobytes() == \
+            model.theta[start:start + t.data.size].tobytes()
+        start += t.data.size
+    assert start == model.theta.size
+
+
+class TestParameterVector:
+    def test_new_model_params_are_views_of_theta(self, setup):
+        _, _, model = build(setup)
+        assert_views_of_theta(model)
+        model.theta += 1.0
+        assert_views_of_theta(model)
+
+    def test_loaded_model_params_are_views_of_theta(self, setup):
+        _, _, model = build(setup)
+        other = Model.from_arrays(model.cfg, model.vocab, model.dep_labels,
+                                  model.con_labels, model.export_arrays())
+        assert_views_of_theta(other)
+        assert other.theta.tobytes() == model.theta.tobytes()
+
+    def test_export_arrays_are_copies(self, setup):
+        _, _, model = build(setup)
+        arrays = model.export_arrays()
+        assert not any(np.shares_memory(a, model.theta) for a in arrays.values())
+        before = {name: a.copy() for name, a in arrays.items()}
+        model.theta -= 1.0
+        for name, a in arrays.items():
+            assert a.tobytes() == before[name].tobytes()
+
+    def test_split_names_and_shapes_a_vector(self, setup):
+        _, _, model = build(setup)
+        vec = np.arange(model.theta.size, dtype=np.float64)
+        views = model.split(vec)
+        assert list(views) == list(model.params)
+        assert all(v.shape == t.shape and np.shares_memory(v, vec)
+                   for v, t in zip(views.values(), model.params.values()))
+        with pytest.raises(ValueError, match="a vector of"):
+            model.split(vec[:-1])
 
 
 class TestArraysRoundTrip:
@@ -222,9 +279,10 @@ class TestArraysRoundTrip:
 
 
 class TestMemoryCheck:
-    def test_need_is_every_parameter_four_times(self, setup, monkeypatch):
+    def test_need_is_every_parameter_six_times(self, setup, monkeypatch):
+        # values, gradient, Adam's two moments and its two scratch vectors
         _, _, model = build(setup)
-        need = 4 * 8 * sum(t.data.size for t in model.params.values())
+        need = 6 * 8 * sum(t.data.size for t in model.params.values())
         monkeypatch.setattr(model_mod, "physical_memory", lambda: need)
         build(setup)
         monkeypatch.setattr(model_mod, "physical_memory", lambda: need - 1)

@@ -85,6 +85,30 @@ class TestTrainLoop:
         for name in a.arrays:
             assert a.arrays[name].tobytes() == b.arrays[name].tobytes()
 
+    def test_sentence_state_built_once_per_sentence_per_batch(self, corpus12,
+                                                             monkeypatch):
+        # with one batch per epoch, a sentence's verbs share one state within
+        # an epoch and get a new one in the next
+        seen = []  # (sentence id, state) per instance, in call order
+        inner = Model.instance_losses
+
+        def recorded(self, inst, graphs, sentence_id=None, state=None):
+            seen.append((sentence_id, state))
+            return inner(self, inst, graphs, sentence_id, state)
+
+        monkeypatch.setattr(Model, "instance_losses", recorded)
+        cfg = TrainConfig(seed=1, d_h=8, d_l=4, epochs=2, batch_size=1000,
+                          early_stop_train_acc=None)
+        tr.train(corpus12, cfg)
+        per_epoch = len(seen) // 2
+        states = {}  # (epoch, sentence id) -> the states its verbs got
+        for k, (sid, state) in enumerate(seen):
+            assert state is not None and state.sentence_id == sid
+            states.setdefault((k // per_epoch, sid), set()).add(id(state))
+        assert all(len(ids) == 1 for ids in states.values())
+        assert len(seen) > len(states)  # some sentence has two verbs or more
+        assert all(states[(0, sid)] != states[(1, sid)] for _, sid in states)
+
     def test_bundled_sample_corpus_overfits(self):
         sample = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.jsonl"
         corpus = load_corpus(sample)
