@@ -72,7 +72,7 @@ def _config_from_args(args) -> TrainConfig:
     file_has_seed = False
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as f:
-            raw = json.load(f)
+            raw = corpus_mod.parse_json(f.read())
         cfg = TrainConfig.from_dict(raw)
         file_has_seed = "seed" in raw
     else:
@@ -351,6 +351,8 @@ def gradcheck_run(seed: int, size: int, n_instances: int,
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.instances < 1:
+        raise UsageError(f"--instances must be at least 1, got {args.instances}")
     seed = _seed_default(args.seed)
     t0 = time.time()
     err = gradcheck_run(seed, args.size, args.instances, args.d_h, args.d_l,
@@ -429,8 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (corpus_mod.CorpusError, ev.UnalignedIds, training.TrainingError,
-            OSError, json.JSONDecodeError, KeyError,
-            MemoryError, ValueError) as exc:
+            OSError, KeyError, MemoryError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

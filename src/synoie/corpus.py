@@ -1,7 +1,8 @@
 """Corpus loading: parsed sentences, gold tuples and per-verb tagging instances.
 
-Input sentences arrive fully parsed (tokens, bracketed constituency tree,
-dependency rows, verb indices, optional gold tuples).  This module validates
+Input sentences arrive fully parsed, one JSONL record per sentence (tokens,
+bracketed constituency tree, dependency rows, verb indices, optional gold
+tuples); those records are the only input format.  This module validates
 them and expands each sentence into one BIO-labelled instance per candidate
 verb.  Tokenization is taken as given and never altered.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 ROOT_HEAD = -1  # head sentinel for the dependency root
 REL = "REL"
@@ -59,14 +60,6 @@ class CyclicHeads(CorpusError):
     pass
 
 
-class BadColumnCount(CorpusError):
-    pass
-
-
-class UnsupportedConlluNode(CorpusError):
-    pass
-
-
 class OverlappingGoldSpans(CorpusError):
     pass
 
@@ -84,14 +77,11 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def is_ascii_digits(text: str) -> bool:
-    """True for a non-empty run of ASCII digits (no sign, no ``_``)."""
-    return text.isascii() and text.isdigit()
-
-
 def is_role(role: str) -> bool:
-    """True for ``REL`` and ``ARG<k>`` with k written in ASCII digits."""
-    return role == REL or (role.startswith("ARG") and is_ascii_digits(role[3:]))
+    """True for ``REL`` and ``ARG<k>``, k a non-empty run of ASCII digits
+    (no sign, no ``_``)."""
+    k = role[3:]
+    return role == REL or (role.startswith("ARG") and k.isascii() and k.isdigit())
 
 
 @dataclass(frozen=True)
@@ -328,71 +318,6 @@ def read_bracketed_tree(text: str) -> ConstituencyTree:
     return ConstituencyTree(nodes=tuple(nodes))
 
 
-def tree_leaf_surfaces(text: str) -> list[str]:
-    """Leaf word strings of a bracketed tree, in order (for alignment checks)."""
-    toks = _tokenize_brackets(text)
-    words = []
-    for prev, cur in zip(toks, toks[1:] + ["("]):
-        if prev not in "()" and cur == ")":
-            words.append(prev)
-    return words
-
-
-# ---------------------------------------------------------------------------
-# CoNLL-U reader
-# ---------------------------------------------------------------------------
-
-N_CONLLU_COLUMNS = 10
-_ID, _FORM, _HEAD, _DEPREL = 0, 1, 6, 7
-
-
-def read_conllu(rows: Iterable[str]) -> DependencyRows:
-    """Read one sentence of CoNLL-U lines into DependencyRows.
-
-    Heads are converted from 1-based (0 = root) to 0-based with ROOT_HEAD.
-    Multiword-token ranges ("1-2") and empty nodes ("1.1") are rejected.
-    """
-    heads: list[int] = []
-    deprels: list[str] = []
-    expected_id = 1
-    for raw in rows:
-        line = raw.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        cols = line.split("\t")
-        if len(cols) != N_CONLLU_COLUMNS:
-            raise BadColumnCount(
-                f"expected {N_CONLLU_COLUMNS} columns, got {len(cols)}: {line!r}")
-        tid, head = cols[_ID], cols[_HEAD]
-        if "-" in tid or "." in tid:
-            raise UnsupportedConlluNode(f"unsupported token id {tid!r}")
-        if not is_ascii_digits(tid) or int(tid) != expected_id:
-            raise UnsupportedConlluNode(
-                f"non-consecutive token id {tid!r} (expected {expected_id})")
-        if not is_ascii_digits(head):
-            raise UnsupportedConlluNode(f"head {head!r} is not a token id")
-        expected_id += 1
-        heads.append(ROOT_HEAD if int(head) == 0 else int(head) - 1)
-        deprels.append(cols[_DEPREL])
-    if not heads:
-        raise MissingRoot("empty CoNLL-U sentence")
-    return DependencyRows(heads=tuple(heads), deprels=tuple(deprels))
-
-
-def iter_conllu_sentences(text: str) -> Iterable[list[str]]:
-    """Split CoNLL-U text into per-sentence line blocks."""
-    block: list[str] = []
-    for line in text.splitlines():
-        if not line.strip():
-            if block:
-                yield block
-                block = []
-        else:
-            block.append(line)
-    if block:
-        yield block
-
-
 # ---------------------------------------------------------------------------
 # JSONL corpus
 # ---------------------------------------------------------------------------
@@ -485,6 +410,20 @@ def _build_sentence(rec: dict) -> ParsedSentence:
                           verbs=list(verbs), gold_tuples=tuples)
 
 
+def parse_json(text: str, what: str = "JSON"):
+    """The JSON value of ``text``.  Bad JSON, and JSON nested too deeply for
+    the parser, is a SchemaViolation whose message starts ``bad <what>: ``.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = "column" if exc.lineno == 1 else f"line {exc.lineno} column"
+        raise SchemaViolation(
+            f"bad {what}: {exc.msg} at {where} {exc.colno}") from exc
+    except RecursionError as exc:
+        raise SchemaViolation(f"bad {what}: nested too deeply") from exc
+
+
 def read_jsonl(path: str | Path, build) -> list:
     """``build(value, line)`` for the JSON value of each non-blank line.
 
@@ -506,15 +445,7 @@ def read_jsonl(path: str | Path, build) -> list:
             if not text.strip():
                 continue
             try:
-                value = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise at_line(SchemaViolation(
-                    f"bad JSON: {exc.msg} at column {exc.colno}"), line) from exc
-            except RecursionError as exc:
-                raise at_line(SchemaViolation("bad JSON: nested too deeply"),
-                              line) from exc
-            try:
-                out.append(build(value, line))
+                out.append(build(parse_json(text), line))
             except (CorpusError, ValueError) as exc:
                 raise at_line(exc, line)
     return out
@@ -555,43 +486,3 @@ def save_corpus(sentences: list[ParsedSentence], path: str | Path):
     with open(path, "w", encoding="utf-8") as f:
         for s in sentences:
             f.write(json.dumps(sentence_to_record(s)) + "\n")
-
-
-def load_split_files(ptb_path: str | Path, conllu_path: str | Path,
-                     verbs_path: str | Path) -> list[ParsedSentence]:
-    """Load a corpus given as parallel .ptb / .conllu / .verbs files.
-
-    Sentences are zipped by order; tokens come from the tree leaves.  No gold
-    tuples are available in this form.  Every error carries the number of
-    the sentence it is in, counted from 1, as its line; for files of unequal
-    length that is the first sentence some file lacks.
-    """
-    with open(ptb_path, encoding="utf-8") as f:
-        ptb_lines = [l.strip() for l in f if l.strip()]
-    conllu_blocks = list(iter_conllu_sentences(Path(conllu_path).read_text(encoding="utf-8")))
-    verb_lines = Path(verbs_path).read_text(encoding="utf-8").splitlines()
-    counts = (len(ptb_lines), len(conllu_blocks), len(verb_lines))
-    if len(set(counts)) != 1:
-        raise at_line(AlignmentError(
-            "{} trees vs {} dependency blocks vs {} verb lines".format(*counts)),
-            min(counts) + 1)
-
-    sentences = []
-    for line, (ptb, block, vline) in enumerate(
-            zip(ptb_lines, conllu_blocks, verb_lines), start=1):
-        try:
-            dep = read_conllu(block)
-            verbs = vline.split()
-            for v in verbs:
-                if not is_ascii_digits(v):
-                    raise SchemaViolation(f"verb {v!r} is not a token index")
-            rec = {
-                "tokens": tree_leaf_surfaces(ptb),
-                "const_ptb": ptb,
-                "dep_conllu": [[h, d] for h, d in zip(dep.heads, dep.deprels)],
-                "verbs": [int(v) for v in verbs],
-            }
-            sentences.append(_build_sentence(rec))
-        except CorpusError as exc:
-            raise at_line(exc, line)
-    return sentences

@@ -22,7 +22,8 @@ from . import evaluation as ev
 from . import tagger
 from .autodiff import AdamState
 from .config import TrainConfig
-from .corpus import Extraction, ParsedSentence, expand_instances, is_json_int
+from .corpus import (Extraction, ParsedSentence, SchemaViolation,
+                     expand_instances, is_json_int, parse_json)
 from .encoder import Vocabulary
 from .gcn import LabelVocab
 from .model import Model, SentenceGraphs
@@ -100,13 +101,12 @@ class Checkpoint:
             if not isinstance(z, np.lib.npyio.NpzFile):
                 raise ValueError("an .npy array, not an .npz archive")
             with z:
-                meta = json.loads(bytes(z["__meta__"]).decode("utf-8"))
+                meta = parse_json(bytes(z["__meta__"]).decode("utf-8"),
+                                  "JSON meta")
                 arrays = {k: z[k] for k in z.files if k != "__meta__"}
-        except (EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        except (EOFError, KeyError, ValueError, zipfile.BadZipFile,
+                SchemaViolation) as exc:
             raise TrainingError(f"{path} is not a checkpoint: {exc}") from exc
-        except RecursionError as exc:
-            raise TrainingError(f"{path} is not a checkpoint: bad JSON meta: "
-                                f"nested too deeply") from exc
         if not isinstance(meta, dict):
             raise TrainingError("checkpoint meta is not a JSON object")
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:

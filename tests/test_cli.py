@@ -334,6 +334,21 @@ class TestScoreErrors:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and named in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000 + "]" * 100_000, "bad JSON: nested too deeply"),
+        ('{"d_h": 8,\n "lr": oops}', "bad JSON: Expecting value at line 2 column 8"),
+    ], ids=["nested-too-deeply", "bad-json-on-line-2"])
+    def test_config_that_is_not_json_is_data_error(self, small_corpus, tmp_path,
+                                                   capsys, text, message):
+        # before: json's RecursionError ended train in a traceback (exit 1),
+        # and bad JSON read json's own message
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = cli.main(["train", "--corpus", str(small_corpus),
+                       "--config", str(cfg), "--out-ckpt", str(tmp_path / "m")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
 
 # any JSON value, including NaN and the infinities that json.loads accepts
 json_values = st.recursive(
@@ -682,6 +697,14 @@ class TestGradcheckCommand:
         assert rc == 0
         assert "max relative error" in out
 
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_instances_below_one_is_usage_error(self, capsys, instances):
+        # before: "--size 6 leaves no probe sentences", as no sentence was drawn
+        rc = cli.main(["gradcheck", "--seed", "0", "--instances", instances])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --instances must be at least 1, got {instances}\n")
+
     def test_numeric_failure_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "gradcheck_run",
                             lambda *a, **kw: 1.0)
@@ -972,10 +995,10 @@ class TestExitCodes:
         assert "line 1" in capsys.readouterr().err
 
 
-class JsonLoadsCalls(ast.NodeVisitor):
-    """``module.Class.function`` of every ``json.loads`` call in one module;
-    any other way to reach ``loads`` (``from json import``, an alias) counts
-    under ``<import>``."""
+class JsonParseCalls(ast.NodeVisitor):
+    """``module.Class.function`` of every ``json.load`` or ``json.loads``
+    call in one module; any other way to reach them (``from json import``,
+    an alias) counts under ``<import>``."""
 
     def __init__(self, module: str):
         self.scope = [module]
@@ -990,7 +1013,7 @@ class JsonLoadsCalls(ast.NodeVisitor):
 
     def visit_Call(self, node):
         f = node.func
-        if (isinstance(f, ast.Attribute) and f.attr == "loads"
+        if (isinstance(f, ast.Attribute) and f.attr in ("load", "loads")
                 and isinstance(f.value, ast.Name) and f.value.id == "json"):
             self.found.add(".".join(self.scope))
         self.generic_visit(node)
@@ -1005,12 +1028,13 @@ class JsonLoadsCalls(ast.NodeVisitor):
 
 
 def test_json_lines_are_read_in_one_place():
-    # corpus.read_jsonl reads every JSONL input (corpus, score --pred,
-    # encoder_vectors); the checkpoint's meta is the one other JSON text
+    # corpus.parse_json parses every JSON text: each line corpus.read_jsonl
+    # reads (corpus, score --pred, encoder_vectors), the checkpoint's meta
+    # and the --config file
     callers = set()
     for info in pkgutil.iter_modules(synoie.__path__):
         module = importlib.import_module(f"synoie.{info.name}")
-        visitor = JsonLoadsCalls(info.name)
+        visitor = JsonParseCalls(info.name)
         visitor.visit(ast.parse(inspect.getsource(module)))
         callers |= visitor.found
-    assert callers == {"corpus.read_jsonl", "training.Checkpoint.load"}
+    assert callers == {"corpus.parse_json"}

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from synoie import corpus as c
 
 import worked_example as wx
-from tree_strategies import bracketed_trees, parents, root_is_preterminal
+from tree_strategies import (bracketed_trees, parents, root_is_preterminal,
+                             tree_leaf_surfaces)
 
 
 class TestBracketedTree:
@@ -48,7 +49,7 @@ class TestBracketedTree:
         tree = c.read_bracketed_tree(wx.CONST_PTB)
         leaves = [node for node in tree.nodes if node.is_preterminal]
         assert [node.span for node in leaves] == [(i, i) for i in range(len(wx.TOKENS))]
-        assert c.tree_leaf_surfaces(wx.CONST_PTB) == wx.TOKENS
+        assert tree_leaf_surfaces(wx.CONST_PTB) == wx.TOKENS
 
     def test_token_spans(self):
         tree = c.read_bracketed_tree(wx.CONST_PTB)
@@ -58,7 +59,7 @@ class TestBracketedTree:
     @given(bracketed_trees)
     def test_write_read_round_trip(self, text):
         tree = c.read_bracketed_tree(text)
-        tokens = c.tree_leaf_surfaces(text)
+        tokens = tree_leaf_surfaces(text)
         deps = [[-1, "ROOT"]] + [[0, "dep"]] * (len(tokens) - 1)
         record = {"tokens": tokens, "const_ptb": text, "dep_conllu": deps,
                   "verbs": []}
@@ -89,52 +90,33 @@ class TestBracketedTree:
                 cur = parent.get(cur)
         assert [node.span for node in tree.nodes] == \
                [(lo[i], hi[i]) for i in range(len(tree.nodes))]
-        assert tree.n_leaves == len(leaves) == len(c.tree_leaf_surfaces(text))
+        assert tree.n_leaves == len(leaves) == len(tree_leaf_surfaces(text))
 
 
 class TestConllu:
+    """The dependency rows of a record's ``dep_conllu`` field."""
+
     def test_single_token(self):
-        rows = ["1\tword\t_\t_\t_\t_\t0\tROOT\t_\t_"]
-        dep = c.read_conllu(rows)
+        dep = c.DependencyRows(heads=(c.ROOT_HEAD,), deprels=("ROOT",))
         assert dep.heads == (c.ROOT_HEAD,)
         assert dep.heads.index(c.ROOT_HEAD) == 0
 
     def test_two_roots(self):
-        rows = ["1\ta\t_\t_\t_\t_\t0\tROOT\t_\t_",
-                "2\tb\t_\t_\t_\t_\t0\tROOT\t_\t_"]
         with pytest.raises(c.MultipleRoots):
-            c.read_conllu(rows)
+            c.DependencyRows(heads=(c.ROOT_HEAD, c.ROOT_HEAD),
+                             deprels=("ROOT", "ROOT"))
 
     def test_missing_root(self):
-        rows = ["1\ta\t_\t_\t_\t_\t2\tdep\t_\t_",
-                "2\tb\t_\t_\t_\t_\t1\tdep\t_\t_"]
         with pytest.raises((c.MissingRoot, c.CyclicHeads)):
-            c.read_conllu(rows)
+            c.DependencyRows(heads=(1, 0), deprels=("dep", "dep"))
 
     def test_cycle(self):
-        rows = ["1\ta\t_\t_\t_\t_\t2\tdep\t_\t_",
-                "2\tb\t_\t_\t_\t_\t1\tdep\t_\t_",
-                "3\tc\t_\t_\t_\t_\t0\tROOT\t_\t_"]
         with pytest.raises(c.CyclicHeads):
-            c.read_conllu(rows)
+            c.DependencyRows(heads=(1, 0, c.ROOT_HEAD),
+                             deprels=("dep", "dep", "ROOT"))
 
-    def test_bad_column_count(self):
-        with pytest.raises(c.BadColumnCount):
-            c.read_conllu(["1\tword\t0\tROOT"])
-
-    def test_multiword_range_rejected(self):
-        rows = ["1-2\tdon't\t_\t_\t_\t_\t_\t_\t_\t_",
-                "1\tdo\t_\t_\t_\t_\t0\tROOT\t_\t_",
-                "2\tn't\t_\t_\t_\t_\t1\tneg\t_\t_"]
-        with pytest.raises(c.UnsupportedConlluNode):
-            c.read_conllu(rows)
-
-    def test_example_sentence_root_is_likes(self):
-        lines = []
-        for i, (tok, (head, rel)) in enumerate(zip(wx.TOKENS, wx.DEP_CONLLU)):
-            h = 0 if head == -1 else head + 1
-            lines.append(f"{i + 1}\t{tok}\t_\t_\t_\t_\t{h}\t{rel}\t_\t_")
-        dep = c.read_conllu(lines)
+    def test_example_sentence_root_is_likes(self, example_sentence):
+        dep = example_sentence.dep_rows
         assert dep.heads.index(c.ROOT_HEAD) == wx.TOKENS.index("likes")
         assert dep.heads[wx.TOKENS.index("likes")] == c.ROOT_HEAD
 
@@ -243,10 +225,17 @@ class TestLoadCorpus:
         (dict(wx.RECORD, tokens=[""] + wx.TOKENS[1:]), c.CorpusError),
         (dict(wx.RECORD, tuples=[dict(wx.GOLD_TUPLE, spans=dict(
             wx.GOLD_TUPLE["spans"], ARG1=[4, 6]))]), c.OverlappingGoldSpans),
-    ], ids=["unbalanced-tree", "malformed-tree", "empty-token", "overlapping-spans"])
+        (dict(wx.RECORD, dep_conllu=wx.DEP_CONLLU[:2] + [[-1, "ROOT"]]
+              + wx.DEP_CONLLU[3:]), c.AlignmentError),
+        (dict(wx.RECORD, dep_conllu=wx.DEP_CONLLU[:2] + [[0, "nsubj"]]
+              + wx.DEP_CONLLU[3:]), c.AlignmentError),
+        (dict(wx.RECORD, verbs=[3, 99]), c.AlignmentError),
+    ], ids=["unbalanced-tree", "malformed-tree", "empty-token", "overlapping-spans",
+            "dep-two-roots", "dep-head-cycle", "verb-out-of-range"])
     def test_error_below_the_record_names_its_line(self, tmp_path, record, error):
-        # raised by the tree reader, the token check or the span check, which
-        # know no line; the loader attaches it and keeps the error's type
+        # raised while the record is built (the tree reader, the token, verb
+        # and span checks, the dependency rows), which knows no line; the
+        # loader attaches it and keeps the error's type
         p = tmp_path / "bad.jsonl"
         p.write_text(json.dumps(wx.RECORD) + "\n" + json.dumps(record) + "\n")
         with pytest.raises(error) as e:
@@ -275,21 +264,6 @@ class TestLoadCorpus:
         again = c.load_corpus(out)
         assert [c.sentence_to_record(s) for s in sentences] == \
                [c.sentence_to_record(s) for s in again]
-
-    def test_split_files(self, tmp_path):
-        (tmp_path / "a.ptb").write_text(wx.CONST_PTB + "\n")
-        lines = []
-        for i, (tok, (head, rel)) in enumerate(zip(wx.TOKENS, wx.DEP_CONLLU)):
-            h = 0 if head == -1 else head + 1
-            lines.append(f"{i + 1}\t{tok}\t_\t_\t_\t_\t{h}\t{rel}\t_\t_")
-        (tmp_path / "a.conllu").write_text("\n".join(lines) + "\n")
-        (tmp_path / "a.verbs").write_text("3 4\n")
-        got = c.load_split_files(tmp_path / "a.ptb", tmp_path / "a.conllu",
-                                 tmp_path / "a.verbs")
-        assert len(got) == 1
-        assert got[0].tokens == wx.TOKENS
-        assert got[0].verbs == [3, 4]
-        assert got[0].gold_tuples == []
 
 
 class TestReadJsonl:
@@ -354,67 +328,6 @@ class TestReadJsonl:
         assert not hasattr(e.value, "line")
 
 
-def conllu_block(dep_rows=wx.DEP_CONLLU, tokens=wx.TOKENS):
-    """CoNLL-U lines of the worked example, heads made 1-based again."""
-    return [f"{i + 1}\t{tok}\t_\t_\t_\t_\t{0 if h == -1 else h + 1}\t{rel}\t_\t_"
-            for i, (tok, (h, rel)) in enumerate(zip(tokens, dep_rows))]
-
-
-class TestSplitFiles:
-    """Errors in a .ptb/.conllu/.verbs triple carry the 1-based sentence
-    number as their line, like ``load_corpus``'s record lines."""
-
-    @pytest.fixture
-    def load(self, tmp_path):
-        def load(ptbs, blocks, verb_lines):
-            (tmp_path / "a.ptb").write_text("".join(t + "\n" for t in ptbs))
-            (tmp_path / "a.conllu").write_text(
-                "".join("\n".join(b) + "\n\n" for b in blocks))
-            (tmp_path / "a.verbs").write_text("".join(v + "\n" for v in verb_lines))
-            return c.load_split_files(tmp_path / "a.ptb", tmp_path / "a.conllu",
-                                      tmp_path / "a.verbs")
-        return load
-
-    def test_two_sentences_load(self, load):
-        got = load([wx.CONST_PTB] * 2, [conllu_block()] * 2, ["3 4", ""])
-        assert [s.verbs for s in got] == [[3, 4], []]
-
-    @pytest.mark.parametrize("verbs", ["5 x", "1.5", "1_0", "-1", "３", "0x3"])
-    def test_verb_token_not_ascii_digits(self, load, verbs):
-        with pytest.raises(c.SchemaViolation) as e:
-            load([wx.CONST_PTB] * 2, [conllu_block()] * 2, ["3", verbs])
-        assert e.value.line == 2
-        assert str(e.value).startswith("line 2: ")
-
-    @pytest.mark.parametrize("second, error", [
-        ((wx.CONST_PTB, conllu_block(), "99"), c.AlignmentError),
-        (("(VB Go)", conllu_block([[-1, "ROOT"]], ["Go"]), "0"), c.MalformedTree),
-        ((wx.CONST_PTB, [l + "\tx" for l in conllu_block()], "3"), c.BadColumnCount),
-        ((wx.CONST_PTB, conllu_block()[1:], "3"), c.UnsupportedConlluNode),
-        ((wx.CONST_PTB, [l.replace("\t4\t", "\tx\t", 1) for l in conllu_block()],
-          "3"), c.UnsupportedConlluNode),
-        (("(S (NN x)", conllu_block(), "3"), c.UnbalancedBrackets),
-    ], ids=["verb-out-of-range", "bare-preterminal-root", "conllu-columns",
-            "conllu-ids", "conllu-head-not-a-number", "unbalanced-tree"])
-    def test_error_names_its_sentence(self, load, second, error):
-        ptb, block, verbs = second
-        with pytest.raises(error) as e:
-            load([wx.CONST_PTB, ptb], [conllu_block(), block], ["3", verbs])
-        assert e.value.line == 2
-        assert str(e.value).startswith("line 2: ")
-
-    def test_first_sentence_is_line_one(self, load):
-        with pytest.raises(c.AlignmentError) as e:
-            load([wx.CONST_PTB], [conllu_block()], ["99"])
-        assert e.value.line == 1
-
-    def test_count_mismatch_names_the_first_missing_sentence(self, load):
-        with pytest.raises(c.AlignmentError) as e:
-            load([wx.CONST_PTB] * 3, [conllu_block()] * 2, ["3"] * 3)
-        assert e.value.line == 3
-        assert "3 trees vs 2 dependency blocks vs 3 verb lines" in str(e.value)
-
-
 class TestExpandInstances:
     def test_counts(self, example_sentence):
         insts = c.expand_instances(example_sentence)
@@ -455,6 +368,15 @@ class TestExpandInstances:
                 rel_positions = [k for k, l in enumerate(inst.labels)
                                  if l.endswith("-REL")]
                 assert min(rel_positions) <= inst.indicator_verb <= max(rel_positions)
+
+
+@pytest.mark.parametrize("role, ok", [
+    ("REL", True), ("ARG0", True), ("ARG12", True), ("ARG", False),
+    ("ARG-1", False), ("ARG+1", False), ("ARG1_0", False), ("ARG1.5", False),
+    ("ARG\uff13", False), ("ARG0x3", False), ("ARG 1", False), ("arg1", False)])
+def test_is_role(role, ok):
+    # k must be ASCII digits: int() also reads "+1", "1_0" and a full-width 3
+    assert c.is_role(role) is ok
 
 
 def test_tag_inventory_size():

@@ -12,7 +12,8 @@ from synoie import gcn
 from synoie import graphs
 from synoie.graphs import SyntacticGraph, CONST_VIEW, DEP_VIEW
 
-from tree_strategies import PHRASE_TAGS, bracketed_trees, root_is_preterminal
+from tree_strategies import (PHRASE_TAGS, bracketed_trees, root_is_preterminal,
+                             tree_leaf_surfaces)
 
 DEPRELS = ["nsubj", "obj", "det", "punct", "ROOT"]
 
@@ -153,7 +154,7 @@ class TestLabelRowsProperty:
            known_rels=st.sets(st.sampled_from(DEPRELS)), data=st.data())
     def test_matches_per_node_loops(self, text, variant, known_tags, known_rels,
                                     data):
-        tokens = c.tree_leaf_surfaces(text)
+        tokens = tree_leaf_surfaces(text)
         rels = data.draw(st.lists(st.sampled_from(DEPRELS[:-1]),
                                   min_size=len(tokens) - 1,
                                   max_size=len(tokens) - 1))

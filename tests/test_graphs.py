@@ -10,7 +10,8 @@ from synoie import corpus as c
 from synoie import graphs as g
 
 import worked_example as wx
-from tree_strategies import bracketed_trees, parents, root_is_preterminal
+from tree_strategies import (bracketed_trees, parents, root_is_preterminal,
+                             tree_leaf_surfaces)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -194,7 +195,7 @@ class TestRandomTreeProperties:
     @given(text=bracketed_trees, variant=st.sampled_from(g.VARIANTS),
            max_distance=st.integers(1, 12))
     def test_adjacency_invariants(self, text, variant, max_distance):
-        tokens = c.tree_leaf_surfaces(text)
+        tokens = tree_leaf_surfaces(text)
         deps = [[-1, "ROOT"]] + [[0, "dep"]] * (len(tokens) - 1)
         if root_is_preterminal(text):
             with pytest.raises(c.MalformedTree):

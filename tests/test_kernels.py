@@ -24,7 +24,8 @@ from synoie import losses as L
 from synoie.config import TrainConfig
 from synoie.graphs import SyntacticGraph
 
-from tree_strategies import bracketed_trees, flat_sentence, root_is_preterminal
+from tree_strategies import (bracketed_trees, flat_sentence, root_is_preterminal,
+                             tree_leaf_surfaces)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -127,7 +128,7 @@ class TestEncoderKernels:
     @given(text=bracketed_trees, seed=st.integers(0, 2 ** 16))
     def test_hoisted_equals_direct_window_every_verb(self, text, seed):
         assume(not root_is_preterminal(text))
-        tokens = c.tree_leaf_surfaces(text)
+        tokens = tree_leaf_surfaces(text)
         n = len(tokens)
         s = c._build_sentence({"tokens": tokens, "const_ptb": text,
                                "dep_conllu": [[-1, "ROOT"]] + [[0, "dep"]] * (n - 1),

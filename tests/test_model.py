@@ -18,7 +18,7 @@ from synoie.model import Model, SentenceGraphs
 from synoie.synthetic import generate_corpus
 from synoie.training import _label_inventories, build_graph_cache
 
-from tree_strategies import bracketed_trees, root_is_preterminal
+from tree_strategies import bracketed_trees, root_is_preterminal, tree_leaf_surfaces
 
 SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.jsonl"
 
@@ -359,7 +359,7 @@ class TestSentenceState:
         assume(not root_is_preterminal(text))
         _, _, models = sample_models
         model = models[config]
-        tokens = c.tree_leaf_surfaces(text)
+        tokens = tree_leaf_surfaces(text)
         n = len(tokens)
         heads = [-1] + [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
         rels = data.draw(st.lists(st.sampled_from(model.dep_labels.labels + ["new"]),

@@ -1,5 +1,5 @@
-"""Random bracketed constituency trees for property tests, their parents, and
-one flat sentence of given words.
+"""Random bracketed constituency trees for property tests, their parents,
+their leaf words, and one flat sentence of given words.
 
 A generated tree has up to 12 words, up to 4 children per phrase, and above
 any node a unary chain of up to 50 phrase tags.  Words are w0, w1, ... left
@@ -44,6 +44,16 @@ def root_is_preterminal(text: str) -> bool:
     """True for a tree that is one bare preterminal, like ``(NN w0)``, which
     the corpus rejects: its word would sit under no phrase."""
     return text.count("(") == 1
+
+
+def tree_leaf_surfaces(text: str) -> list[str]:
+    """Leaf word strings of a bracketed tree, in order (for alignment checks)."""
+    toks = c._tokenize_brackets(text)
+    words = []
+    for prev, cur in zip(toks, toks[1:] + ["("]):
+        if prev not in "()" and cur == ")":
+            words.append(prev)
+    return words
 
 
 def parents(tree) -> dict[int, int]:
