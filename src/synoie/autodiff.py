@@ -78,13 +78,6 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-class NllTensor(Tensor):
-    """The scalar ``masked_nll`` returns.  It keeps its (row softmax, mask)
-    terms, so ``weighted_nll`` can merge several losses into one node."""
-
-    __slots__ = ("terms",)
-
-
 def _record(out: Tensor, parents, backward) -> Tensor:
     """Record ``out``'s graph only when a parent needs grads."""
     track = _grad_enabled and any(p.requires_grad for p in parents)
@@ -329,8 +322,9 @@ def row_softmax(a: Tensor, b: Tensor | None = None,
                       (xb - (m + np.log(z))).reshape(r, c))
 
 
-def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> NllTensor:
-    """-Σₖ sum(Mₖ * log_probsₖ) over (row softmax, constant mask Mₖ) terms.
+def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> Tensor:
+    """-Σₖ sum(Mₖ * log_probsₖ) over (row softmax, constant mask Mₖ) terms,
+    as one node.
 
     The gradient reaching term k's logits is rowsum(Mₖ) Pₖ - Mₖ, with the
     row sums taken within each column block.  It reaches a and b through one
@@ -347,44 +341,11 @@ def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> NllTensor:
                                 f"mask {mask.shape}")
         total += np.vdot(rows.log_probs, mask)
         checked.append((rows, mask))
-    return _nll(-total, checked)
-
-
-def weighted_nll(losses: list[NllTensor], weights: list[float]) -> NllTensor:
-    """weights[0] * losses[0] + weights[1] * losses[1] + ... as one node.
-
-    The value is summed from the losses' values, left to right, as
-    ``combine`` sums them.  The gradient comes from the losses' terms, each
-    mask scaled by its loss's weight, and terms that read one row softmax
-    add their masks first.  The losses' own nodes are not on its tape.
-    """
-    if not losses or len(losses) != len(weights):
-        raise ShapeMismatch(f"{len(losses)} losses vs {len(weights)} weights")
-    ws = [float(w) for w in weights]
-    value = ws[0] * float(losses[0].data)
-    for w, loss in zip(ws[1:], losses[1:]):
-        value = value + w * float(loss.data)
-    merged = []  # [row softmax, summed mask]
-    for w, loss in zip(ws, losses):
-        for rows, mask in loss.terms:
-            for entry in merged:
-                if entry[0] is rows:
-                    entry[1] = entry[1] + w * mask
-                    break
-            else:
-                merged.append([rows, w * mask])
-    return _nll(value, merged)
-
-
-def _nll(value, terms) -> NllTensor:
-    """The node of ``value`` whose gradient is ``masked_nll``'s over ``terms``."""
-    out = NllTensor(value)
-    out.terms = terms
-    parents = {id(t): t for rows, _ in terms for t in (rows.a, rows.b)
+    parents = {id(t): t for rows, _ in checked for t in (rows.a, rows.b)
                if t is not None}
 
     def backward(g):
-        for rows, mask in terms:
+        for rows, mask in checked:
             # each block's rows sum their own mask entries
             r, c = rows.shape
             shape = (r, c // rows.block, rows.block)
@@ -402,7 +363,7 @@ def _nll(value, terms) -> NllTensor:
                 if b.requires_grad:
                     _accumulate(b, gl.T @ a.data)
 
-    return _record(out, parents.values(), backward)
+    return _result(-total, parents.values(), backward)
 
 
 def masked_sum(a: Tensor, mask) -> Tensor:

@@ -353,6 +353,11 @@ def gradcheck_run(seed: int, size: int, n_instances: int,
 def _cmd_gradcheck(args) -> int:
     if args.instances < 1:
         raise UsageError(f"--instances must be at least 1, got {args.instances}")
+    if not 0.0 < args.eps <= 1e-2:
+        raise UsageError(f"--eps must lie in (0, 1e-2], got {args.eps}")
+    for flag, width in (("--d-h", args.d_h), ("--d-l", args.d_l)):
+        if width < 1:
+            raise UsageError(f"{flag} must be at least 1, got {width}")
     seed = _seed_default(args.seed)
     t0 = time.time()
     err = gradcheck_run(seed, args.size, args.instances, args.d_h, args.d_l,

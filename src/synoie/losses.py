@@ -1,21 +1,20 @@
 """Tagging loss, the three multi-view relationship losses, and their sum.
 
-All four losses share one form: the negated sum of the entries constant
-selection masks pick from row log-softmaxes, and each is one ``ad.masked_nll``
-value.  For the tagging loss the rows are the tag logits and the mask picks
-each token's gold tag at weight 1/n.  R1-R3 score pairs over one sentence's
-node set, and under the two views every pair score is an entry of one
-similarity matrix G = H Hᵀ, for H = [H_con; H_dep] the row stack of the view
-states.  Its four n x n blocks are the four (anchor view, candidate view)
-products, so the losses read one block row log-softmax of G (each row
-normalised within each view's n columns) through three constant masks: R1
-the block diagonal of the views' ``selection`` masks (their edges without
-self-loops), R2 the identities of the off-diagonal blocks, and R3 the
-``selection`` masks in the off-diagonal blocks.  With one view on, G is that
-view's own n x n Gram.  So every loss is non-negative; batch-level
-normalization is the trainer's concern.  Their weighted sum is one
-``ad.weighted_nll`` node over the same terms, so an instance's losses record
-one node between them.
+A loss is a constant mask over a row log-softmax, and its value is the
+negated sum of the entries the mask picks.  For the tagging loss the rows
+are the tag logits and the mask picks each token's gold tag at weight 1/n.
+R1-R3 score pairs over one sentence's node set, and under the two views
+every pair score is an entry of one similarity matrix G = H Hᵀ, for
+H = [H_con; H_dep] the row stack of the view states.  Its four n x n blocks
+are the four (anchor view, candidate view) products, so the losses read one
+block row log-softmax of G (each row normalised within each view's n
+columns), each through its (row block, column block, n x n mask) blocks:
+R1 the views' ``selection`` masks (their edges without self-loops) on the
+diagonal, R2 the identities off it, and R3 the ``selection`` masks off it.
+With one view on, G is that view's own n x n Gram.  So every loss is
+non-negative; batch-level normalization is the trainer's concern.  No loss
+records a node: ``combined_loss`` writes the weighted R blocks into one mask
+over G and makes the instance's one ``ad.masked_nll`` node.
 """
 
 from __future__ import annotations
@@ -53,42 +52,68 @@ def view_gram(states: list[Tensor]) -> ad.RowSoftmax:
     return ad.row_softmax(h, h, block=states[0].shape[0])
 
 
-def _blocks(gram: ad.RowSoftmax, placed) -> np.ndarray:
-    """The mask over ``gram`` with ``mask`` at block (row k, column l), for
-    each (k, l, mask) in ``placed``, and zeros elsewhere."""
+Blocks = list[tuple[int, int, np.ndarray]]
+
+
+def _check(gram: ad.RowSoftmax, blocks: Blocks) -> Blocks:
+    """``blocks``, each (row block k, column block l, mask) of ``gram``."""
     n = gram.block
     views = gram.shape[1] // n
-    out = np.zeros((views, n, views, n))
-    for k, l, mask in placed:
+    for k, l, mask in blocks:
         if max(k, l) >= views or np.shape(mask) != (n, n):
             raise ad.ShapeMismatch(f"a mask of {np.shape(mask)} at block "
                                    f"({k}, {l}) of {gram.shape} in blocks of {n}")
-        out[k, :, l] = mask
-    return out.reshape(gram.shape)
+    return blocks
 
 
-def loss_r1(gram: ad.RowSoftmax, graphs: list[SyntacticGraph]) -> ad.NllTensor:
+def _by_block(rows: ad.RowSoftmax, arr: np.ndarray) -> np.ndarray:
+    """``arr``, of ``rows``' shape, indexed [row block, row, column block,
+    column]; a row softmax has as many row blocks as column blocks."""
+    views = rows.shape[1] // rows.block
+    return arr.reshape(views, rows.shape[0] // views, views, rows.block)
+
+
+def _blocks(gram: ad.RowSoftmax, blocks: Blocks) -> np.ndarray:
+    """The mask over ``gram`` that sums the ``blocks``' masks at their
+    places, and is zero elsewhere."""
+    out = np.zeros(gram.shape)
+    by_block = _by_block(gram, out)
+    for k, l, mask in blocks:
+        by_block[k, :, l] += mask
+    return out
+
+
+def nll(rows: ad.RowSoftmax, blocks: Blocks) -> float:
+    """The value of the loss whose mask over ``rows`` is ``blocks``."""
+    log_probs = _by_block(rows, rows.log_probs)
+    total = 0.0
+    for k, l, mask in blocks:
+        total += np.vdot(log_probs[k, :, l], mask)
+    return -float(total)
+
+
+def loss_r1(gram: ad.RowSoftmax, graphs: list[SyntacticGraph]) -> Blocks:
     """Inter-node intra-view: connected nodes score high under their own
     view.  ``graphs`` are the views of ``gram``'s blocks, in its order."""
-    return ad.masked_nll([(gram, _blocks(gram, [(k, k, g.selection)
-                                                for k, g in enumerate(graphs)]))])
+    return _check(gram, [(k, k, g.selection) for k, g in enumerate(graphs)])
 
 
-def loss_r2(gram: ad.RowSoftmax) -> ad.NllTensor:
+def loss_r2(gram: ad.RowSoftmax) -> Blocks:
     """Intra-node inter-view: each node close to its own other-view state."""
     eye = np.eye(gram.block)
-    return ad.masked_nll([(gram, _blocks(gram, [(0, 1, eye), (1, 0, eye)]))])
+    return _check(gram, [(0, 1, eye), (1, 0, eye)])
 
 
 def loss_r3(gram: ad.RowSoftmax, g_con: SyntacticGraph,
-            g_dep: SyntacticGraph) -> ad.NllTensor:
+            g_dep: SyntacticGraph) -> Blocks:
     """Inter-node inter-view: view-z edges pull in other-view neighbours."""
-    return ad.masked_nll([(gram, _blocks(gram, [(0, 1, g_con.selection),
-                                                (1, 0, g_dep.selection)]))])
+    return _check(gram, [(0, 1, g_con.selection), (1, 0, g_dep.selection)])
 
 
-def tagging_loss(logits: Tensor, gold_ids: list[int]) -> ad.NllTensor:
-    """Mean token-level cross entropy for one instance."""
+def tagging_loss(logits: Tensor, gold_ids: list[int]
+                 ) -> tuple[ad.RowSoftmax, np.ndarray]:
+    """Mean token-level cross entropy for one instance: the row softmax of
+    ``logits`` and the mask that picks each gold tag at weight 1/n."""
     rows = ad.row_softmax(logits)
     n, n_tags = rows.shape
     gold = np.asarray(gold_ids, dtype=np.intp)
@@ -99,18 +124,17 @@ def tagging_loss(logits: Tensor, gold_ids: list[int]) -> ad.NllTensor:
         raise ad.ShapeMismatch(f"gold index outside {n_tags} tags")
     pick = np.zeros((n, n_tags))
     pick[np.arange(n), gold] = 1.0 / n
-    return ad.masked_nll([(rows, pick)])
+    return rows, pick
 
 
-def combined_loss(l_ce: ad.NllTensor, l_r1: ad.NllTensor | None,
-                  l_r2: ad.NllTensor | None, l_r3: ad.NllTensor | None,
-                  weights: LossWeights) -> ad.NllTensor:
-    """L_CE + alpha*L_R1 + beta*L_R2 + gamma*L_R3 as one node; zero weights
-    drop out."""
-    terms, coefs = [l_ce], [1.0]
-    for w, term in ((weights.alpha, l_r1), (weights.beta, l_r2),
-                    (weights.gamma, l_r3)):
-        if w != 0.0 and term is not None:
-            terms.append(term)
-            coefs.append(w)
-    return ad.weighted_nll(terms, coefs)
+def combined_loss(ce: tuple[ad.RowSoftmax, np.ndarray], gram: ad.RowSoftmax | None,
+                  r1: Blocks | None, r2: Blocks | None, r3: Blocks | None,
+                  weights: LossWeights) -> Tensor:
+    """L_CE + alpha*L_R1 + beta*L_R2 + gamma*L_R3 as one ``ad.masked_nll``
+    node, over CE's mask and, when an R loss is given, one mask over
+    ``gram`` that sums the given R losses' weighted blocks."""
+    placed = [(k, l, w * mask)
+              for w, blocks in ((weights.alpha, r1), (weights.beta, r2),
+                                (weights.gamma, r3)) if blocks is not None
+              for k, l, mask in blocks]
+    return ad.masked_nll([ce, (gram, _blocks(gram, placed))] if placed else [ce])

@@ -238,15 +238,16 @@ class Model:
                         sentence_id: int | None = None,
                         state: SentenceState | None = None) -> dict:
         """Forward one instance over ``state`` (built here when not given)
-        and return its loss components.
+        and return its loss.
 
-        Keys: total, ce, r1, r2, r3 (r* are None when disabled), pred_ids.
+        Keys: total, the recorded loss; ce, r1, r2, r3, the values of its
+        parts (r* None for a loss that does not run); pred_ids; gold_ids.
         """
         cfg = self.cfg
         fwd = self.forward(inst.sentence, inst.indicator_verb, graphs, sentence_id,
                            state)
         gold_ids = [TAG_IDS[l] for l in inst.labels]
-        l_ce = losses_mod.tagging_loss(fwd.logits, gold_ids)
+        rows, pick = ce = losses_mod.tagging_loss(fwd.logits, gold_ids)
 
         views = [(h, g) for h, g in ((fwd.h_con, graphs.const), (fwd.h_dep, graphs.dep))
                  if h is not None]
@@ -254,19 +255,21 @@ class Model:
         run_r1 = cfg.use_r1 and w.alpha != 0.0 and bool(views)
         run_r2 = cfg.use_r2 and w.beta != 0.0 and len(views) == 2
         run_r3 = cfg.use_r3 and w.gamma != 0.0 and len(views) == 2
-        l_r1 = l_r2 = l_r3 = None
+        gram = r1 = r2 = r3 = None
         if run_r1 or run_r2 or run_r3:
             gram = losses_mod.view_gram([h for h, _ in views])
             if run_r1:
-                l_r1 = losses_mod.loss_r1(gram, [g for _, g in views])
+                r1 = losses_mod.loss_r1(gram, [g for _, g in views])
             if run_r2:
-                l_r2 = losses_mod.loss_r2(gram)
+                r2 = losses_mod.loss_r2(gram)
             if run_r3:
-                l_r3 = losses_mod.loss_r3(gram, graphs.const, graphs.dep)
-        total = losses_mod.combined_loss(l_ce, l_r1, l_r2, l_r3, w)
-        pred_ids = np.argmax(fwd.logits.data, axis=1).tolist()
-        return {"total": total, "ce": l_ce, "r1": l_r1, "r2": l_r2, "r3": l_r3,
-                "pred_ids": pred_ids, "gold_ids": gold_ids}
+                r3 = losses_mod.loss_r3(gram, graphs.const, graphs.dep)
+        return {"total": losses_mod.combined_loss(ce, gram, r1, r2, r3, w),
+                "ce": losses_mod.nll(rows, [(0, 0, pick)]),
+                **{name: None if blocks is None else losses_mod.nll(gram, blocks)
+                   for name, blocks in (("r1", r1), ("r2", r2), ("r3", r3))},
+                "pred_ids": np.argmax(fwd.logits.data, axis=1).tolist(),
+                "gold_ids": gold_ids}
 
     def predict(self, sentence: ParsedSentence, indicator_verb: int,
                 graphs: SentenceGraphs, sentence_id: int | None = None,

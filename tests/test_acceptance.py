@@ -111,13 +111,16 @@ def test_criterion_4_loss_oracles():
                                            {"con": adj_c, "dep": adj_d})
                 want_r2 = oracles.brute_r2(h_con, h_dep)
                 want_r3 = oracles.brute_r3(h_con, h_dep, adj_c, adj_d)
-                assert abs(float(parts["r1"].data) - want_r1) < 1e-10
-                assert abs(float(parts["r2"].data) - want_r2) < 1e-10
-                assert abs(float(parts["r3"].data) - want_r3) < 1e-10
-                combined = L.combined_loss(parts["ce"], parts["r1"],
-                                           parts["r2"], parts["r3"],
-                                           L.LossWeights(0.0, 0.0, 0.0))
-                assert combined.data.tobytes() == parts["ce"].data.tobytes()
+                assert abs(parts["r1"] - want_r1) < 1e-10
+                assert abs(parts["r2"] - want_r2) < 1e-10
+                assert abs(parts["r3"] - want_r3) < 1e-10
+                ce = L.tagging_loss(fwd.logits, parts["gold_ids"])
+                gram = L.view_gram([fwd.h_con, fwd.h_dep])
+                combined = L.combined_loss(
+                    ce, gram, L.loss_r1(gram, [cache[i].const, cache[i].dep]),
+                    L.loss_r2(gram), L.loss_r3(gram, cache[i].const, cache[i].dep),
+                    L.LossWeights(0.0, 0.0, 0.0))
+                assert combined.data.tobytes() == np.float64(parts["ce"]).tobytes()
                 checked += 1
         assert checked >= 10
 

@@ -697,13 +697,24 @@ class TestGradcheckCommand:
         assert rc == 0
         assert "max relative error" in out
 
-    @pytest.mark.parametrize("instances", ["0", "-2"])
-    def test_instances_below_one_is_usage_error(self, capsys, instances):
-        # before: "--size 6 leaves no probe sentences", as no sentence was drawn
-        rc = cli.main(["gradcheck", "--seed", "0", "--instances", instances])
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--instances", "0", "must be at least 1, got 0"),
+        ("--instances", "-2", "must be at least 1, got -2"),
+        ("--eps", "0", "must lie in (0, 1e-2], got 0.0"),
+        ("--eps", "-0.001", "must lie in (0, 1e-2], got -0.001"),
+        ("--eps", "0.1", "must lie in (0, 1e-2], got 0.1"),
+        ("--eps", "nan", "must lie in (0, 1e-2], got nan"),
+        ("--d-h", "0", "must be at least 1, got 0"),
+        ("--d-l", "-1", "must be at least 1, got -1"),
+    ], ids=["0", "-2", "eps-0", "eps-negative", "eps-above-1e-2", "eps-nan",
+            "d-h-0", "d-l-negative"])
+    def test_instances_below_one_is_usage_error(self, monkeypatch, capsys, flag,
+                                                value, rule):
+        # each flag is checked before any sentence is drawn
+        monkeypatch.setattr(cli.synthetic, "generate_corpus", None)
+        rc = cli.main(["gradcheck", "--seed", "0", flag, value])
         assert rc == 1
-        assert capsys.readouterr().err == (
-            f"usage error: --instances must be at least 1, got {instances}\n")
+        assert capsys.readouterr().err == f"usage error: {flag} {rule}\n"
 
     def test_numeric_failure_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "gradcheck_run",

@@ -2,10 +2,11 @@
 
 The encoder is ``ad.window_linear`` over the gathered, unmarked rows, once
 per sentence, then ``ad.marked_window_relu`` per verb; one GCN view is
-``ad.attention_layer``; each loss is one ``ad.masked_nll`` over
-``ad.row_softmax`` records (R1-R3 over one block row softmax of the view
+``ad.attention_layer``; each loss is a constant mask over an
+``ad.row_softmax`` record (R1-R3 over one block row softmax of the view
 states' Gram, ``losses.view_gram``), and an instance's weighted sum of them
-is one ``ad.weighted_nll`` node.  Each is checked against a numpy reference
+is one ``ad.masked_nll`` node over CE's mask and one R mask.  Each is
+checked against a numpy reference
 of the old chain and by gradcheck, the attention kernel against
 ``masked_softmax``'s errors and the loss kernel against the errors the old
 chain raised.  Any numpy warning fails these tests.
@@ -470,14 +471,14 @@ def merged_case(views, weights, n, rng):
 
     def build(logits, h_con, h_dep):
         h = {"con": h_con, "dep": h_dep}
-        r1 = r2 = r3 = None
+        gram = r1 = r2 = r3 = None
         if views and (alpha or beta or gamma):
             gram = L.view_gram([h[v] for v in views])
             r1 = L.loss_r1(gram, [graphs[v] for v in views]) if alpha else None
             r2 = L.loss_r2(gram) if beta else None
             r3 = L.loss_r3(gram, graphs["con"], graphs["dep"]) if gamma else None
-        return L.combined_loss(L.tagging_loss(logits, gold.tolist()), r1, r2, r3,
-                               L.LossWeights(*weights))
+        return L.combined_loss(L.tagging_loss(logits, gold.tolist()), gram,
+                               r1, r2, r3, L.LossWeights(*weights))
 
     pick = np.eye(5)[gold] / n
     terms = [(1.0, 0, None, pick)]
@@ -493,7 +494,7 @@ def merged_case(views, weights, n, rng):
 
 
 class TestMergedLossKernel:
-    """``losses.combined_loss``, one ``ad.weighted_nll`` node, against the
+    """``losses.combined_loss``, one ``ad.masked_nll`` node, against the
     old chain: each loss its own ``log_softmax_rows`` + ``masked_sum`` chain,
     then their weighted sum."""
 
@@ -536,21 +537,3 @@ class TestMergedLossKernel:
         assert len(others) <= 1
         assert all([p is x for p, x in zip(t._parents, xs[1:])] == [True, True]
                    for t in others)
-
-    def test_value_is_the_weighted_sum_of_the_parts(self):
-        xs, build, _ = merged_case(("con", "dep"), (0.5, 0.25, 2.0), 4,
-                                   np.random.default_rng(11))
-        logits, h_con, h_dep = xs
-        gram = L.view_gram([h_con, h_dep])
-        parts = [L.tagging_loss(logits, [0, 1, 2, 3]),
-                 L.loss_r2(gram), L.loss_r2(gram)]
-        out = ad.weighted_nll(parts, [1.0, 0.5, 0.25])
-        want = 1.0 * parts[0].data + 0.5 * parts[1].data + 0.25 * parts[2].data
-        assert out.data.tobytes() == np.asarray(want).tobytes()
-
-    @pytest.mark.parametrize("losses, weights", [([], []), (["r"], [1.0, 2.0])],
-                             ids=["no-losses", "length-mismatch"])
-    def test_rejects_mismatched_weights(self, losses, weights):
-        r = ad.masked_nll([(ad.row_softmax(ad.constant([[0.0, 1.0]])), [[1.0, 0.0]])])
-        with pytest.raises(ad.ShapeMismatch):
-            ad.weighted_nll([r for _ in losses], weights)

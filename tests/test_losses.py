@@ -73,11 +73,19 @@ def graph(adj):
                           adjacency=np.asarray(adj, dtype=bool))
 
 
-def nll(value):
-    """A ``masked_nll`` value of ``value`` over a constant uniform pair, whose
-    log-probability is -log 2 each."""
-    rows = ad.row_softmax(ad.constant([[0.0, 0.0]]))
-    return ad.masked_nll([(rows, [[value / math.log(2.0), 0.0]])])
+UNIFORM = L.view_gram([ad.constant(np.zeros((2, 1)))] * 2)
+
+
+def picks(value):
+    """Blocks over ``UNIFORM``, whose log-probabilities are -log 2 each, that
+    make a loss of ``value``."""
+    return [(0, 0, np.array([[value / math.log(2.0), 0.0], [0.0, 0.0]]))]
+
+
+def ce_value(logits, gold_ids):
+    """The value of the tagging loss of ``logits`` against ``gold_ids``."""
+    rows, pick = L.tagging_loss(logits, gold_ids)
+    return L.nll(rows, [(0, 0, pick)])
 
 
 def two_view_gram(h_con, h_dep):
@@ -122,17 +130,18 @@ class TestLossR1:
         rng = np.random.default_rng(0)
         for n in (2, 3, 4, 6):
             h_con, h_dep, adj_con, adj_dep = random_views(rng, n)
-            got = L.loss_r1(two_view_gram(h_con, h_dep),
-                            [graph(adj_con), graph(adj_dep)])
+            gram = two_view_gram(h_con, h_dep)
+            got = L.nll(gram, L.loss_r1(gram, [graph(adj_con), graph(adj_dep)]))
             want = brute_r1({"con": h_con, "dep": h_dep},
                             {"con": adj_con, "dep": adj_dep})
-            assert abs(float(got.data) - want) < 1e-10
+            assert abs(got - want) < 1e-10
 
     def test_self_loops_excluded_by_default(self):
         rng = np.random.default_rng(2)
         h = [rng.normal(size=3) for _ in range(2)]
-        got = L.loss_r1(L.view_gram([as_tensors(h)]), [graph(np.eye(2, dtype=bool))])
-        assert float(got.data) == 0.0
+        gram = L.view_gram([as_tensors(h)])
+        got = L.nll(gram, L.loss_r1(gram, [graph(np.eye(2, dtype=bool))]))
+        assert got == 0.0
 
 
 class TestLossR2:
@@ -140,20 +149,23 @@ class TestLossR2:
         rng = np.random.default_rng(3)
         for n in (2, 4, 6):
             h_con, h_dep, _, _ = random_views(rng, n)
-            got = L.loss_r2(two_view_gram(h_con, h_dep))
-            assert abs(float(got.data) - brute_r2(h_con, h_dep)) < 1e-10
+            gram = two_view_gram(h_con, h_dep)
+            got = L.nll(gram, L.loss_r2(gram))
+            assert abs(got - brute_r2(h_con, h_dep)) < 1e-10
 
     def test_identical_vectors_give_uniform(self):
         n = 5
         v = np.array([0.3, -0.7])
         h = [v.copy() for _ in range(n)]
-        got = L.loss_r2(two_view_gram(h, h))
-        assert float(got.data) == pytest.approx(2 * n * math.log(n))
+        gram = two_view_gram(h, h)
+        got = L.nll(gram, L.loss_r2(gram))
+        assert got == pytest.approx(2 * n * math.log(n))
 
     def test_single_node_is_zero(self):
         h = [np.array([1.0, -1.0])]
-        got = L.loss_r2(two_view_gram(h, h))
-        assert float(got.data) == pytest.approx(0.0)
+        gram = two_view_gram(h, h)
+        got = L.nll(gram, L.loss_r2(gram))
+        assert got == pytest.approx(0.0)
 
 
 class TestLossR3:
@@ -161,10 +173,10 @@ class TestLossR3:
         rng = np.random.default_rng(4)
         for n in (2, 3, 5, 6):
             h_con, h_dep, adj_con, adj_dep = random_views(rng, n)
-            got = L.loss_r3(two_view_gram(h_con, h_dep), graph(adj_con),
-                            graph(adj_dep))
+            gram = two_view_gram(h_con, h_dep)
+            got = L.nll(gram, L.loss_r3(gram, graph(adj_con), graph(adj_dep)))
             want = brute_r3(h_con, h_dep, adj_con, adj_dep)
-            assert abs(float(got.data) - want) < 1e-10
+            assert abs(got - want) < 1e-10
 
     def test_disjoint_edge_sets_finite(self):
         rng = np.random.default_rng(6)
@@ -173,9 +185,9 @@ class TestLossR3:
         adj_con[0, 1] = adj_con[1, 0] = True
         adj_dep = np.eye(4, dtype=bool)
         adj_dep[2, 3] = adj_dep[3, 2] = True
-        got = L.loss_r3(two_view_gram(h_con, h_dep), graph(adj_con),
-                        graph(adj_dep))
-        assert np.isfinite(got.data)
+        gram = two_view_gram(h_con, h_dep)
+        got = L.nll(gram, L.loss_r3(gram, graph(adj_con), graph(adj_dep)))
+        assert np.isfinite(got)
 
 
 class TestInterViewPair:
@@ -199,27 +211,24 @@ class TestInterViewPair:
 class TestTaggingLoss:
     def test_perfect_logits_approach_zero(self):
         logits = ad.constant([[30.0, 0.0], [0.0, 30.0]])
-        out = L.tagging_loss(logits, [0, 1])
-        assert float(out.data) < 1e-12
+        assert ce_value(logits, [0, 1]) < 1e-12
 
     def test_uniform_logits_log_t(self):
         t = 7
         logits = ad.constant(np.zeros((3, t)))
-        out = L.tagging_loss(logits, [0, 3, 6])
-        assert float(out.data) == pytest.approx(math.log(t))
+        assert ce_value(logits, [0, 3, 6]) == pytest.approx(math.log(t))
 
     def test_two_token_hand_case(self):
         logits = ad.constant([[2.0, 0.0], [0.0, 1.0]])
-        out = L.tagging_loss(logits, [0, 1])
         want = (math.log(math.exp(2) + 1) - 2 + math.log(1 + math.e) - 1) / 2
-        assert float(out.data) == pytest.approx(want, abs=1e-12)
+        assert ce_value(logits, [0, 1]) == pytest.approx(want, abs=1e-12)
 
     def test_gradient_is_softmax_minus_gold_over_n(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(4, 5))
         gold = [0, 4, 2, 2]
         logits = ad.parameter(x)
-        L.tagging_loss(logits, gold).backward()
+        ad.masked_nll([L.tagging_loss(logits, gold)]).backward()
         probs = np.exp(x) / np.exp(x).sum(axis=1, keepdims=True)
         probs[np.arange(4), gold] -= 1.0
         np.testing.assert_allclose(logits.grad, probs / 4, rtol=1e-12, atol=1e-15)
@@ -232,22 +241,26 @@ class TestTaggingLoss:
 
 class TestCombinedLoss:
     def test_zero_weights_bit_equal_to_ce(self):
-        ce = nll(0.731)
-        r = nll(9.9)
-        out = L.combined_loss(ce, r, r, r, L.LossWeights(0.0, 0.0, 0.0))
-        assert out.data.tobytes() == ce.data.tobytes()
+        ce = (UNIFORM, L._blocks(UNIFORM, picks(0.731)))
+        r = picks(9.9)
+        out = L.combined_loss(ce, UNIFORM, r, r, r, L.LossWeights(0.0, 0.0, 0.0))
+        assert out.data.tobytes() == np.float64(L.nll(UNIFORM, picks(0.731))).tobytes()
 
     def test_default_weights(self):
-        ce, r1, r2, r3 = (nll(v) for v in (1.0, 2.0, 3.0, 4.0))
-        out = L.combined_loss(ce, r1, r2, r3, L.LossWeights())
+        ce, r1, r2, r3 = (picks(v) for v in (1.0, 2.0, 3.0, 4.0))
+        out = L.combined_loss((UNIFORM, L._blocks(UNIFORM, ce)), UNIFORM, r1, r2, r3,
+                              L.LossWeights())
         assert float(out.data) == pytest.approx(1 + 0.024 * 2 + 0.012 * 3 + 0.012 * 4)
 
     def test_all_zero_sub_losses(self):
-        z = nll(0.0)
-        out = L.combined_loss(z, z, z, z, L.LossWeights())
+        z = picks(0.0)
+        out = L.combined_loss((UNIFORM, L._blocks(UNIFORM, z)), UNIFORM, z, z, z,
+                              L.LossWeights())
         assert float(out.data) == 0.0
 
     def test_zeroed_weight_removes_gradient(self):
+        # the caller runs no R loss whose weight is zero (``Model.instance_losses``
+        # decides which run), and a loss that does not run adds no gradient
         rng = np.random.default_rng(7)
         h_con = ad.parameter(rng.normal(size=(3, 3)))
         h_dep = ad.parameter(rng.normal(size=(3, 3)))
@@ -255,10 +268,10 @@ class TestCombinedLoss:
         def grads(beta):
             for t in (h_con, h_dep):
                 t.grad = None
-            ce = nll(1.0)
-            r2 = L.loss_r2(L.view_gram([h_con, h_dep]))
-            out = L.combined_loss(ce, None, r2, None,
-                                  L.LossWeights(0.0, beta, 0.0))
+            gram = L.view_gram([h_con, h_dep])
+            r2 = L.loss_r2(gram) if beta else None
+            out = L.combined_loss((UNIFORM, L._blocks(UNIFORM, picks(1.0))), gram,
+                                  None, r2, None, L.LossWeights(0.0, beta, 0.0))
             out.backward()
             return [None if t.grad is None else t.grad.copy()
                     for t in (h_con, h_dep)]
@@ -275,9 +288,9 @@ class TestCombinedLoss:
             hb = {"con": as_tensors(h_con), "dep": as_tensors(h_dep)}
             ab = {"con": graph(adj_con), "dep": graph(adj_dep)}
             gram = L.view_gram([hb["con"], hb["dep"]])
-            assert float(L.loss_r1(gram, [ab["con"], ab["dep"]]).data) >= 0.0
-            assert float(L.loss_r2(gram).data) >= 0.0
-            assert float(L.loss_r3(gram, ab["con"], ab["dep"]).data) >= 0.0
+            assert L.nll(gram, L.loss_r1(gram, [ab["con"], ab["dep"]])) >= 0.0
+            assert L.nll(gram, L.loss_r2(gram)) >= 0.0
+            assert L.nll(gram, L.loss_r3(gram, ab["con"], ab["dep"])) >= 0.0
 
 
 def test_loss_weights_validate():

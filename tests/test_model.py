@@ -68,7 +68,7 @@ class TestForward:
         inst = expand_instances(s)[0]
         parts = model.instance_losses(inst, cache[0], 0)
         assert parts["r1"] is None and parts["r2"] is None and parts["r3"] is None
-        assert parts["total"].data.tobytes() == parts["ce"].data.tobytes()
+        assert parts["total"].data.tobytes() == np.float64(parts["ce"]).tobytes()
 
     def test_tied_verb_rows_make_instances_identical(self, setup):
         sentences, cache, model = build(setup)
@@ -87,7 +87,18 @@ class TestInstanceLosses:
         inst = expand_instances(sentences[0])[0]
         parts = model.instance_losses(inst, cache[0], 0)
         assert parts["r1"] is None and parts["r2"] is None and parts["r3"] is None
-        assert parts["total"].data.tobytes() == parts["ce"].data.tobytes()
+        assert parts["total"].data.tobytes() == np.float64(parts["ce"]).tobytes()
+
+    def test_zero_weights_run_no_r_loss(self, setup, monkeypatch):
+        # the model decides which R losses run: none with a zero weight, so
+        # no Gram of the view states either
+        sentences, cache, model = build(setup, weights=losses.LossWeights(0.0, 0.0, 0.0))
+        monkeypatch.setattr(losses, "view_gram",
+                            lambda states: pytest.fail("a Gram that no loss reads"))
+        inst = expand_instances(sentences[0])[0]
+        parts = model.instance_losses(inst, cache[0], 0)
+        assert parts["r1"] is None and parts["r2"] is None and parts["r3"] is None
+        assert parts["total"].data.tobytes() == np.float64(parts["ce"]).tobytes()
 
     def test_all_terms_present_and_nonnegative(self, setup):
         sentences, cache, model = build(setup)
@@ -95,11 +106,9 @@ class TestInstanceLosses:
         parts = model.instance_losses(inst, cache[0], 0)
         for key in ("ce", "r1", "r2", "r3"):
             assert parts[key] is not None
-            assert float(parts[key].data) >= 0.0
-        expected = (float(parts["ce"].data)
-                    + 0.024 * float(parts["r1"].data)
-                    + 0.012 * float(parts["r2"].data)
-                    + 0.012 * float(parts["r3"].data))
+            assert parts[key] >= 0.0
+        expected = (parts["ce"] + 0.024 * parts["r1"] + 0.012 * parts["r2"]
+                    + 0.012 * parts["r3"])
         assert float(parts["total"].data) == pytest.approx(expected, rel=1e-12)
 
     def test_full_loss_gradient_check(self, setup):
@@ -119,8 +128,9 @@ class TestInstanceLosses:
         for inst in expand_instances(s):
             own = model.instance_losses(inst, cache[i], i)
             shared = model.instance_losses(inst, cache[i], i, state=state)
-            for key in ("total", "ce", "r1", "r2", "r3"):
-                assert shared[key].data.tobytes() == own[key].data.tobytes()
+            assert shared["total"].data.tobytes() == own["total"].data.tobytes()
+            for key in ("ce", "r1", "r2", "r3"):
+                assert np.float64(shared[key]).tobytes() == np.float64(own[key]).tobytes()
 
 
 def default_instance_losses():
@@ -141,11 +151,32 @@ class TestTapeSize:
         # rows, and the marked ReLU), the label embeddings and projections of
         # both views, two GCN views of one node each, their concatenation,
         # the head, the row stack of the two view states that R1-R3 read,
-        # and one ``weighted_nll`` node for CE, R1, R2 and R3 and their
-        # weighted sum.  A change that adds primitives to the per-instance
+        # and one ``masked_nll`` node for CE and the weighted R1, R2 and R3
+        # together.  A change that adds primitives to the per-instance
         # path must update this count on purpose.
         parts = default_instance_losses()
         assert len(ad.Tape(parts["total"]).order) == 24
+
+    def test_every_recorded_node_is_on_the_tape(self, monkeypatch):
+        # the losses record no node of their own: the instance makes one
+        # ``masked_nll`` node, over CE's mask and one R mask built once
+        recorded, calls = [], []
+        record = ad._record
+
+        def recording(out, parents, backward):
+            recorded.append(record(out, parents, backward))
+            return recorded[-1]
+
+        monkeypatch.setattr(ad, "_record", recording)
+        for owner, name in ((ad, "masked_nll"), (losses, "_blocks")):
+            def counted(*args, _inner=getattr(owner, name), _name=name):
+                calls.append(_name)
+                return _inner(*args)
+            monkeypatch.setattr(owner, name, counted)
+        parts = default_instance_losses()
+        on_tape = {id(t) for t in ad.Tape(parts["total"]).order}
+        assert [t for t in recorded if t.requires_grad and id(t) not in on_tape] == []
+        assert sorted(calls) == ["_blocks", "masked_nll"]
 
     def test_r1_to_r3_read_one_record_from_one_product(self, monkeypatch):
         # one row softmax for R1, R2 and R3: the block softmax of G = H Hᵀ
@@ -168,7 +199,7 @@ class TestTapeSize:
         ce, gram = records
         assert ce.b is None
         assert len(read) == 3 and all(r is gram for r in read)
-        n = parts["ce"].terms[0][0].shape[0]
+        n = len(parts["gold_ids"])
         assert gram.a is gram.b and gram.shape == (2 * n, 2 * n) and gram.block == n
 
 
