@@ -378,24 +378,6 @@ def masked_sum(a: Tensor, mask) -> Tensor:
     return _result(np.sum(a.data * mask), (a,), backward)
 
 
-def combine(terms: list[Tensor], weights: list[float]) -> Tensor:
-    """weights[0] * terms[0] + weights[1] * terms[1] + ..., left to right."""
-    if not terms or len(terms) != len(weights):
-        raise ShapeMismatch(f"{len(terms)} terms vs {len(weights)} weights")
-    if any(t.shape != terms[0].shape for t in terms):
-        raise ShapeMismatch("combine over mixed shapes")
-    ws = [float(w) for w in weights]
-    out = ws[0] * terms[0].data
-    for w, t in zip(ws[1:], terms[1:]):
-        out = out + w * t.data
-
-    def backward(g):
-        for w, t in zip(ws, terms):
-            _accumulate(t, w * g)
-
-    return _result(out, tuple(terms), backward)
-
-
 # ---------------------------------------------------------------------------
 # Fused layers: the encoder's window mix and one attention graph convolution,
 # each a single node with a hand-written backward

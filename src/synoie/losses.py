@@ -12,9 +12,12 @@ columns), each through its (row block, column block, n x n mask) blocks:
 R1 the views' ``selection`` masks (their edges without self-loops) on the
 diagonal, R2 the identities off it, and R3 the ``selection`` masks off it.
 With one view on, G is that view's own n x n Gram.  So every loss is
-non-negative; batch-level normalization is the trainer's concern.  No loss
-records a node: ``combined_loss`` writes the weighted R blocks into one mask
-over G and makes the instance's one ``ad.masked_nll`` node.
+non-negative.  No loss records a node: ``r_mask`` writes the weighted R
+blocks into one mask over G, which depends only on the sentence's graphs,
+so a training run builds it once per sentence.  One instance's loss is one
+``ad.masked_nll`` node over CE's mask and that R mask (``combined_loss``);
+training makes one such node per batch, over every instance's masks, each
+scaled by 1/B.
 """
 
 from __future__ import annotations
@@ -73,14 +76,20 @@ def _by_block(rows: ad.RowSoftmax, arr: np.ndarray) -> np.ndarray:
     return arr.reshape(views, rows.shape[0] // views, views, rows.block)
 
 
-def _blocks(gram: ad.RowSoftmax, blocks: Blocks) -> np.ndarray:
-    """The mask over ``gram`` that sums the ``blocks``' masks at their
+def _mask(views: int, n: int, blocks: Blocks) -> np.ndarray:
+    """The (views n, views n) mask that sums the ``blocks``' masks at their
     places, and is zero elsewhere."""
-    out = np.zeros(gram.shape)
-    by_block = _by_block(gram, out)
+    out = np.zeros((views * n, views * n))
+    by_block = out.reshape(views, n, views, n)
     for k, l, mask in blocks:
         by_block[k, :, l] += mask
     return out
+
+
+def _blocks(gram: ad.RowSoftmax, blocks: Blocks) -> np.ndarray:
+    """The mask over ``gram`` that sums the ``blocks``' masks at their
+    places, and is zero elsewhere."""
+    return _mask(gram.shape[1] // gram.block, gram.block, blocks)
 
 
 def nll(rows: ad.RowSoftmax, blocks: Blocks) -> float:
@@ -92,22 +101,55 @@ def nll(rows: ad.RowSoftmax, blocks: Blocks) -> float:
     return -float(total)
 
 
+def _r1(graphs: list[SyntacticGraph]) -> Blocks:
+    return [(k, k, g.selection) for k, g in enumerate(graphs)]
+
+
+def _r2(n: int) -> Blocks:
+    eye = np.eye(n)
+    return [(0, 1, eye), (1, 0, eye)]
+
+
+def _r3(g_con: SyntacticGraph, g_dep: SyntacticGraph) -> Blocks:
+    return [(0, 1, g_con.selection), (1, 0, g_dep.selection)]
+
+
 def loss_r1(gram: ad.RowSoftmax, graphs: list[SyntacticGraph]) -> Blocks:
     """Inter-node intra-view: connected nodes score high under their own
     view.  ``graphs`` are the views of ``gram``'s blocks, in its order."""
-    return _check(gram, [(k, k, g.selection) for k, g in enumerate(graphs)])
+    return _check(gram, _r1(graphs))
 
 
 def loss_r2(gram: ad.RowSoftmax) -> Blocks:
     """Intra-node inter-view: each node close to its own other-view state."""
-    eye = np.eye(gram.block)
-    return _check(gram, [(0, 1, eye), (1, 0, eye)])
+    return _check(gram, _r2(gram.block))
 
 
 def loss_r3(gram: ad.RowSoftmax, g_con: SyntacticGraph,
             g_dep: SyntacticGraph) -> Blocks:
     """Inter-node inter-view: view-z edges pull in other-view neighbours."""
-    return _check(gram, [(0, 1, g_con.selection), (1, 0, g_dep.selection)])
+    return _check(gram, _r3(g_con, g_dep))
+
+
+def _weighted(weights: LossWeights, r1: Blocks | None, r2: Blocks | None,
+              r3: Blocks | None) -> Blocks:
+    """The given R losses' blocks, each scaled by its weight, R1's first."""
+    return [(k, l, w * mask)
+            for w, blocks in ((weights.alpha, r1), (weights.beta, r2),
+                              (weights.gamma, r3)) if blocks is not None
+            for k, l, mask in blocks]
+
+
+def r_mask(graphs: list[SyntacticGraph], weights: LossWeights, r1: bool,
+           r2: bool, r3: bool) -> np.ndarray:
+    """The mask that ``combined_loss`` writes over the Gram of the views
+    ``graphs`` (con before dep) for the R losses switched on, built from the
+    graphs alone: alpha R1 + beta R2 + gamma R3.  R2 and R3 need both
+    views."""
+    n = graphs[0].n
+    return _mask(len(graphs), n, _weighted(
+        weights, _r1(graphs) if r1 else None, _r2(n) if r2 else None,
+        _r3(*graphs) if r3 else None))
 
 
 def tagging_loss(logits: Tensor, gold_ids: list[int]
@@ -133,8 +175,5 @@ def combined_loss(ce: tuple[ad.RowSoftmax, np.ndarray], gram: ad.RowSoftmax | No
     """L_CE + alpha*L_R1 + beta*L_R2 + gamma*L_R3 as one ``ad.masked_nll``
     node, over CE's mask and, when an R loss is given, one mask over
     ``gram`` that sums the given R losses' weighted blocks."""
-    placed = [(k, l, w * mask)
-              for w, blocks in ((weights.alpha, r1), (weights.beta, r2),
-                                (weights.gamma, r3)) if blocks is not None
-              for k, l, mask in blocks]
+    placed = _weighted(weights, r1, r2, r3)
     return ad.masked_nll([ce, (gram, _blocks(gram, placed))] if placed else [ce])

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +93,71 @@ class ForwardResult:
     h_dep: Tensor | None
     alphas_con: Tensor | None
     alphas_dep: Tensor | None
+
+
+_LOSS_KEYS = ("total", "ce", "r1", "r2", "r3", "pred_ids", "gold_ids")
+
+
+@dataclass(eq=False)
+class InstanceLosses(Mapping):
+    """One instance's loss as the (row softmax, constant mask) ``terms`` of
+    one ``ad.masked_nll``: CE's, then the Gram's when an R loss runs.
+
+    As a mapping its keys are total, the recorded loss; ce, r1, r2, r3, the
+    values of its parts (r* None for a loss that does not run); pred_ids;
+    and gold_ids.  Each value is computed when first read and then kept;
+    ``train`` reads the terms and the ids alone.
+    """
+
+    terms: list[tuple[ad.RowSoftmax, np.ndarray]]
+    logits: Tensor
+    gold_ids: list[int]
+    views: list[SyntacticGraph]
+    runs: tuple[bool, bool, bool]
+
+    def __getitem__(self, key: str):
+        if key not in _LOSS_KEYS:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def __iter__(self):
+        return iter(_LOSS_KEYS)
+
+    def __len__(self) -> int:
+        return len(_LOSS_KEYS)
+
+    @cached_property
+    def total(self) -> Tensor:
+        return ad.masked_nll(self.terms)
+
+    @cached_property
+    def ce(self) -> float:
+        rows, pick = self.terms[0]
+        return losses_mod.nll(rows, [(0, 0, pick)])
+
+    def _r(self, k: int, blocks) -> float | None:
+        """The value of R(k + 1) from its ``blocks`` of the Gram, or None
+        when it does not run."""
+        if not self.runs[k]:
+            return None
+        gram = self.terms[1][0]
+        return losses_mod.nll(gram, blocks(gram))
+
+    @cached_property
+    def r1(self) -> float | None:
+        return self._r(0, lambda gram: losses_mod.loss_r1(gram, self.views))
+
+    @cached_property
+    def r2(self) -> float | None:
+        return self._r(1, losses_mod.loss_r2)
+
+    @cached_property
+    def r3(self) -> float | None:
+        return self._r(2, lambda gram: losses_mod.loss_r3(gram, *self.views))
+
+    @cached_property
+    def pred_ids(self) -> list[int]:
+        return np.argmax(self.logits.data, axis=1).tolist()
 
 
 class Model:
@@ -234,42 +301,46 @@ class Model:
             return proj, None
         return gcn_mod.gcn_layer(g, h_ctx, l, proj)
 
+    def _r_losses(self) -> tuple[bool, bool, bool]:
+        """Whether R1, R2 and R3 run: each needs its switch on, a nonzero
+        weight and its views, one for R1 and both for R2 and R3."""
+        cfg, w = self.cfg, self.cfg.weights
+        views = int(cfg.use_const) + int(cfg.use_dep)
+        return (cfg.use_r1 and w.alpha != 0.0 and views >= 1,
+                cfg.use_r2 and w.beta != 0.0 and views == 2,
+                cfg.use_r3 and w.gamma != 0.0 and views == 2)
+
+    def _views(self, graphs: SentenceGraphs) -> list[SyntacticGraph]:
+        """The graphs of the views that are on, con before dep."""
+        return [g for g, on in ((graphs.const, self.cfg.use_const),
+                                (graphs.dep, self.cfg.use_dep)) if on]
+
+    def r_mask(self, graphs: SentenceGraphs) -> np.ndarray | None:
+        """The weighted R1-R3 mask over the Gram of a sentence's view states,
+        or None when no R loss runs.  It depends only on ``graphs`` and the
+        config, so ``train`` builds it once per sentence."""
+        runs = self._r_losses()
+        if not any(runs):
+            return None
+        return losses_mod.r_mask(self._views(graphs), self.cfg.weights, *runs)
+
     def instance_losses(self, inst: TaggedInstance, graphs: SentenceGraphs,
                         sentence_id: int | None = None,
-                        state: SentenceState | None = None) -> dict:
-        """Forward one instance over ``state`` (built here when not given)
-        and return its loss.
-
-        Keys: total, the recorded loss; ce, r1, r2, r3, the values of its
-        parts (r* None for a loss that does not run); pred_ids; gold_ids.
-        """
-        cfg = self.cfg
+                        state: SentenceState | None = None,
+                        r_mask: np.ndarray | None = None) -> InstanceLosses:
+        """Forward one instance over ``state`` and return its loss terms:
+        CE's and, when an R loss runs, the Gram's under ``r_mask``.  Each of
+        ``state`` and ``r_mask`` is built here when not given."""
         fwd = self.forward(inst.sentence, inst.indicator_verb, graphs, sentence_id,
                            state)
         gold_ids = [TAG_IDS[l] for l in inst.labels]
-        rows, pick = ce = losses_mod.tagging_loss(fwd.logits, gold_ids)
-
-        views = [(h, g) for h, g in ((fwd.h_con, graphs.const), (fwd.h_dep, graphs.dep))
-                 if h is not None]
-        w = cfg.weights
-        run_r1 = cfg.use_r1 and w.alpha != 0.0 and bool(views)
-        run_r2 = cfg.use_r2 and w.beta != 0.0 and len(views) == 2
-        run_r3 = cfg.use_r3 and w.gamma != 0.0 and len(views) == 2
-        gram = r1 = r2 = r3 = None
-        if run_r1 or run_r2 or run_r3:
-            gram = losses_mod.view_gram([h for h, _ in views])
-            if run_r1:
-                r1 = losses_mod.loss_r1(gram, [g for _, g in views])
-            if run_r2:
-                r2 = losses_mod.loss_r2(gram)
-            if run_r3:
-                r3 = losses_mod.loss_r3(gram, graphs.const, graphs.dep)
-        return {"total": losses_mod.combined_loss(ce, gram, r1, r2, r3, w),
-                "ce": losses_mod.nll(rows, [(0, 0, pick)]),
-                **{name: None if blocks is None else losses_mod.nll(gram, blocks)
-                   for name, blocks in (("r1", r1), ("r2", r2), ("r3", r3))},
-                "pred_ids": np.argmax(fwd.logits.data, axis=1).tolist(),
-                "gold_ids": gold_ids}
+        terms = [losses_mod.tagging_loss(fwd.logits, gold_ids)]
+        runs = self._r_losses()
+        if any(runs):
+            gram = losses_mod.view_gram([h for h in (fwd.h_con, fwd.h_dep)
+                                         if h is not None])
+            terms.append((gram, self.r_mask(graphs) if r_mask is None else r_mask))
+        return InstanceLosses(terms, fwd.logits, gold_ids, self._views(graphs), runs)
 
     def predict(self, sentence: ParsedSentence, indicator_verb: int,
                 graphs: SentenceGraphs, sentence_id: int | None = None,

@@ -1,7 +1,9 @@
 """Training loop, checkpointing, and checkpoint evaluation.
 
-Batches are sets of per-verb instances; graphs are cached per sentence across
-epochs, and the verbs of one sentence in a batch share its ``SentenceState``.
+Batches are sets of per-verb instances; graphs and the weighted R mask are
+cached per sentence across epochs, and the verbs of one sentence in a batch
+share its ``SentenceState``.  A batch's loss is one ``ad.masked_nll`` node
+over every instance's masks, each scaled by 1/B.
 The best checkpoint (by dev exact-match F1, latest on ties) is returned.
 With a zero dev fraction the dev set falls back to the training sentences
 themselves, which is the intended setup for overfit experiments.
@@ -186,6 +188,8 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
     dep_labels, con_labels = _label_inventories(graph_cache, train_idx)
     model = Model(cfg, vocab, dep_labels, con_labels, rng)
 
+    # a constant of the run: it depends only on the sentence's graphs
+    r_masks = {i: model.r_mask(graph_cache[i]) for i in train_idx}
     instances = []
     for i in train_idx:
         for inst in expand_instances(sentences[i]):
@@ -208,7 +212,7 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
         correct = total = 0
         for start in range(0, len(perm), cfg.batch_size):
             batch = perm[start:start + cfg.batch_size]
-            per_instance = []
+            terms = []
             states = {}  # the parameters hold still within a batch
             try:
                 for k in batch:
@@ -218,20 +222,21 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
                             inst.sentence, graph_cache[sent_i], sent_i)
                     parts = model.instance_losses(inst, graph_cache[sent_i],
                                                   sentence_id=sent_i,
-                                                  state=states[sent_i])
-                    per_instance.append(parts["total"])
+                                                  state=states[sent_i],
+                                                  r_mask=r_masks[sent_i])
+                    terms += parts.terms
                     correct += sum(int(p == g) for p, g in
                                    zip(parts["pred_ids"], parts["gold_ids"]))
                     total += len(parts["gold_ids"])
             except ad.NonFiniteValue as exc:
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch at instance {start}: {exc}") from exc
-            batch_loss = ad.combine(per_instance,
-                                    [1.0 / len(per_instance)] * len(per_instance))
-            if not np.isfinite(batch_loss.data):
+            scale = 1.0 / len(batch)
+            batch_loss = ad.masked_nll([(rows, mask * scale) for rows, mask in terms])
+            loss = float(batch_loss.data)
+            if not np.isfinite(loss):
                 raise NonFiniteLoss(
-                    f"epoch {epoch}, batch at instance {start}: "
-                    f"loss={batch_loss.data!r}")
+                    f"epoch {epoch}, batch at instance {start}: loss={loss}")
             grad.fill(0.0)
             batch_loss.backward()
             ad.adam_step(theta, grad, adam, lr=cfg.lr)
@@ -241,7 +246,7 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch at instance {start}: parameter group "
                     f"{group} has a non-finite squared L2 norm after the Adam update")
-            epoch_loss += float(batch_loss.data) * len(batch)
+            epoch_loss += loss * len(batch)
         epoch_loss /= len(instances)
         train_acc = correct / total if total else 0.0
 

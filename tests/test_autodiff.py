@@ -187,7 +187,7 @@ def _random_composition(rng, xs, table, mix, bias):
     n, d = xs[0].shape
     mats.append(ad.gather_rows(table, rng.integers(table.shape[0], size=n)))
     for _ in range(int(rng.integers(1, 5))):  # depth <= 4
-        op = rng.integers(6)
+        op = rng.integers(5)
         a = mats[int(rng.integers(len(mats)))]
         b = mats[int(rng.integers(len(mats)))]
         mask = rng.random((n, n)) < 0.5
@@ -195,24 +195,20 @@ def _random_composition(rng, xs, table, mix, bias):
         if op == 0:
             mats.append(ad.add(a, b))
         elif op == 1:
-            mats.append(ad.combine([a, b], [float(rng.normal()), 0.5]))
-        elif op == 2:
             marks = ad.gather_rows(table, rng.integers(table.shape[0], size=2))
             pre = ad.window_linear(a, np.arange(n), marks, mix, bias)
             mats.append(ad.marked_window_relu(pre, marks, mix,
                                               int(rng.integers(-1, n + 1))))
-        elif op == 3:
+        elif op == 2:
             mats.append(ad.matmul(ad.matmul(a, table, transpose_b=True), table))
-        elif op == 4:
+        elif op == 3:
             w = ad.masked_softmax(ad.matmul(a, b, transpose_b=True), mask)
             mats.append(ad.matmul(w, mats[0]))
         else:
             mats.append(ad.attention_layer(a, mats[-1], b, mask)[0])
-    picked = ad.masked_nll([(ad.row_softmax(mats[-1], mats[1]),
-                             rng.normal(size=(n, n)))])
+    picked = (ad.row_softmax(mats[-1], mats[1]), 0.3 * rng.normal(size=(n, n)))
     gold = np.eye(2 * d)[rng.integers(2 * d, size=n)] / n
-    ce = ad.masked_nll([(ad.row_softmax(ad.hstack(mats[:2])), gold)])
-    return ad.combine([picked, ce], [0.3, 1.0])
+    return ad.masked_nll([picked, (ad.row_softmax(ad.hstack(mats[:2])), gold)])
 
 
 class TestRandomCompositions:

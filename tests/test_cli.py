@@ -662,6 +662,17 @@ class TestDivergedTraining:
             "numeric failure: epoch 1, batch at instance 0: parameter group enc "
             "has a non-finite squared L2 norm after the Adam update\n")
 
+    def test_infinite_batch_loss_prints_a_float(self, tmp_path, capsys):
+        # alpha 1e308 overflows the weighted R1 sum of the first batch.
+        # Before: the message ended in the ndarray repr "loss=array(inf)".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["train", "--corpus", str(DATA / "example_corpus.jsonl"),
+                           "--alpha", "1e308", "--out-ckpt", str(tmp_path / "m")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: epoch 1, batch at instance 0: loss=inf\n")
+
     def test_overflow_in_dev_eval_names_epoch(self, tmp_path, capsys):
         # lr 1e80 keeps the parameters' squares finite, but the forward of the
         # dev evaluation overflows

@@ -4,6 +4,9 @@ from pathlib import Path
 
 from synoie import autodiff as ad
 from synoie.config import TrainConfig
+from synoie.model import Model
+from synoie.synthetic import generate_corpus
+from synoie.training import train
 
 from test_model import default_instance_losses
 
@@ -25,3 +28,25 @@ def test_readme_tape_count_is_the_default_instance_tape():
                         " ".join(README.read_text(encoding="utf-8").split()))
     parts = default_instance_losses()
     assert [int(k) for k in stated] == [len(ad.Tape(parts["total"]).order)]
+
+
+def test_readme_batch_statement_is_the_training_loop(monkeypatch):
+    """README says training makes one ``masked_nll`` node per batch, walks
+    it backward, and builds each sentence's R mask once per run."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert "Training makes one `masked_nll` node per batch" in text
+    assert "builds it once per sentence per run" in text
+    nodes, walked, masks = [], [], []
+    nll, backward, r_mask = ad.masked_nll, ad.Tensor.backward, Model.r_mask
+    monkeypatch.setattr(ad, "masked_nll", lambda terms: nodes.append(nll(terms)) or nodes[-1])
+    monkeypatch.setattr(ad.Tensor, "backward",
+                        lambda self: walked.append(self) or backward(self))
+    monkeypatch.setattr(Model, "r_mask",
+                        lambda self, graphs: masks.append(graphs) or r_mask(self, graphs))
+    sentences = generate_corpus(6, seed=2)
+    cfg = TrainConfig(d_h=8, d_l=4, epochs=2, batch_size=3, dev_fraction=0.0,
+                      early_stop_train_acc=None)
+    train(sentences, cfg)
+    batches = -(-sum(len(s.verbs) for s in sentences) // cfg.batch_size)
+    assert walked == nodes and len(nodes) == cfg.epochs * batches
+    assert len(masks) == len(sentences)

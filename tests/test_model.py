@@ -10,13 +10,14 @@ from synoie import autodiff as ad
 from synoie import corpus as c
 from synoie import gcn, losses, tagger
 from synoie import model as model_mod
+from synoie.cli import ablation_grid
 from synoie.config import TrainConfig
 from synoie.corpus import expand_instances, load_corpus
 from synoie.encoder import Vocabulary
 
 from synoie.model import Model, SentenceGraphs
 from synoie.synthetic import generate_corpus
-from synoie.training import _label_inventories, build_graph_cache
+from synoie.training import _label_inventories, build_graph_cache, train
 
 from tree_strategies import bracketed_trees, root_is_preterminal, tree_leaf_surfaces
 
@@ -168,7 +169,7 @@ class TestTapeSize:
             return recorded[-1]
 
         monkeypatch.setattr(ad, "_record", recording)
-        for owner, name in ((ad, "masked_nll"), (losses, "_blocks")):
+        for owner, name in ((ad, "masked_nll"), (losses, "r_mask")):
             def counted(*args, _inner=getattr(owner, name), _name=name):
                 calls.append(_name)
                 return _inner(*args)
@@ -176,31 +177,125 @@ class TestTapeSize:
         parts = default_instance_losses()
         on_tape = {id(t) for t in ad.Tape(parts["total"]).order}
         assert [t for t in recorded if t.requires_grad and id(t) not in on_tape] == []
-        assert sorted(calls) == ["_blocks", "masked_nll"]
+        assert sorted(calls) == ["masked_nll", "r_mask"]
+
+    def test_every_node_a_batch_records_is_on_its_tape(self, monkeypatch):
+        # one training batch: its instances record their forward passes and
+        # the batch one ``masked_nll`` node over all of their masks, the node
+        # that ``train`` walks backward
+        recorded, nll_nodes, walked = [], [], []
+        record, nll, backward = ad._record, ad.masked_nll, ad.Tensor.backward
+
+        def recording(out, parents, backward):
+            recorded.append(record(out, parents, backward))
+            return recorded[-1]
+
+        def counted(terms):
+            nll_nodes.append(nll(terms))
+            return nll_nodes[-1]
+
+        def walking(self):
+            walked.append(self)
+            backward(self)
+
+        monkeypatch.setattr(ad, "_record", recording)
+        monkeypatch.setattr(ad, "masked_nll", counted)
+        monkeypatch.setattr(ad.Tensor, "backward", walking)
+        sentences = load_corpus(SAMPLE_CORPUS)
+        train(sentences, TrainConfig(d_h=8, d_l=4, epochs=1, batch_size=1000,
+                                     dev_fraction=0.0, early_stop_train_acc=None))
+        assert len(nll_nodes) == 1 and walked == nll_nodes
+        on_tape = {id(t) for t in ad.Tape(walked[0]).order}
+        assert [t for t in recorded if t.requires_grad and id(t) not in on_tape] == []
+        # its parents: each instance's tag logits and row stack of view states
+        assert len(walked[0]._parents) == 2 * sum(len(s.verbs) for s in sentences)
 
     def test_r1_to_r3_read_one_record_from_one_product(self, monkeypatch):
         # one row softmax for R1, R2 and R3: the block softmax of G = H Hᵀ
-        # over the row stack H = [H_con; H_dep]; the only other is CE's
-        records, read = [], []
-        inner = ad.row_softmax
+        # over the row stack H = [H_con; H_dep], read through the one mask
+        # ``losses.r_mask`` builds from the two graphs; the only other is CE's
+        records, masks = [], []
+        inner, inner_mask = ad.row_softmax, losses.r_mask
 
         def counted(a, b=None, block=None):
             records.append(inner(a, b, block))
             return records[-1]
 
+        def building(graphs, *args):
+            masks.append((graphs, inner_mask(graphs, *args)))
+            return masks[-1][1]
+
         monkeypatch.setattr(ad, "row_softmax", counted)
-        for name in ("loss_r1", "loss_r2", "loss_r3"):
-            def reading(gram, *args, _inner=getattr(losses, name)):
-                read.append(gram)
-                return _inner(gram, *args)
-            monkeypatch.setattr(losses, name, reading)
+        monkeypatch.setattr(losses, "r_mask", building)
         parts = default_instance_losses()
         assert len(records) == 2
         ce, gram = records
         assert ce.b is None
-        assert len(read) == 3 and all(r is gram for r in read)
+        [(graphs, mask)] = masks
+        assert [g.view for g in graphs] == ["const", "dep"]
+        assert parts.terms[1][0] is gram and parts.terms[1][1] is mask
         n = len(parts["gold_ids"])
-        assert gram.a is gram.b and gram.shape == (2 * n, 2 * n) and gram.block == n
+        assert gram.a is gram.b and gram.shape == mask.shape == (2 * n, 2 * n)
+        assert gram.block == n
+
+
+def per_instance_r_mask(model, inst, graphs, sentence_id):
+    """The R mask as ``Model.instance_losses`` built it for every instance
+    before a run built it once per sentence: ``losses._blocks`` over the
+    weighted ``loss_r1``-``loss_r3`` blocks of the instance's own Gram, or
+    None when no R loss runs."""
+    cfg, w = model.cfg, model.cfg.weights
+    fwd = model.forward(inst.sentence, inst.indicator_verb, graphs, sentence_id)
+    views = [(h, g) for h, g in ((fwd.h_con, graphs.const), (fwd.h_dep, graphs.dep))
+             if h is not None]
+    run_r1 = cfg.use_r1 and w.alpha != 0.0 and bool(views)
+    run_r2 = cfg.use_r2 and w.beta != 0.0 and len(views) == 2
+    run_r3 = cfg.use_r3 and w.gamma != 0.0 and len(views) == 2
+    if not (run_r1 or run_r2 or run_r3):
+        return None
+    gram = losses.view_gram([h for h, _ in views])
+    placed = []
+    if run_r1:
+        placed += [(k, l, w.alpha * m)
+                   for k, l, m in losses.loss_r1(gram, [g for _, g in views])]
+    if run_r2:
+        placed += [(k, l, w.beta * m) for k, l, m in losses.loss_r2(gram)]
+    if run_r3:
+        placed += [(k, l, w.gamma * m)
+                   for k, l, m in losses.loss_r3(gram, graphs.const, graphs.dep)]
+    return losses._blocks(gram, placed)
+
+
+R_MASK_CONFIGS = ([("default", {})]
+                  + [(f"losses:{name}", o) for name, o in ablation_grid("losses")]
+                  + [("w/o const", {"use_const": False}),
+                     ("w/o dep", {"use_dep": False}),
+                     ("zero weights", {"weights": losses.LossWeights(0.0, 0.0, 0.0)})])
+
+
+class TestRMask:
+    @pytest.mark.parametrize("overrides", [o for _, o in R_MASK_CONFIGS],
+                             ids=[name for name, _ in R_MASK_CONFIGS])
+    def test_sentence_mask_is_every_instance_mask(self, overrides):
+        # the mask a run builds once per sentence is byte for byte the one
+        # each of its instances built, and the one an instance builds when
+        # given none; with no R loss there is no mask and no Gram
+        sentences = load_corpus(SAMPLE_CORPUS)
+        cfg = TrainConfig(d_h=8, d_l=4).with_overrides(**overrides)
+        cache = build_graph_cache(sentences, cfg.flatten)
+        dl, cl = _label_inventories(cache, range(len(sentences)))
+        model = Model(cfg, Vocabulary.from_sentences(sentences), dl, cl)
+        for i, s in enumerate(sentences):
+            mask = model.r_mask(cache[i])
+            for inst in expand_instances(s):
+                want = per_instance_r_mask(model, inst, cache[i], i)
+                terms = model.instance_losses(inst, cache[i], i).terms
+                if want is None:
+                    assert mask is None and len(terms) == 1
+                else:
+                    for got in (mask, terms[1][1]):
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
 
 
 class TestPredict:

@@ -92,9 +92,9 @@ class TestTrainLoop:
         seen = []  # (sentence id, state) per instance, in call order
         inner = Model.instance_losses
 
-        def recorded(self, inst, graphs, sentence_id=None, state=None):
+        def recorded(self, inst, graphs, sentence_id=None, state=None, **kwargs):
             seen.append((sentence_id, state))
-            return inner(self, inst, graphs, sentence_id, state)
+            return inner(self, inst, graphs, sentence_id, state, **kwargs)
 
         monkeypatch.setattr(Model, "instance_losses", recorded)
         cfg = TrainConfig(seed=1, d_h=8, d_l=4, epochs=2, batch_size=1000,
@@ -108,6 +108,32 @@ class TestTrainLoop:
         assert all(len(ids) == 1 for ids in states.values())
         assert len(seen) > len(states)  # some sentence has two verbs or more
         assert all(states[(0, sid)] != states[(1, sid)] for _, sid in states)
+
+    def test_r_mask_built_once_per_sentence_per_run(self, corpus12, monkeypatch):
+        # the weighted R mask depends only on a sentence's graphs: over two
+        # epochs of several batches, each training sentence's is built once
+        # and every one of its instances reads that mask
+        built, read = [], []
+        inner_mask, inner_losses = Model.r_mask, Model.instance_losses
+
+        def building(self, graphs):
+            built.append((graphs, inner_mask(self, graphs)))
+            return built[-1][1]
+
+        def reading(self, inst, graphs, sentence_id=None, state=None, r_mask=None):
+            read.append((graphs, r_mask))
+            return inner_losses(self, inst, graphs, sentence_id, state, r_mask)
+
+        monkeypatch.setattr(Model, "r_mask", building)
+        monkeypatch.setattr(Model, "instance_losses", reading)
+        cfg = TrainConfig(seed=1, d_h=8, d_l=4, epochs=2, batch_size=4,
+                          early_stop_train_acc=None)
+        tr.train(corpus12, cfg)
+        masks = {id(g): m for g, m in built}
+        dev_n = round(cfg.dev_fraction * len(corpus12))
+        assert len(masks) == len(built) == len(corpus12) - dev_n
+        assert {id(g) for g, _ in read} == set(masks)
+        assert all(m is not None and masks[id(g)] is m for g, m in read)
 
     def test_bundled_sample_corpus_overfits(self):
         sample = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.jsonl"
