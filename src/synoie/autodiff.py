@@ -139,18 +139,6 @@ def _check_finite(arr: np.ndarray, op: str):
 # Primitives: a sentence is an (n, d) matrix, one row per token
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b for two tensors of one shape."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
-
-    return _result(a.data + b.data, (a, b), backward)
-
-
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """a @ b, or a @ b.T with ``transpose_b``; both operands 2-D."""
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -247,6 +235,29 @@ def hstack(parts: list[Tensor]) -> Tensor:
 def vstack(parts: list[Tensor]) -> Tensor:
     """Row-wise concatenation of matrices with one column count."""
     return _concat("vstack", parts, 0)
+
+
+def row_blocks(a: Tensor, sizes) -> list[Tensor]:
+    """``a`` split into consecutive blocks of ``sizes`` rows.  Each block is
+    a node whose gradient is a view of ``a``'s, so its consumers accumulate
+    straight into ``a``'s and the block has no backward of its own.  One
+    block is ``a`` itself."""
+    if a.data.ndim != 2 or sum(sizes) != a.shape[0] or min(sizes) < 0:
+        raise ShapeMismatch(f"row blocks of {list(sizes)} rows from {a.shape}")
+    if len(sizes) == 1:
+        return [a]
+    track = _grad_enabled and a.requires_grad
+    if track and a.grad is None:
+        a.grad = np.zeros_like(a.data)
+    out, start = [], 0
+    for size in sizes:
+        block = Tensor(a.data[start:start + size])
+        if track:
+            block.grad = a.grad[start:start + size]
+            _record(block, (a,), None)
+        out.append(block)
+        start += size
+    return out
 
 
 def _masked_softmax_probs(x: np.ndarray, mask) -> np.ndarray:
@@ -366,44 +377,49 @@ def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> Tensor:
     return _result(-total, parents.values(), backward)
 
 
-def masked_sum(a: Tensor, mask) -> Tensor:
-    """Sum of ``a * mask`` for a constant ``mask`` of a's shape."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != a.shape:
-        raise ShapeMismatch(f"masked_sum: {a.shape} vs mask {mask.shape}")
-
-    def backward(g):
-        _accumulate(a, g * mask)
-
-    return _result(np.sum(a.data * mask), (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # Fused layers: the encoder's window mix and one attention graph convolution,
 # each a single node with a hand-written backward
 # ---------------------------------------------------------------------------
 
+def _cut_windows(win: np.ndarray, starts, d: int):
+    """Zero the slots of the (n, 3d) windows ``win`` that reach across the
+    sentence boundaries before rows ``starts``."""
+    if len(starts):
+        win[starts, :d] = 0.0
+        win[starts - 1, 2 * d:] = 0.0
+
+
 def window_linear(table: Tensor, index, marks: Tensor, w: Tensor,
-                  b: Tensor) -> Tensor:
+                  b: Tensor, lengths=None) -> Tensor:
     """Row i is [x_{i-1}; x_i; x_{i+1}] @ w.T + b over the rows
-    x = table[index] + marks[0], zero-padded at both ends: the window mix of
-    embedded rows with no verb marked, for a (V, d) table, an (n,) index, a
-    (2, d) indicator table, a (d_out, 3d) weight and a (d_out,) bias."""
+    x = table[index] + marks[0], zero-padded at both ends of each sentence:
+    the window mix of embedded rows with no verb marked, for a (V, d) table,
+    an (n,) index, a (2, d) indicator table, a (d_out, 3d) weight and a
+    (d_out,) bias.  ``index`` is the row stack of sentences of ``lengths``
+    tokens (default: one sentence), and no window reaches past its own."""
     idx = _row_index("window_linear", table, index)
     d = table.shape[1]
     if marks.shape != (2, d) or w.data.ndim != 2 or w.shape[1] != 3 * d \
             or b.shape != (w.shape[0],):
         raise ShapeMismatch(f"window_linear: window of {table.shape} rows and "
                             f"marks {marks.shape} @ {w.shape}.T + {b.shape}")
+    if lengths and (min(lengths) < 1 or sum(lengths) != idx.size):
+        raise ShapeMismatch(f"window_linear: {idx.size} rows in sentences of "
+                            f"{list(lengths)}")
+    # the first row of every sentence after the first
+    starts = np.cumsum(lengths[:-1], dtype=np.intp) if len(lengths or ()) > 1 else ()
     xd, wd = table.data[idx] + marks.data[0], w.data
     win = np.zeros((xd.shape[0], 3 * d))
     win[1:, :d] = xd[:-1]
     win[:, d:2 * d] = xd
     win[:-1, 2 * d:] = xd[1:]
+    _cut_windows(win, starts, d)
 
     def backward(g):
         if table.requires_grad or marks.requires_grad:
             gwin = g @ wd
+            _cut_windows(gwin, starts, d)
             gx = gwin[:, d:2 * d].copy()
             gx[:-1] += gwin[1:, :d]
             gx[1:] += gwin[:-1, 2 * d:]

@@ -2,9 +2,11 @@
 
 The default encoder mixes a 3-token window through one ReLU layer, as two
 fused autodiff nodes: the word-row gather and mix of the unmarked rows, once
-per sentence, and per verb the marked rows plus the ReLU.  A config that names
-``encoder_vectors`` replaces it with the ``PrecomputedEncoder``, which replays
-fixed per-token vectors from that file.
+over the row stack of a batch's sentences, and per verb the marked rows plus
+the ReLU.  A config that names ``encoder_vectors`` replaces it with the
+``PrecomputedEncoder``, which replays fixed per-token vectors from that file.
+Either encoder's ``base`` takes a list of sentences and returns one tensor
+over their row stack.
 """
 
 from __future__ import annotations
@@ -69,11 +71,15 @@ class ToyEncoder:
         self.params = params
         self.vocab = vocab
 
-    def base(self, sentence: ParsedSentence, sentence_id: int | None = None) -> Tensor:
-        """(n, d_h) pre-activation with no verb marked, which every verb shares."""
+    def base(self, sentences: list[ParsedSentence],
+             sentence_ids: list[int | None] | None = None) -> Tensor:
+        """(N, d_h) pre-activation with no verb marked, which every verb
+        shares, over the row stack of ``sentences``: one node, whose windows
+        stop at each sentence's ends."""
         p = self.params
-        ids = [self.vocab.lookup(t) for t in sentence.tokens]
-        return ad.window_linear(p.w_word, ids, p.w_verb, p.w_mix, p.b_mix)
+        ids = [self.vocab.lookup(t) for s in sentences for t in s.tokens]
+        return ad.window_linear(p.w_word, ids, p.w_verb, p.w_mix, p.b_mix,
+                                [len(s.tokens) for s in sentences])
 
     def encode(self, base: Tensor, indicator_verb: int) -> Tensor:
         """(n, d_h) states of one verb from the sentence's ``base``."""
@@ -118,16 +124,21 @@ class PrecomputedEncoder:
             raise ValueError(f"no vectors found in {path}")
         return cls(vectors, d_h)
 
-    def base(self, sentence: ParsedSentence, sentence_id: int | None = None) -> Tensor:
-        """The stored vectors of ``sentence_id``, checked against the sentence."""
-        if sentence_id not in self.vectors:
-            raise KeyError(f"no precomputed vectors for sentence {sentence_id}")
-        arr = self.vectors[sentence_id]
-        if arr.shape != (len(sentence.tokens), self.d_h):
-            raise ValueError(
-                f"vectors for sentence {sentence_id} have shape {arr.shape}, "
-                f"expected ({len(sentence.tokens)}, {self.d_h})")
-        return ad.constant(arr)
+    def base(self, sentences: list[ParsedSentence],
+             sentence_ids: list[int | None]) -> Tensor:
+        """The constant row stack of the stored vectors of ``sentence_ids``,
+        each checked against its sentence."""
+        arrs = []
+        for sentence, sentence_id in zip(sentences, sentence_ids, strict=True):
+            if sentence_id not in self.vectors:
+                raise KeyError(f"no precomputed vectors for sentence {sentence_id}")
+            arr = self.vectors[sentence_id]
+            if arr.shape != (len(sentence.tokens), self.d_h):
+                raise ValueError(
+                    f"vectors for sentence {sentence_id} have shape {arr.shape}, "
+                    f"expected ({len(sentence.tokens)}, {self.d_h})")
+            arrs.append(arr)
+        return ad.constant(arrs[0] if len(arrs) == 1 else np.vstack(arrs))
 
     def encode(self, base: Tensor, indicator_verb: int) -> Tensor:
         """The stored vectors ``base``, whatever the verb."""

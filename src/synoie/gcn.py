@@ -5,8 +5,9 @@ concatenated with its label embedding; attention over neighbours (self-loop
 included) is the masked softmax of raw message dot products, and the layer
 output is the ReLU of the attention-weighted neighbour sum.  A view's label
 embedding L and its projection L W2ᵀ + b do not depend on the verb, so a
-sentence builds them once (``Model.sentence_state``) and each verb's layer
-takes both as inputs.
+batch builds them once, each as one node over the row stack of its
+sentences (``Model.sentence_states``), and each verb's layer takes its
+sentence's rows of both as inputs.
 """
 
 from __future__ import annotations
@@ -70,21 +71,28 @@ class GcnParams:
     b: Tensor   # (d_h,)
 
 
-def node_label_embed_dep(g: SyntacticGraph, params: GcnParams,
+def node_label_embed_dep(graphs: list[SyntacticGraph], params: GcnParams,
                          labels: LabelVocab) -> Tensor:
-    """(n, d_l): the W1 row of each node's dependency label."""
-    assert g.view == DEP_VIEW
-    label_set, rows = g.label_rows
-    ids = np.array([labels.lookup(l) for l in label_set], dtype=np.intp)
-    return ad.gather_rows(params.w1, ids[rows.argmax(axis=1)])
+    """(N, d_l): the W1 row of each node's dependency label, over the row
+    stack of ``graphs``, as one gather."""
+    assert all(g.view == DEP_VIEW for g in graphs)
+    ids = []
+    for g in graphs:
+        label_set, rows = g.label_rows
+        ids.append(np.array([labels.lookup(l) for l in label_set],
+                            dtype=np.intp)[rows.argmax(axis=1)])
+    return ad.gather_rows(params.w1, np.concatenate(ids))
 
 
-def node_label_embed_const(g: SyntacticGraph, params: GcnParams,
+def node_label_embed_const(graphs: list[SyntacticGraph], params: GcnParams,
                            labels: LabelVocab) -> Tensor:
-    """(n, d_l): mean of the tag embeddings along each node's constituency
-    path, as the constant ``labels.path_average`` matrix times W1."""
-    assert g.view == CONST_VIEW
-    return ad.matmul(ad.constant(labels.path_average(g, params.w1.shape[0])),
+    """(N, d_l): mean of the tag embeddings along each node's constituency
+    path, over the row stack of ``graphs``: the row stack of their constant
+    ``labels.path_average`` matrices times W1, as one node."""
+    assert all(g.view == CONST_VIEW for g in graphs)
+    width = params.w1.shape[0]
+    avgs = [labels.path_average(g, width) for g in graphs]
+    return ad.matmul(ad.constant(avgs[0] if len(avgs) == 1 else np.vstack(avgs)),
                      params.w1)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -63,6 +64,12 @@ class SyntacticGraph:
     tag path (list of strings) per node in the const view.  ``edges`` stores
     canonical (i, j, type) triples with i < j; ``adjacency`` is the symmetric
     boolean matrix with self-loops, used for message passing.
+
+    ``label_rows`` is the sorted list of the distinct node labels and the
+    (n, U) matrix whose row i averages node i's labels over them: a dep node
+    has one label, a const node the tags of its path.  When not given it is
+    built from ``node_labels``; ``build_const_graph`` gives it from one walk
+    down the tree (``const_label_rows``).
     """
 
     view: str
@@ -70,21 +77,19 @@ class SyntacticGraph:
     node_labels: list
     edges: frozenset
     adjacency: np.ndarray = field(repr=False)
+    label_rows: tuple[list[str], np.ndarray] | None = field(default=None, repr=False)
 
-    @cached_property
-    def label_rows(self) -> tuple[list[str], np.ndarray]:
-        """The distinct node labels, sorted, and the (n, U) matrix whose row i
-        averages node i's labels over them: a dep node has one label, a const
-        node the tags of its path.  Built on first use, then kept."""
-        paths = (self.node_labels if self.view == CONST_VIEW
-                 else [[label] for label in self.node_labels])
-        label_set = sorted({tag for path in paths for tag in path})
-        column = {tag: k for k, tag in enumerate(label_set)}
-        rows = np.zeros((self.n, len(label_set)))
-        for i, path in enumerate(paths):
-            for tag in path:
-                rows[i, column[tag]] += 1.0 / len(path)
-        return label_set, rows
+    def __post_init__(self):
+        if self.label_rows is None:
+            paths = (self.node_labels if self.view == CONST_VIEW
+                     else [[label] for label in self.node_labels])
+            label_set = sorted({tag for path in paths for tag in path})
+            column = {tag: k for k, tag in enumerate(label_set)}
+            rows = np.zeros((self.n, len(label_set)))
+            for i, path in enumerate(paths):
+                for tag in path:
+                    rows[i, column[tag]] += 1.0 / len(path)
+            self.label_rows = label_set, rows
 
     @cached_property
     def selection(self) -> np.ndarray:
@@ -139,6 +144,46 @@ def build_const_paths(tree: ConstituencyTree) -> list[list[str]]:
     return paths
 
 
+def const_label_rows(tree: ConstituencyTree) -> tuple[list[str], np.ndarray]:
+    """The const view's ``label_rows`` for the tag paths of
+    ``build_const_paths``, in one walk down the tree that keeps a running
+    count of each tag on the path to the current node.
+
+    A word's entry for a tag it counts k times on a path of length L is
+    1/L added k times in a row, as a loop over the path sums it, so these
+    are the bytes the per-path loop of ``SyntacticGraph`` gives.  Those
+    partial sums come from one running sum per change of leaf depth, so the
+    work is O(tree nodes x distinct tags) plus those sums, where reading
+    every path costs the sum of their lengths.
+    """
+    nodes = tree.nodes
+    label_set = sorted({node.tag for node in nodes if node.children})
+    column = {tag: k for k, tag in enumerate(label_set)}
+    rows = [None] * tree.n_leaves
+    counts = [0] * len(label_set)
+    depth, sums = 0, [0.0]  # sums[k]: 1 / (len(sums) - 1) added k times
+    # a node id enters its node; ~k leaves a node whose tag is column k
+    stack = [tree.root]
+    while stack:
+        nid = stack.pop()
+        if nid < 0:
+            counts[~nid] -= 1
+            depth -= 1
+            continue
+        node = nodes[nid]
+        if not node.children:
+            if len(sums) != depth + 1:
+                sums = list(accumulate(repeat(1.0 / depth, depth), initial=0.0))
+            rows[node.span[0]] = [sums[k] for k in counts]
+            continue
+        k = column[node.tag]
+        counts[k] += 1
+        depth += 1
+        stack.append(~k)
+        stack.extend(node.children)
+    return label_set, np.array(rows).reshape(tree.n_leaves, len(label_set))
+
+
 def flatten_const_relations(tree: ConstituencyTree,
                             cfg: FlattenConfig = FlattenConfig()) -> frozenset:
     """Flatten phrase structure into typed word-to-word edges (rules 1-4)."""
@@ -182,12 +227,16 @@ def flatten_const_relations(tree: ConstituencyTree,
 def build_const_graph(s: ParsedSentence, cfg: FlattenConfig = FlattenConfig()) -> SyntacticGraph:
     paths = build_const_paths(s.const_tree)
     if cfg.variant == "v1":
-        paths = [p[-1:] for p in paths]
+        # one tag a path: the rows are built from the paths in O(n)
+        paths, rows = [p[-1:] for p in paths], None
+    else:
+        rows = const_label_rows(s.const_tree)
     edges = flatten_const_relations(s.const_tree, cfg)
     n = len(s.tokens)
     return SyntacticGraph(view=CONST_VIEW, n=n, node_labels=paths,
                           edges=edges,
-                          adjacency=_adjacency_from_edges(n, edges))
+                          adjacency=_adjacency_from_edges(n, edges),
+                          label_rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -152,20 +152,32 @@ def r_mask(graphs: list[SyntacticGraph], weights: LossWeights, r1: bool,
         _r3(*graphs) if r3 else None))
 
 
-def tagging_loss(logits: Tensor, gold_ids: list[int]
+def gold_pick(gold_ids: list[int], n_tags: int) -> np.ndarray:
+    """CE's (n, n_tags) mask over an instance's tag logits, which picks each
+    token's gold tag at weight 1/n."""
+    n = len(gold_ids)
+    if n == 0 or min(gold_ids) < 0 or max(gold_ids) >= n_tags:
+        raise ad.ShapeMismatch(f"gold indices {gold_ids} outside {n_tags} tags")
+    pick = np.zeros((n, n_tags))
+    pick[np.arange(n), gold_ids] = 1.0 / n
+    return pick
+
+
+def tagging_loss(logits: Tensor, gold_ids: list[int],
+                 pick: np.ndarray | None = None
                  ) -> tuple[ad.RowSoftmax, np.ndarray]:
     """Mean token-level cross entropy for one instance: the row softmax of
-    ``logits`` and the mask that picks each gold tag at weight 1/n."""
+    ``logits`` and its ``gold_pick`` mask for ``gold_ids``, built here when
+    ``pick`` is not given."""
     rows = ad.row_softmax(logits)
-    n, n_tags = rows.shape
-    gold = np.asarray(gold_ids, dtype=np.intp)
-    if n == 0 or gold.shape != (n,):
+    if len(gold_ids) != rows.shape[0]:
         raise ad.ShapeMismatch(f"tagging loss: logits {logits.shape}, "
-                               f"gold {gold.shape}")
-    if min(gold_ids) < 0 or max(gold_ids) >= n_tags:
-        raise ad.ShapeMismatch(f"gold index outside {n_tags} tags")
-    pick = np.zeros((n, n_tags))
-    pick[np.arange(n), gold] = 1.0 / n
+                               f"{len(gold_ids)} gold tags")
+    if pick is None:
+        pick = gold_pick(gold_ids, rows.shape[1])
+    elif pick.shape != rows.shape:
+        raise ad.ShapeMismatch(f"tagging loss: logits {logits.shape}, "
+                               f"pick mask {pick.shape}")
     return rows, pick
 
 

@@ -2,8 +2,11 @@
 
 A ``SentenceState`` holds the verb-independent half of the forward pass (the
 encoder's ``base``: for the window encoder its pre-activation with no verb
-marked; and each view's label embedding L and projection L W2ᵀ + b), so a
-sentence builds it once and all of its verbs share it.
+marked; and each view's label embedding L and projection L W2ᵀ + b), so all
+of a sentence's verbs share it.  ``sentence_states`` builds the states of a
+list of sentences as one node per kind over their row stack, and each state
+is its sentence's row block of those nodes; a list of one sentence records
+no block node.
 """
 
 from __future__ import annotations
@@ -255,20 +258,34 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def sentence_state(self, sentence: ParsedSentence, graphs: SentenceGraphs,
-                       sentence_id: int | None = None) -> SentenceState:
-        """The part of ``forward`` that every verb of ``sentence`` shares."""
-        con = dep = None
-        if self.cfg.use_const:
-            l_con = gcn_mod.node_label_embed_const(graphs.const, self.con_params,
-                                                   self.con_labels)
-            con = l_con, gcn_mod.label_projection(l_con, self.con_params)
-        if self.cfg.use_dep:
-            l_dep = gcn_mod.node_label_embed_dep(graphs.dep, self.dep_params,
-                                                 self.dep_labels)
-            dep = l_dep, gcn_mod.label_projection(l_dep, self.dep_params)
-        return SentenceState(graphs, sentence_id,
-                             self.encoder.base(sentence, sentence_id), con, dep)
+    def sentence_states(self, sentences: list[ParsedSentence],
+                        graphs: list[SentenceGraphs],
+                        sentence_ids: list[int | None]) -> list[SentenceState]:
+        """The part of ``forward`` that every verb of each of ``sentences``
+        shares: the encoder base and, for each active view, its label
+        embedding and projection, each one node over the row stack of the
+        sentences, and each state its sentence's row block of them."""
+        sizes = [len(s.tokens) for s in sentences]
+        base = ad.row_blocks(self.encoder.base(sentences, sentence_ids), sizes)
+        con = self._label_blocks(self.cfg.use_const, gcn_mod.node_label_embed_const,
+                                 [g.const for g in graphs], self.con_params,
+                                 self.con_labels, sizes)
+        dep = self._label_blocks(self.cfg.use_dep, gcn_mod.node_label_embed_dep,
+                                 [g.dep for g in graphs], self.dep_params,
+                                 self.dep_labels, sizes)
+        return [SentenceState(*state) for state in
+                zip(graphs, sentence_ids, base, con, dep, strict=True)]
+
+    @staticmethod
+    def _label_blocks(on: bool, embed, view_graphs: list[SyntacticGraph],
+                      params: GcnParams, labels: LabelVocab, sizes: list[int]):
+        """Each sentence's (L, L W2ᵀ + b) row blocks of one view, or None for
+        each when the view is off."""
+        if not on:
+            return [None] * len(sizes)
+        l = embed(view_graphs, params, labels)
+        return list(zip(ad.row_blocks(l, sizes),
+                        ad.row_blocks(gcn_mod.label_projection(l, params), sizes)))
 
     def forward(self, sentence: ParsedSentence, indicator_verb: int,
                 graphs: SentenceGraphs, sentence_id: int | None = None,
@@ -279,7 +296,7 @@ class Model:
         sentence id.
         """
         if state is None:
-            state = self.sentence_state(sentence, graphs, sentence_id)
+            [state] = self.sentence_states([sentence], [graphs], [sentence_id])
         elif state.graphs is not graphs or state.sentence_id != sentence_id:
             raise ValueError("sentence state was built for other graphs "
                              "or another sentence id")
@@ -324,17 +341,26 @@ class Model:
             return None
         return losses_mod.r_mask(self._views(graphs), self.cfg.weights, *runs)
 
+    def ce_target(self, inst: TaggedInstance) -> tuple[list[int], np.ndarray]:
+        """An instance's gold tag ids and CE's ``losses.gold_pick`` mask for
+        them, which are fixed for a run, so ``train`` builds them once."""
+        gold_ids = [TAG_IDS[l] for l in inst.labels]
+        return gold_ids, losses_mod.gold_pick(gold_ids, len(TAGS))
+
     def instance_losses(self, inst: TaggedInstance, graphs: SentenceGraphs,
                         sentence_id: int | None = None,
                         state: SentenceState | None = None,
-                        r_mask: np.ndarray | None = None) -> InstanceLosses:
+                        r_mask: np.ndarray | None = None,
+                        target: tuple[list[int], np.ndarray] | None = None
+                        ) -> InstanceLosses:
         """Forward one instance over ``state`` and return its loss terms:
-        CE's and, when an R loss runs, the Gram's under ``r_mask``.  Each of
-        ``state`` and ``r_mask`` is built here when not given."""
+        CE's for its ``ce_target`` and, when an R loss runs, the Gram's under
+        ``r_mask``.  Each of ``state``, ``r_mask`` and ``target`` is built
+        here when not given."""
         fwd = self.forward(inst.sentence, inst.indicator_verb, graphs, sentence_id,
                            state)
-        gold_ids = [TAG_IDS[l] for l in inst.labels]
-        terms = [losses_mod.tagging_loss(fwd.logits, gold_ids)]
+        gold_ids, pick = self.ce_target(inst) if target is None else target
+        terms = [losses_mod.tagging_loss(fwd.logits, gold_ids, pick)]
         runs = self._r_losses()
         if any(runs):
             gram = losses_mod.view_gram([h for h in (fwd.h_con, fwd.h_dep)

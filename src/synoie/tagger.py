@@ -1,4 +1,9 @@
-"""Tagging head, BIO decoding, and per-verb tuple extraction."""
+"""Tagging head, BIO decoding, and per-verb tuple extraction.
+
+Extraction runs a sentence's verbs one at a time over one shared sentence
+state, which it builds as ``Model.sentence_states``' batch of one sentence,
+so it records no row-block node.
+"""
 
 from __future__ import annotations
 
@@ -61,12 +66,13 @@ def extract(sentence: ParsedSentence, model, graphs,
             sentence_id: int | None = None) -> list[Extraction]:
     """Run one instance per candidate verb; at most one tuple per verb.
 
-    The verbs share one ``model.sentence_state``, built here.
+    The verbs share one state, built here by ``model.sentence_states`` as a
+    batch of one sentence.
     """
     if not sentence.verbs:
         return []
     with ad.no_grad():
-        state = model.sentence_state(sentence, graphs, sentence_id)
+        [state] = model.sentence_states([sentence], [graphs], [sentence_id])
     out = []
     for verb in sentence.verbs:
         tags, probs = model.predict(sentence, verb, graphs, sentence_id, state)

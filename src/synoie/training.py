@@ -1,9 +1,11 @@
 """Training loop, checkpointing, and checkpoint evaluation.
 
-Batches are sets of per-verb instances; graphs and the weighted R mask are
-cached per sentence across epochs, and the verbs of one sentence in a batch
-share its ``SentenceState``.  A batch's loss is one ``ad.masked_nll`` node
-over every instance's masks, each scaled by 1/B.
+Batches are sets of per-verb instances.  Graphs and the weighted R mask are
+cached per sentence, and each instance's CE target per instance, across
+epochs.  A batch builds the states of its distinct sentences with one
+``Model.sentence_states`` call, one node per kind over their row stack, and
+the verbs of one sentence share its state.  A batch's loss is one
+``ad.masked_nll`` node over every instance's masks, each scaled by 1/B.
 The best checkpoint (by dev exact-match F1, latest on ties) is returned.
 With a zero dev fraction the dev set falls back to the training sentences
 themselves, which is the intended setup for overfit experiments.
@@ -188,12 +190,13 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
     dep_labels, con_labels = _label_inventories(graph_cache, train_idx)
     model = Model(cfg, vocab, dep_labels, con_labels, rng)
 
-    # a constant of the run: it depends only on the sentence's graphs
+    # constants of the run: a sentence's R mask depends only on its graphs,
+    # and an instance's CE target only on its gold tags
     r_masks = {i: model.r_mask(graph_cache[i]) for i in train_idx}
     instances = []
     for i in train_idx:
         for inst in expand_instances(sentences[i]):
-            instances.append((i, inst))
+            instances.append((i, inst, model.ce_target(inst)))
     if not instances:
         raise EmptyCorpus("no verbs anywhere in the training split")
 
@@ -211,19 +214,21 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
         epoch_loss = 0.0
         correct = total = 0
         for start in range(0, len(perm), cfg.batch_size):
-            batch = perm[start:start + cfg.batch_size]
+            batch = [instances[int(k)] for k in perm[start:start + cfg.batch_size]]
             terms = []
-            states = {}  # the parameters hold still within a batch
+            # the parameters hold still within a batch, so its distinct
+            # sentences, in first-appearance order, share one state build
+            sent_ids = list(dict.fromkeys(i for i, _, _ in batch))
             try:
-                for k in batch:
-                    sent_i, inst = instances[int(k)]
-                    if sent_i not in states:
-                        states[sent_i] = model.sentence_state(
-                            inst.sentence, graph_cache[sent_i], sent_i)
+                states = dict(zip(sent_ids, model.sentence_states(
+                    [sentences[i] for i in sent_ids],
+                    [graph_cache[i] for i in sent_ids], sent_ids)))
+                for sent_i, inst, target in batch:
                     parts = model.instance_losses(inst, graph_cache[sent_i],
                                                   sentence_id=sent_i,
                                                   state=states[sent_i],
-                                                  r_mask=r_masks[sent_i])
+                                                  r_mask=r_masks[sent_i],
+                                                  target=target)
                     terms += parts.terms
                     correct += sum(int(p == g) for p, g in
                                    zip(parts["pred_ids"], parts["gold_ids"]))

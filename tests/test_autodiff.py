@@ -8,10 +8,12 @@ from synoie.model import Model
 from synoie.synthetic import generate_corpus
 from synoie.training import _label_inventories, build_graph_cache
 
+from primitives import add, masked_sum
+
 
 def sq_norm(x):
     """x . x for a (1, d) row, through the matrix primitives."""
-    return ad.masked_sum(ad.matmul(x, x, transpose_b=True), [[1.0]])
+    return masked_sum(ad.matmul(x, x, transpose_b=True), [[1.0]])
 
 
 class TestForwardValues:
@@ -37,7 +39,7 @@ class TestForwardValues:
         y = ad.marked_window_relu(x, ad.constant(np.ones((2, 2))),
                                   ad.constant(np.ones((2, 6))), row=-1)
         np.testing.assert_allclose(y.data, [[0.0, 2.0]])
-        ad.masked_sum(y, [[1.0, 1.0]]).backward()
+        masked_sum(y, [[1.0, 1.0]]).backward()
         np.testing.assert_allclose(x.grad, [[0.0, 1.0]])
 
     def test_log_softmax_matches_log_of_softmax(self):
@@ -86,17 +88,17 @@ class TestGradients:
 
     def test_diamond_graph_counted_once(self):
         x = ad.parameter(np.array(3.0))
-        y = ad.add(x, x)
-        z = ad.add(y, y)
+        y = add(x, x)
+        z = add(y, y)
         z.backward()
         np.testing.assert_allclose(x.grad, 4.0)
 
     def test_tape_holds_each_reached_node_once_parents_first(self):
         x = ad.parameter(np.ones((2, 2)))
-        y = ad.add(x, ad.constant(np.ones((2, 2))))
-        ad.add(x, x)  # not reached from the output
-        inner = ad.add(y, x)
-        z = ad.add(inner, y)
+        y = add(x, ad.constant(np.ones((2, 2))))
+        add(x, x)  # not reached from the output
+        inner = add(y, x)
+        z = add(inner, y)
         assert ad.Tape(z).order == [x, y, inner, z]
 
     def test_concat_splits_gradient_exactly(self):
@@ -104,15 +106,46 @@ class TestGradients:
         b = ad.parameter([[3.0, 4.0, 5.0]])
         cat = ad.hstack([a, b])
         g = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
-        ad.masked_sum(cat, g[None, :]).backward()
+        masked_sum(cat, g[None, :]).backward()
         np.testing.assert_array_equal(np.concatenate([a.grad[0], b.grad[0]]), g)
         assert np.linalg.norm(a.grad) ** 2 + np.linalg.norm(b.grad) ** 2 == \
             pytest.approx(np.linalg.norm(g) ** 2)
 
+    def test_row_blocks_send_their_gradients_to_the_parent_rows(self):
+        # each block is the parent's rows, with no backward of its own: its
+        # consumers add into a view of the parent's gradient, and a block
+        # read twice, or read with the parent, adds up
+        x = ad.parameter(np.arange(12.0).reshape(6, 2))
+        top, one, rest = ad.row_blocks(x, [2, 1, 3])
+        np.testing.assert_array_equal(rest.data, x.data[3:])
+        assert all(b._backward is None and b._parents == (x,) for b in (top, one, rest))
+        g_top, g_rest = np.full((2, 2), 0.5), np.arange(6.0).reshape(3, 2)
+        out = ad.vstack([top, rest, rest, x])
+        masked_sum(out, np.vstack([g_top, g_rest, g_rest, np.ones((6, 2))])).backward()
+        np.testing.assert_array_equal(x.grad, 1 + np.vstack([g_top, np.zeros((1, 2)),
+                                                             2 * g_rest]))
+        assert ad.Tape(out).order.count(one) == 0
+
+    def test_one_row_block_is_the_tensor_itself(self):
+        x = ad.parameter(np.ones((3, 2)))
+        assert ad.row_blocks(x, [3])[0] is x
+        assert x.grad is None
+
+    def test_row_blocks_record_nothing_under_no_grad(self):
+        x = ad.parameter(np.ones((3, 2)))
+        with ad.no_grad():
+            blocks = ad.row_blocks(x, [1, 2])
+        assert not any(b.requires_grad for b in blocks) and x.grad is None
+
+    @pytest.mark.parametrize("sizes", [[2, 2], [4, 1], [-1, 4]])
+    def test_row_blocks_must_cover_the_rows(self, sizes):
+        with pytest.raises(ad.ShapeMismatch):
+            ad.row_blocks(ad.constant(np.zeros((3, 2))), sizes)
+
     def test_embedding_lookup_accumulates_rows(self):
         table = ad.parameter(np.zeros((4, 3)))
         rows = ad.gather_rows(table, [1, 1])
-        ad.masked_sum(rows, np.ones((2, 3))).backward()
+        masked_sum(rows, np.ones((2, 3))).backward()
         expected = np.zeros((4, 3))
         expected[1] = 2.0
         np.testing.assert_array_equal(table.grad, expected)
@@ -124,7 +157,7 @@ class TestGradients:
         b = ad.parameter([1.0, 2.0])
         out = ad.linear(x, w, b)
         np.testing.assert_array_equal(out.data, [[1, 2]] * 3)
-        ad.masked_sum(out, np.ones((3, 2))).backward()
+        masked_sum(out, np.ones((3, 2))).backward()
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
         np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
 
@@ -132,7 +165,7 @@ class TestGradients:
         rng = np.random.default_rng(12)
         readout = rng.normal(size=(4, 3))
         err = ad.grad_check(
-            lambda x, w, b: ad.masked_sum(ad.linear(x, w, b), readout),
+            lambda x, w, b: masked_sum(ad.linear(x, w, b), readout),
             [ad.parameter(rng.normal(size=(4, 5))),
              ad.parameter(rng.normal(size=(3, 5))),
              ad.parameter(rng.normal(size=3))])
@@ -147,12 +180,12 @@ class TestGradients:
     def test_matmul_vector_and_matrix(self):
         readout = np.array([[1.0, 2.0, 3.0]]).T
         err = ad.grad_check(
-            lambda A, x: ad.masked_sum(ad.matmul(A, x), readout),
+            lambda A, x: masked_sum(ad.matmul(A, x), readout),
             [ad.parameter(np.arange(12, dtype=float).reshape(3, 4) / 10),
              ad.parameter(np.array([[0.1, -0.2, 0.3, 0.4]]).T)])
         assert err < 1e-8
         err = ad.grad_check(
-            lambda A, x: ad.masked_sum(ad.matmul(x, A, transpose_b=True),
+            lambda A, x: masked_sum(ad.matmul(x, A, transpose_b=True),
                                        readout.T),
             [ad.parameter(np.arange(12, dtype=float).reshape(3, 4) / 10),
              ad.parameter(np.array([[0.1, -0.2, 0.3, 0.4]]))])
@@ -174,7 +207,7 @@ class TestGradCheck:
 
     def test_rejects_vector_output(self):
         with pytest.raises(ad.ShapeMismatch):
-            ad.grad_check(lambda x: ad.add(x, x), ad.parameter([1.0, 2.0]))
+            ad.grad_check(lambda x: add(x, x), ad.parameter([1.0, 2.0]))
 
 
 def _random_composition(rng, xs, table, mix, bias):
@@ -193,7 +226,7 @@ def _random_composition(rng, xs, table, mix, bias):
         mask = rng.random((n, n)) < 0.5
         mask[np.arange(n), rng.integers(n, size=n)] = True
         if op == 0:
-            mats.append(ad.add(a, b))
+            mats.append(add(a, b))
         elif op == 1:
             marks = ad.gather_rows(table, rng.integers(table.shape[0], size=2))
             pre = ad.window_linear(a, np.arange(n), marks, mix, bias)
@@ -248,7 +281,7 @@ class TestFusedRowOps:
         weights = rng.normal(size=(3, 1))
 
         def f(anchor, items):
-            return ad.masked_sum(ad.matmul(items, anchor, transpose_b=True),
+            return masked_sum(ad.matmul(items, anchor, transpose_b=True),
                                  weights)
 
         xs = [ad.parameter(rng.normal(size=(1, 4))),
@@ -294,9 +327,9 @@ class TestNonFinite:
 class TestShapeErrors:
     def test_add_mismatch(self):
         with pytest.raises(ad.ShapeMismatch):
-            ad.add(ad.constant([1.0]), ad.constant([1.0, 2.0]))
+            add(ad.constant([1.0]), ad.constant([1.0, 2.0]))
         with pytest.raises(ad.ShapeMismatch):  # a row is added through linear
-            ad.add(ad.constant(np.zeros((3, 2))), ad.constant([1.0, 2.0]))
+            add(ad.constant(np.zeros((3, 2))), ad.constant([1.0, 2.0]))
 
     @pytest.mark.parametrize("x, w, b", [
         ((3, 2), (4, 3), (4,)),   # x width vs w width

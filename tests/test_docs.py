@@ -50,3 +50,29 @@ def test_readme_batch_statement_is_the_training_loop(monkeypatch):
     batches = -(-sum(len(s.verbs) for s in sentences) // cfg.batch_size)
     assert walked == nodes and len(nodes) == cfg.epochs * batches
     assert len(masks) == len(sentences)
+
+
+def test_readme_batch_state_statement_is_the_training_loop(monkeypatch):
+    """README says training builds the shared half once per batch, one node
+    per kind over the row stack of the batch's distinct sentences."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert ("Training builds that shared half once per batch, as one node per "
+            "kind over the row stack of the batch's distinct sentences") in text
+    calls = []
+    inner = Model.sentence_states
+
+    def building(self, sentences, graphs, sentence_ids):
+        states = inner(self, sentences, graphs, sentence_ids)
+        if states[0].base.requires_grad:  # not a dev eval's
+            calls.append(list(sentence_ids))
+        return states
+
+    monkeypatch.setattr(Model, "sentence_states", building)
+    sentences = generate_corpus(6, seed=2)
+    cfg = TrainConfig(d_h=8, d_l=4, epochs=2, batch_size=3, dev_fraction=0.0,
+                      early_stop_train_acc=None)
+    train(sentences, cfg)
+    batches = -(-sum(len(s.verbs) for s in sentences) // cfg.batch_size)
+    assert len(calls) == cfg.epochs * batches
+    assert all(len(ids) == len(set(ids)) for ids in calls)
+    assert any(len(ids) > 1 for ids in calls)

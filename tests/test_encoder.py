@@ -6,6 +6,7 @@ import pytest
 from synoie import autodiff as ad
 from synoie import encoder as enc
 
+from primitives import add, masked_sum
 from tree_strategies import flat_sentence
 
 
@@ -26,7 +27,7 @@ def embed(params, words, indicator_verb):
     """(n, d_h) rows: word rows + indicator row (row 1 only at the verb; a
     verb outside [0, n) marks no row), the rows the encoder's window mixes."""
     flags = (np.arange(words.shape[0]) == indicator_verb).astype(np.intp)
-    return ad.add(words, ad.gather_rows(params.w_verb, flags))
+    return add(words, ad.gather_rows(params.w_verb, flags))
 
 
 @pytest.fixture
@@ -89,21 +90,21 @@ class TestToyEncoder:
         params.w_verb.data = np.abs(params.w_verb.data)
         te = enc.ToyEncoder(params, vocab)
         ws = embed(params, word_rows(params, vocab, ["cat", "likes"]), 1)
-        hs = te.encode(te.base(flat_sentence(["cat", "likes"])), 1)
+        hs = te.encode(te.base([flat_sentence(["cat", "likes"])]), 1)
         for w, h in zip(ws.data, hs.data):
             np.testing.assert_allclose(h, w)
 
     def test_single_token_uses_zero_padding(self, params, vocab):
         te = enc.ToyEncoder(params, vocab)
         ws = embed(params, word_rows(params, vocab, ["cat"]), 0)
-        hs = te.encode(te.base(flat_sentence(["cat"])), 0)
+        hs = te.encode(te.base([flat_sentence(["cat"])]), 0)
         window = np.concatenate([np.zeros(4), ws.data[0], np.zeros(4)])
         expected = np.maximum(params.w_mix.data @ window + params.b_mix.data, 0)
         np.testing.assert_allclose(hs.data[0], expected)
 
     def test_output_widths(self, params, vocab, example_sentence):
         te = enc.ToyEncoder(params, vocab)
-        hs = te.encode(te.base(example_sentence), 3)
+        hs = te.encode(te.base([example_sentence]), 3)
         assert len(hs.data) == len(example_sentence.tokens)
         assert all(h.shape == (4,) for h in hs.data)
 
@@ -111,15 +112,15 @@ class TestToyEncoder:
         def run():
             params = draw_params(6, 4, np.random.default_rng(5))
             te = enc.ToyEncoder(params, vocab)
-            return te.encode(te.base(example_sentence), 3).data
+            return te.encode(te.base([example_sentence]), 3).data
 
         np.testing.assert_array_equal(run(), run())
 
     def test_gradient_flows_to_tables(self, params, vocab):
         te = enc.ToyEncoder(params, vocab)
-        hs = te.encode(te.base(flat_sentence(["cat", "likes"])), 0)
+        hs = te.encode(te.base([flat_sentence(["cat", "likes"])]), 0)
         # h_0 . h_1
-        ad.masked_sum(ad.matmul(hs, hs, transpose_b=True), [[0, 1], [0, 0]]).backward()
+        masked_sum(ad.matmul(hs, hs, transpose_b=True), [[0, 1], [0, 0]]).backward()
         assert params.w_word.grad is not None
         assert params.w_mix.grad is not None
         assert params.w_verb.grad is not None
@@ -132,7 +133,7 @@ class TestPrecomputedEncoder:
         p = tmp_path / "vecs.jsonl"
         p.write_text(json.dumps({"sentence_id": 0, "vectors": arr.tolist()}) + "\n")
         pe = enc.PrecomputedEncoder.load(p, 4)
-        hs = pe.encode(pe.base(example_sentence, 0), 3)
+        hs = pe.encode(pe.base([example_sentence], [0]), 3)
         np.testing.assert_array_equal(hs.data, arr)
 
     def test_unknown_sentence(self, tmp_path, example_sentence):
@@ -141,7 +142,7 @@ class TestPrecomputedEncoder:
                                  "vectors": [[0.0] * 4] * 11}) + "\n")
         pe = enc.PrecomputedEncoder.load(p, 4)
         with pytest.raises(KeyError):
-            pe.base(example_sentence, 7)
+            pe.base([example_sentence], [7])
 
 
 class TestPrecomputedEncoderRejects:

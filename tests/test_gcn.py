@@ -12,6 +12,7 @@ from synoie import gcn
 from synoie import graphs
 from synoie.graphs import SyntacticGraph, CONST_VIEW, DEP_VIEW
 
+from primitives import masked_sum
 from tree_strategies import (PHRASE_TAGS, bracketed_trees, root_is_preterminal,
                              tree_leaf_surfaces)
 
@@ -66,7 +67,7 @@ class TestLabelEmbeddings:
     def test_dep_lookup(self, small_params):
         labels = gcn.LabelVocab(["<unk>", "ROOT", "nsubj"])
         g = make_graph(DEP_VIEW, 3, [(0, 1)], ["nsubj", "ROOT", "nsubj"])
-        out = gcn.node_label_embed_dep(g, small_params, labels)
+        out = gcn.node_label_embed_dep([g], small_params, labels)
         np.testing.assert_array_equal(out.data[1],
                                       small_params.w1.data[labels.lookup("ROOT")])
         np.testing.assert_array_equal(out.data[0], out.data[2])
@@ -74,14 +75,14 @@ class TestLabelEmbeddings:
     def test_dep_unseen_label_hits_unk(self, small_params):
         labels = gcn.LabelVocab(["<unk>", "ROOT"])
         g = make_graph(DEP_VIEW, 1, [], ["weird-rel"])
-        out = gcn.node_label_embed_dep(g, small_params, labels)
+        out = gcn.node_label_embed_dep([g], small_params, labels)
         np.testing.assert_array_equal(out.data[0],
                                       small_params.w1.data[labels.unk_id])
 
     def test_const_singleton_path(self, small_params):
         labels = gcn.LabelVocab(["<unk>", "S", "NP"])
         g = make_graph(CONST_VIEW, 1, [], [["S"]])
-        out = gcn.node_label_embed_const(g, small_params, labels)
+        out = gcn.node_label_embed_const([g], small_params, labels)
         np.testing.assert_array_equal(out.data[0],
                                       small_params.w1.data[labels.lookup("S")])
 
@@ -89,7 +90,7 @@ class TestLabelEmbeddings:
         # path [S, NP, NP] averages to (W1[S] + 2*W1[NP]) / 3
         labels = gcn.LabelVocab(["<unk>", "S", "NP"])
         g = make_graph(CONST_VIEW, 1, [], [["S", "NP", "NP"]])
-        out = gcn.node_label_embed_const(g, small_params, labels)
+        out = gcn.node_label_embed_const([g], small_params, labels)
         w1 = small_params.w1.data
         expected = (w1[labels.lookup("S")] + 2 * w1[labels.lookup("NP")]) / 3
         np.testing.assert_allclose(out.data[0], expected)
@@ -98,7 +99,7 @@ class TestLabelEmbeddings:
         labels = gcn.LabelVocab(["<unk>", "S", "NP"])
         small_params.w1.data[:] = 0.25
         g = make_graph(CONST_VIEW, 2, [], [["S", "NP"], ["S", "NP", "NP", "S"]])
-        out = gcn.node_label_embed_const(g, small_params, labels)
+        out = gcn.node_label_embed_const([g], small_params, labels)
         np.testing.assert_allclose(out.data[0], out.data[1])
 
     def test_const_matrix_built_once_per_graph(self, small_params, monkeypatch):
@@ -112,8 +113,8 @@ class TestLabelEmbeddings:
             return inner(data)
 
         monkeypatch.setattr(ad, "constant", spy)
-        first = gcn.node_label_embed_const(g, small_params, labels)
-        second = gcn.node_label_embed_const(g, small_params, labels)
+        first = gcn.node_label_embed_const([g], small_params, labels)
+        second = gcn.node_label_embed_const([g], small_params, labels)
         np.testing.assert_array_equal(first.data, second.data)
         assert len(built) == 2 and built[1] is built[0]
         # the vocabulary keeps no graph, and no matrix, alive
@@ -177,7 +178,7 @@ class TestLabelRowsProperty:
             params = draw_params(len(labels), d_h=4, d_l=3, rng=rng)
             readout = rng.normal(size=(g.n, 3))
             want = oracle(g, params, labels)
-            ad.masked_sum(want, readout).backward()
+            masked_sum(want, readout).backward()
             want_grad, params.w1.grad = params.w1.grad, None
             exact = g.view == DEP_VIEW or all(
                 len({t for t in path if t not in labels.ids}) < 2
@@ -186,9 +187,9 @@ class TestLabelRowsProperty:
                     lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-14,
                                                             atol=1e-15))
             for _ in range(2):  # the second call reads the cached rows
-                got = embed(g, params, labels)
+                got = embed([g], params, labels)
                 same(got.data, want.data)
-                ad.masked_sum(got, readout).backward()
+                masked_sum(got, readout).backward()
                 same(params.w1.grad, want_grad)
                 params.w1.grad = None
 
@@ -284,7 +285,7 @@ class TestGcnLayer:
             out, _ = gcn.gcn_layer(g, h_ctx, l,
                                    gcn.label_projection(l, small_params))
             # mean over nodes, dotted with the readout
-            return ad.masked_sum(out, np.tile(readout, (3, 1)) / 3)
+            return masked_sum(out, np.tile(readout, (3, 1)) / 3)
 
         err = ad.grad_check(f, [small_params.w1, small_params.w2,
                                 small_params.b, h_ctx, l])

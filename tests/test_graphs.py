@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -283,3 +284,76 @@ class TestExport:
         cg = g.build_const_graph(example_sentence)
         with pytest.raises(g.UnknownFormat):
             g.export_graph(cg, "xml")
+
+
+def path_loop_rows(paths: list[list[str]]) -> tuple[list[str], np.ndarray]:
+    """The label rows as each path's loop over its tags builds them (oracle):
+    1/len(path) added once per tag occurrence."""
+    label_set = sorted({tag for path in paths for tag in path})
+    column = {tag: k for k, tag in enumerate(label_set)}
+    rows = np.zeros((len(paths), len(label_set)))
+    for i, path in enumerate(paths):
+        for tag in path:
+            rows[i, column[tag]] += 1.0 / len(path)
+    return label_set, rows
+
+
+def assert_rows_are_the_path_loops(graph: g.SyntacticGraph, paths):
+    """``graph``'s label rows are, byte for byte, the loop over ``paths``."""
+    labels, rows = graph.label_rows
+    want_labels, want = path_loop_rows(paths)
+    assert labels == want_labels and rows.shape == want.shape
+    assert rows.tobytes() == want.tobytes()
+
+
+class TestConstLabelRows:
+    """The const view's label rows come from one walk down the tree with a
+    running tag count; they keep the bytes of the loop over each path (a tag
+    seen k times on a path of length L reads 1/L added k times in a row,
+    which is not k * (1/L) from k = 4 on)."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(text=bracketed_trees, variant=st.sampled_from(g.VARIANTS))
+    def test_drawn_trees(self, text, variant):
+        if root_is_preterminal(text):
+            return  # the corpus rejects it: its word would have no path
+        tokens = tree_leaf_surfaces(text)
+        s = make_sentence(tokens, text,
+                          [[-1, "ROOT"]] + [[0, "dep"]] * (len(tokens) - 1))
+        cg = g.build_const_graph(s, g.FlattenConfig(variant=variant))
+        assert_rows_are_the_path_loops(cg, cg.node_labels)
+        if variant != "v1":
+            assert cg.node_labels == g.build_const_paths(s.const_tree)
+
+    @pytest.mark.parametrize("variant", g.VARIANTS)
+    def test_golden_graphs(self, example_sentence, variant):
+        cg = g.build_const_graph(example_sentence, g.FlattenConfig(variant=variant))
+        golden = json.loads((GOLDEN_DIR / f"const_{variant}.json").read_text())
+        assert_rows_are_the_path_loops(cg, [node["label"] for node in golden["nodes"]])
+
+    def test_sample_corpus(self):
+        for s in c.load_corpus(Path(__file__).resolve().parent.parent / "data"
+                               / "sample_corpus.jsonl"):
+            cg = g.build_const_graph(s)
+            assert_rows_are_the_path_loops(cg, g.build_const_paths(s.const_tree))
+
+    def test_deep_tree_in_one_walk(self):
+        # a right-branching tree nested 1,000 deep: the paths sum to about
+        # 500,000 tags, which the per-path loop took 0.15-0.28 s to read
+        n, tags = 1000, ["S", "VP", "NP", "PP"]
+        text = ("".join(f"({tags[i % 4]} (NN w{i}) " for i in range(n - 1))
+                + f"(NP (NN w{n - 1}))" + ")" * (n - 1))
+        s = make_sentence([f"w{i}" for i in range(n)], text,
+                          [[-1, "ROOT"]] + [[0, "dep"]] * (n - 1))
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            labels, rows = g.const_label_rows(s.const_tree)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.05
+        assert labels == sorted(tags) and rows.shape == (n, 4)
+        # the last word sits under all n phrases
+        last = [tags[i % 4] for i in range(n - 1)] + ["NP"]
+        np.testing.assert_allclose(rows[-1], [last.count(t) / n for t in labels],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=1e-12)

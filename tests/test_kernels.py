@@ -1,7 +1,8 @@
 """The fused kernels against the primitive chains they replace.
 
 The encoder is ``ad.window_linear`` over the gathered, unmarked rows, once
-per sentence, then ``ad.marked_window_relu`` per verb; one GCN view is
+over a batch's row stack of sentences, then ``ad.marked_window_relu`` per
+verb; one GCN view is
 ``ad.attention_layer``; each loss is a constant mask over an
 ``ad.row_softmax`` record (R1-R3 over one block row softmax of the view
 states' Gram, ``losses.view_gram``), and an instance's weighted sum of them
@@ -25,6 +26,7 @@ from synoie import losses as L
 from synoie.config import TrainConfig
 from synoie.graphs import SyntacticGraph
 
+from primitives import masked_sum
 from tree_strategies import (bracketed_trees, flat_sentence, root_is_preterminal,
                              tree_leaf_surfaces)
 
@@ -95,7 +97,7 @@ class TestEncoderKernels:
         ids = [te.vocab.lookup(w) for w in words]
         want = old_encoder(p.w_word.data[ids], p.w_verb.data, p.w_mix.data,
                            p.b_mix.data, verb)
-        got = te.encode(te.base(flat_sentence(words)), verb)
+        got = te.encode(te.base([flat_sentence(words)]), verb)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, verb", verb_cases())
@@ -107,20 +109,20 @@ class TestEncoderKernels:
         p = te.params
 
         def f(*params):
-            return ad.masked_sum(te.encode(te.base(s), verb), readout)
+            return masked_sum(te.encode(te.base([s]), verb), readout)
 
         assert ad.grad_check(f, [p.w_word, p.w_verb, p.w_mix, p.b_mix]) < 1e-6
 
     def test_verb_outside_marks_nothing(self):
         te = toy_encoder(["a", "b", "c"], seed=3)
-        base = te.base(flat_sentence(["a", "b", "c"]))
+        base = te.base([flat_sentence(["a", "b", "c"])])
         unmarked = np.maximum(base.data, 0.0)
         for verb in (-1, 3, 50):
             np.testing.assert_array_equal(te.encode(base, verb).data, unmarked)
 
     def test_encode_leaves_the_shared_base(self):
         te = toy_encoder(["a", "b"], seed=4)
-        base = te.base(flat_sentence(["a", "b"]))
+        base = te.base([flat_sentence(["a", "b"])])
         before = base.data.copy()
         te.encode(base, 0)
         np.testing.assert_array_equal(base.data, before)
@@ -136,7 +138,7 @@ class TestEncoderKernels:
                                "verbs": list(range(n))})
         te = toy_encoder(tokens, seed)
         p = te.params
-        base = te.base(s)
+        base = te.base([s])
         words = p.w_word.data[[te.vocab.lookup(t) for t in tokens]]
         for verb in s.verbs:
             direct = old_encoder(words, p.w_verb.data, p.w_mix.data,
@@ -178,7 +180,7 @@ class TestEncoderInputKernel:
     def test_matches_old_chain(self, n):
         xs, ids, readout = encoder_input_case(n, np.random.default_rng(50 + n))
         out = ad.window_linear(xs[0], ids, *xs[1:])
-        ad.masked_sum(out, readout).backward()
+        masked_sum(out, readout).backward()
         table, marks, w, b = (x.data for x in xs)
         want, want_grads = old_encoder_input(table, ids, marks, w, b, readout)
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
@@ -190,9 +192,41 @@ class TestEncoderInputKernel:
         xs, ids, readout = encoder_input_case(n, np.random.default_rng(60 + n))
 
         def f(table, marks, w, b):
-            return ad.masked_sum(ad.window_linear(table, ids, marks, w, b), readout)
+            return masked_sum(ad.window_linear(table, ids, marks, w, b), readout)
 
         assert ad.grad_check(f, xs) < 1e-6
+
+    @pytest.mark.parametrize("lengths", [[1, 1], [3, 1, 4], [1, 5, 1, 2], [2, 6]])
+    def test_row_stack_is_the_sentences_stacked(self, lengths):
+        # over a row stack of sentences no window reaches past its own
+        # sentence, so the one node is each sentence's own node stacked, and
+        # its gradients are their sums.  Not byte for byte: BLAS may round a
+        # row of a product differently for another row count (a 1-row
+        # product runs as a matrix-vector product)
+        rng = np.random.default_rng(sum(lengths))
+        xs, ids, readout = encoder_input_case(sum(lengths), rng)
+        stacked = ad.window_linear(xs[0], ids, *xs[1:], lengths=lengths)
+        masked_sum(stacked, readout).backward()
+        got_grads = [x.grad for x in xs]
+        want, want_grads, start = [], [np.zeros_like(x.data) for x in xs], 0
+        for n in lengths:
+            for x in xs:
+                x.grad = None
+            own = ad.window_linear(xs[0], ids[start:start + n], *xs[1:])
+            masked_sum(own, readout[start:start + n]).backward()
+            want.append(own.data)
+            for acc, x in zip(want_grads, xs):
+                acc += x.grad
+            start += n
+        np.testing.assert_allclose(stacked.data, np.vstack(want), rtol=0, atol=1e-13)
+        for got, expected in zip(got_grads, want_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[1, 1], [2, 0, 1], [4]])
+    def test_rejects_lengths_that_are_not_the_rows(self, lengths):
+        xs, ids, _ = encoder_input_case(3, np.random.default_rng(8))
+        with pytest.raises(ad.ShapeMismatch):
+            ad.window_linear(xs[0], ids, *xs[1:], lengths=lengths)
 
     def test_records_one_node(self):
         xs, ids, _ = encoder_input_case(3, np.random.default_rng(7))
@@ -235,7 +269,7 @@ class TestAttentionKernel:
         readout = rng.normal(size=(n, D))
 
         def f(h, l, proj):
-            return ad.masked_sum(ad.attention_layer(h, l, proj, mask)[0], readout)
+            return masked_sum(ad.attention_layer(h, l, proj, mask)[0], readout)
 
         assert ad.grad_check(f, xs) < 1e-6
 

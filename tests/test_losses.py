@@ -238,6 +238,15 @@ class TestTaggingLoss:
         with pytest.raises(ad.ShapeMismatch):
             L.tagging_loss(ad.constant(np.zeros((2, 2))), gold)
 
+    def test_given_pick_is_the_one_built_here(self):
+        logits = ad.constant(np.random.default_rng(11).normal(size=(3, 4)))
+        rows, pick = L.tagging_loss(logits, [1, 3, 1])
+        given = L.gold_pick([1, 3, 1], 4)
+        assert given.tobytes() == pick.tobytes()
+        assert L.tagging_loss(logits, [1, 3, 1], given)[1] is given
+        with pytest.raises(ad.ShapeMismatch):
+            L.tagging_loss(logits, [1, 3, 1], L.gold_pick([1, 3, 1], 5))
+
 
 class TestCombinedLoss:
     def test_zero_weights_bit_equal_to_ce(self):

@@ -122,10 +122,20 @@ class TestInstanceLosses:
         err = ad.grad_check(f, list(model.params.values()), eps=1e-5)
         assert err < 1e-4
 
+    def test_given_target_changes_nothing(self, setup):
+        sentences, cache, model = build(setup)
+        for inst in expand_instances(sentences[0]):
+            target = model.ce_target(inst)
+            own = model.instance_losses(inst, cache[0], 0)
+            given = model.instance_losses(inst, cache[0], 0, target=target)
+            assert given.terms[0][1] is target[1]
+            assert given["gold_ids"] == own["gold_ids"] == target[0]
+            assert given["total"].data.tobytes() == own["total"].data.tobytes()
+
     def test_given_state_changes_nothing(self, setup):
         sentences, cache, model = build(setup)
         i, s = next((i, s) for i, s in enumerate(sentences) if len(s.verbs) >= 2)
-        state = model.sentence_state(s, cache[i], i)
+        state = model.sentence_states([s], [cache[i]], [i])[0]
         for inst in expand_instances(s):
             own = model.instance_losses(inst, cache[i], i)
             shared = model.instance_losses(inst, cache[i], i, state=state)
@@ -180,11 +190,23 @@ class TestTapeSize:
         assert sorted(calls) == ["masked_nll", "r_mask"]
 
     def test_every_node_a_batch_records_is_on_its_tape(self, monkeypatch):
-        # one training batch: its instances record their forward passes and
-        # the batch one ``masked_nll`` node over all of their masks, the node
-        # that ``train`` walks backward
+        # one training batch: its sentences' states record one encoder base
+        # node and, per view, one label embedding and one projection node,
+        # each with one row block per sentence; its instances record their
+        # forward passes, and the batch one ``masked_nll`` node over all of
+        # their masks, the node that ``train`` walks backward
         recorded, nll_nodes, walked = [], [], []
         record, nll, backward = ad._record, ad.masked_nll, ad.Tensor.backward
+        built = {"window_linear": 0, "node_label_embed_const": 0,
+                 "node_label_embed_dep": 0, "label_projection": 0}
+        for owner, name in ((ad, "window_linear"), (gcn, "node_label_embed_const"),
+                            (gcn, "node_label_embed_dep"), (gcn, "label_projection")):
+            def counted_build(*args, _inner=getattr(owner, name), _name=name,
+                              **kwargs):
+                out = _inner(*args, **kwargs)
+                built[_name] += out.requires_grad  # the dev eval's record nothing
+                return out
+            monkeypatch.setattr(owner, name, counted_build)
 
         def recording(out, parents, backward):
             recorded.append(record(out, parents, backward))
@@ -209,6 +231,10 @@ class TestTapeSize:
         assert [t for t in recorded if t.requires_grad and id(t) not in on_tape] == []
         # its parents: each instance's tag logits and row stack of view states
         assert len(walked[0]._parents) == 2 * sum(len(s.verbs) for s in sentences)
+        assert built == {"window_linear": 1, "node_label_embed_const": 1,
+                         "node_label_embed_dep": 1, "label_projection": 2}
+        blocks = [t for t in recorded if t.requires_grad and t._backward is None]
+        assert len(blocks) == 5 * len(sentences)
 
     def test_r1_to_r3_read_one_record_from_one_product(self, monkeypatch):
         # one row softmax for R1, R2 and R3: the block softmax of G = H Hᵀ
@@ -435,11 +461,10 @@ SHARED_STATE_CONFIGS = ["default", "no-gcn", "no-dep", "no-const", "vectors"]
 DRAWN_ID = 10_000  # the sentence id a drawn sentence's vectors are stored under
 
 
-@pytest.fixture(scope="module")
-def sample_models(tmp_path_factory):
-    """The sample corpus, its graphs, and one model per shared-state config."""
+def shared_state_models(tmp_path_factory, cfg):
+    """The sample corpus, its graphs, and one model per shared-state config
+    at the widths of ``cfg``."""
     sentences = load_corpus(SAMPLE_CORPUS)
-    cfg = TrainConfig(seed=4, d_h=8, d_l=4)
     cache = build_graph_cache(sentences, cfg.flatten)
     vocab = Vocabulary.from_sentences(sentences)
     dl, cl = _label_inventories(cache, range(len(sentences)))
@@ -447,8 +472,8 @@ def sample_models(tmp_path_factory):
     vec_path = tmp_path_factory.mktemp("vectors") / "vectors.jsonl"
     vec_path.write_text("".join(
         json.dumps({"sentence_id": i,
-                    "vectors": rng.normal(size=(len(s.tokens), 8)).tolist()}) + "\n"
-        for i, s in enumerate(sentences)))
+                    "vectors": rng.normal(size=(len(s.tokens), cfg.d_h)).tolist()})
+        + "\n" for i, s in enumerate(sentences)))
     overrides = {"default": {}, "no-gcn": {"use_gcn": False},
                  "no-dep": {"use_dep": False}, "no-const": {"use_const": False},
                  "vectors": {"encoder_vectors": str(vec_path)}}
@@ -458,11 +483,21 @@ def sample_models(tmp_path_factory):
     return sentences, cache, models
 
 
+@pytest.fixture(scope="module")
+def sample_models(tmp_path_factory):
+    return shared_state_models(tmp_path_factory, TrainConfig(seed=4, d_h=8, d_l=4))
+
+
+@pytest.fixture(scope="module")
+def default_width_models(tmp_path_factory):
+    return shared_state_models(tmp_path_factory, TrainConfig(seed=4))
+
+
 def assert_shared_state_changes_nothing(model, s, graphs, sid):
     """Every verb's predict over one shared state equals, bit for bit, the
     predict that builds its own state."""
     with ad.no_grad():
-        state = model.sentence_state(s, graphs, sid)
+        state = model.sentence_states([s], [graphs], [sid])[0]
     for verb in s.verbs:
         tags, probs = model.predict(s, verb, graphs, sid)
         shared_tags, shared_probs = model.predict(s, verb, graphs, sid, state)
@@ -516,7 +551,7 @@ class TestSentenceState:
     def test_state_for_other_graphs_rejected(self, sample_models):
         sentences, cache, models = sample_models
         model = models["default"]
-        state = model.sentence_state(sentences[0], cache[0], 0)
+        state = model.sentence_states([sentences[0]], [cache[0]], [0])[0]
         with pytest.raises(ValueError, match="other graphs"):
             model.forward(sentences[1], sentences[1].verbs[0], cache[1], 1, state)
         rebuilt = SentenceGraphs.build(sentences[0], model.cfg.flatten)
@@ -524,3 +559,87 @@ class TestSentenceState:
             model.predict(sentences[0], sentences[0].verbs[0], rebuilt, 0, state)
         with pytest.raises(ValueError, match="another sentence id"):
             model.predict(sentences[0], sentences[0].verbs[0], cache[0], 1, state)
+
+
+def state_tensors(state) -> dict[str, ad.Tensor]:
+    """A state's tensors by name: the base, then each active view's label
+    embedding and projection."""
+    out = {"base": state.base}
+    for view in ("con", "dep"):
+        if getattr(state, view) is not None:
+            out[f"{view}.l"], out[f"{view}.proj"] = getattr(state, view)
+    return out
+
+
+def batch_terms(model, sentences, cache, ids):
+    """The loss terms of every instance of sentences ``ids``, over states
+    built as one batch."""
+    states = model.sentence_states([sentences[i] for i in ids],
+                                   [cache[i] for i in ids], ids)
+    return [term for i, state in zip(ids, states)
+            for inst in expand_instances(sentences[i])
+            for term in model.instance_losses(inst, cache[i], i, state).terms]
+
+
+class TestBatchStates:
+    """One ``sentence_states`` call over several sentences: one node per kind
+    over their row stack, and each state its sentence's row block."""
+
+    @pytest.mark.parametrize("config", SHARED_STATE_CONFIGS)
+    def test_each_state_is_its_sentences_own(self, default_width_models, config):
+        # the blocks of a batch of every sample sentence, last first, against
+        # each sentence's batch of one.  Copied rows (the replayed vectors, the
+        # dep label gather) are equal byte for byte; a product through BLAS
+        # to its rounding, since this machine's BLAS may round a row
+        # differently for another row count (at the default widths, the
+        # window mix of 4-8 rows and of the 115-row stack differ by up to
+        # 2.2e-16)
+        sentences, cache, models = default_width_models
+        model = models[config]
+        ids = list(range(len(sentences)))[::-1]
+        batch = model.sentence_states([sentences[i] for i in ids],
+                                      [cache[i] for i in ids], ids)
+        exact = {"dep.l"} | ({"base"} if config == "vectors" else set())
+        for i, state in zip(ids, batch, strict=True):
+            [own] = model.sentence_states([sentences[i]], [cache[i]], [i])
+            assert state.graphs is cache[i] and state.sentence_id == i
+            got, want = state_tensors(state), state_tensors(own)
+            assert got.keys() == want.keys()
+            for name, t in got.items():
+                assert t.shape == (len(sentences[i].tokens), want[name].shape[1])
+                if name in exact:
+                    assert t.data.tobytes() == want[name].data.tobytes(), name
+                else:
+                    np.testing.assert_allclose(t.data, want[name].data, rtol=0,
+                                               atol=1e-14, err_msg=name)
+
+    def test_batch_gradient_is_the_sum_of_each_sentences(self, default_width_models):
+        # the row blocks send each sentence's gradient back into the batch's
+        # nodes: a batch loss's parameter gradient is the sum of the same
+        # loss's over each sentence's batch of one, to rounding
+        sentences, cache, models = default_width_models
+        model = models["default"]
+        ids = [3, 0, 5, 1]
+
+        def gradient(groups):
+            for p in model.params.values():
+                p.grad = None
+            ad.masked_nll([t for group in groups
+                           for t in batch_terms(model, sentences, cache, group)]
+                          ).backward()
+            return {name: p.grad.copy() for name, p in model.params.items()}
+
+        batch, apart = gradient([ids]), gradient([[i] for i in ids])
+        for name in batch:
+            np.testing.assert_allclose(batch[name], apart[name], rtol=0,
+                                       atol=1e-12, err_msg=name)
+
+    def test_batch_loss_gradient_check(self, setup):
+        sentences, cache, model = build(setup, d_h=6, d_l=3)
+        ids = [i for i, s in enumerate(sentences) if s.verbs][:3]
+
+        def f(*params):
+            return ad.masked_nll(batch_terms(model, sentences, cache, ids))
+
+        assert len(ids) == 3
+        assert ad.grad_check(f, list(model.params.values()), eps=1e-5) < 1e-4

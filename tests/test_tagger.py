@@ -131,8 +131,8 @@ class FakeModel:
         self.by_verb = by_verb
         self.n = n
 
-    def sentence_state(self, sentence, graphs, sentence_id=None):
-        return None
+    def sentence_states(self, sentences, graphs, sentence_ids):
+        return [None] * len(sentences)
 
     def predict(self, sentence, verb, graphs, sentence_id=None, state=None):
         tags = self.by_verb.get(verb, ["O"] * self.n)

@@ -87,20 +87,35 @@ class TestTrainLoop:
 
     def test_sentence_state_built_once_per_sentence_per_batch(self, corpus12,
                                                              monkeypatch):
-        # with one batch per epoch, a sentence's verbs share one state within
-        # an epoch and get a new one in the next
+        # with one batch per epoch, one ``sentence_states`` call per epoch
+        # builds the states of the batch's distinct sentences, in the order
+        # they first appear; a sentence's verbs share its state within an
+        # epoch and get a new one in the next
+        calls = []  # (sentence ids, states) per recording call
         seen = []  # (sentence id, state) per instance, in call order
-        inner = Model.instance_losses
+        inner_states, inner = Model.sentence_states, Model.instance_losses
+
+        def building(self, sentences, graphs, sentence_ids):
+            states = inner_states(self, sentences, graphs, sentence_ids)
+            if states[0].base.requires_grad:  # not a dev eval's
+                calls.append((list(sentence_ids), states))
+            return states
 
         def recorded(self, inst, graphs, sentence_id=None, state=None, **kwargs):
             seen.append((sentence_id, state))
             return inner(self, inst, graphs, sentence_id, state, **kwargs)
 
+        monkeypatch.setattr(Model, "sentence_states", building)
         monkeypatch.setattr(Model, "instance_losses", recorded)
         cfg = TrainConfig(seed=1, d_h=8, d_l=4, epochs=2, batch_size=1000,
                           early_stop_train_acc=None)
         tr.train(corpus12, cfg)
         per_epoch = len(seen) // 2
+        assert len(calls) == 2
+        for epoch, (ids, built) in enumerate(calls):
+            batch = seen[epoch * per_epoch:(epoch + 1) * per_epoch]
+            assert ids == list(dict.fromkeys(sid for sid, _ in batch))
+            assert all(state is dict(zip(ids, built))[sid] for sid, state in batch)
         states = {}  # (epoch, sentence id) -> the states its verbs got
         for k, (sid, state) in enumerate(seen):
             assert state is not None and state.sentence_id == sid
@@ -108,6 +123,30 @@ class TestTrainLoop:
         assert all(len(ids) == 1 for ids in states.values())
         assert len(seen) > len(states)  # some sentence has two verbs or more
         assert all(states[(0, sid)] != states[(1, sid)] for _, sid in states)
+
+    def test_ce_target_built_once_per_instance_per_run(self, corpus12, monkeypatch):
+        # an instance's gold ids and CE pick mask depend only on its gold
+        # tags: over two epochs of several batches each is built once and
+        # every forward of that instance reads it
+        built, read = [], []
+        inner_target, inner_losses = Model.ce_target, Model.instance_losses
+
+        def building(self, inst):
+            built.append((inst, inner_target(self, inst)))
+            return built[-1][1]
+
+        def reading(self, inst, graphs, *args, target=None, **kwargs):
+            read.append((inst, target))
+            return inner_losses(self, inst, graphs, *args, target=target, **kwargs)
+
+        monkeypatch.setattr(Model, "ce_target", building)
+        monkeypatch.setattr(Model, "instance_losses", reading)
+        cfg = TrainConfig(seed=1, d_h=8, d_l=4, epochs=2, batch_size=4,
+                          early_stop_train_acc=None)
+        tr.train(corpus12, cfg)
+        targets = {id(inst): target for inst, target in built}
+        assert len(targets) == len(built) and len(read) == 2 * len(built)
+        assert all(targets[id(inst)] is target for inst, target in read)
 
     def test_r_mask_built_once_per_sentence_per_run(self, corpus12, monkeypatch):
         # the weighted R mask depends only on a sentence's graphs: over two
@@ -120,9 +159,11 @@ class TestTrainLoop:
             built.append((graphs, inner_mask(self, graphs)))
             return built[-1][1]
 
-        def reading(self, inst, graphs, sentence_id=None, state=None, r_mask=None):
+        def reading(self, inst, graphs, sentence_id=None, state=None, r_mask=None,
+                    **kwargs):
             read.append((graphs, r_mask))
-            return inner_losses(self, inst, graphs, sentence_id, state, r_mask)
+            return inner_losses(self, inst, graphs, sentence_id, state, r_mask,
+                                **kwargs)
 
         monkeypatch.setattr(Model, "r_mask", building)
         monkeypatch.setattr(Model, "instance_losses", reading)
