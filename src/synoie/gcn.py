@@ -35,8 +35,10 @@ class LabelVocab:
         if len(self.ids) != len(self.labels):
             raise ValueError("duplicate label entries")
         self.unk_id = self.ids[UNK_LABEL]
-        # each const graph's path-averaging matrix, dropped with the graph
+        # each const graph's path-averaging matrix and each dep graph's
+        # label ids, dropped with the graph
         self._path_averages = weakref.WeakKeyDictionary()
+        self._label_ids = weakref.WeakKeyDictionary()
 
     def __len__(self):
         return len(self.labels)
@@ -61,6 +63,18 @@ class LabelVocab:
             self._path_averages[g] = avg
         return avg
 
+    def label_ids(self, g: SyntacticGraph) -> np.ndarray:
+        """(n,) the id of each node's one label, UNK for a label this
+        vocabulary lacks.  Built on the first call for ``g`` and kept until
+        ``g`` is dropped."""
+        ids = self._label_ids.get(g)
+        if ids is None:
+            label_set, rows = g.label_rows
+            ids = np.array([self.lookup(l) for l in label_set],
+                           dtype=np.intp)[rows.argmax(axis=1)]
+            self._label_ids[g] = ids
+        return ids
+
 
 @dataclass
 class GcnParams:
@@ -76,12 +90,8 @@ def node_label_embed_dep(graphs: list[SyntacticGraph], params: GcnParams,
     """(N, d_l): the W1 row of each node's dependency label, over the row
     stack of ``graphs``, as one gather."""
     assert all(g.view == DEP_VIEW for g in graphs)
-    ids = []
-    for g in graphs:
-        label_set, rows = g.label_rows
-        ids.append(np.array([labels.lookup(l) for l in label_set],
-                            dtype=np.intp)[rows.argmax(axis=1)])
-    return ad.gather_rows(params.w1, np.concatenate(ids))
+    return ad.gather_rows(params.w1,
+                          np.concatenate([labels.label_ids(g) for g in graphs]))
 
 
 def node_label_embed_const(graphs: list[SyntacticGraph], params: GcnParams,

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,9 +68,10 @@ class SyntacticGraph:
 
     ``label_rows`` is the sorted list of the distinct node labels and the
     (n, U) matrix whose row i averages node i's labels over them: a dep node
-    has one label, a const node the tags of its path.  When not given it is
-    built from ``node_labels``; ``build_const_graph`` gives it from one walk
-    down the tree (``const_label_rows``).
+    has one label, a const node the tags of its path.  The builders below
+    give it: a one-hot write for the dep view and v1, and the tree walk of
+    ``const_label_rows`` for the other const variants.  A graph that no label
+    embedding reads may leave it None.
     """
 
     view: str
@@ -78,18 +80,6 @@ class SyntacticGraph:
     edges: frozenset
     adjacency: np.ndarray = field(repr=False)
     label_rows: tuple[list[str], np.ndarray] | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.label_rows is None:
-            paths = (self.node_labels if self.view == CONST_VIEW
-                     else [[label] for label in self.node_labels])
-            label_set = sorted({tag for path in paths for tag in path})
-            column = {tag: k for k, tag in enumerate(label_set)}
-            rows = np.zeros((self.n, len(label_set)))
-            for i, path in enumerate(paths):
-                for tag in path:
-                    rows[i, column[tag]] += 1.0 / len(path)
-            self.label_rows = label_set, rows
 
     @cached_property
     def selection(self) -> np.ndarray:
@@ -102,11 +92,22 @@ class SyntacticGraph:
 
 
 def _adjacency_from_edges(n: int, edges) -> np.ndarray:
+    # one item write per edge end: at a sentence's tens of edges this beats
+    # one fancy-index write, whose cost is converting its index lists
     adj = np.eye(n, dtype=bool)
     for i, j, _ in edges:
         adj[i, j] = True
         adj[j, i] = True
     return adj
+
+
+def _one_hot_rows(labels: list[str]) -> tuple[list[str], np.ndarray]:
+    """``label_rows`` for one label a node: a 1.0 in each row's column."""
+    label_set = sorted(set(labels))
+    column = {label: k for k, label in enumerate(label_set)}
+    rows = np.zeros((len(labels), len(label_set)))
+    rows[np.arange(len(labels)), [column[label] for label in labels]] = 1.0
+    return label_set, rows
 
 
 def build_dep_graph(s: ParsedSentence) -> SyntacticGraph:
@@ -115,15 +116,93 @@ def build_dep_graph(s: ParsedSentence) -> SyntacticGraph:
     n = len(s.tokens)
     labels = [ROOT_LABEL if h == ROOT_HEAD else d
               for h, d in zip(dep.heads, dep.deprels)]
+    edges = frozenset((h, i, d) if h < i else (i, h, d)
+                      for i, (h, d) in enumerate(zip(dep.heads, dep.deprels))
+                      if h != ROOT_HEAD)
+    return SyntacticGraph(view=DEP_VIEW, n=n, node_labels=labels, edges=edges,
+                          adjacency=_adjacency_from_edges(n, edges),
+                          label_rows=_one_hot_rows(labels))
+
+
+class _ConstWalk(NamedTuple):
+    """What one walk down a constituency tree gives: each word's tag path,
+    the const view's ``label_rows`` for those paths, and the rule 1-4
+    edges."""
+
+    paths: list[list[str]]
+    label_rows: tuple[list[str], np.ndarray]
+    edges: frozenset
+
+
+def _walk_const(tree: ConstituencyTree,
+                cfg: FlattenConfig = FlattenConfig()) -> _ConstWalk:
+    """One stack walk down ``tree`` that keeps the tag path to the current
+    node and a running count of each tag on it.
+
+    A word copies the path once and reads its label row off the counts: its
+    entry for a tag it counts k times on a path of length L is 1/L added k
+    times in a row, as a loop over the path sums it.  Those partial sums
+    come from one running sum per change of leaf depth, so the rows cost
+    O(tree nodes x distinct tags) plus those sums, and the paths the sum of
+    their lengths.  A phrase adds its rule 1-3 edges from its span and its
+    children, and rule 4 drops the long ones as they come.
+    """
+    nodes = tree.nodes
+    if not nodes[tree.root].children:  # a bare preterminal: an empty path
+        return _ConstWalk([[]], ([], np.zeros((1, 0))), frozenset())
+    label_set = sorted({node.tag for node in nodes if node.children})
+    column = {tag: k for k, tag in enumerate(label_set)}
+    paths = [None] * tree.n_leaves
+    rows = [None] * tree.n_leaves
+    counts = [0] * len(label_set)
+    path, sums = [], [0.0]  # sums[k]: 1 / (len(sums) - 1) added k times
     edges = set()
-    for i, h in enumerate(dep.heads):
-        if h == ROOT_HEAD:
+    clause_tags = cfg.clause_tags
+    reach = tree.n_leaves if cfg.variant == "v3" else cfg.max_distance
+    side = -1 if cfg.variant == "v2" else 0  # the phrase word rule 2 targets
+    # the stack holds phrases: a node id enters one, and ~k leaves one whose
+    # tag is column k; a phrase handles its word children on the spot
+    stack = [tree.root]
+    while stack:
+        nid = stack.pop()
+        if nid < 0:
+            counts[~nid] -= 1
+            path.pop()
             continue
-        a, b = (h, i) if h < i else (i, h)
-        edges.add((a, b, dep.deprels[i]))
-    return SyntacticGraph(view=DEP_VIEW, n=n, node_labels=labels,
-                          edges=frozenset(edges),
-                          adjacency=_adjacency_from_edges(n, edges))
+        node = nodes[nid]
+        tag = node.tag
+        k = column[tag]
+        counts[k] += 1
+        path.append(tag)
+        stack.append(~k)
+        first, last = node.span
+        # rules 1 and 3: the boundary of a multi-word NP or clause
+        if 0 < last - first <= reach and (tag == "NP" or tag in clause_tags):
+            edges.add((first, last, tag))
+        row, words, targets = None, [], []
+        for c in node.children:
+            kid = nodes[c]
+            if kid.children:
+                stack.append(c)
+                targets.append(kid.span[side])
+                continue
+            if row is None:
+                depth = len(path)
+                if len(sums) != depth + 1:
+                    sums = list(accumulate(repeat(1.0 / depth, depth), initial=0.0))
+                row = [sums[k] for k in counts]
+            i = kid.span[0]
+            paths[i] = path.copy()
+            rows[i] = row
+            if kid.tag not in DEFAULT_PUNCT_TAGS:
+                words.append(i)
+        # rule 2: each word child to one word of each phrasal sibling
+        for w in words:
+            for t in targets:
+                if abs(w - t) <= reach:
+                    edges.add((w, t, tag) if w < t else (t, w, tag))
+    return _ConstWalk(paths, (label_set, np.array(rows).reshape(
+        tree.n_leaves, len(label_set))), frozenset(edges))
 
 
 def build_const_paths(tree: ConstituencyTree) -> list[list[str]]:
@@ -131,111 +210,32 @@ def build_const_paths(tree: ConstituencyTree) -> list[list[str]]:
 
     Preterminal POS tags are excluded: the path stops at the phrase level.
     """
-    paths: list[list[str]] = [None] * tree.n_leaves
-    stack = [(tree.root, [])]  # (node id, tags of its ancestors)
-    while stack:
-        nid, prefix = stack.pop()
-        node = tree.nodes[nid]
-        if node.is_preterminal:
-            paths[node.span[0]] = list(prefix)
-        else:
-            path = prefix + [node.tag]
-            stack.extend((c, path) for c in node.children)
-    return paths
+    return _walk_const(tree).paths
 
 
 def const_label_rows(tree: ConstituencyTree) -> tuple[list[str], np.ndarray]:
     """The const view's ``label_rows`` for the tag paths of
-    ``build_const_paths``, in one walk down the tree that keeps a running
-    count of each tag on the path to the current node.
-
-    A word's entry for a tag it counts k times on a path of length L is
-    1/L added k times in a row, as a loop over the path sums it, so these
-    are the bytes the per-path loop of ``SyntacticGraph`` gives.  Those
-    partial sums come from one running sum per change of leaf depth, so the
-    work is O(tree nodes x distinct tags) plus those sums, where reading
-    every path costs the sum of their lengths.
-    """
-    nodes = tree.nodes
-    label_set = sorted({node.tag for node in nodes if node.children})
-    column = {tag: k for k, tag in enumerate(label_set)}
-    rows = [None] * tree.n_leaves
-    counts = [0] * len(label_set)
-    depth, sums = 0, [0.0]  # sums[k]: 1 / (len(sums) - 1) added k times
-    # a node id enters its node; ~k leaves a node whose tag is column k
-    stack = [tree.root]
-    while stack:
-        nid = stack.pop()
-        if nid < 0:
-            counts[~nid] -= 1
-            depth -= 1
-            continue
-        node = nodes[nid]
-        if not node.children:
-            if len(sums) != depth + 1:
-                sums = list(accumulate(repeat(1.0 / depth, depth), initial=0.0))
-            rows[node.span[0]] = [sums[k] for k in counts]
-            continue
-        k = column[node.tag]
-        counts[k] += 1
-        depth += 1
-        stack.append(~k)
-        stack.extend(node.children)
-    return label_set, np.array(rows).reshape(tree.n_leaves, len(label_set))
+    ``build_const_paths``: the bytes the loop over each path gives."""
+    return _walk_const(tree).label_rows
 
 
 def flatten_const_relations(tree: ConstituencyTree,
                             cfg: FlattenConfig = FlattenConfig()) -> frozenset:
     """Flatten phrase structure into typed word-to-word edges (rules 1-4)."""
-    edges: set[tuple[int, int, str]] = set()
-
-    def add(i: int, j: int, etype: str):
-        if i == j:
-            return
-        if i > j:
-            i, j = j, i
-        edges.add((i, j, etype))
-
-    for node in tree.nodes:
-        if node.is_preterminal:
-            continue
-        first, last = node.span
-        # rule 1: NP boundary
-        if node.tag == "NP" and last > first:
-            add(first, last, "NP")
-        # rule 3: clause boundary
-        if node.tag in cfg.clause_tags and last > first:
-            add(first, last, node.tag)
-        # rule 2: word child to first (v2: last) word of each phrasal sibling
-        word_children = [c for c in node.children
-                         if tree.nodes[c].is_preterminal
-                         and tree.nodes[c].tag not in DEFAULT_PUNCT_TAGS]
-        phrase_children = [c for c in node.children
-                           if not tree.nodes[c].is_preterminal]
-        for w in word_children:
-            widx = tree.nodes[w].span[0]
-            for p in phrase_children:
-                pfirst, plast = tree.nodes[p].span
-                target = plast if cfg.variant == "v2" else pfirst
-                add(widx, target, node.tag)
-
-    if cfg.variant != "v3":
-        edges = {(i, j, t) for i, j, t in edges if j - i <= cfg.max_distance}
-    return frozenset(edges)
+    return _walk_const(tree, cfg).edges
 
 
 def build_const_graph(s: ParsedSentence, cfg: FlattenConfig = FlattenConfig()) -> SyntacticGraph:
-    paths = build_const_paths(s.const_tree)
+    """Constituency view: tag paths, label rows and edges from one walk."""
+    walk = _walk_const(s.const_tree, cfg)
+    paths, rows = walk.paths, walk.label_rows
     if cfg.variant == "v1":
-        # one tag a path: the rows are built from the paths in O(n)
-        paths, rows = [p[-1:] for p in paths], None
-    else:
-        rows = const_label_rows(s.const_tree)
-    edges = flatten_const_relations(s.const_tree, cfg)
+        paths = [p[-1:] for p in paths]
+        rows = _one_hot_rows([p[0] for p in paths])
     n = len(s.tokens)
     return SyntacticGraph(view=CONST_VIEW, n=n, node_labels=paths,
-                          edges=edges,
-                          adjacency=_adjacency_from_edges(n, edges),
+                          edges=walk.edges,
+                          adjacency=_adjacency_from_edges(n, walk.edges),
                           label_rows=rows)
 
 

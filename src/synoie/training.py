@@ -16,8 +16,11 @@ from __future__ import annotations
 import json
 import os
 import zipfile
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,20 +65,47 @@ class NonFiniteLoss(TrainingError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
+    """A trained model's config, vocabularies and parameter arrays.
+
+    It is frozen, its label lists are tuples and its arrays read-only copies,
+    so ``model``, built on first use and then kept, never goes stale; a
+    ``dataclasses.replace`` copy builds its own.  Pickling (the ``--workers``
+    pool) sends the arrays and leaves the built model behind.
+    """
+
     config: TrainConfig
-    vocab_tokens: list[str]
-    dep_labels: list[str]
-    con_labels: list[str]
-    arrays: dict[str, np.ndarray]
+    vocab_tokens: tuple[str, ...]
+    dep_labels: tuple[str, ...]
+    con_labels: tuple[str, ...]
+    arrays: Mapping[str, np.ndarray]
     epoch: int
     history: list[dict] = field(default_factory=list)
 
-    def to_model(self) -> Model:
-        return Model.from_arrays(self.config, Vocabulary(self.vocab_tokens),
-                                 LabelVocab(self.dep_labels),
-                                 LabelVocab(self.con_labels), self.arrays)
+    def __post_init__(self):
+        for name in ("vocab_tokens", "dep_labels", "con_labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        arrays = {}
+        for name, a in self.arrays.items():
+            arrays[name] = a = np.array(a)
+            a.flags.writeable = False
+        object.__setattr__(self, "arrays", MappingProxyType(arrays))
+
+    def __reduce__(self):
+        return (type(self), (self.config, self.vocab_tokens, self.dep_labels,
+                             self.con_labels, dict(self.arrays), self.epoch,
+                             self.history))
+
+    @cached_property
+    def model(self) -> Model:
+        """The model of these arrays, its parameters read-only too."""
+        model = Model.from_arrays(self.config, Vocabulary(self.vocab_tokens),
+                                  LabelVocab(self.dep_labels),
+                                  LabelVocab(self.con_labels), self.arrays)
+        for a in (model.theta, *(p.data for p in model.params.values())):
+            a.flags.writeable = False
+        return model
 
     def save(self, path: str | Path):
         meta = {
@@ -287,7 +317,7 @@ _POOL_MODEL = None
 
 def _pool_init(ckpt: Checkpoint):
     global _POOL_MODEL
-    _POOL_MODEL = ckpt.to_model()
+    _POOL_MODEL = ckpt.model
 
 
 def _extract_one(model: Model, i: int, sentence: ParsedSentence) -> list[Extraction]:
@@ -303,10 +333,11 @@ def extract_corpus(ckpt: Checkpoint, sentences: list[ParsedSentence],
                    workers: int = 1) -> list[list[Extraction]]:
     """Per-sentence tuple lists, in corpus order, from a pool of ``workers``
     processes at most: no more than the sentences or the CPUs, and serial
-    for one."""
+    for one.  The serial path runs ``ckpt.model``, which every call on the
+    checkpoint shares."""
     if workers <= 1 or (size := min(workers, len(sentences),
                                      os.cpu_count() or 1)) <= 1:
-        model = ckpt.to_model()
+        model = ckpt.model
         return [_extract_one(model, i, s) for i, s in enumerate(sentences)]
     import multiprocessing as mp
 

@@ -12,6 +12,7 @@ from synoie import gcn
 from synoie import graphs
 from synoie.graphs import SyntacticGraph, CONST_VIEW, DEP_VIEW
 
+from graph_reference import label_rows_loop
 from primitives import masked_sum
 from tree_strategies import (PHRASE_TAGS, bracketed_trees, root_is_preterminal,
                              tree_leaf_surfaces)
@@ -28,7 +29,8 @@ def make_graph(view, n, edges, labels=None):
     return SyntacticGraph(view=view, n=n, node_labels=labels,
                           edges=frozenset((min(i, j), max(i, j), "t")
                                           for i, j in edges),
-                          adjacency=adj)
+                          adjacency=adj,
+                          label_rows=label_rows_loop(view, n, labels))
 
 
 def draw_params(n_labels, d_h, d_l, rng):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from synoie import corpus as c
 from synoie import graphs as g
 
+import graph_reference as ref
 import worked_example as wx
 from tree_strategies import (bracketed_trees, parents, root_is_preterminal,
                              tree_leaf_surfaces)
@@ -286,24 +287,24 @@ class TestExport:
             g.export_graph(cg, "xml")
 
 
-def path_loop_rows(paths: list[list[str]]) -> tuple[list[str], np.ndarray]:
-    """The label rows as each path's loop over its tags builds them (oracle):
-    1/len(path) added once per tag occurrence."""
-    label_set = sorted({tag for path in paths for tag in path})
-    column = {tag: k for k, tag in enumerate(label_set)}
-    rows = np.zeros((len(paths), len(label_set)))
-    for i, path in enumerate(paths):
-        for tag in path:
-            rows[i, column[tag]] += 1.0 / len(path)
-    return label_set, rows
-
-
 def assert_rows_are_the_path_loops(graph: g.SyntacticGraph, paths):
     """``graph``'s label rows are, byte for byte, the loop over ``paths``."""
     labels, rows = graph.label_rows
-    want_labels, want = path_loop_rows(paths)
+    want_labels, want = ref.label_rows_loop(g.CONST_VIEW, len(paths), paths)
     assert labels == want_labels and rows.shape == want.shape
     assert rows.tobytes() == want.tobytes()
+
+
+DEEP_TAGS = ["S", "VP", "NP", "PP"]
+
+
+def right_branching_sentence(n: int):
+    """n words, word i the first child of a phrase nested i deep, tagged
+    from ``DEEP_TAGS`` in turn; the last word sits under all n phrases."""
+    text = ("".join(f"({DEEP_TAGS[i % 4]} (NN w{i}) " for i in range(n - 1))
+            + f"(NP (NN w{n - 1}))" + ")" * (n - 1))
+    return make_sentence([f"w{i}" for i in range(n)], text,
+                         [[-1, "ROOT"]] + [[0, "dep"]] * (n - 1))
 
 
 class TestConstLabelRows:
@@ -340,11 +341,8 @@ class TestConstLabelRows:
     def test_deep_tree_in_one_walk(self):
         # a right-branching tree nested 1,000 deep: the paths sum to about
         # 500,000 tags, which the per-path loop took 0.15-0.28 s to read
-        n, tags = 1000, ["S", "VP", "NP", "PP"]
-        text = ("".join(f"({tags[i % 4]} (NN w{i}) " for i in range(n - 1))
-                + f"(NP (NN w{n - 1}))" + ")" * (n - 1))
-        s = make_sentence([f"w{i}" for i in range(n)], text,
-                          [[-1, "ROOT"]] + [[0, "dep"]] * (n - 1))
+        n, tags = 1000, DEEP_TAGS
+        s = right_branching_sentence(n)
         seconds = []
         for _ in range(3):
             start = time.perf_counter()
@@ -357,3 +355,59 @@ class TestConstLabelRows:
         np.testing.assert_allclose(rows[-1], [last.count(t) / n for t in labels],
                                    rtol=1e-12)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=1e-12)
+
+
+def assert_same_graph(got: g.SyntacticGraph, want: g.SyntacticGraph):
+    """Equal labels and edges, and byte-equal adjacency and label rows."""
+    assert (got.view, got.n) == (want.view, want.n)
+    assert got.node_labels == want.node_labels
+    assert got.edges == want.edges
+    assert got.adjacency.dtype == want.adjacency.dtype
+    assert got.adjacency.tobytes() == want.adjacency.tobytes()
+    assert got.label_rows[0] == want.label_rows[0]
+    assert got.label_rows[1].shape == want.label_rows[1].shape
+    assert got.label_rows[1].tobytes() == want.label_rows[1].tobytes()
+
+
+class TestOneWalk:
+    """Each const graph comes from one walk down its tree; the builders that
+    take one pass per part (``graph_reference``) are its oracles."""
+
+    @settings(deadline=None, max_examples=200)
+    @example(wx.CONST_PTB, "paper", 8, ["nsubj"] * 11)
+    @given(text=bracketed_trees, variant=st.sampled_from(g.VARIANTS),
+           max_distance=st.integers(1, 12),
+           rels=st.lists(st.sampled_from(["nsubj", "obj", "det"]), min_size=11,
+                         max_size=11))
+    def test_matches_one_pass_per_part(self, text, variant, max_distance, rels):
+        tree = c.read_bracketed_tree(text)
+        cfg = g.FlattenConfig(max_distance, variant)
+        assert g.build_const_paths(tree) == ref.build_const_paths(tree)
+        assert g.flatten_const_relations(tree, cfg) == \
+            ref.flatten_const_relations(tree, cfg)
+        labels, rows = g.const_label_rows(tree)
+        want_labels, want_rows = ref.const_label_rows(tree)
+        assert labels == want_labels and rows.tobytes() == want_rows.tobytes()
+        if root_is_preterminal(text):
+            return  # the corpus rejects it: its word would have no path
+        tokens = tree_leaf_surfaces(text)
+        # a chain: word k + 1 hangs off word k
+        deps = [[-1, "ROOT"]] + [[k, rels[k % len(rels)]]
+                                 for k in range(len(tokens) - 1)]
+        s = make_sentence(tokens, text, deps)
+        assert_same_graph(g.build_const_graph(s, cfg), ref.build_const_graph(s, cfg))
+        assert_same_graph(g.build_dep_graph(s), ref.build_dep_graph(s))
+
+    def test_deep_tree_builds_fast(self):
+        # a right-branching tree nested 1,000 deep: its paths sum to about
+        # 500,000 tags, each copied once
+        n = 1000
+        s = right_branching_sentence(n)
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            cg = g.build_const_graph(s)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.1
+        assert len(cg.node_labels[-1]) == n
+        assert_same_graph(cg, ref.build_const_graph(s))

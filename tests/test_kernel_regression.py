@@ -34,7 +34,7 @@ CONFIG = dict(seed=0, d_h=16, d_l=8, lr=0.05, epochs=3, use_r1=True,
 def capture() -> dict:
     sentences = load_corpus(CORPUS)
     ckpt = training.train(sentences, TrainConfig(**CONFIG))
-    model = ckpt.to_model()
+    model = ckpt.model
     predictions = []
     for i, s in enumerate(sentences):
         graphs = SentenceGraphs.build(s, model.cfg.flatten)

@@ -1,8 +1,9 @@
 import gc
 import json
+import pickle
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -265,16 +266,75 @@ class TestCheckpoint:
             with pytest.raises(tr.TrainingError, match=f"version {version}"):
                 tr.Checkpoint.load(path)
 
-    def test_to_model_checks_every_tensor(self, corpus12):
+    def test_model_checks_every_tensor(self, corpus12):
         ckpt = tr.train(corpus12, TrainConfig(seed=2, **FAST))
         missing = dict(ckpt.arrays)
         missing.pop("gcn.dep.w2")
         with pytest.raises(KeyError, match="missing tensor 'gcn.dep.w2'"):
-            replace(ckpt, arrays=missing).to_model()
+            replace(ckpt, arrays=missing).model
         wide = dict(ckpt.arrays)
         wide["enc.w_mix"] = np.zeros((wide["enc.w_mix"].shape[0], 1))
         with pytest.raises(ValueError, match="'enc.w_mix': checkpoint shape"):
-            replace(ckpt, arrays=wide).to_model()
+            replace(ckpt, arrays=wide).model
+
+
+class TestCheckpointModel:
+    """A checkpoint builds its model once, on first use, and keeps it."""
+
+    @pytest.fixture
+    def ckpt(self, corpus12):
+        return tr.train(corpus12, TrainConfig(seed=2, **FAST))
+
+    def test_two_extractions_build_one_model(self, ckpt, corpus12, monkeypatch):
+        built = []
+        inner = Model.from_arrays
+
+        def spy(*args):
+            built.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(Model, "from_arrays", spy)
+        first = tr.extract_corpus(ckpt, corpus12[:3])
+        second = tr.extract_corpus(ckpt, corpus12[:3])
+        assert first == second
+        assert len(built) == 1
+
+    def test_replace_builds_its_own_model(self, ckpt):
+        other = replace(ckpt, epoch=ckpt.epoch + 1)
+        assert other.model is not ckpt.model
+        assert other.model is other.model
+        assert other.model.theta.tobytes() == ckpt.model.theta.tobytes()
+
+    def test_fields_and_arrays_are_frozen(self, ckpt):
+        with pytest.raises(FrozenInstanceError):
+            ckpt.epoch = 0
+        with pytest.raises(FrozenInstanceError):
+            ckpt.arrays = {}
+        with pytest.raises(TypeError):
+            ckpt.arrays["head.b"] = np.zeros(1)
+        assert all(not a.flags.writeable for a in ckpt.arrays.values())
+        with pytest.raises(ValueError, match="read-only"):
+            ckpt.arrays["head.b"][0] = 1.0
+        assert isinstance(ckpt.vocab_tokens, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            ckpt.model.params["head.b"].data[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ckpt.model.theta[0] = 1.0
+
+    def test_arrays_are_copies(self, ckpt):
+        mine = {name: a.copy() for name, a in ckpt.arrays.items()}
+        copy = replace(ckpt, arrays=mine)
+        mine["head.b"] += 1.0  # the caller's array stays writeable, and apart
+        assert copy.arrays["head.b"].tobytes() == ckpt.arrays["head.b"].tobytes()
+
+    def test_pickle_carries_no_model(self, ckpt):
+        unbuilt = pickle.dumps(ckpt)
+        ckpt.model
+        data = pickle.dumps(ckpt)
+        assert data == unbuilt
+        again = pickle.loads(data)
+        assert "model" not in vars(again)
+        assert again.model.theta.tobytes() == ckpt.model.theta.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +359,8 @@ class TestEvaluateCheckpoint:
             tr.evaluate_checkpoint(trained, [], mode="exact")
 
     def test_parallel_extraction_matches_serial(self, trained, corpus12):
+        # the serial call builds the checkpoint's model and keeps it; the
+        # pool after it must give the same tuples
         serial = tr.extract_corpus(trained, corpus12, workers=1)
         parallel = tr.extract_corpus(trained, corpus12, workers=2)
         assert serial == parallel
@@ -323,7 +385,7 @@ class TestPrecomputedEncoderPath:
                           encoder_vectors=vec_path, early_stop_train_acc=None)
         ckpt = tr.train(corpus12, cfg)
         assert all(np.isfinite(r["loss"]) for r in ckpt.history)
-        model = ckpt.to_model()
+        model = ckpt.model
         for i in (0, 5):
             s = corpus12[i]
             fwd = model.forward(s, s.verbs[0], SentenceGraphs.build(s, cfg.flatten),
