@@ -177,13 +177,6 @@ def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray):
         np.add.at(table.grad, idx, g)
 
 
-def gather_rows(table: Tensor, index) -> Tensor:
-    """Rows ``table[index]``; the gradient scatter-adds back onto the table."""
-    idx = _row_index("gather_rows", table, index)
-    return _result(table.data[idx], (table,),
-                   lambda g: _scatter_rows(table, idx, g))
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w.T + b: an (n, d_in) matrix through a (d_out, d_in) weight and a
     (d_out,) bias added to every row."""

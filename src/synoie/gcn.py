@@ -3,7 +3,10 @@
 One GCN per view.  A node's message vector is its contextual state
 concatenated with its label embedding; attention over neighbours (self-loop
 included) is the masked softmax of raw message dot products, and the layer
-output is the ReLU of the attention-weighted neighbour sum.  A view's label
+output is the ReLU of the attention-weighted neighbour sum.  Both views
+embed labels one way: a graph's constant label matrix, whose row i spreads
+node i's labels over the vocabulary (a dep row is one-hot, a const row
+averages the tags on the node's path), times the view's W1.  A view's label
 embedding L and its projection L W2ᵀ + b do not depend on the verb, so a
 batch builds them once, each as one node over the row stack of its
 sentences (``Model.sentence_states``), and each verb's layer takes its
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graphs import SyntacticGraph, CONST_VIEW, DEP_VIEW
+from .graphs import SyntacticGraph
 
 UNK_LABEL = "<unk>"
 
@@ -35,10 +38,8 @@ class LabelVocab:
         if len(self.ids) != len(self.labels):
             raise ValueError("duplicate label entries")
         self.unk_id = self.ids[UNK_LABEL]
-        # each const graph's path-averaging matrix and each dep graph's
-        # label ids, dropped with the graph
-        self._path_averages = weakref.WeakKeyDictionary()
-        self._label_ids = weakref.WeakKeyDictionary()
+        # each graph's label matrix, dropped with the graph
+        self._label_matrices = weakref.WeakKeyDictionary()
 
     def __len__(self):
         return len(self.labels)
@@ -50,30 +51,17 @@ class LabelVocab:
     def collect(cls, labels) -> "LabelVocab":
         return cls([UNK_LABEL] + sorted(set(labels)))
 
-    def path_average(self, g: SyntacticGraph, width: int) -> np.ndarray:
-        """(n, width): the graph's cached label rows spread over the label
-        ids, with the tags this vocabulary lacks sharing the UNK column.
-        Built on the first call for ``g`` and kept until ``g`` is dropped."""
-        avg = self._path_averages.get(g)
-        if avg is None or avg.shape[1] != width:
+    def label_matrix(self, g: SyntacticGraph) -> np.ndarray:
+        """(n, len(self)): the graph's label rows spread over the label ids,
+        with the labels this vocabulary lacks sharing the UNK column.  Built
+        on the first call for ``g`` and kept until ``g`` is dropped."""
+        m = self._label_matrices.get(g)
+        if m is None:
             label_set, rows = g.label_rows
-            avg = np.zeros((g.n, width))
-            np.add.at(avg, (slice(None), [self.lookup(t) for t in label_set]),
-                      rows)
-            self._path_averages[g] = avg
-        return avg
-
-    def label_ids(self, g: SyntacticGraph) -> np.ndarray:
-        """(n,) the id of each node's one label, UNK for a label this
-        vocabulary lacks.  Built on the first call for ``g`` and kept until
-        ``g`` is dropped."""
-        ids = self._label_ids.get(g)
-        if ids is None:
-            label_set, rows = g.label_rows
-            ids = np.array([self.lookup(l) for l in label_set],
-                           dtype=np.intp)[rows.argmax(axis=1)]
-            self._label_ids[g] = ids
-        return ids
+            m = np.zeros((g.n, len(self)))
+            np.add.at(m, (slice(None), [self.lookup(t) for t in label_set]), rows)
+            self._label_matrices[g] = m
+        return m
 
 
 @dataclass
@@ -85,25 +73,19 @@ class GcnParams:
     b: Tensor   # (d_h,)
 
 
-def node_label_embed_dep(graphs: list[SyntacticGraph], params: GcnParams,
-                         labels: LabelVocab) -> Tensor:
-    """(N, d_l): the W1 row of each node's dependency label, over the row
-    stack of ``graphs``, as one gather."""
-    assert all(g.view == DEP_VIEW for g in graphs)
-    return ad.gather_rows(params.w1,
-                          np.concatenate([labels.label_ids(g) for g in graphs]))
-
-
-def node_label_embed_const(graphs: list[SyntacticGraph], params: GcnParams,
-                           labels: LabelVocab) -> Tensor:
-    """(N, d_l): mean of the tag embeddings along each node's constituency
-    path, over the row stack of ``graphs``: the row stack of their constant
-    ``labels.path_average`` matrices times W1, as one node."""
-    assert all(g.view == CONST_VIEW for g in graphs)
-    width = params.w1.shape[0]
-    avgs = [labels.path_average(g, width) for g in graphs]
-    return ad.matmul(ad.constant(avgs[0] if len(avgs) == 1 else np.vstack(avgs)),
+def node_label_embed(graphs: list[SyntacticGraph], params: GcnParams,
+                     labels: LabelVocab) -> Tensor:
+    """(N, d_l): each node's label embedding, over the row stack of
+    ``graphs``: the row stack of their constant ``labels.label_matrix``
+    matrices times W1, as one node.  A dep node's row is its label's W1 row,
+    a const node's the mean of the tag rows along its constituency path."""
+    mats = [labels.label_matrix(g) for g in graphs]
+    return ad.matmul(ad.constant(mats[0] if len(mats) == 1 else np.vstack(mats)),
                      params.w1)
+
+
+# one body, two names: the benchmark's tracer patches each view's own name
+node_label_embed_const = node_label_embed_dep = node_label_embed
 
 
 def gcn_layer(g: SyntacticGraph, h_ctx: Tensor, l: Tensor,

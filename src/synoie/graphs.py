@@ -68,10 +68,12 @@ class SyntacticGraph:
 
     ``label_rows`` is the sorted list of the distinct node labels and the
     (n, U) matrix whose row i averages node i's labels over them: a dep node
-    has one label, a const node the tags of its path.  The builders below
-    give it: a one-hot write for the dep view and v1, and the tree walk of
-    ``const_label_rows`` for the other const variants.  A graph that no label
-    embedding reads may leave it None.
+    has one label, so its row is one-hot, and a const node the tags of its
+    path.  Both views' label embeddings read it alone, as the rows of the
+    constant matrix that ``gcn.LabelVocab.label_matrix`` multiplies with W1.
+    The builders below give it: a one-hot write for the dep view and v1, and
+    the tree walk of ``const_label_rows`` for the other const variants.  A
+    graph that no label embedding reads may leave it None.
     """
 
     view: str

@@ -334,10 +334,12 @@ def extract_corpus(ckpt: Checkpoint, sentences: list[ParsedSentence],
     """Per-sentence tuple lists, in corpus order, from a pool of ``workers``
     processes at most: no more than the sentences or the CPUs, and serial
     for one.  The serial path runs ``ckpt.model``, which every call on the
-    checkpoint shares."""
+    checkpoint shares.  The model is built before any pool starts, so a
+    checkpoint it cannot be built from raises here, as it does serially,
+    and never in workers that the pool would replace forever."""
+    model = ckpt.model
     if workers <= 1 or (size := min(workers, len(sentences),
                                      os.cpu_count() or 1)) <= 1:
-        model = ckpt.model
         return [_extract_one(model, i, s) for i, s in enumerate(sentences)]
     import multiprocessing as mp
 

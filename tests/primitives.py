@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from synoie.autodiff import ShapeMismatch, Tensor, _accumulate, _result
+from synoie.autodiff import (ShapeMismatch, Tensor, _accumulate, _result,
+                             _row_index, _scatter_rows)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -33,3 +34,8 @@ def masked_sum(a: Tensor, mask) -> Tensor:
     return _result(np.sum(a.data * mask), (a,), backward)
 
 
+def gather_rows(table: Tensor, index) -> Tensor:
+    """Rows ``table[index]``; the gradient scatter-adds back onto the table."""
+    idx = _row_index("gather_rows", table, index)
+    return _result(table.data[idx], (table,),
+                   lambda g: _scatter_rows(table, idx, g))

@@ -8,7 +8,7 @@ from synoie.model import Model
 from synoie.synthetic import generate_corpus
 from synoie.training import _label_inventories, build_graph_cache
 
-from primitives import add, masked_sum
+from primitives import add, gather_rows, masked_sum
 
 
 def sq_norm(x):
@@ -144,7 +144,7 @@ class TestGradients:
 
     def test_embedding_lookup_accumulates_rows(self):
         table = ad.parameter(np.zeros((4, 3)))
-        rows = ad.gather_rows(table, [1, 1])
+        rows = gather_rows(table, [1, 1])
         masked_sum(rows, np.ones((2, 3))).backward()
         expected = np.zeros((4, 3))
         expected[1] = 2.0
@@ -218,7 +218,7 @@ def _random_composition(rng, xs, table, mix, bias):
     """
     mats = list(xs)
     n, d = xs[0].shape
-    mats.append(ad.gather_rows(table, rng.integers(table.shape[0], size=n)))
+    mats.append(gather_rows(table, rng.integers(table.shape[0], size=n)))
     for _ in range(int(rng.integers(1, 5))):  # depth <= 4
         op = rng.integers(5)
         a = mats[int(rng.integers(len(mats)))]
@@ -228,7 +228,7 @@ def _random_composition(rng, xs, table, mix, bias):
         if op == 0:
             mats.append(add(a, b))
         elif op == 1:
-            marks = ad.gather_rows(table, rng.integers(table.shape[0], size=2))
+            marks = gather_rows(table, rng.integers(table.shape[0], size=2))
             pre = ad.window_linear(a, np.arange(n), marks, mix, bias)
             mats.append(ad.marked_window_relu(pre, marks, mix,
                                               int(rng.integers(-1, n + 1))))
@@ -344,7 +344,7 @@ class TestShapeErrors:
 
     def test_gather_row_outside_table(self):
         with pytest.raises(ad.ShapeMismatch):
-            ad.gather_rows(ad.constant(np.zeros((2, 3))), [0, 2])
+            gather_rows(ad.constant(np.zeros((2, 3))), [0, 2])
 
     def test_matmul_mismatch(self):
         with pytest.raises(ad.ShapeMismatch):

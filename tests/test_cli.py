@@ -943,6 +943,29 @@ class TestExtractWorkers:
         assert FakePool.sizes == ([] if size is None else [size])
         assert out.read_text() == serial.read_text()
 
+    @pytest.mark.parametrize("fault", ["duplicate-label", "tensor-shape",
+                                       "missing-vectors"])
+    def test_unbuildable_model_is_data_error_before_any_pool(
+            self, ckpt_path, small_corpus, tmp_path, monkeypatch, capsys, fault):
+        # before: --workers 2 hung, the pool replacing its failed workers
+        meta, arrays = read_checkpoint(ckpt_path)
+        if fault == "duplicate-label":
+            meta["dep_labels"][-1] = meta["dep_labels"][-2]
+        elif fault == "tensor-shape":
+            arrays["gcn.dep.w1"] = arrays["gcn.dep.w1"][:-1]
+        else:
+            meta["config"]["encoder_vectors"] = str(tmp_path / "absent.npz")
+        bad = tmp_path / "bad.npz"
+        write_checkpoint(bad, meta, arrays)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        assert cli.main(["extract", "--ckpt", str(bad), "--corpus",
+                         str(small_corpus), "--out", str(tmp_path / "p.jsonl"),
+                         "--workers", "2"]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert FakePool.sizes == []
+
     def test_parallel_matches_serial(self, ckpt_path, small_corpus, tmp_path):
         serial = tmp_path / "p1.jsonl"
         parallel = tmp_path / "p2.jsonl"

@@ -6,7 +6,7 @@ import pytest
 from synoie import autodiff as ad
 from synoie import encoder as enc
 
-from primitives import add, masked_sum
+from primitives import add, gather_rows, masked_sum
 from tree_strategies import flat_sentence
 
 
@@ -20,14 +20,14 @@ def draw_params(vocab_size, d_h, rng):
 
 def word_rows(params, vocab, surfaces):
     """(n, d_h): each token's word-table row, the same for every verb."""
-    return ad.gather_rows(params.w_word, [vocab.lookup(s) for s in surfaces])
+    return gather_rows(params.w_word, [vocab.lookup(s) for s in surfaces])
 
 
 def embed(params, words, indicator_verb):
     """(n, d_h) rows: word rows + indicator row (row 1 only at the verb; a
     verb outside [0, n) marks no row), the rows the encoder's window mixes."""
     flags = (np.arange(words.shape[0]) == indicator_verb).astype(np.intp)
-    return add(words, ad.gather_rows(params.w_verb, flags))
+    return add(words, gather_rows(params.w_verb, flags))
 
 
 @pytest.fixture

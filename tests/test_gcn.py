@@ -13,7 +13,7 @@ from synoie import graphs
 from synoie.graphs import SyntacticGraph, CONST_VIEW, DEP_VIEW
 
 from graph_reference import label_rows_loop
-from primitives import masked_sum
+from primitives import gather_rows, masked_sum
 from tree_strategies import (PHRASE_TAGS, bracketed_trees, root_is_preterminal,
                              tree_leaf_surfaces)
 
@@ -65,48 +65,66 @@ def small_params():
     return draw_params(n_labels=5, d_h=4, d_l=3, rng=np.random.default_rng(0))
 
 
+def vocab_params(labels):
+    """View tensors whose W1 has one row per label of ``labels``, as
+    ``param_shapes`` sizes it."""
+    return draw_params(len(labels), d_h=4, d_l=3, rng=np.random.default_rng(0))
+
+
 class TestLabelEmbeddings:
-    def test_dep_lookup(self, small_params):
+    def test_dep_lookup(self):
         labels = gcn.LabelVocab(["<unk>", "ROOT", "nsubj"])
+        params = vocab_params(labels)
         g = make_graph(DEP_VIEW, 3, [(0, 1)], ["nsubj", "ROOT", "nsubj"])
-        out = gcn.node_label_embed_dep([g], small_params, labels)
+        out = gcn.node_label_embed_dep([g], params, labels)
         np.testing.assert_array_equal(out.data[1],
-                                      small_params.w1.data[labels.lookup("ROOT")])
+                                      params.w1.data[labels.lookup("ROOT")])
+        np.testing.assert_array_equal(out.data[0],
+                                      params.w1.data[labels.lookup("nsubj")])
         np.testing.assert_array_equal(out.data[0], out.data[2])
 
-    def test_dep_unseen_label_hits_unk(self, small_params):
+    def test_dep_unseen_label_hits_unk(self):
         labels = gcn.LabelVocab(["<unk>", "ROOT"])
+        params = vocab_params(labels)
         g = make_graph(DEP_VIEW, 1, [], ["weird-rel"])
-        out = gcn.node_label_embed_dep([g], small_params, labels)
-        np.testing.assert_array_equal(out.data[0],
-                                      small_params.w1.data[labels.unk_id])
+        out = gcn.node_label_embed_dep([g], params, labels)
+        np.testing.assert_array_equal(out.data[0], params.w1.data[labels.unk_id])
 
-    def test_const_singleton_path(self, small_params):
+    def test_const_singleton_path(self):
         labels = gcn.LabelVocab(["<unk>", "S", "NP"])
+        params = vocab_params(labels)
         g = make_graph(CONST_VIEW, 1, [], [["S"]])
-        out = gcn.node_label_embed_const([g], small_params, labels)
+        out = gcn.node_label_embed_const([g], params, labels)
         np.testing.assert_array_equal(out.data[0],
-                                      small_params.w1.data[labels.lookup("S")])
+                                      params.w1.data[labels.lookup("S")])
 
-    def test_const_path_mean(self, small_params):
+    def test_const_path_mean(self):
         # path [S, NP, NP] averages to (W1[S] + 2*W1[NP]) / 3
         labels = gcn.LabelVocab(["<unk>", "S", "NP"])
+        params = vocab_params(labels)
         g = make_graph(CONST_VIEW, 1, [], [["S", "NP", "NP"]])
-        out = gcn.node_label_embed_const([g], small_params, labels)
-        w1 = small_params.w1.data
+        out = gcn.node_label_embed_const([g], params, labels)
+        w1 = params.w1.data
         expected = (w1[labels.lookup("S")] + 2 * w1[labels.lookup("NP")]) / 3
         np.testing.assert_allclose(out.data[0], expected)
 
-    def test_const_equal_rows_collapse(self, small_params):
+    def test_const_equal_rows_collapse(self):
         labels = gcn.LabelVocab(["<unk>", "S", "NP"])
-        small_params.w1.data[:] = 0.25
+        params = vocab_params(labels)
+        params.w1.data[:] = 0.25
         g = make_graph(CONST_VIEW, 2, [], [["S", "NP"], ["S", "NP", "NP", "S"]])
-        out = gcn.node_label_embed_const([g], small_params, labels)
+        out = gcn.node_label_embed_const([g], params, labels)
         np.testing.assert_allclose(out.data[0], out.data[1])
 
-    def test_const_matrix_built_once_per_graph(self, small_params, monkeypatch):
+    @pytest.mark.parametrize("view, embed, node_labels", [
+        (CONST_VIEW, gcn.node_label_embed_const, [["S", "NP"], ["S"]]),
+        (DEP_VIEW, gcn.node_label_embed_dep, ["NP", "S"])],
+        ids=[CONST_VIEW, DEP_VIEW])
+    def test_label_matrix_built_once_per_graph(self, view, embed, node_labels,
+                                               monkeypatch):
         labels = gcn.LabelVocab(["<unk>", "S", "NP"])
-        g = make_graph(CONST_VIEW, 2, [], [["S", "NP"], ["S"]])
+        params = vocab_params(labels)
+        g = make_graph(view, 2, [], node_labels)
         built = []
         inner = ad.constant
 
@@ -115,8 +133,8 @@ class TestLabelEmbeddings:
             return inner(data)
 
         monkeypatch.setattr(ad, "constant", spy)
-        first = gcn.node_label_embed_const([g], small_params, labels)
-        second = gcn.node_label_embed_const([g], small_params, labels)
+        first = embed([g], params, labels)
+        second = embed([g], params, labels)
         np.testing.assert_array_equal(first.data, second.data)
         assert len(built) == 2 and built[1] is built[0]
         # the vocabulary keeps no graph, and no matrix, alive
@@ -139,16 +157,19 @@ def old_embed_const(g, params, labels) -> ad.Tensor:
 
 def old_embed_dep(g, params, labels) -> ad.Tensor:
     """One label lookup per node, per verb (oracle)."""
-    return ad.gather_rows(params.w1, [labels.lookup(l) for l in g.node_labels])
+    return gather_rows(params.w1, [labels.lookup(l) for l in g.node_labels])
 
 
 class TestLabelRowsProperty:
     """The cached label rows give what the per-node loops gave, in value and
     in W1's gradient, for random trees, both views and the v1 variant.
 
-    The result is bit-identical unless one path holds two distinct tags the
-    vocabulary lacks: both fall back to UNK, whose weight the loop summed tag
-    by tag and the rows sum label by label, so it may differ in the last bit.
+    The value is bit-identical unless one const path holds two distinct tags
+    the vocabulary lacks: both fall back to UNK, whose weight the loop summed
+    tag by tag and the rows sum label by label, so it may differ in the last
+    bit.  The dep gradient may differ in the last bit too: the matrix form's
+    ``P.T @ g`` sums a label's node gradients in BLAS order, the gather's
+    scatter-add in node order.
     """
 
     @settings(deadline=None, max_examples=150)
@@ -185,14 +206,15 @@ class TestLabelRowsProperty:
             exact = g.view == DEP_VIEW or all(
                 len({t for t in path if t not in labels.ids}) < 2
                 for path in g.node_labels)
-            same = (np.testing.assert_array_equal if exact else
-                    lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-14,
-                                                            atol=1e-15))
+            close = lambda a, b: np.testing.assert_allclose(a, b, rtol=1e-14,
+                                                            atol=1e-15)
+            same = np.testing.assert_array_equal if exact else close
+            same_grad = close if g.view == DEP_VIEW else same
             for _ in range(2):  # the second call reads the cached rows
                 got = embed([g], params, labels)
                 same(got.data, want.data)
                 masked_sum(got, readout).backward()
-                same(params.w1.grad, want_grad)
+                same_grad(params.w1.grad, want_grad)
                 params.w1.grad = None
 
 

@@ -1,5 +1,7 @@
 import gc
 import json
+import multiprocessing
+import os
 import pickle
 import tracemalloc
 import warnings
@@ -364,6 +366,26 @@ class TestEvaluateCheckpoint:
         serial = tr.extract_corpus(trained, corpus12, workers=1)
         parallel = tr.extract_corpus(trained, corpus12, workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("fault", ["duplicate-label", "tensor-shape"])
+    def test_unbuildable_model_raises_before_any_pool(self, trained, corpus12,
+                                                      monkeypatch, fault):
+        # before: every worker's initializer raised, and the pool replaced
+        # its dead workers forever
+        if fault == "duplicate-label":
+            bad = replace(trained, dep_labels=trained.dep_labels[:-1]
+                          + trained.dep_labels[-2:-1])
+        else:
+            arrays = dict(trained.arrays)
+            arrays["gcn.dep.w1"] = arrays["gcn.dep.w1"][:-1]
+            bad = replace(trained, arrays=arrays)
+        pools = []
+        monkeypatch.setattr(multiprocessing, "Pool",
+                            lambda *args, **kwargs: pools.append(args))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError):
+            tr.extract_corpus(bad, corpus12, workers=2)
+        assert pools == []
 
 
 class TestPrecomputedEncoderPath:
