@@ -6,18 +6,18 @@ are the tag logits and the mask picks each token's gold tag at weight 1/n.
 R1-R3 score pairs over one sentence's node set, and under the two views
 every pair score is an entry of one similarity matrix G = H Hᵀ, for
 H = [H_con; H_dep] the row stack of the view states.  Its four n x n blocks
-are the four (anchor view, candidate view) products, so the losses read one
-block row log-softmax of G (each row normalised within each view's n
-columns), each through its (row block, column block, n x n mask) blocks:
-R1 the views' ``selection`` masks (their edges without self-loops) on the
-diagonal, R2 the identities off it, and R3 the ``selection`` masks off it.
-With one view on, G is that view's own n x n Gram.  So every loss is
-non-negative.  No loss records a node: ``r_mask`` writes the weighted R
-blocks into one mask over G, which depends only on the sentence's graphs,
-so a training run builds it once per sentence.  One instance's loss is one
-``ad.masked_nll`` node over CE's mask and that R mask (``combined_loss``);
-training makes one such node per batch, over every instance's masks, each
-scaled by 1/B.
+are the four (anchor view, candidate view) products, so each R loss is one
+(2n, 2n) mask over the block row log-softmax of G (each row normalised
+within each view's n columns): R1 holds the views' ``selection`` masks
+(their edges without self-loops) in the diagonal blocks, R2 the identities
+in the off-diagonal ones, and R3 the ``selection`` masks there.  With one
+view on, G is that view's own n x n Gram and R1 is that view's
+``selection``.  So every loss is non-negative.  No loss records a node:
+``r_mask`` sums the weighted R masks into one mask over G, which depends
+only on the sentence's graphs, so a training run builds it once per
+sentence.  One instance's loss is one ``ad.masked_nll`` node over CE's
+mask and that R mask (``combined_loss``); training makes one such node per
+batch, over every instance's masks, each scaled by 1/B.
 """
 
 from __future__ import annotations
@@ -55,101 +55,80 @@ def view_gram(states: list[Tensor]) -> ad.RowSoftmax:
     return ad.row_softmax(h, h, block=states[0].shape[0])
 
 
-Blocks = list[tuple[int, int, np.ndarray]]
-
-
-def _check(gram: ad.RowSoftmax, blocks: Blocks) -> Blocks:
-    """``blocks``, each (row block k, column block l, mask) of ``gram``."""
-    n = gram.block
-    views = gram.shape[1] // n
-    for k, l, mask in blocks:
-        if max(k, l) >= views or np.shape(mask) != (n, n):
-            raise ad.ShapeMismatch(f"a mask of {np.shape(mask)} at block "
-                                   f"({k}, {l}) of {gram.shape} in blocks of {n}")
-    return blocks
-
-
-def _by_block(rows: ad.RowSoftmax, arr: np.ndarray) -> np.ndarray:
-    """``arr``, of ``rows``' shape, indexed [row block, row, column block,
-    column]; a row softmax has as many row blocks as column blocks."""
-    views = rows.shape[1] // rows.block
-    return arr.reshape(views, rows.shape[0] // views, views, rows.block)
-
-
-def _mask(views: int, n: int, blocks: Blocks) -> np.ndarray:
-    """The (views n, views n) mask that sums the ``blocks``' masks at their
-    places, and is zero elsewhere."""
+def _placed(n: int, views: int, blocks) -> np.ndarray:
+    """The (views n, views n) mask holding each (row block k, column block
+    l, n x n mask) of ``blocks`` at its place, and zero elsewhere."""
     out = np.zeros((views * n, views * n))
     by_block = out.reshape(views, n, views, n)
     for k, l, mask in blocks:
-        by_block[k, :, l] += mask
+        if np.shape(mask) != (n, n):
+            raise ad.ShapeMismatch(f"a mask of {np.shape(mask)} at block "
+                                   f"({k}, {l}) of {out.shape}")
+        by_block[k, :, l] = mask
     return out
 
 
-def _blocks(gram: ad.RowSoftmax, blocks: Blocks) -> np.ndarray:
-    """The mask over ``gram`` that sums the ``blocks``' masks at their
-    places, and is zero elsewhere."""
-    return _mask(gram.shape[1] // gram.block, gram.block, blocks)
+def _r1(graphs: list[SyntacticGraph]) -> np.ndarray:
+    return _placed(graphs[0].n, len(graphs),
+                   [(k, k, g.selection) for k, g in enumerate(graphs)])
 
 
-def nll(rows: ad.RowSoftmax, blocks: Blocks) -> float:
-    """The value of the loss whose mask over ``rows`` is ``blocks``."""
-    log_probs = _by_block(rows, rows.log_probs)
-    total = 0.0
-    for k, l, mask in blocks:
-        total += np.vdot(log_probs[k, :, l], mask)
-    return -float(total)
-
-
-def _r1(graphs: list[SyntacticGraph]) -> Blocks:
-    return [(k, k, g.selection) for k, g in enumerate(graphs)]
-
-
-def _r2(n: int) -> Blocks:
+def _r2(n: int) -> np.ndarray:
     eye = np.eye(n)
-    return [(0, 1, eye), (1, 0, eye)]
+    return _placed(n, 2, [(0, 1, eye), (1, 0, eye)])
 
 
-def _r3(g_con: SyntacticGraph, g_dep: SyntacticGraph) -> Blocks:
-    return [(0, 1, g_con.selection), (1, 0, g_dep.selection)]
+def _r3(g_con: SyntacticGraph, g_dep: SyntacticGraph) -> np.ndarray:
+    return _placed(g_con.n, 2, [(0, 1, g_con.selection), (1, 0, g_dep.selection)])
 
 
-def loss_r1(gram: ad.RowSoftmax, graphs: list[SyntacticGraph]) -> Blocks:
+def _over(rows: ad.RowSoftmax, mask: np.ndarray) -> np.ndarray:
+    """``mask``, checked to be a mask over ``rows``."""
+    if np.shape(mask) != rows.shape:
+        raise ad.ShapeMismatch(f"a mask of {np.shape(mask)} over rows of "
+                               f"{rows.shape}")
+    return mask
+
+
+def nll(rows: ad.RowSoftmax, mask: np.ndarray) -> float:
+    """The value of the loss whose mask over ``rows`` is ``mask``."""
+    return -float(np.vdot(rows.log_probs, _over(rows, mask)))
+
+
+def loss_r1(gram: ad.RowSoftmax, graphs: list[SyntacticGraph]) -> np.ndarray:
     """Inter-node intra-view: connected nodes score high under their own
     view.  ``graphs`` are the views of ``gram``'s blocks, in its order."""
-    return _check(gram, _r1(graphs))
+    return _over(gram, _r1(graphs))
 
 
-def loss_r2(gram: ad.RowSoftmax) -> Blocks:
+def loss_r2(gram: ad.RowSoftmax) -> np.ndarray:
     """Intra-node inter-view: each node close to its own other-view state."""
-    return _check(gram, _r2(gram.block))
+    return _over(gram, _r2(gram.block))
 
 
 def loss_r3(gram: ad.RowSoftmax, g_con: SyntacticGraph,
-            g_dep: SyntacticGraph) -> Blocks:
+            g_dep: SyntacticGraph) -> np.ndarray:
     """Inter-node inter-view: view-z edges pull in other-view neighbours."""
-    return _check(gram, _r3(g_con, g_dep))
+    return _over(gram, _r3(g_con, g_dep))
 
 
-def _weighted(weights: LossWeights, r1: Blocks | None, r2: Blocks | None,
-              r3: Blocks | None) -> Blocks:
-    """The given R losses' blocks, each scaled by its weight, R1's first."""
-    return [(k, l, w * mask)
-            for w, blocks in ((weights.alpha, r1), (weights.beta, r2),
-                              (weights.gamma, r3)) if blocks is not None
-            for k, l, mask in blocks]
+def _weighted(weights: LossWeights, r1: np.ndarray | None, r2: np.ndarray | None,
+              r3: np.ndarray | None) -> np.ndarray | None:
+    """alpha R1 + beta R2 + gamma R3 over the R masks given, added in that
+    order into zeros, or None when none is given."""
+    scaled = [w * mask for w, mask in ((weights.alpha, r1), (weights.beta, r2),
+                                       (weights.gamma, r3)) if mask is not None]
+    return sum(scaled, np.zeros(scaled[0].shape)) if scaled else None
 
 
 def r_mask(graphs: list[SyntacticGraph], weights: LossWeights, r1: bool,
-           r2: bool, r3: bool) -> np.ndarray:
+           r2: bool, r3: bool) -> np.ndarray | None:
     """The mask that ``combined_loss`` writes over the Gram of the views
     ``graphs`` (con before dep) for the R losses switched on, built from the
-    graphs alone: alpha R1 + beta R2 + gamma R3.  R2 and R3 need both
-    views."""
-    n = graphs[0].n
-    return _mask(len(graphs), n, _weighted(
-        weights, _r1(graphs) if r1 else None, _r2(n) if r2 else None,
-        _r3(*graphs) if r3 else None))
+    graphs alone, or None when none is on.  R2 and R3 need both views."""
+    return _weighted(weights, _r1(graphs) if r1 else None,
+                     _r2(graphs[0].n) if r2 else None,
+                     _r3(*graphs) if r3 else None)
 
 
 def gold_pick(gold_ids: list[int], n_tags: int) -> np.ndarray:
@@ -182,10 +161,10 @@ def tagging_loss(logits: Tensor, gold_ids: list[int],
 
 
 def combined_loss(ce: tuple[ad.RowSoftmax, np.ndarray], gram: ad.RowSoftmax | None,
-                  r1: Blocks | None, r2: Blocks | None, r3: Blocks | None,
-                  weights: LossWeights) -> Tensor:
+                  r1: np.ndarray | None, r2: np.ndarray | None,
+                  r3: np.ndarray | None, weights: LossWeights) -> Tensor:
     """L_CE + alpha*L_R1 + beta*L_R2 + gamma*L_R3 as one ``ad.masked_nll``
-    node, over CE's mask and, when an R loss is given, one mask over
-    ``gram`` that sums the given R losses' weighted blocks."""
-    placed = _weighted(weights, r1, r2, r3)
-    return ad.masked_nll([ce, (gram, _blocks(gram, placed))] if placed else [ce])
+    node, over CE's mask and, when an R loss is given, the weighted sum of
+    the given R masks over ``gram``."""
+    mask = _weighted(weights, r1, r2, r3)
+    return ad.masked_nll([ce] if mask is None else [ce, (gram, mask)])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -98,18 +97,16 @@ class ForwardResult:
     alphas_dep: Tensor | None
 
 
-_LOSS_KEYS = ("total", "ce", "r1", "r2", "r3", "pred_ids", "gold_ids")
-
-
 @dataclass(eq=False)
-class InstanceLosses(Mapping):
+class InstanceLosses:
     """One instance's loss as the (row softmax, constant mask) ``terms`` of
     one ``ad.masked_nll``: CE's, then the Gram's when an R loss runs.
 
-    As a mapping its keys are total, the recorded loss; ce, r1, r2, r3, the
-    values of its parts (r* None for a loss that does not run); pred_ids;
-    and gold_ids.  Each value is computed when first read and then kept;
-    ``train`` reads the terms and the ids alone.
+    ``parts[key]`` reads total, the recorded loss; ce, r1, r2, r3, the
+    values of its parts, each the ``losses.nll`` of its own mask (r* None
+    for a loss that does not run); pred_ids; and gold_ids.  Each value is
+    computed when first read and then kept; ``train`` reads the terms and
+    the ids alone.
     """
 
     terms: list[tuple[ad.RowSoftmax, np.ndarray]]
@@ -119,15 +116,7 @@ class InstanceLosses(Mapping):
     runs: tuple[bool, bool, bool]
 
     def __getitem__(self, key: str):
-        if key not in _LOSS_KEYS:
-            raise KeyError(key)
         return getattr(self, key)
-
-    def __iter__(self):
-        return iter(_LOSS_KEYS)
-
-    def __len__(self) -> int:
-        return len(_LOSS_KEYS)
 
     @cached_property
     def total(self) -> Tensor:
@@ -135,16 +124,15 @@ class InstanceLosses(Mapping):
 
     @cached_property
     def ce(self) -> float:
-        rows, pick = self.terms[0]
-        return losses_mod.nll(rows, [(0, 0, pick)])
+        return losses_mod.nll(*self.terms[0])
 
-    def _r(self, k: int, blocks) -> float | None:
-        """The value of R(k + 1) from its ``blocks`` of the Gram, or None
+    def _r(self, k: int, mask_of) -> float | None:
+        """The value of R(k + 1) from its mask ``mask_of`` the Gram, or None
         when it does not run."""
         if not self.runs[k]:
             return None
         gram = self.terms[1][0]
-        return losses_mod.nll(gram, blocks(gram))
+        return losses_mod.nll(gram, mask_of(gram))
 
     @cached_property
     def r1(self) -> float | None:
@@ -197,10 +185,14 @@ class Model:
         """A model holding a copy of ``arrays``, keyed by the names
         ``param_shapes`` gives, with nothing drawn at random.
 
-        Raises KeyError for a missing tensor and ValueError for a tensor whose
-        shape does not follow from the config and the vocabularies.
+        Raises KeyError for a missing tensor, and ValueError for a tensor
+        ``param_shapes`` does not name or whose shape does not follow from the
+        config and the vocabularies.
         """
         shapes = param_shapes(cfg, len(vocab), len(dep_labels), len(con_labels))
+        if extra := sorted(arrays.keys() - shapes.keys()):
+            raise ValueError(f"checkpoint holds tensor {extra[0]!r}, which the "
+                             f"model does not have")
         for name, shape in shapes.items():
             if name not in arrays:
                 raise KeyError(f"checkpoint is missing tensor {name!r}")

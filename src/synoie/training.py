@@ -131,7 +131,11 @@ class Checkpoint:
         wrong JSON type, or a tensor that is not a finite real array.
         """
         try:
-            z = np.load(path)
+            try:
+                z = np.load(path)
+            except ValueError:
+                # numpy reads any other file as a pickle, and says how to unpickle it
+                raise ValueError("not an .npz archive") from None
             if not isinstance(z, np.lib.npyio.NpzFile):
                 raise ValueError("an .npy array, not an .npz archive")
             with z:

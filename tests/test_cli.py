@@ -794,6 +794,23 @@ class TestCheckpointErrors:
         assert self.extract(small_corpus, tmp_path, meta, arrays) == 2
         assert "tensor 'head.w' is not a finite real array" in capsys.readouterr().err
 
+    def test_unknown_tensor(self, ckpt_path, small_corpus, tmp_path, capsys):
+        # before: extract ignored the tensor and exited 0
+        meta, arrays = read_checkpoint(ckpt_path)
+        arrays["head.extra"] = np.zeros(3)
+        assert self.extract(small_corpus, tmp_path, meta, arrays) == 2
+        assert "tensor 'head.extra'" in capsys.readouterr().err
+
+    def test_jsonl_checkpoint_says_not_an_npz_archive(self, small_corpus, tmp_path,
+                                                      capsys):
+        # before: the message passed on numpy's advice to unpickle the file
+        rc = cli.main(["extract", "--ckpt", str(small_corpus), "--corpus",
+                       str(small_corpus), "--out", str(tmp_path / "pred.jsonl")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {small_corpus} is not a checkpoint: not an .npz archive\n"
+        assert "pickle" not in err
+
     @pytest.mark.parametrize("kind", ["truncated", "npy", "empty", "text"])
     def test_not_an_npz_archive(self, ckpt_path, small_corpus, tmp_path, capsys,
                                 kind):

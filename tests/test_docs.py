@@ -2,6 +2,9 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from synoie import autodiff as ad
 from synoie.config import TrainConfig
 from synoie.model import Model
@@ -10,7 +13,9 @@ from synoie.training import train
 
 from test_model import default_instance_losses
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def test_readme_config_block_is_the_default_config():
@@ -76,3 +81,55 @@ def test_readme_batch_state_statement_is_the_training_loop(monkeypatch):
     assert len(calls) == cfg.epochs * batches
     assert all(len(ids) == len(set(ids)) for ids in calls)
     assert any(len(ids) > 1 for ids in calls)
+
+
+def _is_tree_id(value) -> bool:
+    return isinstance(value, str) and re.fullmatch(r"[0-9a-f]{40}", value) is not None
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_bench_file_follows_the_readme_schema(path):
+    """Every committed ``BENCH_<PR>.json`` holds what README's benchmark
+    trajectory schema lists, and its summary is its pairs' quartiles."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert set(doc) == {"pr", "title", "claim", "parent", "change", "host",
+                        "seconds", "command", "workloads", "tier1"}
+    assert path.name == f"BENCH_{doc['pr']}.json"
+    assert isinstance(doc["title"], str) and isinstance(doc["host"], str)
+    assert doc["claim"] is None or doc["claim"] in better
+    assert _is_tree_id(doc["parent"]["commit"]) and doc["change"]["commit"] is None
+    assert all(_is_tree_id(doc[side]["src_tree"]) for side in ("parent", "change"))
+    assert doc["seconds"] > 0 and {"{workload}", "{seed}"} <= set(
+        re.findall(r"\{\w+\}", doc["command"]))
+    assert sorted(doc["workloads"]) == sorted(w["name"] for w in spec["workloads"])
+    for runs in doc["workloads"].values():
+        pairs, summary = runs["pairs"], runs["summary"]
+        assert len(pairs) >= 10
+        assert len({p["seed"] for p in pairs}) == len(pairs)
+        firsts = [p["first"] for p in pairs]
+        assert set(firsts) <= {"parent", "change"}
+        assert all(a != b for a, b in zip(firsts, firsts[1:]))
+        for pair in pairs:
+            for side in ("parent", "change"):
+                run = pair[side]
+                assert set(run) == {"correct", "attempted", "failed", *better}
+                assert run["correct"] is True and 0 <= run["failed"] <= run["attempted"]
+        assert set(summary) == set(better)
+        for name, sign in better.items():
+            values = {side: np.array([p[side][name] for p in pairs])
+                      for side in ("parent", "change")}
+            for side, v in values.items():
+                np.testing.assert_allclose(summary[name][side],
+                                           np.percentile(v, [25, 50, 75]), rtol=1e-12)
+            won = (values["change"] < values["parent"] if sign == "lower"
+                   else values["change"] > values["parent"])
+            assert summary[name]["change_better"] == int(won.sum())
+    for side in ("parent", "change"):
+        t = doc["tier1"][side]
+        assert t["passed"] > 0 and t["failed"] >= 0 and t["wall_s"] > 0
+
+
+def test_a_bench_file_is_committed():
+    assert BENCH_FILES

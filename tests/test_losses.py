@@ -77,15 +77,17 @@ UNIFORM = L.view_gram([ad.constant(np.zeros((2, 1)))] * 2)
 
 
 def picks(value):
-    """Blocks over ``UNIFORM``, whose log-probabilities are -log 2 each, that
-    make a loss of ``value``."""
-    return [(0, 0, np.array([[value / math.log(2.0), 0.0], [0.0, 0.0]]))]
+    """A (4, 4) mask over ``UNIFORM``, whose log-probabilities are -log 2
+    each, that makes a loss of ``value``."""
+    mask = np.zeros((4, 4))
+    mask[0, 0] = value / math.log(2.0)
+    return mask
 
 
 def ce_value(logits, gold_ids):
     """The value of the tagging loss of ``logits`` against ``gold_ids``."""
     rows, pick = L.tagging_loss(logits, gold_ids)
-    return L.nll(rows, [(0, 0, pick)])
+    return L.nll(rows, pick)
 
 
 def two_view_gram(h_con, h_dep):
@@ -208,6 +210,46 @@ class TestInterViewPair:
             L.loss_r2(L.view_gram([as_tensors(h_con)]))
 
 
+class TestMaskForm:
+    """Each R loss is its own mask over the Gram, and ``r_mask`` is their
+    weighted sum."""
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_each_loss_is_r_mask_with_only_it_on(self, n):
+        h_con, h_dep, adj_con, adj_dep = random_views(np.random.default_rng(20 + n), n)
+        gram = two_view_gram(h_con, h_dep)
+        views = [graph(adj_con), graph(adj_dep)]
+        ones = L.LossWeights(1.0, 1.0, 1.0)
+        for got, on in ((L.loss_r1(gram, views), (True, False, False)),
+                        (L.loss_r2(gram), (False, True, False)),
+                        (L.loss_r3(gram, *views), (False, False, True))):
+            assert got.shape == gram.shape == (2 * n, 2 * n)
+            assert got.tobytes() == L.r_mask(views, ones, *on).tobytes()
+
+    def test_one_view_r1_is_its_selection(self):
+        h_con, _, adj_con, _ = random_views(np.random.default_rng(24), 4)
+        g = graph(adj_con)
+        gram = L.view_gram([as_tensors(h_con)])
+        assert L.loss_r1(gram, [g]).tobytes() == g.selection.tobytes()
+
+    def test_no_loss_on_is_no_mask(self):
+        views = [graph(np.eye(3, dtype=bool))] * 2
+        assert L.r_mask(views, L.LossWeights(), False, False, False) is None
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 2), (4,), (8, 8)])
+    def test_nll_rejects_a_mask_of_another_shape(self, shape):
+        with pytest.raises(ad.ShapeMismatch):
+            L.nll(UNIFORM, np.zeros(shape))
+        rows, _ = L.tagging_loss(ad.constant(np.zeros((2, 3))), [0, 1])
+        with pytest.raises(ad.ShapeMismatch):
+            L.nll(rows, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,)])
+    def test_placer_rejects_a_block_of_another_shape(self, shape):
+        with pytest.raises(ad.ShapeMismatch):
+            L._placed(2, 2, [(0, 0, np.eye(2)), (0, 1, np.zeros(shape))])
+
+
 class TestTaggingLoss:
     def test_perfect_logits_approach_zero(self):
         logits = ad.constant([[30.0, 0.0], [0.0, 30.0]])
@@ -250,21 +292,19 @@ class TestTaggingLoss:
 
 class TestCombinedLoss:
     def test_zero_weights_bit_equal_to_ce(self):
-        ce = (UNIFORM, L._blocks(UNIFORM, picks(0.731)))
+        ce = (UNIFORM, picks(0.731))
         r = picks(9.9)
         out = L.combined_loss(ce, UNIFORM, r, r, r, L.LossWeights(0.0, 0.0, 0.0))
         assert out.data.tobytes() == np.float64(L.nll(UNIFORM, picks(0.731))).tobytes()
 
     def test_default_weights(self):
         ce, r1, r2, r3 = (picks(v) for v in (1.0, 2.0, 3.0, 4.0))
-        out = L.combined_loss((UNIFORM, L._blocks(UNIFORM, ce)), UNIFORM, r1, r2, r3,
-                              L.LossWeights())
+        out = L.combined_loss((UNIFORM, ce), UNIFORM, r1, r2, r3, L.LossWeights())
         assert float(out.data) == pytest.approx(1 + 0.024 * 2 + 0.012 * 3 + 0.012 * 4)
 
     def test_all_zero_sub_losses(self):
         z = picks(0.0)
-        out = L.combined_loss((UNIFORM, L._blocks(UNIFORM, z)), UNIFORM, z, z, z,
-                              L.LossWeights())
+        out = L.combined_loss((UNIFORM, z), UNIFORM, z, z, z, L.LossWeights())
         assert float(out.data) == 0.0
 
     def test_zeroed_weight_removes_gradient(self):
@@ -279,7 +319,7 @@ class TestCombinedLoss:
                 t.grad = None
             gram = L.view_gram([h_con, h_dep])
             r2 = L.loss_r2(gram) if beta else None
-            out = L.combined_loss((UNIFORM, L._blocks(UNIFORM, picks(1.0))), gram,
+            out = L.combined_loss((UNIFORM, picks(1.0)), gram,
                                   None, r2, None, L.LossWeights(0.0, beta, 0.0))
             out.backward()
             return [None if t.grad is None else t.grad.copy()

@@ -266,10 +266,8 @@ class TestTapeSize:
 
 
 def per_instance_r_mask(model, inst, graphs, sentence_id):
-    """The R mask as ``Model.instance_losses`` built it for every instance
-    before a run built it once per sentence: ``losses._blocks`` over the
-    weighted ``loss_r1``-``loss_r3`` blocks of the instance's own Gram, or
-    None when no R loss runs."""
+    """The weighted sum of the ``loss_r1``-``loss_r3`` masks over the
+    instance's own Gram, or None when no R loss runs."""
     cfg, w = model.cfg, model.cfg.weights
     fwd = model.forward(inst.sentence, inst.indicator_verb, graphs, sentence_id)
     views = [(h, g) for h, g in ((fwd.h_con, graphs.const), (fwd.h_dep, graphs.dep))
@@ -280,16 +278,14 @@ def per_instance_r_mask(model, inst, graphs, sentence_id):
     if not (run_r1 or run_r2 or run_r3):
         return None
     gram = losses.view_gram([h for h, _ in views])
-    placed = []
+    mask = np.zeros(gram.shape)
     if run_r1:
-        placed += [(k, l, w.alpha * m)
-                   for k, l, m in losses.loss_r1(gram, [g for _, g in views])]
+        mask += w.alpha * losses.loss_r1(gram, [g for _, g in views])
     if run_r2:
-        placed += [(k, l, w.beta * m) for k, l, m in losses.loss_r2(gram)]
+        mask += w.beta * losses.loss_r2(gram)
     if run_r3:
-        placed += [(k, l, w.gamma * m)
-                   for k, l, m in losses.loss_r3(gram, graphs.const, graphs.dep)]
-    return losses._blocks(gram, placed)
+        mask += w.gamma * losses.loss_r3(gram, graphs.const, graphs.dep)
+    return mask
 
 
 R_MASK_CONFIGS = ([("default", {})]
@@ -406,6 +402,15 @@ class TestArraysRoundTrip:
         arrays = model.export_arrays()
         arrays.pop("head.w")
         with pytest.raises(KeyError, match="head.w"):
+            Model.from_arrays(model.cfg, model.vocab, model.dep_labels,
+                              model.con_labels, arrays)
+
+    def test_unknown_tensor_rejected(self, setup):
+        # before: a tensor ``param_shapes`` does not name was ignored
+        _, _, model = build(setup)
+        arrays = model.export_arrays()
+        arrays["gcn.extra.w"] = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="tensor 'gcn.extra.w'"):
             Model.from_arrays(model.cfg, model.vocab, model.dep_labels,
                               model.con_labels, arrays)
 
