@@ -5,11 +5,19 @@ A sentence is an ``(n, d)`` matrix with one row per token and a graph view
 is a boolean ``(n, n)`` mask, so every primitive works on whole matrices.
 Every primitive records its parents and a backward closure; ``Tape`` walks
 the recorded graph once, in topological order, to accumulate gradients.
+
+The kernels of one verb's forward (``marked_window_relu``,
+``attention_layer``, ``hstack`` and ``linear``) also take a sentence's k
+verbs stacked as ``(k, n, d)``, with the verb-independent ``(n, ·)``
+operands broadcast over them.  Each slice runs the numpy operations of the
+2-D call.  A stacked result is read only: it records nothing, and a stacked
+call whose inputs need a gradient raises ``ShapeMismatch``.  A stacked call
+runs under its caller's ``np.errstate``, which the one stacked forward
+(``Model.predict``'s) opens once, where a 2-D kernel opens its own.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -35,16 +43,20 @@ class NonFiniteValue(NumericsError):
 _grad_enabled = True
 
 
-@contextmanager
-def no_grad():
-    """Disable graph recording (inference / finite differences)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+class no_grad:
+    """Context manager that disables graph recording (inference / finite
+    differences) and restores the previous setting on exit."""
+
+    __slots__ = ("_prev",)
+
+    def __enter__(self):
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self._prev
 
 
 class Tensor:
@@ -92,6 +104,22 @@ def _record(out: Tensor, parents, backward) -> Tensor:
 def _result(data, parents, backward) -> Tensor:
     """Build an op result and record its graph."""
     return _record(Tensor(data), parents, backward)
+
+
+def _read_only(op: str, parents):
+    """Refuse a stacked call whose inputs need a gradient: stacked verbs
+    have no backward."""
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        raise ShapeMismatch(f"{op}: stacked verbs are read only")
+
+
+def broadcast_verbs(t: Tensor, k: int) -> Tensor:
+    """The 2-D ``t`` repeated over a leading axis of k verbs, as a read-only
+    view: the result of a verb-independent layer for each stacked verb."""
+    _read_only("broadcast_verbs", (t,))
+    if t.data.ndim != 2 or k < 0:
+        raise ShapeMismatch(f"broadcast_verbs: {t.shape} over {k} verbs")
+    return Tensor(np.broadcast_to(t.data, (k, *t.shape)))
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -178,13 +206,16 @@ def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray):
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w.T + b: an (n, d_in) matrix through a (d_out, d_in) weight and a
-    (d_out,) bias added to every row."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+    """x @ w.T + b: an (n, d_in) matrix, or (k, n, d_in) stacked verbs,
+    through a (d_out, d_in) weight and a (d_out,) bias added to every row."""
+    if x.data.ndim not in (2, 3) or w.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeMismatch(f"linear: {x.shape}, {w.shape}, {b.shape}")
-    if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
+    if x.shape[-1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"linear: {x.shape} @ {w.shape}.T + {b.shape}")
     xd, wd = x.data, w.data
+    if xd.ndim == 3:
+        _read_only("linear", (x, w, b))
+        return Tensor(xd @ wd.T + b.data)
 
     def backward(g):
         if x.requires_grad:
@@ -221,7 +252,14 @@ def _concat(op: str, parts: list[Tensor], axis: int) -> Tensor:
 
 
 def hstack(parts: list[Tensor]) -> Tensor:
-    """Column-wise concatenation of matrices with one row count."""
+    """Column-wise concatenation of matrices with one row count, or of
+    (k, n, ·) stacked verbs along their last axis."""
+    if parts and parts[0].data.ndim == 3:
+        _read_only("hstack", parts)
+        if any(p.data.ndim != 3 or p.shape[:2] != parts[0].shape[:2]
+               for p in parts):
+            raise ShapeMismatch(f"hstack: {[p.shape for p in parts]}")
+        return Tensor(np.concatenate([p.data for p in parts], axis=2))
     return _concat("hstack", parts, 1)
 
 
@@ -255,25 +293,28 @@ def row_blocks(a: Tensor, sizes) -> list[Tensor]:
 
 def _masked_softmax_probs(x: np.ndarray, mask) -> np.ndarray:
     """The checked forward of ``masked_softmax``, shared with
-    ``attention_layer``."""
+    ``attention_layer``: over (n, n) logits, or (k, n, n) stacked verbs
+    under one (n, n) mask."""
     mask = np.asarray(mask, dtype=bool)
-    if x.ndim != 2 or mask.shape != x.shape:
+    if x.ndim not in (2, 3) or mask.shape != x.shape[-2:]:
         raise ShapeMismatch(f"masked_softmax: logits {x.shape}, mask {mask.shape}")
     z = np.where(mask, x, -np.inf)
-    top = z.max(axis=1, keepdims=True)
+    top = z.max(axis=-1, keepdims=True)
     # an empty row leaves its maximum at -inf, so finite maxima and logits
     # need neither check
     if not (np.isfinite(top).all() and np.isfinite(x).all()):
         if not mask.any(axis=1).all():
             raise EmptyMask("softmax over an empty active set")
-        _check_finite(x[mask], "masked softmax logits")
+        _check_finite(x[..., mask], "masked softmax logits")
     ex = np.exp(z - top)
-    return ex / ex.sum(axis=1, keepdims=True)
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:
     """Softmax of each row over its active (mask-true) entries; exact zeros
     elsewhere.  Logits at masked entries are ignored, even if not finite."""
+    if logits.data.ndim != 2:
+        raise ShapeMismatch(f"masked_softmax: logits {logits.shape}")
     probs = _masked_softmax_probs(logits.data, mask)
 
     def backward(g):
@@ -432,14 +473,15 @@ def window_linear(table: Tensor, index, marks: Tensor, w: Tensor,
     return _result(out, (table, marks, w, b), backward)
 
 
-def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row: int) -> Tensor:
+def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row) -> Tensor:
     """ReLU of ``window_linear``'s output ``pre`` after input row ``row``
     moves from ``marks[0]`` to ``marks[1]``.
 
     The window mix is linear, so the move changes only output rows row - 1,
     row and row + 1 (those inside the matrix), by the last, middle and first
     (d_out, d) block of ``w`` times marks[1] - marks[0].  A ``row`` outside
-    [0, n) moves nothing.
+    [0, n) moves nothing.  A sequence of k rows gives the (k, n, d_out)
+    stack of each row's result.
     """
     if pre.data.ndim != 2 or marks.data.ndim != 2 or marks.shape[0] != 2 \
             or w.shape != (pre.shape[1], 3 * marks.shape[1]):
@@ -447,12 +489,23 @@ def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row: int) -> Tenso
                             f"{marks.shape}, weight {w.shape}")
     n, d_out = pre.shape
     d = marks.shape[1]
-    marked = 0 <= row < n
-    # output rows lo..hi-1 change; change row j of the 3 belongs to row - 1 + j
-    lo, hi = max(row - 1, 0), min(row + 2, n)
     # row o * 3 + k of w_rows is block k's row o
     w_rows = w.data.reshape(3 * d_out, d)
     delta = marks.data[1] - marks.data[0]
+    if not isinstance(row, (int, np.integer)):
+        # slice i is the 2-D body for row[i]
+        _read_only("marked_window_relu", (pre, marks, w))
+        z = np.empty((len(row), n, d_out))
+        z[:] = pre.data
+        change = (w_rows @ delta).reshape(d_out, 3)[:, ::-1].T
+        for i, r in enumerate(row):
+            if 0 <= r < n:
+                lo, hi = max(r - 1, 0), min(r + 2, n)
+                z[i, lo:hi] += change[lo - r + 1:hi - r + 1]
+        return Tensor(np.maximum(z, 0.0, out=z))
+    marked = 0 <= row < n
+    # output rows lo..hi-1 change; change row j of the 3 belongs to row - 1 + j
+    lo, hi = max(row - 1, 0), min(row + 2, n)
     z = pre.data.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         if marked:
@@ -487,14 +540,23 @@ def attention_layer(h: Tensor, l: Tensor, proj: Tensor,
     ``masked_softmax`` of M Mᵀ over ``mask`` for the messages M = [h l].
 
     Returns the (n, d) states and A as a constant.  A raises what
-    ``masked_softmax`` raises on the same logits and mask.
+    ``masked_softmax`` raises on the same logits and mask.  For (k, n, d)
+    stacked verbs ``h``, the (n, ·) ``l``, ``proj`` and ``mask`` serve every
+    verb, and both results are stacked.
     """
     hd, ld, pd = h.data, l.data, proj.data
-    if hd.ndim != 2 or ld.ndim != 2 or pd.shape != hd.shape \
-            or ld.shape[0] != hd.shape[0]:
+    if hd.ndim not in (2, 3) or ld.ndim != 2 or pd.shape != hd.shape[-2:] \
+            or ld.shape[0] != hd.shape[-2]:
         raise ShapeMismatch(f"attention_layer: h {h.shape}, l {l.shape}, "
                             f"proj {proj.shape}")
-    d = hd.shape[1]
+    d = hd.shape[-1]
+    if hd.ndim == 3:
+        _read_only("attention_layer", (h, l, proj))
+        msgs = np.empty((*hd.shape[:2], d + ld.shape[1]))
+        msgs[:, :, :d] = hd
+        msgs[:, :, d:] = ld
+        alpha = _masked_softmax_probs(msgs @ msgs.swapaxes(1, 2), mask)
+        return Tensor(np.maximum(alpha @ (hd + pd), 0.0)), constant(alpha)
     msgs = np.concatenate([hd, ld], axis=1)
     # overflow in the logits is left to the masked softmax's check
     with np.errstate(over="ignore", invalid="ignore"):

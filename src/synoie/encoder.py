@@ -2,8 +2,9 @@
 
 The default encoder mixes a 3-token window through one ReLU layer, as two
 fused autodiff nodes: the word-row gather and mix of the unmarked rows, once
-over the row stack of a batch's sentences, and per verb the marked rows plus
-the ReLU.  A config that names ``encoder_vectors`` replaces it with the
+over the row stack of a batch's sentences, and the marked rows plus the
+ReLU, for one verb or for a sentence's k verbs stacked as ``(k, n, d_h)``.
+A config that names ``encoder_vectors`` replaces it with the
 ``PrecomputedEncoder``, which replays fixed per-token vectors from that file.
 Either encoder's ``base`` takes a list of sentences and returns one tensor
 over their row stack.
@@ -77,12 +78,14 @@ class ToyEncoder:
         shares, over the row stack of ``sentences``: one node, whose windows
         stop at each sentence's ends."""
         p = self.params
-        ids = [self.vocab.lookup(t) for s in sentences for t in s.tokens]
+        get, unk = self.vocab.ids.get, self.vocab.unk_id
+        ids = [get(t.lower(), unk) for s in sentences for t in s.tokens]
         return ad.window_linear(p.w_word, ids, p.w_verb, p.w_mix, p.b_mix,
                                 [len(s.tokens) for s in sentences])
 
-    def encode(self, base: Tensor, indicator_verb: int) -> Tensor:
-        """(n, d_h) states of one verb from the sentence's ``base``."""
+    def encode(self, base: Tensor, indicator_verb) -> Tensor:
+        """(n, d_h) states of one verb from the sentence's ``base``, or the
+        (k, n, d_h) stack of each of a sequence of k verbs, read only."""
         return ad.marked_window_relu(base, self.params.w_verb, self.params.w_mix,
                                      indicator_verb)
 
@@ -140,6 +143,9 @@ class PrecomputedEncoder:
             arrs.append(arr)
         return ad.constant(arrs[0] if len(arrs) == 1 else np.vstack(arrs))
 
-    def encode(self, base: Tensor, indicator_verb: int) -> Tensor:
-        """The stored vectors ``base``, whatever the verb."""
-        return base
+    def encode(self, base: Tensor, indicator_verb) -> Tensor:
+        """The stored vectors ``base``, whatever the verb: broadcast to
+        (k, n, d_h) for a sequence of k verbs."""
+        if isinstance(indicator_verb, (int, np.integer)):
+            return base
+        return ad.broadcast_verbs(base, len(indicator_verb))

@@ -10,7 +10,8 @@ averages the tags on the node's path), times the view's W1.  A view's label
 embedding L and its projection L W2ᵀ + b do not depend on the verb, so a
 batch builds them once, each as one node over the row stack of its
 sentences (``Model.sentence_states``), and each verb's layer takes its
-sentence's rows of both as inputs.
+sentence's rows of both as inputs.  On the read path a layer runs all of a
+sentence's k verbs at once, over ``(k, n, d_h)`` stacked states.
 """
 
 from __future__ import annotations
@@ -58,8 +59,13 @@ class LabelVocab:
         m = self._label_matrices.get(g)
         if m is None:
             label_set, rows = g.label_rows
+            cols = [self.lookup(t) for t in label_set]
             m = np.zeros((g.n, len(self)))
-            np.add.at(m, (slice(None), [self.lookup(t) for t in label_set]), rows)
+            if cols.count(self.unk_id) > 1:
+                np.add.at(m, (slice(None), cols), rows)
+            else:
+                # distinct columns: a write into zeros is the add
+                m[:, cols] = rows
             self._label_matrices[g] = m
         return m
 
@@ -92,7 +98,8 @@ def gcn_layer(g: SyntacticGraph, h_ctx: Tensor, l: Tensor,
               proj: Tensor) -> tuple[Tensor, Tensor]:
     """One graph convolution over label embeddings ``l`` and their
     ``label_projection`` ``proj``; returns the (n, d_h) node states and the
-    (n, n) attention matrix, a constant.
+    (n, n) attention matrix, a constant, or their (k, ·) stacks for
+    (k, n, d_h) stacked ``h_ctx``.
 
     Attention row i is a masked softmax of the message dot products over the
     adjacency row (self-loop included), so isolated nodes cannot occur.  The
@@ -109,5 +116,6 @@ def label_projection(l: Tensor, params: GcnParams) -> Tensor:
 
 def aggregate(h_ctx: Tensor, h_con: Tensor | None = None,
               h_dep: Tensor | None = None) -> Tensor:
-    """Per-token concatenation in the fixed order ctx, con, dep."""
+    """Per-token concatenation in the fixed order ctx, con, dep (of
+    matrices, or of (k, n, ·) stacked verbs)."""
     return ad.hstack([v for v in (h_ctx, h_con, h_dep) if v is not None])

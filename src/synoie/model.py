@@ -7,6 +7,13 @@ of a sentence's verbs share it.  ``sentence_states`` builds the states of a
 list of sentences as one node per kind over their row stack, and each state
 is its sentence's row block of those nodes; a list of one sentence records
 no block node.
+
+``forward`` is one body for one verb or for a sequence of k verbs.  One
+verb gives 2-D results, which training records; k verbs give their
+``(k, n, ·)`` stack, read only.  ``predict`` reads its verb's row of one
+stacked forward over all of the sentence's verbs, which the first
+``predict`` over a state builds and keeps in it (``SentenceState.stack``),
+so extraction runs one forward per sentence and training never builds one.
 """
 
 from __future__ import annotations
@@ -76,18 +83,22 @@ class SentenceGraphs:
 class SentenceState:
     """``con`` and ``dep`` are a view's (L, L W2ᵀ + b) pair, or None when
     the view is off; ``graphs`` and ``sentence_id`` name what the state was
-    built for."""
+    built for.  ``stack`` is None until the first ``Model.predict`` over
+    the state builds the stacked forward over the sentence's k verbs."""
 
     graphs: SentenceGraphs
     sentence_id: int | None
     base: Tensor
     con: tuple[Tensor, Tensor] | None
     dep: tuple[Tensor, Tensor] | None
+    stack: VerbStack | None = None
 
 
 @dataclass
 class ForwardResult:
-    """(n, n_tags) logits, (n, d_h) states and (n, n) attention matrices."""
+    """(n, n_tags) logits, (n, d_h) states and (n, n) attention matrices for
+    one verb; for k stacked verbs, (k, n, n_tags), (k, n, d_h) and
+    (k, n, n), slice i belonging to verb i."""
 
     logits: Tensor
     h_ctx: Tensor
@@ -95,6 +106,18 @@ class ForwardResult:
     h_dep: Tensor | None
     alphas_con: Tensor | None
     alphas_dep: Tensor | None
+
+
+@dataclass
+class VerbStack:
+    """One read-only forward over ``verbs``, stacked: ``forward``'s results
+    are (k, n, ·), and ``tags`` and ``probs`` are (k, n), each token's
+    argmax tag id and its probability, row i for verbs[i]."""
+
+    verbs: tuple[int, ...]
+    forward: ForwardResult
+    tags: np.ndarray
+    probs: np.ndarray
 
 
 @dataclass(eq=False)
@@ -279,19 +302,21 @@ class Model:
         return list(zip(ad.row_blocks(l, sizes),
                         ad.row_blocks(gcn_mod.label_projection(l, params), sizes)))
 
-    def forward(self, sentence: ParsedSentence, indicator_verb: int,
+    def forward(self, sentence: ParsedSentence, indicator_verb,
                 graphs: SentenceGraphs, sentence_id: int | None = None,
                 state: SentenceState | None = None) -> ForwardResult:
-        """One verb's forward pass over ``state``, built here when not given.
+        """The forward pass over ``state``, built here when not given, of one
+        verb (an int: 2-D results) or of a sequence of k verbs (their
+        (k, n, ·) stack, which raises ``ad.ShapeMismatch`` unless gradients
+        are off).
 
         Raises ValueError for a state built for other graphs or another
         sentence id.
         """
         if state is None:
             [state] = self.sentence_states([sentence], [graphs], [sentence_id])
-        elif state.graphs is not graphs or state.sentence_id != sentence_id:
-            raise ValueError("sentence state was built for other graphs "
-                             "or another sentence id")
+        else:
+            _check_state(state, graphs, sentence_id)
         h_ctx = self.encoder.encode(state.base, indicator_verb)
         h_con, alphas_con = self._view(graphs.const, h_ctx, state.con)
         h_dep, alphas_dep = self._view(graphs.dep, h_ctx, state.dep)
@@ -307,6 +332,8 @@ class Model:
             return None, None
         l, proj = labels
         if not self.cfg.use_gcn:
+            if h_ctx.data.ndim == 3:
+                proj = ad.broadcast_verbs(proj, h_ctx.shape[0])
             return proj, None
         return gcn_mod.gcn_layer(g, h_ctx, l, proj)
 
@@ -363,12 +390,44 @@ class Model:
     def predict(self, sentence: ParsedSentence, indicator_verb: int,
                 graphs: SentenceGraphs, sentence_id: int | None = None,
                 state: SentenceState | None = None):
-        """Argmax tags and their probabilities, without recording gradients."""
-        with ad.no_grad():
-            fwd = self.forward(sentence, indicator_verb, graphs, sentence_id,
-                               state)
+        """Argmax tags and their probabilities for one verb, without
+        recording gradients.
+
+        Over a ``state``, the first call stacks every verb of ``sentence``
+        into one forward, which the state keeps, and each call reads its
+        verb's row.  A verb outside ``sentence.verbs``, or a call with no
+        state, runs the same forward over that verb alone (k = 1).  Raises
+        ValueError for a state built for other graphs or another sentence id.
+        """
+        stack = None
+        if state is not None:
+            _check_state(state, graphs, sentence_id)
+            if state.stack is None and indicator_verb in sentence.verbs:
+                state.stack = self._verb_stack(sentence, sentence.verbs, graphs,
+                                               sentence_id, state)
+            stack = state.stack
+        if stack is None or indicator_verb not in stack.verbs:
+            stack = self._verb_stack(sentence, [indicator_verb], graphs,
+                                     sentence_id, state)
+        row = stack.verbs.index(indicator_verb)
+        return [TAGS[k] for k in stack.tags[row].tolist()], stack.probs[row].tolist()
+
+    def _verb_stack(self, sentence, verbs, graphs, sentence_id, state) -> VerbStack:
+        """The read-only forward over ``verbs`` stacked, and each token's
+        argmax tag and probability for each verb."""
+        # the stacked kernels leave overflow to this one errstate
+        with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            fwd = self.forward(sentence, verbs, graphs, sentence_id, state)
         x = fwd.logits.data
-        ex = np.exp(x - x.max(axis=1, keepdims=True))
+        ex = np.exp(x - x.max(axis=2, keepdims=True))
         # the best tag's exp is exp(0) = 1, so its probability is 1 / row sum
-        best = ex.argmax(axis=1).tolist()
-        return [TAGS[k] for k in best], (1.0 / ex.sum(axis=1)).tolist()
+        return VerbStack(tuple(verbs), fwd, ex.argmax(axis=2), 1.0 / ex.sum(axis=2))
+
+
+def _check_state(state: SentenceState, graphs: SentenceGraphs,
+                 sentence_id: int | None):
+    """Raise ValueError for a state built for other graphs or another
+    sentence id."""
+    if state.graphs is not graphs or state.sentence_id != sentence_id:
+        raise ValueError("sentence state was built for other graphs "
+                         "or another sentence id")

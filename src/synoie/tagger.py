@@ -1,8 +1,10 @@
 """Tagging head, BIO decoding, and per-verb tuple extraction.
 
-Extraction runs a sentence's verbs one at a time over one shared sentence
-state, which it builds as ``Model.sentence_states``' batch of one sentence,
-so it records no row-block node.
+Extraction builds one sentence state, as ``Model.sentence_states``' batch
+of one sentence, so it records no row-block node.  It asks ``predict`` for
+each verb in turn, and the first call runs one stacked forward over all
+of the sentence's k verbs, ``(k, n, ·)``, which the state keeps and each
+verb's call reads a row of.
 """
 
 from __future__ import annotations
@@ -64,10 +66,11 @@ def decode_bio(tags: list[str], probs: list[float],
 
 def extract(sentence: ParsedSentence, model, graphs,
             sentence_id: int | None = None) -> list[Extraction]:
-    """Run one instance per candidate verb; at most one tuple per verb.
+    """Tag each candidate verb; at most one tuple per verb.
 
     The verbs share one state, built here by ``model.sentence_states`` as a
-    batch of one sentence.
+    batch of one sentence, and one stacked forward, which the first
+    ``model.predict`` over the state builds.
     """
     if not sentence.verbs:
         return []

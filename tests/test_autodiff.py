@@ -434,3 +434,15 @@ class TestNoGrad:
         assert not y.requires_grad
         y.backward()  # no-op
         assert x.grad is None
+
+    def test_restores_the_previous_setting(self):
+        # nested blocks, and a block left by an exception, restore what was
+        # there before them
+        x = ad.parameter([[1.0, 2.0]])
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not sq_norm(x).requires_grad
+        with pytest.raises(ValueError), ad.no_grad():
+            raise ValueError
+        assert sq_norm(x).requires_grad

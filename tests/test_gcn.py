@@ -218,6 +218,51 @@ class TestLabelRowsProperty:
                 params.w1.grad = None
 
 
+def add_at_label_matrix(g, labels) -> np.ndarray:
+    """The label matrix as one ``np.add.at`` over the label columns builds
+    it, whether or not two labels share the UNK column (oracle)."""
+    label_set, rows = g.label_rows
+    m = np.zeros((g.n, len(labels)))
+    np.add.at(m, (slice(None), [labels.lookup(t) for t in label_set]), rows)
+    return m
+
+
+class TestLabelMatrixWrite:
+    """A label matrix whose labels fall in distinct columns is written, not
+    added, and equals the ``np.add.at`` form byte for byte either way."""
+
+    @pytest.mark.parametrize("view, node_labels", [
+        (DEP_VIEW, ["nsubj", "ROOT", "nsubj"]),
+        (DEP_VIEW, ["nsubj", "new", "ROOT"]),
+        (DEP_VIEW, ["new", "ROOT", "other"]),
+        (CONST_VIEW, [["S", "NP"], ["S", "NP", "NP"]]),
+        (CONST_VIEW, [["S", "X"], ["S", "NP"]]),
+        (CONST_VIEW, [["S", "X", "Y"], ["S", "NP"]]),
+        (CONST_VIEW, [["S", "X"], ["S", "Y", "NP"]]),
+    ], ids=["dep-known", "dep-one-unseen", "dep-two-unseen", "const-known",
+            "const-one-unseen", "const-two-unseen-one-row",
+            "const-two-unseen-two-rows"])
+    def test_equals_the_add_at_form(self, view, node_labels):
+        labels = gcn.LabelVocab(["<unk>", "S", "NP", "ROOT", "nsubj"])
+        g = make_graph(view, len(node_labels), [], node_labels)
+        assert labels.label_matrix(g).tobytes() == \
+            add_at_label_matrix(g, labels).tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(text=bracketed_trees, known_tags=st.sets(st.sampled_from(PHRASE_TAGS)))
+    def test_drawn_trees_equal_the_add_at_form(self, text, known_tags):
+        if root_is_preterminal(text):
+            return
+        tokens = tree_leaf_surfaces(text)
+        heads = [[-1, "ROOT"]] + [[0, "det"]] * (len(tokens) - 1)
+        s = c._build_sentence({"tokens": tokens, "const_ptb": text,
+                               "dep_conllu": heads, "verbs": []})
+        g = graphs.build_const_graph(s, graphs.FlattenConfig())
+        labels = gcn.LabelVocab.collect(known_tags)
+        assert labels.label_matrix(g).tobytes() == \
+            add_at_label_matrix(g, labels).tobytes()
+
+
 class TestGcnLayer:
     def _inputs(self, rng, n, d_h=4, d_l=3):
         h_ctx = ad.constant(rng.normal(size=(n, d_h)))

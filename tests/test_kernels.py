@@ -298,6 +298,123 @@ class TestAttentionKernel:
             ad.attention_layer(*args)
 
 
+def stacked_cases():
+    """(name, call): one stacked call of each kernel whose first input needs
+    a gradient."""
+    rng = np.random.default_rng(7)
+    n, k = 4, 3
+    mask = graph_mask(rng, n)
+    param, const = ad.parameter, ad.constant
+
+    def encoder():
+        te = toy_encoder(["a", "b", "c", "d"], seed=7)
+        base = te.base([flat_sentence(["a", "b", "c", "d"])])
+        return ad.marked_window_relu(base, te.params.w_verb, te.params.w_mix,
+                                     [0, 2])
+
+    return [
+        ("marked_window_relu", encoder),
+        ("attention_layer-h", lambda: ad.attention_layer(
+            param(rng.normal(size=(k, n, D))), const(rng.normal(size=(n, 2))),
+            const(rng.normal(size=(n, D))), mask)),
+        ("attention_layer-l", lambda: ad.attention_layer(
+            const(rng.normal(size=(k, n, D))), param(rng.normal(size=(n, 2))),
+            const(rng.normal(size=(n, D))), mask)),
+        ("hstack", lambda: ad.hstack([param(rng.normal(size=(k, n, D))),
+                                      const(rng.normal(size=(k, n, 2)))])),
+        ("linear", lambda: ad.linear(const(rng.normal(size=(k, n, D))),
+                                     param(rng.normal(size=(2, D))),
+                                     const(np.zeros(2)))),
+        ("broadcast_verbs", lambda: ad.broadcast_verbs(
+            param(rng.normal(size=(n, D))), k)),
+    ]
+
+
+STACKED_CASES = stacked_cases()
+
+
+class TestStackedKernels:
+    """A sentence's k verbs stacked as (k, n, ·): slice i is the 2-D call
+    for verb i, byte for byte, and a stacked call records nothing."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_marked_rows_are_each_rows_call(self, n):
+        words = [f"w{i % 3}" for i in range(n)]
+        te = toy_encoder(words, seed=30 + n)
+        p = te.params
+        rows = [v for m, v in verb_cases() if m == n]  # and rows outside [0, n)
+        with ad.no_grad():
+            base = te.base([flat_sentence(words)])
+            got = te.encode(base, rows)
+            assert got.shape == (len(rows), n, D) and not got.requires_grad
+            for i, row in enumerate(rows):
+                want = ad.marked_window_relu(base, p.w_verb, p.w_mix, row)
+                assert got.data[i].tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_attention_is_each_verbs_call(self, n):
+        rng = np.random.default_rng(40 + n)
+        hs = rng.normal(size=(3, n, D))
+        l = ad.constant(rng.normal(size=(n, 2)))
+        proj = ad.constant(rng.normal(size=(n, D)))
+        mask = graph_mask(rng, n)
+        states, alpha = ad.attention_layer(ad.constant(hs), l, proj, mask)
+        assert states.shape == (3, n, D) and alpha.shape == (3, n, n)
+        for i, h in enumerate(hs):
+            want_states, want_alpha = ad.attention_layer(ad.constant(h), l, proj,
+                                                         mask)
+            assert states.data[i].tobytes() == want_states.data.tobytes()
+            assert alpha.data[i].tobytes() == want_alpha.data.tobytes()
+
+    @pytest.mark.parametrize("h, mask, error", [
+        ([[1.0], [2.0]], [[True, False], [False, False]], ad.EmptyMask),
+        ([[1.0], [np.nan]], [[True, False], [False, True]], ad.NonFiniteValue),
+        ([[1e200], [1.0]], [[True, True], [True, True]], ad.NonFiniteValue),
+        ([[1.0], [2.0]], [[True, True]], ad.ShapeMismatch),
+    ], ids=["empty-row", "nan-active", "overflow-active", "mask-shape"])
+    def test_attention_raises_what_the_2d_call_raises(self, h, mask, error):
+        # a stacked call runs under its caller's errstate
+        h = np.array(h)
+        args = (ad.constant(np.stack([h, h])), ad.constant(np.zeros((2, 0))),
+                ad.constant(np.zeros_like(h)), mask)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+            ad.attention_layer(*args)
+
+    def test_hstack_and_linear_are_each_verbs_call(self):
+        rng = np.random.default_rng(50)
+        parts = [rng.normal(size=(3, 4, w)) for w in (D, 2)]
+        w = ad.constant(rng.normal(size=(5, D + 2)))
+        b = ad.constant(rng.normal(size=5))
+        x = ad.hstack([ad.constant(p) for p in parts])
+        out = ad.linear(x, w, b)
+        assert x.shape == (3, 4, D + 2) and out.shape == (3, 4, 5)
+        for i in range(3):
+            x2 = ad.hstack([ad.constant(p[i]) for p in parts])
+            assert x.data[i].tobytes() == x2.data.tobytes()
+            assert out.data[i].tobytes() == ad.linear(x2, w, b).data.tobytes()
+
+    def test_hstack_rejects_mixed_ranks(self):
+        with pytest.raises(ad.ShapeMismatch):
+            ad.hstack([ad.constant(np.zeros((2, 3, D))),
+                       ad.constant(np.zeros((3, D)))])
+
+    def test_broadcast_verbs_repeats_a_matrix(self):
+        t = ad.constant(np.arange(6.0).reshape(3, 2))
+        out = ad.broadcast_verbs(t, 4)
+        assert out.shape == (4, 3, 2) and not out.requires_grad
+        for slice_ in out.data:
+            np.testing.assert_array_equal(slice_, t.data)
+
+    @pytest.mark.parametrize("name, call", STACKED_CASES,
+                             ids=[name for name, _ in STACKED_CASES])
+    def test_stacked_input_needing_a_gradient_raises(self, name, call):
+        with pytest.raises(ad.ShapeMismatch, match="stacked verbs are read only"):
+            call()
+        with ad.no_grad():
+            out = call()
+        assert not (out[0] if isinstance(out, tuple) else out).requires_grad
+
+
 def old_loss(logits, masks, g=1.0):
     """The old chain, in numpy: the sum over terms of masked_sum(
     log_softmax_rows(x), -M), and each logits matrix's gradient through

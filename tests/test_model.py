@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -499,8 +500,9 @@ def default_width_models(tmp_path_factory):
 
 
 def assert_shared_state_changes_nothing(model, s, graphs, sid):
-    """Every verb's predict over one shared state equals, bit for bit, the
-    predict that builds its own state."""
+    """Every verb's predict over one shared state (its row of the state's
+    stacked forward) equals, bit for bit, the predict that builds its own
+    state (the k = 1 forward)."""
     with ad.no_grad():
         state = model.sentence_states([s], [graphs], [sid])[0]
     for verb in s.verbs:
@@ -508,6 +510,23 @@ def assert_shared_state_changes_nothing(model, s, graphs, sid):
         shared_tags, shared_probs = model.predict(s, verb, graphs, sid, state)
         assert shared_tags == tags
         assert np.array(shared_probs).tobytes() == np.array(probs).tobytes()
+
+
+def drawn_sentence(model, text, data, verbs):
+    """A sentence over the drawn tree ``text`` with drawn dep rows, the
+    verbs ``verbs(n)``, and (for the replayed encoder) vectors of its own."""
+    tokens = tree_leaf_surfaces(text)
+    n = len(tokens)
+    heads = [-1] + [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+    rels = data.draw(st.lists(st.sampled_from(model.dep_labels.labels + ["new"]),
+                              min_size=n, max_size=n))
+    s = c._build_sentence({"tokens": tokens, "const_ptb": text,
+                           "dep_conllu": [list(p) for p in zip(heads, rels)],
+                           "verbs": verbs(n)})
+    if model.cfg.encoder_vectors is not None:
+        model.encoder.vectors[DRAWN_ID] = np.random.default_rng(n).normal(
+            size=(n, model.cfg.d_h))
+    return s, SentenceGraphs.build(s, model.cfg.flatten)
 
 
 class TestSentenceState:
@@ -523,21 +542,9 @@ class TestSentenceState:
     def test_drawn_trees_every_token_a_verb(self, sample_models, text, config,
                                             data):
         assume(not root_is_preterminal(text))
-        _, _, models = sample_models
-        model = models[config]
-        tokens = tree_leaf_surfaces(text)
-        n = len(tokens)
-        heads = [-1] + [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
-        rels = data.draw(st.lists(st.sampled_from(model.dep_labels.labels + ["new"]),
-                                  min_size=n, max_size=n))
-        s = c._build_sentence({"tokens": tokens, "const_ptb": text,
-                               "dep_conllu": [list(p) for p in zip(heads, rels)],
-                               "verbs": list(range(n))})
-        if config == "vectors":
-            model.encoder.vectors[DRAWN_ID] = np.random.default_rng(n).normal(
-                size=(n, model.cfg.d_h))
-        assert_shared_state_changes_nothing(
-            model, s, SentenceGraphs.build(s, model.cfg.flatten), DRAWN_ID)
+        model = sample_models[2][config]
+        s, graphs = drawn_sentence(model, text, data, lambda n: list(range(n)))
+        assert_shared_state_changes_nothing(model, s, graphs, DRAWN_ID)
 
     def test_extract_builds_the_shared_half_once(self, sample_models, monkeypatch):
         sentences, cache, models = sample_models
@@ -564,6 +571,138 @@ class TestSentenceState:
             model.predict(sentences[0], sentences[0].verbs[0], rebuilt, 0, state)
         with pytest.raises(ValueError, match="another sentence id"):
             model.predict(sentences[0], sentences[0].verbs[0], cache[0], 1, state)
+
+
+FORWARD_FIELDS = ("logits", "h_ctx", "h_con", "h_dep", "alphas_con", "alphas_dep")
+
+
+def assert_stack_is_each_verbs_forward(model, s, graphs, sid):
+    """Slice i of the stacked forward over every verb of ``s`` equals the 2-D
+    forward of verb i over the same state, to 1e-12."""
+    with ad.no_grad():
+        [state] = model.sentence_states([s], [graphs], [sid])
+        stacked = model.forward(s, s.verbs, graphs, sid, state)
+        for i, verb in enumerate(s.verbs):
+            own = model.forward(s, verb, graphs, sid, state)
+            for name in FORWARD_FIELDS:
+                got, want = getattr(stacked, name), getattr(own, name)
+                assert (got is None) == (want is None), name
+                if want is not None:
+                    assert got.shape == (len(s.verbs), *want.shape), name
+                    np.testing.assert_allclose(got.data[i], want.data, rtol=0,
+                                               atol=1e-12, err_msg=name)
+
+
+class TestStackedForward:
+    """Extraction's one forward per sentence: a sentence's k verbs stacked
+    as (k, n, ·), read only, kept in the sentence state."""
+
+    @pytest.mark.parametrize("widths", ["sample_models", "default_width_models"])
+    @pytest.mark.parametrize("config", SHARED_STATE_CONFIGS)
+    def test_each_slice_is_its_verbs_forward(self, request, widths, config):
+        sentences, cache, models = request.getfixturevalue(widths)
+        for i, s in enumerate(sentences):
+            assert_stack_is_each_verbs_forward(models[config], s, cache[i], i)
+
+    @settings(deadline=None, max_examples=60)
+    @given(text=bracketed_trees, config=st.sampled_from(SHARED_STATE_CONFIGS),
+           data=st.data())
+    def test_drawn_trees_every_token_a_verb(self, sample_models, text, config,
+                                            data):
+        assume(not root_is_preterminal(text))
+        model = sample_models[2][config]
+        s, graphs = drawn_sentence(model, text, data, lambda n: list(range(n)))
+        assert_stack_is_each_verbs_forward(model, s, graphs, DRAWN_ID)
+
+    @pytest.mark.parametrize("config", SHARED_STATE_CONFIGS)
+    def test_predict_reads_its_row_of_the_state_stack(self, sample_models, config):
+        sentences, cache, models = sample_models
+        model = models[config]
+        i, s = next((i, s) for i, s in enumerate(sentences) if len(s.verbs) >= 2)
+        with ad.no_grad():
+            [state] = model.sentence_states([s], [cache[i]], [i])
+        assert state.stack is None
+        model.predict(s, s.verbs[0], cache[i], i, state)
+        stack = state.stack  # the first call builds it, and the rest read it
+        assert stack.verbs == tuple(s.verbs)
+        assert stack.forward.logits.shape == (len(s.verbs), len(s.tokens),
+                                              len(c.TAGS))
+        for row, verb in enumerate(s.verbs):
+            tags, probs = model.predict(s, verb, cache[i], i, state)
+            assert state.stack is stack
+            assert tags == [c.TAGS[t] for t in stack.tags[row]]
+            assert np.array(probs).tobytes() == stack.probs[row].tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(text=bracketed_trees, config=st.sampled_from(SHARED_STATE_CONFIGS),
+           data=st.data())
+    def test_a_token_outside_the_verbs_runs_alone(self, sample_models, text,
+                                                  config, data):
+        # k = 1: a token that is not one of the sentence's verbs, with or
+        # without the state, gets its row of a stack over every token, and
+        # builds no stack in the state
+        assume(not root_is_preterminal(text))
+        model = sample_models[2][config]
+        s, graphs = drawn_sentence(model, text, data,
+                                   lambda n: list(range(0, n, 2)))
+        every = dataclasses.replace(s, verbs=list(range(len(s.tokens))))
+        with ad.no_grad():
+            [state] = model.sentence_states([s], [graphs], [DRAWN_ID])
+            [every_state] = model.sentence_states([every], [graphs], [DRAWN_ID])
+        for token in range(1, len(s.tokens), 2):
+            want = model.predict(every, token, graphs, DRAWN_ID, every_state)
+            for got in (model.predict(s, token, graphs, DRAWN_ID),
+                        model.predict(s, token, graphs, DRAWN_ID, state)):
+                assert got[0] == want[0]
+                assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
+        assert state.stack is None
+
+    @pytest.mark.parametrize("config", SHARED_STATE_CONFIGS)
+    def test_stacked_forward_needing_a_gradient_raises(self, sample_models, config):
+        sentences, cache, models = sample_models
+        s = sentences[0]
+        with pytest.raises(ad.ShapeMismatch, match="stacked verbs are read only"):
+            models[config].forward(s, s.verbs, cache[0], 0)
+
+    def test_state_mismatch_still_raises_once_stacked(self, sample_models):
+        sentences, cache, models = sample_models
+        model = models["default"]
+        s = sentences[0]
+        with ad.no_grad():
+            [state] = model.sentence_states([s], [cache[0]], [0])
+        model.predict(s, s.verbs[0], cache[0], 0, state)
+        assert state.stack is not None
+        rebuilt = SentenceGraphs.build(s, model.cfg.flatten)
+        with pytest.raises(ValueError, match="other graphs"):
+            model.predict(s, s.verbs[0], rebuilt, 0, state)
+        with pytest.raises(ValueError, match="another sentence id"):
+            model.predict(s, s.verbs[0], cache[0], 1, state)
+
+    def test_extract_runs_one_forward_per_sentence(self, sample_models, monkeypatch):
+        sentences, cache, models = sample_models
+        model = models["default"]
+        calls = {"encode": 0, "gcn_layer": 0, "aggregate": 0, "tag_logits": 0,
+                 "predict": 0}
+        for owner, name in ((type(model.encoder), "encode"), (gcn, "gcn_layer"),
+                            (gcn, "aggregate"), (tagger, "tag_logits"),
+                            (Model, "predict")):
+            def counted(*args, _inner=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(owner, name, counted)
+        i, s = max(enumerate(sentences), key=lambda p: len(p[1].verbs))
+        assert len(s.verbs) >= 2
+        tagger.extract(s, model, cache[i], i)
+        assert calls == {"encode": 1, "gcn_layer": 2, "aggregate": 1,
+                         "tag_logits": 1, "predict": len(s.verbs)}
+
+    def test_training_builds_no_stack(self, sample_models):
+        sentences, cache, models = sample_models
+        model = models["default"]
+        [state] = model.sentence_states([sentences[0]], [cache[0]], [0])
+        for inst in expand_instances(sentences[0]):
+            model.instance_losses(inst, cache[0], 0, state)
+        assert state.stack is None
 
 
 def state_tensors(state) -> dict[str, ad.Tensor]:
