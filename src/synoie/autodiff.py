@@ -9,11 +9,15 @@ the recorded graph once, in topological order, to accumulate gradients.
 The kernels of one verb's forward (``marked_window_relu``,
 ``attention_layer``, ``hstack`` and ``linear``) also take a sentence's k
 verbs stacked as ``(k, n, d)``, with the verb-independent ``(n, ·)``
-operands broadcast over them.  Each slice runs the numpy operations of the
-2-D call.  A stacked result is read only: it records nothing, and a stacked
-call whose inputs need a gradient raises ``ShapeMismatch``.  A stacked call
-runs under its caller's ``np.errstate``, which the one stacked forward
-(``Model.predict``'s) opens once, where a 2-D kernel opens its own.
+operands broadcast over them.  Each kernel has one numpy body for both
+ranks, written over the last two axes, so a verb's slice is the bytes of
+its 2-D call.  Every op returns through ``_result``, which records only when
+a parent needs a gradient: a 2-D result records its backward, fed from the
+body's intermediates, and a stacked one has none, so a stacked call whose
+inputs need a gradient raises ``ShapeMismatch``.  Each kernel whose
+products can overflow runs under its own ``np.errstate``
+(``_overflow_ignored``), whatever the rank, and leaves overflow to its
+consumer's check; none relies on its caller's.
 """
 
 from __future__ import annotations
@@ -101,25 +105,22 @@ def _record(out: Tensor, parents, backward) -> Tensor:
     return out
 
 
-def _result(data, parents, backward) -> Tensor:
-    """Build an op result and record its graph."""
-    return _record(Tensor(data), parents, backward)
-
-
-def _read_only(op: str, parents):
-    """Refuse a stacked call whose inputs need a gradient: stacked verbs
-    have no backward."""
-    if _grad_enabled and any(p.requires_grad for p in parents):
+def _result(data, parents, backward, op: str) -> Tensor:
+    """Build op ``op``'s result and record its graph.  A stacked result (more
+    than two axes) has no backward, so one that would record raises."""
+    out = _record(Tensor(data), parents, backward)
+    if out.requires_grad and out.data.ndim > 2:
         raise ShapeMismatch(f"{op}: stacked verbs are read only")
+    return out
 
 
 def broadcast_verbs(t: Tensor, k: int) -> Tensor:
     """The 2-D ``t`` repeated over a leading axis of k verbs, as a read-only
     view: the result of a verb-independent layer for each stacked verb."""
-    _read_only("broadcast_verbs", (t,))
     if t.data.ndim != 2 or k < 0:
         raise ShapeMismatch(f"broadcast_verbs: {t.shape} over {k} verbs")
-    return Tensor(np.broadcast_to(t.data, (k, *t.shape)))
+    return _result(np.broadcast_to(t.data, (k, *t.shape)), (t,), None,
+                   "broadcast_verbs")
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -158,6 +159,14 @@ class Tape:
                 node._backward(node.grad)
 
 
+# a kernel whose products can overflow runs under this, at either rank, and
+# leaves overflow to its consumer's check: a masked softmax ignores masked
+# logits, and the losses and the optimiser check their own values.  No such
+# kernel calls another, so the one context never nests (numpy < 2's is not
+# reentrant)
+_overflow_ignored = np.errstate(over="ignore", invalid="ignore")
+
+
 def _check_finite(arr: np.ndarray, op: str):
     if not np.isfinite(arr).all():
         raise NonFiniteValue(f"non-finite value produced by {op}")
@@ -167,6 +176,7 @@ def _check_finite(arr: np.ndarray, op: str):
 # Primitives: a sentence is an (n, d) matrix, one row per token
 # ---------------------------------------------------------------------------
 
+@_overflow_ignored
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """a @ b, or a @ b.T with ``transpose_b``; both operands 2-D."""
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -181,10 +191,7 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g.T @ ad if transpose_b else ad.T @ g)
 
-    # overflow is left to the consumer: a masked softmax ignores masked logits
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = ad @ bd
-    return _result(out, (a, b), backward)
+    return _result(ad @ bd, (a, b), backward, "matmul")
 
 
 def _row_index(op: str, table: Tensor, index) -> np.ndarray:
@@ -205,6 +212,7 @@ def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray):
         np.add.at(table.grad, idx, g)
 
 
+@_overflow_ignored
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w.T + b: an (n, d_in) matrix, or (k, n, d_in) stacked verbs,
     through a (d_out, d_in) weight and a (d_out,) bias added to every row."""
@@ -213,9 +221,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.shape[-1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise ShapeMismatch(f"linear: {x.shape} @ {w.shape}.T + {b.shape}")
     xd, wd = x.data, w.data
-    if xd.ndim == 3:
-        _read_only("linear", (x, w, b))
-        return Tensor(xd @ wd.T + b.data)
 
     def backward(g):
         if x.requires_grad:
@@ -225,47 +230,40 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g.sum(axis=0))
 
-    # as in matmul, overflow is left to the consumer
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = xd @ wd.T + b.data
-    return _result(out, (x, w, b), backward)
+    return _result(xd @ wd.T + b.data, (x, w, b), backward, "linear")
 
 
 def _concat(op: str, parts: list[Tensor], axis: int) -> Tensor:
-    """Concatenation of matrices along ``axis``; the gradient splits back."""
-    if not parts:
-        raise ShapeMismatch(f"{op} of zero tensors")
-    other = 1 - axis
-    if any(p.data.ndim != 2 or p.shape[other] != parts[0].shape[other]
-           for p in parts):
+    """Concatenation along the negative ``axis`` of matrices, or of (k, n, ·)
+    stacked verbs, alike in every other axis; the gradient splits back."""
+    if not parts or parts[0].data.ndim not in (2, 3):
         raise ShapeMismatch(f"{op}: {[p.shape for p in parts]}")
+    try:
+        out = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise ShapeMismatch(f"{op}: {[p.shape for p in parts]}") from None
+    # the index of columns (axis -1) or rows (axis -2) start..end
+    tail = (slice(None),) * (-1 - axis)
 
     def backward(g):
         start = 0
         for p in parts:
             end = start + p.shape[axis]
-            _accumulate(p, g[:, start:end] if axis else g[start:end])
+            _accumulate(p, g[(..., slice(start, end), *tail)])
             start = end
 
-    return _result(np.concatenate([p.data for p in parts], axis=axis),
-                   tuple(parts), backward)
+    return _result(out, tuple(parts), backward, op)
 
 
 def hstack(parts: list[Tensor]) -> Tensor:
     """Column-wise concatenation of matrices with one row count, or of
     (k, n, ·) stacked verbs along their last axis."""
-    if parts and parts[0].data.ndim == 3:
-        _read_only("hstack", parts)
-        if any(p.data.ndim != 3 or p.shape[:2] != parts[0].shape[:2]
-               for p in parts):
-            raise ShapeMismatch(f"hstack: {[p.shape for p in parts]}")
-        return Tensor(np.concatenate([p.data for p in parts], axis=2))
-    return _concat("hstack", parts, 1)
+    return _concat("hstack", parts, -1)
 
 
 def vstack(parts: list[Tensor]) -> Tensor:
     """Row-wise concatenation of matrices with one column count."""
-    return _concat("vstack", parts, 0)
+    return _concat("vstack", parts, -2)
 
 
 def row_blocks(a: Tensor, sizes) -> list[Tensor]:
@@ -320,7 +318,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     def backward(g):
         _accumulate(logits, probs * (g - (probs * g).sum(axis=1, keepdims=True)))
 
-    return _result(probs, (logits,), backward)
+    return _result(probs, (logits,), backward, "masked_softmax")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -341,6 +339,7 @@ class RowSoftmax:
         return self.log_probs.shape
 
 
+@_overflow_ignored
 def row_softmax(a: Tensor, b: Tensor | None = None,
                 block: int | None = None) -> RowSoftmax:
     """The softmax of each row of the 2-D tensor ``a``, or of a bᵀ, within
@@ -350,9 +349,7 @@ def row_softmax(a: Tensor, b: Tensor | None = None,
     else:
         if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
             raise ShapeMismatch(f"row softmax of {a.shape} @ {b.shape}ᵀ")
-        # overflow is left to the finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = a.data @ b.data.T
+        x = a.data @ b.data.T  # overflow is left to the finiteness check below
     if x.ndim != 2 or x.shape[1] == 0 \
             or (block is not None and (block <= 0 or x.shape[1] % block)):
         raise ShapeMismatch(f"row softmax: {x.shape} in column blocks of {block}")
@@ -408,7 +405,7 @@ def masked_nll(terms: list[tuple[RowSoftmax, np.ndarray]]) -> Tensor:
                 if b.requires_grad:
                     _accumulate(b, gl.T @ a.data)
 
-    return _result(-total, parents.values(), backward)
+    return _result(-total, parents.values(), backward, "masked_nll")
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +421,7 @@ def _cut_windows(win: np.ndarray, starts, d: int):
         win[starts - 1, 2 * d:] = 0.0
 
 
+@_overflow_ignored
 def window_linear(table: Tensor, index, marks: Tensor, w: Tensor,
                   b: Tensor, lengths=None) -> Tensor:
     """Row i is [x_{i-1}; x_i; x_{i+1}] @ w.T + b over the rows
@@ -467,12 +465,11 @@ def window_linear(table: Tensor, index, marks: Tensor, w: Tensor,
         if b.requires_grad:
             _accumulate(b, g.sum(axis=0))
 
-    # as in matmul, overflow is left to the consumer
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = win @ wd.T + b.data
-    return _result(out, (table, marks, w, b), backward)
+    return _result(win @ wd.T + b.data, (table, marks, w, b), backward,
+                   "window_linear")
 
 
+@_overflow_ignored
 def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row) -> Tensor:
     """ReLU of ``window_linear``'s output ``pre`` after input row ``row``
     moves from ``marks[0]`` to ``marks[1]``.
@@ -491,32 +488,25 @@ def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row) -> Tensor:
     d = marks.shape[1]
     # row o * 3 + k of w_rows is block k's row o
     w_rows = w.data.reshape(3 * d_out, d)
+    single = isinstance(row, (int, np.integer))
+    rows = (row,) if single else row
     delta = marks.data[1] - marks.data[0]
-    if not isinstance(row, (int, np.integer)):
-        # slice i is the 2-D body for row[i]
-        _read_only("marked_window_relu", (pre, marks, w))
-        z = np.empty((len(row), n, d_out))
-        z[:] = pre.data
-        change = (w_rows @ delta).reshape(d_out, 3)[:, ::-1].T
-        for i, r in enumerate(row):
-            if 0 <= r < n:
-                lo, hi = max(r - 1, 0), min(r + 2, n)
-                z[i, lo:hi] += change[lo - r + 1:hi - r + 1]
-        return Tensor(np.maximum(z, 0.0, out=z))
-    marked = 0 <= row < n
-    # output rows lo..hi-1 change; change row j of the 3 belongs to row - 1 + j
-    lo, hi = max(row - 1, 0), min(row + 2, n)
-    z = pre.data.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        if marked:
-            change = (w_rows @ delta).reshape(d_out, 3)[:, ::-1].T
-            z[lo:hi] += change[lo - row + 1:hi - row + 1]
-        out = np.maximum(z, 0.0)
+    # change row j of the 3 belongs to output row r - 1 + j
+    change = (w_rows @ delta).reshape(d_out, 3)[:, ::-1].T
+    z = np.empty((n, d_out) if single else (len(rows), n, d_out))
+    z[...] = pre.data
+    for zr, r in zip(z[None] if single else z, rows):
+        if 0 <= r < n:
+            lo, hi = max(r - 1, 0), min(r + 2, n)
+            zr[lo:hi] += change[lo - r + 1:hi - r + 1]
+    out = np.maximum(z, 0.0, out=z)
 
     def backward(g):
+        # a recorded call is 2-D, for the int ``row``
         gz = g * (out > 0)
         _accumulate(pre, gz)
-        if marked and (marks.requires_grad or w.requires_grad):
+        if 0 <= row < n and (marks.requires_grad or w.requires_grad):
+            lo, hi = max(row - 1, 0), min(row + 2, n)
             per_row = np.zeros((3, d_out))
             per_row[lo - row + 1:hi - row + 1] = gz[lo:hi]
             if marks.requires_grad:
@@ -531,9 +521,10 @@ def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row) -> Tensor:
                     moved[j, (2 - j) * d:(3 - j) * d] = delta
                 _accumulate(w, per_row.T @ moved)
 
-    return _result(out, (pre, marks, w), backward)
+    return _result(out, (pre, marks, w), backward, "marked_window_relu")
 
 
+@_overflow_ignored
 def attention_layer(h: Tensor, l: Tensor, proj: Tensor,
                     mask) -> tuple[Tensor, Tensor]:
     """One attention graph convolution: ReLU(A (h + proj)), where A is the
@@ -550,19 +541,13 @@ def attention_layer(h: Tensor, l: Tensor, proj: Tensor,
         raise ShapeMismatch(f"attention_layer: h {h.shape}, l {l.shape}, "
                             f"proj {proj.shape}")
     d = hd.shape[-1]
-    if hd.ndim == 3:
-        _read_only("attention_layer", (h, l, proj))
-        msgs = np.empty((*hd.shape[:2], d + ld.shape[1]))
-        msgs[:, :, :d] = hd
-        msgs[:, :, d:] = ld
-        alpha = _masked_softmax_probs(msgs @ msgs.swapaxes(1, 2), mask)
-        return Tensor(np.maximum(alpha @ (hd + pd), 0.0)), constant(alpha)
-    msgs = np.concatenate([hd, ld], axis=1)
     # overflow in the logits is left to the masked softmax's check
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha = _masked_softmax_probs(msgs @ msgs.T, mask)
-        values = hd + pd
-        out = np.maximum(alpha @ values, 0.0)
+    msgs = np.empty((*hd.shape[:-1], d + ld.shape[1]))
+    msgs[..., :d] = hd
+    msgs[..., d:] = ld
+    alpha = _masked_softmax_probs(msgs @ msgs.swapaxes(-1, -2), mask)
+    values = hd + pd
+    out = np.maximum(alpha @ values, 0.0)
 
     def backward(g):
         gz = g * (out > 0)
@@ -575,7 +560,7 @@ def attention_layer(h: Tensor, l: Tensor, proj: Tensor,
             _accumulate(h, g_msgs[:, :d] + g_values)
             _accumulate(l, g_msgs[:, d:])
 
-    return _result(out, (h, l, proj), backward), constant(alpha)
+    return _result(out, (h, l, proj), backward, "attention_layer"), constant(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +628,7 @@ class AdamState:
         return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
+@_overflow_ignored
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
               lr: float = 1e-3, betas: tuple[float, float] = (0.9, 0.999),
               eps: float = 1e-8):
@@ -661,18 +647,17 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
     t = state.t
     m, v, num, den = state.m, state.v, state.num, state.den
     # an update that overflows is left to the caller's check
-    with np.errstate(over="ignore", invalid="ignore"):
-        m *= b1
-        np.multiply(grad, 1 - b1, out=num)
-        m += num
-        v *= b2
-        np.multiply(grad, 1 - b2, out=num)
-        num *= grad
-        v += num
-        np.divide(v, 1 - b2 ** t, out=den)
-        np.sqrt(den, out=den)
-        den += eps
-        np.divide(m, 1 - b1 ** t, out=num)
-        num *= lr
-        num /= den
-        theta -= num
+    m *= b1
+    np.multiply(grad, 1 - b1, out=num)
+    m += num
+    v *= b2
+    np.multiply(grad, 1 - b2, out=num)
+    num *= grad
+    v += num
+    np.divide(v, 1 - b2 ** t, out=den)
+    np.sqrt(den, out=den)
+    den += eps
+    np.divide(m, 1 - b1 ** t, out=num)
+    num *= lr
+    num /= den
+    theta -= num

@@ -10,7 +10,7 @@ averages the tags on the node's path), times the view's W1.  A view's label
 embedding L and its projection L W2ᵀ + b do not depend on the verb, so a
 batch builds them once, each as one node over the row stack of its
 sentences (``Model.sentence_states``), and each verb's layer takes its
-sentence's rows of both as inputs.  On the read path a layer runs all of a
+sentence's rows of both as inputs.  On the read path a layer runs a
 sentence's k verbs at once, over ``(k, n, d_h)`` stacked states.
 """
 

@@ -8,12 +8,14 @@ list of sentences as one node per kind over their row stack, and each state
 is its sentence's row block of those nodes; a list of one sentence records
 no block node.
 
-``forward`` is one body for one verb or for a sequence of k verbs.  One
-verb gives 2-D results, which training records; k verbs give their
-``(k, n, ·)`` stack, read only.  ``predict`` reads its verb's row of one
-stacked forward over all of the sentence's verbs, which the first
+``forward`` is one body for one verb or for a sequence of k verbs, and so
+is each kernel it calls.  One verb gives 2-D results, which training
+records; k verbs give their ``(k, n, ·)`` stack, read only.  ``predict``
+reads its verb's row of one stacked forward over a chunk of the sentence's
+verbs, at most ``STACK_ENTRIES`` entries in each (k, n, n) array, which a
 ``predict`` over a state builds and keeps in it (``SentenceState.stack``),
-so extraction runs one forward per sentence and training never builds one.
+so extraction runs one forward per sentence (per chunk, for a long sentence
+with many verbs) and training never builds one.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ from .graphs import build_const_graph, build_dep_graph, SyntacticGraph
 # values, the gradient, Adam's two moments and the two scratch vectors of
 # Adam's update
 TRAINING_COPIES = 6
+
+# the most entries of each (k, n, n) array one stacked forward holds: 2 MiB of
+# float64, so a long sentence's k verbs do not cost k n² memory at once
+STACK_ENTRIES = 2**18
 
 
 def physical_memory() -> int | None:
@@ -84,7 +90,8 @@ class SentenceState:
     """``con`` and ``dep`` are a view's (L, L W2ᵀ + b) pair, or None when
     the view is off; ``graphs`` and ``sentence_id`` name what the state was
     built for.  ``stack`` is None until the first ``Model.predict`` over
-    the state builds the stacked forward over the sentence's k verbs."""
+    the state builds the stacked forward over a chunk of the sentence's
+    verbs, and holds the last chunk built."""
 
     graphs: SentenceGraphs
     sentence_id: int | None
@@ -98,7 +105,7 @@ class SentenceState:
 class ForwardResult:
     """(n, n_tags) logits, (n, d_h) states and (n, n) attention matrices for
     one verb; for k stacked verbs, (k, n, n_tags), (k, n, d_h) and
-    (k, n, n), slice i belonging to verb i."""
+    (k, n, n), slice i being the bytes of verb i's own results."""
 
     logits: Tensor
     h_ctx: Tensor
@@ -308,7 +315,8 @@ class Model:
         """The forward pass over ``state``, built here when not given, of one
         verb (an int: 2-D results) or of a sequence of k verbs (their
         (k, n, ·) stack, which raises ``ad.ShapeMismatch`` unless gradients
-        are off).
+        are off).  Both run the same kernels, each one numpy body for
+        either rank under its own ``np.errstate``.
 
         Raises ValueError for a state built for other graphs or another
         sentence id.
@@ -393,30 +401,33 @@ class Model:
         """Argmax tags and their probabilities for one verb, without
         recording gradients.
 
-        Over a ``state``, the first call stacks every verb of ``sentence``
-        into one forward, which the state keeps, and each call reads its
-        verb's row.  A verb outside ``sentence.verbs``, or a call with no
-        state, runs the same forward over that verb alone (k = 1).  Raises
+        Over a ``state``, a call for one of ``sentence.verbs`` reads its row
+        of one stacked forward over the chunk of max(1, STACK_ENTRIES // n²)
+        consecutive verbs that holds it, and the state keeps the last chunk
+        built.  A verb outside ``sentence.verbs``, or a call with no state,
+        runs the same forward over that verb alone (k = 1).  Raises
         ValueError for a state built for other graphs or another sentence id.
         """
-        stack = None
-        if state is not None:
-            _check_state(state, graphs, sentence_id)
-            if state.stack is None and indicator_verb in sentence.verbs:
-                state.stack = self._verb_stack(sentence, sentence.verbs, graphs,
-                                               sentence_id, state)
-            stack = state.stack
-        if stack is None or indicator_verb not in stack.verbs:
+        if state is None or indicator_verb not in sentence.verbs:
             stack = self._verb_stack(sentence, [indicator_verb], graphs,
                                      sentence_id, state)
+        else:
+            _check_state(state, graphs, sentence_id)
+            if state.stack is None or indicator_verb not in state.stack.verbs:
+                size = max(1, STACK_ENTRIES // len(sentence.tokens) ** 2)
+                start = sentence.verbs.index(indicator_verb) // size * size
+                state.stack = None  # the kept chunk goes before the next is built
+                state.stack = self._verb_stack(
+                    sentence, sentence.verbs[start:start + size], graphs,
+                    sentence_id, state)
+            stack = state.stack
         row = stack.verbs.index(indicator_verb)
         return [TAGS[k] for k in stack.tags[row].tolist()], stack.probs[row].tolist()
 
     def _verb_stack(self, sentence, verbs, graphs, sentence_id, state) -> VerbStack:
         """The read-only forward over ``verbs`` stacked, and each token's
         argmax tag and probability for each verb."""
-        # the stacked kernels leave overflow to this one errstate
-        with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        with ad.no_grad():
             fwd = self.forward(sentence, verbs, graphs, sentence_id, state)
         x = fwd.logits.data
         ex = np.exp(x - x.max(axis=2, keepdims=True))

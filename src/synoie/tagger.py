@@ -2,9 +2,10 @@
 
 Extraction builds one sentence state, as ``Model.sentence_states``' batch
 of one sentence, so it records no row-block node.  It asks ``predict`` for
-each verb in turn, and the first call runs one stacked forward over all
-of the sentence's k verbs, ``(k, n, ·)``, which the state keeps and each
-verb's call reads a row of.
+each verb in turn, and the first call runs one stacked forward over the
+sentence's k verbs, ``(k, n, ·)``, which the state keeps and each verb's
+call reads a row of; a long sentence's verbs stack in bounded chunks
+(``model.STACK_ENTRIES``).
 """
 
 from __future__ import annotations

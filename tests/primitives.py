@@ -19,7 +19,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, g)
         _accumulate(b, g)
 
-    return _result(a.data + b.data, (a, b), backward)
+    return _result(a.data + b.data, (a, b), backward, "add")
 
 
 def masked_sum(a: Tensor, mask) -> Tensor:
@@ -31,11 +31,11 @@ def masked_sum(a: Tensor, mask) -> Tensor:
     def backward(g):
         _accumulate(a, g * mask)
 
-    return _result(np.sum(a.data * mask), (a,), backward)
+    return _result(np.sum(a.data * mask), (a,), backward, "masked_sum")
 
 
 def gather_rows(table: Tensor, index) -> Tensor:
     """Rows ``table[index]``; the gradient scatter-adds back onto the table."""
     idx = _row_index("gather_rows", table, index)
     return _result(table.data[idx], (table,),
-                   lambda g: _scatter_rows(table, idx, g))
+                   lambda g: _scatter_rows(table, idx, g), "gather_rows")

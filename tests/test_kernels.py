@@ -350,6 +350,10 @@ class TestStackedKernels:
             for i, row in enumerate(rows):
                 want = ad.marked_window_relu(base, p.w_verb, p.w_mix, row)
                 assert got.data[i].tobytes() == want.data.tobytes()
+                # k = 1
+                one = te.encode(base, [row])
+                assert one.shape == (1, n, D)
+                assert one.data[0].tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_attention_is_each_verbs_call(self, n):
@@ -358,40 +362,81 @@ class TestStackedKernels:
         l = ad.constant(rng.normal(size=(n, 2)))
         proj = ad.constant(rng.normal(size=(n, D)))
         mask = graph_mask(rng, n)
-        states, alpha = ad.attention_layer(ad.constant(hs), l, proj, mask)
-        assert states.shape == (3, n, D) and alpha.shape == (3, n, n)
-        for i, h in enumerate(hs):
-            want_states, want_alpha = ad.attention_layer(ad.constant(h), l, proj,
-                                                         mask)
-            assert states.data[i].tobytes() == want_states.data.tobytes()
-            assert alpha.data[i].tobytes() == want_alpha.data.tobytes()
+        for stack in (hs, hs[:1]):  # k = 3 and k = 1
+            k = len(stack)
+            states, alpha = ad.attention_layer(ad.constant(stack), l, proj, mask)
+            assert states.shape == (k, n, D) and alpha.shape == (k, n, n)
+            for i, h in enumerate(stack):
+                want_states, want_alpha = ad.attention_layer(ad.constant(h), l,
+                                                             proj, mask)
+                assert states.data[i].tobytes() == want_states.data.tobytes()
+                assert alpha.data[i].tobytes() == want_alpha.data.tobytes()
 
     @pytest.mark.parametrize("h, mask, error", [
         ([[1.0], [2.0]], [[True, False], [False, False]], ad.EmptyMask),
         ([[1.0], [np.nan]], [[True, False], [False, True]], ad.NonFiniteValue),
         ([[1e200], [1.0]], [[True, True], [True, True]], ad.NonFiniteValue),
+        ([[1e200], [1.0]], [[False, True], [True, True]], None),
         ([[1.0], [2.0]], [[True, True]], ad.ShapeMismatch),
-    ], ids=["empty-row", "nan-active", "overflow-active", "mask-shape"])
+    ], ids=["empty-row", "nan-active", "overflow-active", "overflow-masked",
+            "mask-shape"])
     def test_attention_raises_what_the_2d_call_raises(self, h, mask, error):
-        # a stacked call runs under its caller's errstate
+        # with no errstate of the caller's: the kernel opens its own
         h = np.array(h)
         args = (ad.constant(np.stack([h, h])), ad.constant(np.zeros((2, 0))),
                 ad.constant(np.zeros_like(h)), mask)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+        if error is None:
+            states, _ = ad.attention_layer(*args)
+            assert np.isfinite(states.data).all()
+            return
+        with pytest.raises(error):
             ad.attention_layer(*args)
+
+    @pytest.mark.parametrize("kernel", ["linear", "marked_window_relu",
+                                        "attention_layer"])
+    def test_overflowing_products_warn_at_neither_rank(self, kernel):
+        # entries of 1e200 overflow the kernel's products; with no errstate
+        # of the caller's, nothing warns and slice i is verb i's 2-D call
+        big, const = np.full((2, D), 1e200), ad.constant
+        if kernel == "linear":
+            verbs, stacked = [big, -big], np.stack([big, -big])
+
+            def call(x):
+                return ad.linear(const(x), const(big), const(np.zeros(2)))
+        elif kernel == "marked_window_relu":
+            verbs = stacked = [0, 1, 2]
+
+            def call(row):
+                return ad.marked_window_relu(
+                    const(np.zeros((3, D))), const([np.zeros(D), big[0]]),
+                    const(np.full((D, 3 * D), 1e200)), row)
+        else:
+            # the overflowing logit is masked, as in "overflow-masked"
+            h = big * [[1.0], [1e-200]]
+            verbs, stacked = [h, -h], np.stack([h, -h])
+
+            def call(h):
+                return ad.attention_layer(const(h), const(np.zeros((2, 0))),
+                                          const(np.zeros((2, D))),
+                                          [[False, True], [True, True]])[0]
+        got = call(stacked)
+        assert got.shape[0] == len(verbs)
+        for slice_, verb in zip(got.data, verbs):
+            assert slice_.tobytes() == call(verb).data.tobytes()
 
     def test_hstack_and_linear_are_each_verbs_call(self):
         rng = np.random.default_rng(50)
-        parts = [rng.normal(size=(3, 4, w)) for w in (D, 2)]
         w = ad.constant(rng.normal(size=(5, D + 2)))
         b = ad.constant(rng.normal(size=5))
-        x = ad.hstack([ad.constant(p) for p in parts])
-        out = ad.linear(x, w, b)
-        assert x.shape == (3, 4, D + 2) and out.shape == (3, 4, 5)
-        for i in range(3):
-            x2 = ad.hstack([ad.constant(p[i]) for p in parts])
-            assert x.data[i].tobytes() == x2.data.tobytes()
-            assert out.data[i].tobytes() == ad.linear(x2, w, b).data.tobytes()
+        for k in (3, 1):
+            parts = [rng.normal(size=(k, 4, width)) for width in (D, 2)]
+            x = ad.hstack([ad.constant(p) for p in parts])
+            out = ad.linear(x, w, b)
+            assert x.shape == (k, 4, D + 2) and out.shape == (k, 4, 5)
+            for i in range(k):
+                x2 = ad.hstack([ad.constant(p[i]) for p in parts])
+                assert x.data[i].tobytes() == x2.data.tobytes()
+                assert out.data[i].tobytes() == ad.linear(x2, w, b).data.tobytes()
 
     def test_hstack_rejects_mixed_ranks(self):
         with pytest.raises(ad.ShapeMismatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,14 @@ from synoie.cli import ablation_grid
 from synoie.config import TrainConfig
 from synoie.corpus import expand_instances, load_corpus
 from synoie.encoder import Vocabulary
+from synoie.gcn import LabelVocab
 
 from synoie.model import Model, SentenceGraphs
 from synoie.synthetic import generate_corpus
 from synoie.training import _label_inventories, build_graph_cache, train
 
-from tree_strategies import bracketed_trees, root_is_preterminal, tree_leaf_surfaces
+from tree_strategies import (bracketed_trees, flat_sentence, root_is_preterminal,
+                             tree_leaf_surfaces)
 
 SAMPLE_CORPUS = Path(__file__).resolve().parent.parent / "data" / "sample_corpus.jsonl"
 
@@ -695,6 +698,33 @@ class TestStackedForward:
         tagger.extract(s, model, cache[i], i)
         assert calls == {"encode": 1, "gcn_layer": 2, "aggregate": 1,
                          "tag_logits": 1, "predict": len(s.verbs)}
+
+    def test_a_long_sentences_stack_is_bounded(self):
+        # 300 tokens and 50 verbs: stacked whole, each (k, n, n) array of
+        # the forward would take 34 MiB
+        n = 300
+        s = flat_sentence([f"w{i % 7}" for i in range(n)])
+        s = dataclasses.replace(s, verbs=list(range(0, n, 6)))
+        cfg = TrainConfig(seed=0)
+        graphs = SentenceGraphs.build(s, cfg.flatten)
+        model = Model(cfg, Vocabulary.from_sentences([s]), LabelVocab.collect(["dep"]),
+                      LabelVocab.collect(["S", "NN"]))
+        tracemalloc.start()
+        try:
+            tagger.extract(s, model, graphs, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        with ad.no_grad():
+            [state] = model.sentence_states([s], [graphs], [0])
+        for verb in s.verbs:
+            tags, probs = model.predict(s, verb, graphs, 0, state)
+            assert verb in state.stack.verbs
+            assert len(state.stack.verbs) == model_mod.STACK_ENTRIES // n**2 == 2
+            want_tags, want_probs = model.predict(s, verb, graphs, 0)
+            assert tags == want_tags
+            assert np.array(probs).tobytes() == np.array(want_probs).tobytes()
 
     def test_training_builds_no_stack(self, sample_models):
         sentences, cache, models = sample_models
