@@ -65,9 +65,6 @@ class TrainConfig:
         if not 0.0 <= self.dev_fraction < 1.0:
             raise ValueError("dev_fraction must lie in [0, 1)")
 
-    def n_views(self) -> int:
-        return 1 + int(self.use_const) + int(self.use_dep)
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["flatten"]["clause_tags"] = sorted(self.flatten.clause_tags)

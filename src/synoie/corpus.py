@@ -142,15 +142,16 @@ class DependencyRows:
                 raise CyclicHeads(f"token {i} has out-of-range head {h}")
             if h == i:
                 raise CyclicHeads(f"token {i} is its own head")
-        # every token must reach the root without revisiting a node
+        # every token must reach the root without revisiting a node; a walk
+        # stops at the first token an earlier walk visited, which reached it
+        walk = [-1] * n  # the first walk through each token
         for i in range(n):
-            seen = set()
             j = i
-            while j != ROOT_HEAD:
-                if j in seen:
-                    raise CyclicHeads(f"head cycle through token {i}")
-                seen.add(j)
+            while j != ROOT_HEAD and walk[j] == -1:
+                walk[j] = i
                 j = self.heads[j]
+            if j != ROOT_HEAD and walk[j] == i:
+                raise CyclicHeads(f"head cycle through token {i}")
 
 
 @dataclass(frozen=True)

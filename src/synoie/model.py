@@ -10,12 +10,16 @@ no block node.
 
 ``forward`` is one body for one verb or for a sequence of k verbs, and so
 is each kernel it calls.  One verb gives 2-D results, which training
-records; k verbs give their ``(k, n, ·)`` stack, read only.  ``predict``
-reads its verb's row of one stacked forward over a chunk of the sentence's
-verbs, at most ``STACK_ENTRIES`` entries in each (k, n, n) array, which a
-``predict`` over a state builds and keeps in it (``SentenceState.stack``),
-so extraction runs one forward per sentence (per chunk, for a long sentence
-with many verbs) and training never builds one.
+records; k verbs give their ``(k, n, ·)`` stack, read only.  The first
+``predict`` over a state tags all of the sentence's verbs with stacked
+forwards over chunks of them, at most ``STACK_ENTRIES`` entries in each
+(k, n, n) array, and keeps only each verb's tag ids and probabilities
+(``SentenceState.tags``), so extraction runs one forward per sentence (per
+chunk, for a long sentence with many verbs) and training never builds one.
+
+A model holds only the tensors its config's forward reads (``param_shapes``):
+no encoder tensors when ``encoder_vectors`` replays vectors, and no tensors
+of a view that is off.
 """
 
 from __future__ import annotations
@@ -60,18 +64,24 @@ def physical_memory() -> int | None:
 
 def param_shapes(cfg: TrainConfig, n_words: int, n_dep_labels: int,
                  n_con_labels: int) -> dict[str, tuple[int, ...]]:
-    """Every tensor's name and shape, in the order ``Model`` draws them: each
-    2-D weight from U(-0.1, 0.1), each 1-D bias zero."""
-    d_h, d_l, n_tags = cfg.d_h, cfg.d_l, len(TAGS)
-    return {
-        "enc.w_word": (n_words, d_h), "enc.w_verb": (2, d_h),
-        "enc.w_mix": (d_h, 3 * d_h), "enc.b_mix": (d_h,),
-        "gcn.dep.w1": (n_dep_labels, d_l), "gcn.dep.w2": (d_h, d_l),
-        "gcn.dep.b": (d_h,),
-        "gcn.con.w1": (n_con_labels, d_l), "gcn.con.w2": (d_h, d_l),
-        "gcn.con.b": (d_h,),
-        "head.w": (n_tags, d_h * cfg.n_views()), "head.b": (n_tags,),
-    }
+    """The name and shape of every tensor the config's forward reads, in the
+    order ``Model`` draws them: the window encoder's unless ``encoder_vectors``
+    replays vectors, each view's that is on, and the tag head's, whose width
+    counts the views.  Each 2-D weight is drawn from U(-0.1, 0.1), each 1-D
+    bias is zero."""
+    d_h, d_l = cfg.d_h, cfg.d_l
+    shapes = {}
+    if cfg.encoder_vectors is None:
+        shapes |= {"enc.w_word": (n_words, d_h), "enc.w_verb": (2, d_h),
+                   "enc.w_mix": (d_h, 3 * d_h), "enc.b_mix": (d_h,)}
+    views = 1
+    for view, on, n_labels in (("dep", cfg.use_dep, n_dep_labels),
+                               ("con", cfg.use_const, n_con_labels)):
+        if on:
+            views += 1
+            shapes |= {f"gcn.{view}.w1": (n_labels, d_l),
+                       f"gcn.{view}.w2": (d_h, d_l), f"gcn.{view}.b": (d_h,)}
+    return shapes | {"head.w": (len(TAGS), d_h * views), "head.b": (len(TAGS),)}
 
 
 @dataclass
@@ -89,16 +99,16 @@ class SentenceGraphs:
 class SentenceState:
     """``con`` and ``dep`` are a view's (L, L W2ᵀ + b) pair, or None when
     the view is off; ``graphs`` and ``sentence_id`` name what the state was
-    built for.  ``stack`` is None until the first ``Model.predict`` over
-    the state builds the stacked forward over a chunk of the sentence's
-    verbs, and holds the last chunk built."""
+    built for.  ``tags`` is None until the first ``Model.predict`` over the
+    state tags every one of the sentence's verbs, and then maps each verb
+    to its (n,) argmax tag ids and their probabilities."""
 
     graphs: SentenceGraphs
     sentence_id: int | None
     base: Tensor
     con: tuple[Tensor, Tensor] | None
     dep: tuple[Tensor, Tensor] | None
-    stack: VerbStack | None = None
+    tags: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
 
 
 @dataclass
@@ -115,18 +125,6 @@ class ForwardResult:
     alphas_dep: Tensor | None
 
 
-@dataclass
-class VerbStack:
-    """One read-only forward over ``verbs``, stacked: ``forward``'s results
-    are (k, n, ·), and ``tags`` and ``probs`` are (k, n), each token's
-    argmax tag id and its probability, row i for verbs[i]."""
-
-    verbs: tuple[int, ...]
-    forward: ForwardResult
-    tags: np.ndarray
-    probs: np.ndarray
-
-
 @dataclass(eq=False)
 class InstanceLosses:
     """One instance's loss as the (row softmax, constant mask) ``terms`` of
@@ -134,9 +132,9 @@ class InstanceLosses:
 
     ``parts[key]`` reads total, the recorded loss; ce, r1, r2, r3, the
     values of its parts, each the ``losses.nll`` of its own mask (r* None
-    for a loss that does not run); pred_ids; and gold_ids.  Each value is
-    computed when first read and then kept; ``train`` reads the terms and
-    the ids alone.
+    for a loss that does not run); and gold_ids.  Each value is computed
+    when first read and then kept; ``train`` reads the terms, the logits
+    and the gold ids alone.
     """
 
     terms: list[tuple[ad.RowSoftmax, np.ndarray]]
@@ -175,10 +173,6 @@ class InstanceLosses:
     @cached_property
     def r3(self) -> float | None:
         return self._r(2, lambda gram: losses_mod.loss_r3(gram, *self.views))
-
-    @cached_property
-    def pred_ids(self) -> list[int]:
-        return np.argmax(self.logits.data, axis=1).tolist()
 
 
 class Model:
@@ -257,8 +251,12 @@ class Model:
             self.encoder = ToyEncoder(self.enc_params, vocab)
 
     def _group(self, cls, prefix: str):
-        """The typed view ``cls`` over the parameters named ``prefix.<field>``."""
-        return cls(**{f.name: self.params[f"{prefix}.{f.name}"] for f in fields(cls)})
+        """The typed view ``cls`` over the parameters named ``prefix.<field>``,
+        or None when the model has none of them."""
+        names = [f"{prefix}.{f.name}" for f in fields(cls)]
+        if names[0] not in self.params:  # ``param_shapes`` lists whole groups
+            return None
+        return cls(*(self.params[name] for name in names))
 
     # -- parameters ---------------------------------------------------------
 
@@ -289,21 +287,22 @@ class Model:
         sentences, and each state its sentence's row block of them."""
         sizes = [len(s.tokens) for s in sentences]
         base = ad.row_blocks(self.encoder.base(sentences, sentence_ids), sizes)
-        con = self._label_blocks(self.cfg.use_const, gcn_mod.node_label_embed_const,
+        con = self._label_blocks(gcn_mod.node_label_embed_const,
                                  [g.const for g in graphs], self.con_params,
                                  self.con_labels, sizes)
-        dep = self._label_blocks(self.cfg.use_dep, gcn_mod.node_label_embed_dep,
+        dep = self._label_blocks(gcn_mod.node_label_embed_dep,
                                  [g.dep for g in graphs], self.dep_params,
                                  self.dep_labels, sizes)
         return [SentenceState(*state) for state in
                 zip(graphs, sentence_ids, base, con, dep, strict=True)]
 
     @staticmethod
-    def _label_blocks(on: bool, embed, view_graphs: list[SyntacticGraph],
-                      params: GcnParams, labels: LabelVocab, sizes: list[int]):
+    def _label_blocks(embed, view_graphs: list[SyntacticGraph],
+                      params: GcnParams | None, labels: LabelVocab,
+                      sizes: list[int]):
         """Each sentence's (L, L W2ᵀ + b) row blocks of one view, or None for
-        each when the view is off."""
-        if not on:
+        each when the view is off (the model has no ``params`` for it)."""
+        if params is None:
             return [None] * len(sizes)
         l = embed(view_graphs, params, labels)
         return list(zip(ad.row_blocks(l, sizes),
@@ -401,38 +400,39 @@ class Model:
         """Argmax tags and their probabilities for one verb, without
         recording gradients.
 
-        Over a ``state``, a call for one of ``sentence.verbs`` reads its row
-        of one stacked forward over the chunk of max(1, STACK_ENTRIES // n²)
-        consecutive verbs that holds it, and the state keeps the last chunk
-        built.  A verb outside ``sentence.verbs``, or a call with no state,
-        runs the same forward over that verb alone (k = 1).  Raises
+        Over a ``state``, the first call for one of ``sentence.verbs`` tags
+        all of them, with one stacked forward over each chunk of max(1,
+        STACK_ENTRIES // n²) consecutive verbs, and keeps only each verb's
+        tag ids and probabilities (``state.tags``); later calls look their
+        verb up.  A verb outside ``sentence.verbs``, or a call with no
+        state, runs the same forward over that verb alone (k = 1).  Raises
         ValueError for a state built for other graphs or another sentence id.
         """
         if state is None or indicator_verb not in sentence.verbs:
-            stack = self._verb_stack(sentence, [indicator_verb], graphs,
-                                     sentence_id, state)
+            [(tags, probs)] = self._verb_tags(sentence, [indicator_verb], graphs,
+                                              sentence_id, state)
         else:
             _check_state(state, graphs, sentence_id)
-            if state.stack is None or indicator_verb not in state.stack.verbs:
+            if state.tags is None:
                 size = max(1, STACK_ENTRIES // len(sentence.tokens) ** 2)
-                start = sentence.verbs.index(indicator_verb) // size * size
-                state.stack = None  # the kept chunk goes before the next is built
-                state.stack = self._verb_stack(
-                    sentence, sentence.verbs[start:start + size], graphs,
-                    sentence_id, state)
-            stack = state.stack
-        row = stack.verbs.index(indicator_verb)
-        return [TAGS[k] for k in stack.tags[row].tolist()], stack.probs[row].tolist()
+                kept = {}
+                for start in range(0, len(sentence.verbs), size):
+                    verbs = sentence.verbs[start:start + size]
+                    kept.update(zip(verbs, self._verb_tags(
+                        sentence, verbs, graphs, sentence_id, state)))
+                state.tags = kept
+            tags, probs = state.tags[indicator_verb]
+        return [TAGS[k] for k in tags.tolist()], probs.tolist()
 
-    def _verb_stack(self, sentence, verbs, graphs, sentence_id, state) -> VerbStack:
-        """The read-only forward over ``verbs`` stacked, and each token's
-        argmax tag and probability for each verb."""
+    def _verb_tags(self, sentence, verbs, graphs, sentence_id, state):
+        """Each of ``verbs``' (n,) argmax tag ids and their probabilities,
+        from one read-only forward over them stacked, which is freed on
+        return."""
         with ad.no_grad():
-            fwd = self.forward(sentence, verbs, graphs, sentence_id, state)
-        x = fwd.logits.data
+            x = self.forward(sentence, verbs, graphs, sentence_id, state).logits.data
         ex = np.exp(x - x.max(axis=2, keepdims=True))
         # the best tag's exp is exp(0) = 1, so its probability is 1 / row sum
-        return VerbStack(tuple(verbs), fwd, ex.argmax(axis=2), 1.0 / ex.sum(axis=2))
+        return list(zip(ex.argmax(axis=2), 1.0 / ex.sum(axis=2)))
 
 
 def _check_state(state: SentenceState, graphs: SentenceGraphs,

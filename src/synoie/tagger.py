@@ -2,10 +2,10 @@
 
 Extraction builds one sentence state, as ``Model.sentence_states``' batch
 of one sentence, so it records no row-block node.  It asks ``predict`` for
-each verb in turn, and the first call runs one stacked forward over the
-sentence's k verbs, ``(k, n, ·)``, which the state keeps and each verb's
-call reads a row of; a long sentence's verbs stack in bounded chunks
-(``model.STACK_ENTRIES``).
+each verb in turn: the first call tags all of the sentence's k verbs with
+one stacked forward, ``(k, n, ·)``, and the state keeps only each verb's
+tag ids and probabilities, which the later calls look up; a long
+sentence's verbs stack in bounded chunks (``model.STACK_ENTRIES``).
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def extract(sentence: ParsedSentence, model, graphs,
 
     The verbs share one state, built here by ``model.sentence_states`` as a
     batch of one sentence, and one stacked forward, which the first
-    ``model.predict`` over the state builds.
+    ``model.predict`` over the state runs to tag them all.
     """
     if not sentence.verbs:
         return []

@@ -264,9 +264,9 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
                                                   r_mask=r_masks[sent_i],
                                                   target=target)
                     terms += parts.terms
-                    correct += sum(int(p == g) for p, g in
-                                   zip(parts["pred_ids"], parts["gold_ids"]))
-                    total += len(parts["gold_ids"])
+                    correct += int((parts.logits.data.argmax(axis=1)
+                                    == parts.gold_ids).sum())
+                    total += len(parts.gold_ids)
             except ad.NonFiniteValue as exc:
                 raise NonFiniteLoss(
                     f"epoch {epoch}, batch at instance {start}: {exc}") from exc

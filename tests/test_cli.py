@@ -800,6 +800,15 @@ class TestCheckpointErrors:
         arrays["head.extra"] = np.zeros(3)
         assert self.extract(small_corpus, tmp_path, meta, arrays) == 2
         assert "tensor 'head.extra'" in capsys.readouterr().err
+        # an ablated model holds no tensors of its view that is off, so a
+        # checkpoint that still holds them, as older ones did, is refused
+        meta, arrays = read_checkpoint(ckpt_path)
+        meta["config"]["use_const"] = False
+        arrays["head.w"] = arrays["head.w"][:, :2 * meta["config"]["d_h"]]
+        assert self.extract(small_corpus, tmp_path, meta, arrays) == 2
+        assert capsys.readouterr().err == (
+            "data error: checkpoint holds tensor 'gcn.con.b', which the model "
+            "does not have\n")
 
     def test_jsonl_checkpoint_says_not_an_npz_archive(self, small_corpus, tmp_path,
                                                       capsys):

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synoie import corpus as c
 
@@ -114,6 +116,40 @@ class TestConllu:
         with pytest.raises(c.CyclicHeads):
             c.DependencyRows(heads=(1, 0, c.ROOT_HEAD),
                              deprels=("dep", "dep", "ROOT"))
+
+    def test_long_head_chain_validates_in_linear_time(self):
+        # before: each token walked to the root with a fresh set, O(n depth),
+        # and this chain took about 19 s
+        n = 20_000
+        start = time.perf_counter()
+        c.DependencyRows(heads=tuple(range(1, n)) + (c.ROOT_HEAD,),
+                         deprels=("dep",) * n)
+        assert time.perf_counter() - start < 2.0
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), n=st.integers(2, 12))
+    def test_cycle_names_the_first_token_that_cannot_reach_the_root(self, data, n):
+        # the token named is the first whose own walk to the root revisits
+        # a node, as a walk per token with a fresh set finds it
+        root = data.draw(st.integers(0, n - 1))
+        heads = [c.ROOT_HEAD if i == root else
+                 data.draw(st.integers(0, n - 1).filter(lambda h, i=i: h != i))
+                 for i in range(n)]
+
+        def reaches_root(i):
+            seen = set()
+            while i != c.ROOT_HEAD and i not in seen:
+                seen.add(i)
+                i = heads[i]
+            return i == c.ROOT_HEAD
+
+        stuck = [i for i in range(n) if not reaches_root(i)]
+        if not stuck:
+            c.DependencyRows(heads=tuple(heads), deprels=("dep",) * n)
+            return
+        with pytest.raises(c.CyclicHeads,
+                           match=f"^head cycle through token {stuck[0]}$"):
+            c.DependencyRows(heads=tuple(heads), deprels=("dep",) * n)
 
     def test_example_sentence_root_is_likes(self, example_sentence):
         dep = example_sentence.dep_rows

@@ -133,3 +133,12 @@ def test_bench_file_follows_the_readme_schema(path):
 
 def test_a_bench_file_is_committed():
     assert BENCH_FILES
+
+
+def test_readme_latest_bench_file_is_the_highest_numbered():
+    """The file README calls the latest benchmark reading is the committed
+    ``BENCH_<PR>.json`` with the highest number."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    named = re.findall(r"The latest, `(BENCH_\d+\.json)`", text)
+    newest = max(BENCH_FILES, key=lambda p: int(p.stem.removeprefix("BENCH_")))
+    assert named == [newest.name]

@@ -485,6 +485,7 @@ def shared_state_models(tmp_path_factory, cfg):
         + "\n" for i, s in enumerate(sentences)))
     overrides = {"default": {}, "no-gcn": {"use_gcn": False},
                  "no-dep": {"use_dep": False}, "no-const": {"use_const": False},
+                 "no-views": {"use_dep": False, "use_const": False},
                  "vectors": {"encoder_vectors": str(vec_path)}}
     models = {name: Model(cfg.with_overrides(**kw), vocab, dl, cl,
                           np.random.default_rng(5))
@@ -624,17 +625,26 @@ class TestStackedForward:
         i, s = next((i, s) for i, s in enumerate(sentences) if len(s.verbs) >= 2)
         with ad.no_grad():
             [state] = model.sentence_states([s], [cache[i]], [i])
-        assert state.stack is None
-        model.predict(s, s.verbs[0], cache[i], i, state)
-        stack = state.stack  # the first call builds it, and the rest read it
-        assert stack.verbs == tuple(s.verbs)
-        assert stack.forward.logits.shape == (len(s.verbs), len(s.tokens),
-                                              len(c.TAGS))
+            stacked = model.forward(s, s.verbs, cache[i], i, state).logits.data
+        assert state.tags is None
+        model.predict(s, s.verbs[-1], cache[i], i, state)
+        tagged = state.tags  # the first call tags every verb, and the rest read it
+        assert list(tagged) == s.verbs
+        assert all(ids.shape == probs.shape == (len(s.tokens),)
+                   for ids, probs in tagged.values())
         for row, verb in enumerate(s.verbs):
             tags, probs = model.predict(s, verb, cache[i], i, state)
-            assert state.stack is stack
-            assert tags == [c.TAGS[t] for t in stack.tags[row]]
-            assert np.array(probs).tobytes() == stack.probs[row].tobytes()
+            assert state.tags is tagged
+            ids, kept = tagged[verb]
+            assert ids.tolist() == stacked[row].argmax(axis=1).tolist()
+            assert tags == [c.TAGS[t] for t in ids]
+            assert np.array(probs).tobytes() == kept.tobytes()
+            # each call returns fresh lists
+            tags.clear()
+            probs.clear()
+            again = model.predict(s, verb, cache[i], i, state)
+            assert again[0] == [c.TAGS[t] for t in ids]
+            assert np.array(again[1]).tobytes() == kept.tobytes()
 
     @settings(deadline=None, max_examples=40)
     @given(text=bracketed_trees, config=st.sampled_from(SHARED_STATE_CONFIGS),
@@ -643,7 +653,7 @@ class TestStackedForward:
                                                   config, data):
         # k = 1: a token that is not one of the sentence's verbs, with or
         # without the state, gets its row of a stack over every token, and
-        # builds no stack in the state
+        # tags nothing in the state
         assume(not root_is_preterminal(text))
         model = sample_models[2][config]
         s, graphs = drawn_sentence(model, text, data,
@@ -658,7 +668,7 @@ class TestStackedForward:
                         model.predict(s, token, graphs, DRAWN_ID, state)):
                 assert got[0] == want[0]
                 assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
-        assert state.stack is None
+        assert state.tags is None
 
     @pytest.mark.parametrize("config", SHARED_STATE_CONFIGS)
     def test_stacked_forward_needing_a_gradient_raises(self, sample_models, config):
@@ -674,7 +684,7 @@ class TestStackedForward:
         with ad.no_grad():
             [state] = model.sentence_states([s], [cache[0]], [0])
         model.predict(s, s.verbs[0], cache[0], 0, state)
-        assert state.stack is not None
+        assert state.tags is not None
         rebuilt = SentenceGraphs.build(s, model.cfg.flatten)
         with pytest.raises(ValueError, match="other graphs"):
             model.predict(s, s.verbs[0], rebuilt, 0, state)
@@ -699,7 +709,7 @@ class TestStackedForward:
         assert calls == {"encode": 1, "gcn_layer": 2, "aggregate": 1,
                          "tag_logits": 1, "predict": len(s.verbs)}
 
-    def test_a_long_sentences_stack_is_bounded(self):
+    def test_a_long_sentences_stack_is_bounded(self, monkeypatch):
         # 300 tokens and 50 verbs: stacked whole, each (k, n, n) array of
         # the forward would take 34 MiB
         n = 300
@@ -718,10 +728,26 @@ class TestStackedForward:
         assert peak < 16 * 2**20
         with ad.no_grad():
             [state] = model.sentence_states([s], [graphs], [0])
+        stacked = []
+        forward = model.forward
+
+        def counted(sentence, verbs, *args):
+            stacked.append(verbs)
+            return forward(sentence, verbs, *args)
+
+        assert model_mod.STACK_ENTRIES // n**2 == 2
+        # asked in interleaved order, v0, v49, v1, v48, ..., the first call
+        # tags every verb over 25 chunks of 2, and the rest look theirs up
+        order = [v for pair in zip(s.verbs, reversed(s.verbs)) for v in pair]
+        order = list(dict.fromkeys(order))
+        assert sorted(order) == s.verbs
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "forward", counted)
+            got = {verb: model.predict(s, verb, graphs, 0, state) for verb in order}
+        assert stacked == [s.verbs[k:k + 2] for k in range(0, len(s.verbs), 2)]
+        assert list(state.tags) == s.verbs
         for verb in s.verbs:
-            tags, probs = model.predict(s, verb, graphs, 0, state)
-            assert verb in state.stack.verbs
-            assert len(state.stack.verbs) == model_mod.STACK_ENTRIES // n**2 == 2
+            tags, probs = got[verb]
             want_tags, want_probs = model.predict(s, verb, graphs, 0)
             assert tags == want_tags
             assert np.array(probs).tobytes() == np.array(want_probs).tobytes()
@@ -732,7 +758,7 @@ class TestStackedForward:
         [state] = model.sentence_states([sentences[0]], [cache[0]], [0])
         for inst in expand_instances(sentences[0]):
             model.instance_losses(inst, cache[0], 0, state)
-        assert state.stack is None
+        assert state.tags is None
 
 
 def state_tensors(state) -> dict[str, ad.Tensor]:
@@ -753,6 +779,38 @@ def batch_terms(model, sentences, cache, ids):
     return [term for i, state in zip(ids, states)
             for inst in expand_instances(sentences[i])
             for term in model.instance_losses(inst, cache[i], i, state).terms]
+
+
+class TestModelHoldsWhatItReads:
+    """``param_shapes`` names exactly the tensors the config's forward reads."""
+
+    @pytest.mark.parametrize("config, groups", [
+        ("default", ["enc", "gcn.dep", "gcn.con", "head"]),
+        ("no-gcn", ["enc", "gcn.dep", "gcn.con", "head"]),
+        ("no-dep", ["enc", "gcn.con", "head"]),
+        ("no-const", ["enc", "gcn.dep", "head"]),
+        ("no-views", ["enc", "head"]),
+        ("vectors", ["gcn.dep", "gcn.con", "head"])])
+    def test_groups_follow_the_config(self, sample_models, config, groups):
+        model = sample_models[2][config]
+        assert list(dict.fromkeys(name.rsplit(".", 1)[0]
+                                  for name in model.params)) == groups
+        assert (model.enc_params is None) == ("enc" not in groups)
+        assert (model.dep_params is None) == ("gcn.dep" not in groups)
+        assert (model.con_params is None) == ("gcn.con" not in groups)
+
+    @pytest.mark.parametrize("config", SHARED_STATE_CONFIGS + ["no-views"])
+    def test_every_tensor_gets_a_gradient(self, sample_models, config):
+        # before: a view that is off kept its gcn.* tensors, and replayed
+        # vectors kept enc.*, each with a zero gradient
+        sentences, cache, models = sample_models
+        seed = models[config]
+        model = Model.from_arrays(seed.cfg, seed.vocab, seed.dep_labels,
+                                  seed.con_labels, seed.export_arrays())
+        ad.masked_nll(batch_terms(model, sentences, cache, [0, 1, 2, 3])).backward()
+        unread = [name for name, t in model.params.items()
+                  if t.grad is None or not t.grad.any()]
+        assert unread == []
 
 
 class TestBatchStates:
