@@ -6,6 +6,11 @@ is a boolean ``(n, n)`` mask, so every primitive works on whole matrices.
 Every primitive records its parents and a backward closure; ``Tape`` walks
 the recorded graph once, in topological order, to accumulate gradients.
 
+A training chunk's instances are one row stack of N = Σ nᵢ rows: the 2-D
+kernels run over it unchanged, a graph view being the block-diagonal
+(N, N) mask of the instances' adjacencies, and ``marked_window_relu``
+marks one row per instance, each move clipped at its own instance's ends.
+
 The kernels of one verb's forward (``marked_window_relu``,
 ``attention_layer``, ``hstack`` and ``linear``) also take a sentence's k
 verbs stacked as ``(k, n, d)``, with the verb-independent ``(n, ·)``
@@ -96,12 +101,13 @@ def parameter(data) -> Tensor:
 
 def _record(out: Tensor, parents, backward) -> Tensor:
     """Record ``out``'s graph only when a parent needs grads."""
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    out.requires_grad = track
-    if track:
-        out._parents = tuple(parents)
-        out._backward = backward
-        out._depth = 1 + max(p._depth for p in out._parents)
+    if _grad_enabled:
+        parents = tuple(parents)
+        if any([p.requires_grad for p in parents]):
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+            out._depth = 1 + max([p._depth for p in parents])
     return out
 
 
@@ -266,27 +272,55 @@ def vstack(parts: list[Tensor]) -> Tensor:
     return _concat("vstack", parts, -2)
 
 
+def row_block(a: Tensor, rows: slice) -> Tensor:
+    """Rows ``rows`` (a slice with a start and a stop) of the 2-D ``a``, as a
+    node whose gradient is a view of ``a``'s, so its consumers accumulate
+    straight into ``a``'s and the block has no backward of its own.  All of
+    ``a``'s rows are ``a`` itself."""
+    if a.data.ndim != 2 or not 0 <= rows.start <= rows.stop <= a.shape[0]:
+        raise ShapeMismatch(f"rows {rows.start}:{rows.stop} of {a.shape}")
+    if rows.start == 0 and rows.stop == a.shape[0]:
+        return a
+    block = Tensor(a.data[rows])
+    if _grad_enabled and a.requires_grad:
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        block.grad = a.grad[rows]
+        _record(block, (a,), None)
+    return block
+
+
 def row_blocks(a: Tensor, sizes) -> list[Tensor]:
-    """``a`` split into consecutive blocks of ``sizes`` rows.  Each block is
-    a node whose gradient is a view of ``a``'s, so its consumers accumulate
-    straight into ``a``'s and the block has no backward of its own.  One
-    block is ``a`` itself."""
+    """``a`` split into consecutive ``row_block`` blocks of ``sizes`` rows;
+    one block is ``a`` itself."""
     if a.data.ndim != 2 or sum(sizes) != a.shape[0] or min(sizes) < 0:
         raise ShapeMismatch(f"row blocks of {list(sizes)} rows from {a.shape}")
-    if len(sizes) == 1:
-        return [a]
-    track = _grad_enabled and a.requires_grad
-    if track and a.grad is None:
-        a.grad = np.zeros_like(a.data)
     out, start = [], 0
     for size in sizes:
-        block = Tensor(a.data[start:start + size])
-        if track:
-            block.grad = a.grad[start:start + size]
-            _record(block, (a,), None)
-        out.append(block)
+        out.append(row_block(a, slice(start, start + size)))
         start += size
     return out
+
+
+def stack_rows(a: Tensor, rows: list[slice]) -> Tensor:
+    """The row stack of the blocks ``rows`` (slices with a start and a
+    stop, a block taken as often as it is named) of the 2-D ``a``, as one
+    node; the gradient of each block adds back onto its rows of ``a``."""
+    if a.data.ndim != 2 or not all(0 <= r.start <= r.stop <= a.shape[0]
+                                   for r in rows):
+        raise ShapeMismatch(f"rows {[(r.start, r.stop) for r in rows]} of {a.shape}")
+
+    def backward(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        start = 0
+        for r in rows:
+            end = start + r.stop - r.start
+            a.grad[r] += g[start:end]
+            start = end
+
+    return _result(np.concatenate([a.data[r] for r in rows]), (a,), backward,
+                   "stack_rows")
 
 
 def _masked_softmax_probs(x: np.ndarray, mask) -> np.ndarray:
@@ -337,6 +371,19 @@ class RowSoftmax:
     @property
     def shape(self):
         return self.log_probs.shape
+
+    def row_blocks(self, sizes) -> list["RowSoftmax"]:
+        """The row softmax of each ``row_blocks`` block of ``a`` (``b``
+        None), which is its rows of this one."""
+        if self.b is not None:
+            raise ShapeMismatch("row blocks of the row softmax of a product")
+        out, start = [], 0
+        for a, size in zip(row_blocks(self.a, sizes), sizes):
+            end = start + size
+            out.append(RowSoftmax(a, None, self.block, self.probs[start:end],
+                                  self.log_probs[start:end]))
+            start = end
+        return out
 
 
 @_overflow_ignored
@@ -470,15 +517,19 @@ def window_linear(table: Tensor, index, marks: Tensor, w: Tensor,
 
 
 @_overflow_ignored
-def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row) -> Tensor:
+def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row,
+                       lengths=None) -> Tensor:
     """ReLU of ``window_linear``'s output ``pre`` after input row ``row``
     moves from ``marks[0]`` to ``marks[1]``.
 
     The window mix is linear, so the move changes only output rows row - 1,
-    row and row + 1 (those inside the matrix), by the last, middle and first
-    (d_out, d) block of ``w`` times marks[1] - marks[0].  A ``row`` outside
-    [0, n) moves nothing.  A sequence of k rows gives the (k, n, d_out)
-    stack of each row's result.
+    row and row + 1 (those inside the sentence), by the last, middle and
+    first (d_out, d) block of ``w`` times marks[1] - marks[0].  A ``row``
+    outside its sentence moves nothing.  A sequence of k rows gives the
+    (k, n, d_out) stack of each row's result.  With ``lengths``, ``pre`` is
+    the row stack of sentences of those lengths, ``row`` holds one row per
+    sentence, counted from its first, and the result is 2-D: each
+    sentence's rows are the bytes of its own call.
     """
     if pre.data.ndim != 2 or marks.data.ndim != 2 or marks.shape[0] != 2 \
             or w.shape != (pre.shape[1], 3 * marks.shape[1]):
@@ -486,35 +537,51 @@ def marked_window_relu(pre: Tensor, marks: Tensor, w: Tensor, row) -> Tensor:
                             f"{marks.shape}, weight {w.shape}")
     n, d_out = pre.shape
     d = marks.shape[1]
+    single = isinstance(row, (int, np.integer))
+    stacked = lengths is None and not single
+    rows = [int(row)] if single else [int(r) for r in row]
+    sizes = [n] * len(rows) if stacked else list(lengths or [n])
+    if not stacked and (len(sizes) != len(rows) or sum(sizes) != n
+                        or min(sizes) < 1):
+        raise ShapeMismatch(f"marked_window_relu: rows {rows} of sentences "
+                            f"of {sizes} in {n} rows")
+    # (result slice, first and last + 1 changed row, marked row) of each
+    # marked row inside its sentence: output rows r - 1 to r + 1 of a row
+    # r, clipped at the sentence's ends
+    spots, start = [], 0
+    for k, (r, size) in enumerate(zip(rows, sizes)):
+        if 0 <= r < size:
+            at = start + r
+            spots.append((k if stacked else 0, max(at - 1, start),
+                          min(at + 2, start + size), at))
+        start += 0 if stacked else size
     # row o * 3 + k of w_rows is block k's row o
     w_rows = w.data.reshape(3 * d_out, d)
-    single = isinstance(row, (int, np.integer))
-    rows = (row,) if single else row
     delta = marks.data[1] - marks.data[0]
     # change row j of the 3 belongs to output row r - 1 + j
     change = (w_rows @ delta).reshape(d_out, 3)[:, ::-1].T
-    z = np.empty((n, d_out) if single else (len(rows), n, d_out))
+    z = np.empty((len(rows), n, d_out) if stacked else (n, d_out))
     z[...] = pre.data
-    for zr, r in zip(z[None] if single else z, rows):
-        if 0 <= r < n:
-            lo, hi = max(r - 1, 0), min(r + 2, n)
-            zr[lo:hi] += change[lo - r + 1:hi - r + 1]
+    z3 = z if stacked else z[None]
+    for k, lo, hi, at in spots:
+        z3[k, lo:hi] += change[lo - at + 1:hi - at + 1]
     out = np.maximum(z, 0.0, out=z)
 
     def backward(g):
-        # a recorded call is 2-D, for the int ``row``
+        # a recorded call is 2-D, so every spot lies in the one slice
         gz = g * (out > 0)
         _accumulate(pre, gz)
-        if 0 <= row < n and (marks.requires_grad or w.requires_grad):
-            lo, hi = max(row - 1, 0), min(row + 2, n)
+        if spots and (marks.requires_grad or w.requires_grad):
+            # row j sums gz over output row r - 1 + j of every marked row r
             per_row = np.zeros((3, d_out))
-            per_row[lo - row + 1:hi - row + 1] = gz[lo:hi]
+            for _, lo, hi, at in spots:
+                per_row[lo - at + 1:hi - at + 1] += gz[lo:hi]
             if marks.requires_grad:
                 per_block = per_row[::-1].T.reshape(-1)  # index o * 3 + k, as w_rows
                 g_delta = per_block @ w_rows
                 _accumulate(marks, np.stack([-g_delta, g_delta]))
             if w.requires_grad:
-                # row j is the move as output row row - 1 + j sees it in its
+                # row j is the move as output row r - 1 + j sees it in its
                 # window: marks[1] - marks[0] in block 2 - j
                 moved = np.zeros((3, 3 * d))
                 for j in range(3):

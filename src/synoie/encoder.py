@@ -3,7 +3,9 @@
 The default encoder mixes a 3-token window through one ReLU layer, as two
 fused autodiff nodes: the word-row gather and mix of the unmarked rows, once
 over the row stack of a batch's sentences, and the marked rows plus the
-ReLU, for one verb or for a sentence's k verbs stacked as ``(k, n, d_h)``.
+ReLU, for one verb, for the row stack of a training chunk's instances (one
+marked verb per sentence) or for a sentence's k verbs stacked as
+``(k, n, d_h)``.
 A config that names ``encoder_vectors`` replaces it with the
 ``PrecomputedEncoder``, which replays fixed per-token vectors from that file.
 Either encoder's ``base`` takes a list of sentences and returns one tensor
@@ -83,11 +85,14 @@ class ToyEncoder:
         return ad.window_linear(p.w_word, ids, p.w_verb, p.w_mix, p.b_mix,
                                 [len(s.tokens) for s in sentences])
 
-    def encode(self, base: Tensor, indicator_verb) -> Tensor:
+    def encode(self, base: Tensor, indicator_verb, lengths=None) -> Tensor:
         """(n, d_h) states of one verb from the sentence's ``base``, or the
-        (k, n, d_h) stack of each of a sequence of k verbs, read only."""
+        (k, n, d_h) stack of each of a sequence of k verbs, read only.  With
+        ``lengths``, ``base`` is the row stack of sentences of those lengths
+        and ``indicator_verb`` holds one verb of each: their (N, d_h) row
+        stack of states."""
         return ad.marked_window_relu(base, self.params.w_verb, self.params.w_mix,
-                                     indicator_verb)
+                                     indicator_verb, lengths)
 
 
 class PrecomputedEncoder:
@@ -143,9 +148,9 @@ class PrecomputedEncoder:
             arrs.append(arr)
         return ad.constant(arrs[0] if len(arrs) == 1 else np.vstack(arrs))
 
-    def encode(self, base: Tensor, indicator_verb) -> Tensor:
+    def encode(self, base: Tensor, indicator_verb, lengths=None) -> Tensor:
         """The stored vectors ``base``, whatever the verb: broadcast to
-        (k, n, d_h) for a sequence of k verbs."""
-        if isinstance(indicator_verb, (int, np.integer)):
+        (k, n, d_h) for a sequence of k verbs without ``lengths``."""
+        if lengths is not None or isinstance(indicator_verb, (int, np.integer)):
             return base
         return ad.broadcast_verbs(base, len(indicator_verb))

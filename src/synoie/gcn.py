@@ -10,7 +10,9 @@ averages the tags on the node's path), times the view's W1.  A view's label
 embedding L and its projection L W2ᵀ + b do not depend on the verb, so a
 batch builds them once, each as one node over the row stack of its
 sentences (``Model.sentence_states``), and each verb's layer takes its
-sentence's rows of both as inputs.  On the read path a layer runs a
+sentence's rows of both as inputs.  A training chunk runs one layer per
+view over the row stack of its instances, under the block-diagonal mask of
+their graphs (``stack_graphs``).  On the read path a layer runs a
 sentence's k verbs at once, over ``(k, n, d_h)`` stacked states.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,12 +97,35 @@ def node_label_embed(graphs: list[SyntacticGraph], params: GcnParams,
 node_label_embed_const = node_label_embed_dep = node_label_embed
 
 
-def gcn_layer(g: SyntacticGraph, h_ctx: Tensor, l: Tensor,
+class StackedGraphs(NamedTuple):
+    """One view's graphs of a row stack of sentences, as ``gcn_layer`` reads
+    them: the view's name and the block-diagonal (N, N) adjacency."""
+
+    view: str
+    adjacency: np.ndarray
+
+
+def stack_graphs(graphs: list[SyntacticGraph]) -> SyntacticGraph | StackedGraphs:
+    """The graphs of one view over the row stack of their sentences: the
+    graph itself for one, else their adjacencies on the diagonal of one
+    mask, so no node attends outside its own sentence."""
+    if len(graphs) == 1:
+        return graphs[0]
+    size = sum(g.n for g in graphs)
+    adjacency, start = np.zeros((size, size), dtype=bool), 0
+    for g in graphs:
+        adjacency[start:start + g.n, start:start + g.n] = g.adjacency
+        start += g.n
+    return StackedGraphs(graphs[0].view, adjacency)
+
+
+def gcn_layer(g: SyntacticGraph | StackedGraphs, h_ctx: Tensor, l: Tensor,
               proj: Tensor) -> tuple[Tensor, Tensor]:
     """One graph convolution over label embeddings ``l`` and their
     ``label_projection`` ``proj``; returns the (n, d_h) node states and the
     (n, n) attention matrix, a constant, or their (k, ·) stacks for
-    (k, n, d_h) stacked ``h_ctx``.
+    (k, n, d_h) stacked ``h_ctx``.  Over ``stack_graphs`` of several
+    sentences, n counts the rows of their row stack.
 
     Attention row i is a masked softmax of the message dot products over the
     adjacency row (self-loop included), so isolated nodes cannot occur.  The

@@ -142,13 +142,14 @@ def gold_pick(gold_ids: list[int], n_tags: int) -> np.ndarray:
     return pick
 
 
-def tagging_loss(logits: Tensor, gold_ids: list[int],
+def tagging_loss(logits: Tensor | ad.RowSoftmax, gold_ids: list[int],
                  pick: np.ndarray | None = None
                  ) -> tuple[ad.RowSoftmax, np.ndarray]:
     """Mean token-level cross entropy for one instance: the row softmax of
-    ``logits`` and its ``gold_pick`` mask for ``gold_ids``, built here when
-    ``pick`` is not given."""
-    rows = ad.row_softmax(logits)
+    ``logits`` (taken here unless ``logits`` is one already) and its
+    ``gold_pick`` mask for ``gold_ids``, built here when ``pick`` is not
+    given."""
+    rows = logits if isinstance(logits, ad.RowSoftmax) else ad.row_softmax(logits)
     if len(gold_ids) != rows.shape[0]:
         raise ad.ShapeMismatch(f"tagging loss: logits {logits.shape}, "
                                f"{len(gold_ids)} gold tags")

@@ -5,17 +5,24 @@ encoder's ``base``: for the window encoder its pre-activation with no verb
 marked; and each view's label embedding L and projection L W2ᵀ + b), so all
 of a sentence's verbs share it.  ``sentence_states`` builds the states of a
 list of sentences as one node per kind over their row stack, and each state
-is its sentence's row block of those nodes; a list of one sentence records
-no block node.
+names its sentence's rows of those nodes; a training chunk stacks its
+instances' rows of them with one node per kind, and a state built alone
+reads the nodes themselves.
 
-``forward`` is one body for one verb or for a sequence of k verbs, and so
-is each kernel it calls.  One verb gives 2-D results, which training
-records; k verbs give their ``(k, n, ·)`` stack, read only.  The first
-``predict`` over a state tags all of the sentence's verbs with stacked
-forwards over chunks of them, at most ``STACK_ENTRIES`` entries in each
-(k, n, n) array, and keeps only each verb's tag ids and probabilities
-(``SentenceState.tags``), so extraction runs one forward per sentence (per
-chunk, for a long sentence with many verbs) and training never builds one.
+``forward`` is one body for the recorded row stack of instances, one verb
+of a sentence each (``rows_forward``), and for a sentence's k verbs, and so
+is each kernel it calls.  Training records one forward per chunk of a
+batch: ``chunk_batch`` splits the batch's instances into consecutive chunks
+of at most ``CHUNK_ROWS`` rows, and the first ``instance_losses`` call for
+an instance of a chunk runs the chunk's forward, whose row blocks each
+instance's loss reads.  One instance with no chunk is a chunk of one, the
+2-D forward of one verb.  k verbs give their ``(k, n, ·)`` stack, read
+only.  The first ``predict`` over a state tags all of the sentence's verbs
+with stacked forwards over chunks of them, at most ``STACK_ENTRIES``
+entries in each (k, n, n) array, and keeps only each verb's tag ids and
+probabilities (``SentenceState.tags``), so extraction runs one forward per
+sentence (per chunk, for a long sentence with many verbs) and training
+never builds one.
 
 A model holds only the tensors its config's forward reads (``param_shapes``):
 no encoder tensors when ``encoder_vectors`` replays vectors, and no tensors
@@ -51,6 +58,12 @@ TRAINING_COPIES = 6
 # the most entries of each (k, n, n) array one stacked forward holds: 2 MiB of
 # float64, so a long sentence's k verbs do not cost k n² memory at once
 STACK_ENTRIES = 2**18
+
+# the most rows one recorded training forward stacks (``chunk_batch``): its
+# attention works on (N, N) arrays over N stacked rows, so its cost grows as
+# N², and measured, a bound of 64 gains most on short sentences while no
+# length runs more than about 10 % slower than one instance at a time
+CHUNK_ROWS = 64
 
 
 def physical_memory() -> int | None:
@@ -97,24 +110,53 @@ class SentenceGraphs:
 
 @dataclass
 class SentenceState:
-    """``con`` and ``dep`` are a view's (L, L W2ᵀ + b) pair, or None when
-    the view is off; ``graphs`` and ``sentence_id`` name what the state was
-    built for.  ``tags`` is None until the first ``Model.predict`` over the
-    state tags every one of the sentence's verbs, and then maps each verb
-    to its (n,) argmax tag ids and their probabilities."""
+    """One sentence's rows ``rows`` (a slice) of ``stack``: the encoder base
+    and each view's (L, L W2ᵀ + b) pair, or None for a view that is off,
+    each one node over the row stack of the sentences that
+    ``Model.sentence_states`` built together.  ``base``, ``con`` and ``dep``
+    are the sentence's row blocks of them, built when first read (the nodes
+    themselves for a state built alone); a training forward gathers its
+    rows from ``stack`` and reads no block.  ``graphs`` and ``sentence_id``
+    name what the state was built for.  ``tags`` is None until the first
+    ``Model.predict`` over the state tags every one of the sentence's verbs,
+    and then maps each verb to its (n,) argmax tag ids and their
+    probabilities.  ``chunks`` is None until ``chunk_batch`` places the
+    sentence's training instances, and then maps each of their verbs to its
+    chunk and its place in it."""
 
     graphs: SentenceGraphs
     sentence_id: int | None
-    base: Tensor
-    con: tuple[Tensor, Tensor] | None
-    dep: tuple[Tensor, Tensor] | None
+    stack: tuple
+    rows: slice
     tags: dict[int, tuple[np.ndarray, np.ndarray]] | None = None
+    chunks: dict[int, tuple["Chunk", int]] | None = None
+
+    @property
+    def n(self) -> int:
+        return self.rows.stop - self.rows.start
+
+    @cached_property
+    def base(self) -> Tensor:
+        return ad.row_block(self.stack[0], self.rows)
+
+    @cached_property
+    def con(self) -> tuple[Tensor, Tensor] | None:
+        return self._pair(self.stack[1])
+
+    @cached_property
+    def dep(self) -> tuple[Tensor, Tensor] | None:
+        return self._pair(self.stack[2])
+
+    def _pair(self, pair):
+        return None if pair is None else tuple(ad.row_block(t, self.rows)
+                                               for t in pair)
 
 
 @dataclass
 class ForwardResult:
     """(n, n_tags) logits, (n, d_h) states and (n, n) attention matrices for
-    one verb; for k stacked verbs, (k, n, n_tags), (k, n, d_h) and
+    one verb, or for a row stack of N rows of instances, whose attention is
+    block-diagonal; for k stacked verbs, (k, n, n_tags), (k, n, d_h) and
     (k, n, n), slice i being the bytes of verb i's own results."""
 
     logits: Tensor
@@ -134,7 +176,8 @@ class InstanceLosses:
     values of its parts, each the ``losses.nll`` of its own mask (r* None
     for a loss that does not run); and gold_ids.  Each value is computed
     when first read and then kept; ``train`` reads the terms, the logits
-    and the gold ids alone.
+    and the gold ids alone.  ``logits`` and CE's row softmax are the
+    instance's row blocks of its chunk's.
     """
 
     terms: list[tuple[ad.RowSoftmax, np.ndarray]]
@@ -177,7 +220,8 @@ class InstanceLosses:
 
 class Model:
     """Owns all trainable tensors, as views of one float64 vector ``theta``,
-    and runs one instance at a time."""
+    and runs the forward of one instance, of a chunk of a batch's instances
+    or of a sentence's verbs."""
 
     def __init__(self, cfg: TrainConfig, vocab: Vocabulary,
                  dep_labels: LabelVocab, con_labels: LabelVocab,
@@ -284,57 +328,105 @@ class Model:
         """The part of ``forward`` that every verb of each of ``sentences``
         shares: the encoder base and, for each active view, its label
         embedding and projection, each one node over the row stack of the
-        sentences, and each state its sentence's row block of them."""
-        sizes = [len(s.tokens) for s in sentences]
-        base = ad.row_blocks(self.encoder.base(sentences, sentence_ids), sizes)
-        con = self._label_blocks(gcn_mod.node_label_embed_const,
-                                 [g.const for g in graphs], self.con_params,
-                                 self.con_labels, sizes)
-        dep = self._label_blocks(gcn_mod.node_label_embed_dep,
-                                 [g.dep for g in graphs], self.dep_params,
-                                 self.dep_labels, sizes)
-        return [SentenceState(*state) for state in
-                zip(graphs, sentence_ids, base, con, dep, strict=True)]
+        sentences, and each state its sentence's rows of them."""
+        stack = (self.encoder.base(sentences, sentence_ids),
+                 self._labels(gcn_mod.node_label_embed_const,
+                              [g.const for g in graphs], self.con_params,
+                              self.con_labels),
+                 self._labels(gcn_mod.node_label_embed_dep,
+                              [g.dep for g in graphs], self.dep_params,
+                              self.dep_labels))
+        states, start = [], 0
+        for sentence, g, sentence_id in zip(sentences, graphs, sentence_ids,
+                                            strict=True):
+            end = start + len(sentence.tokens)
+            states.append(SentenceState(g, sentence_id, stack, slice(start, end)))
+            start = end
+        return states
 
     @staticmethod
-    def _label_blocks(embed, view_graphs: list[SyntacticGraph],
-                      params: GcnParams | None, labels: LabelVocab,
-                      sizes: list[int]):
-        """Each sentence's (L, L W2ᵀ + b) row blocks of one view, or None for
-        each when the view is off (the model has no ``params`` for it)."""
+    def _labels(embed, view_graphs: list[SyntacticGraph],
+                params: GcnParams | None, labels: LabelVocab):
+        """One view's (L, L W2ᵀ + b) over the row stack of ``view_graphs``,
+        or None when the view is off (the model has no ``params`` for it)."""
         if params is None:
-            return [None] * len(sizes)
+            return None
         l = embed(view_graphs, params, labels)
-        return list(zip(ad.row_blocks(l, sizes),
-                        ad.row_blocks(gcn_mod.label_projection(l, params), sizes)))
+        return l, gcn_mod.label_projection(l, params)
+
+    def _state(self, sentence, graphs, sentence_id, state) -> SentenceState:
+        """``state``, checked against ``graphs`` and ``sentence_id``, or the
+        sentence's own state when not given."""
+        if state is None:
+            [state] = self.sentence_states([sentence], [graphs], [sentence_id])
+        else:
+            _check_state(state, graphs, sentence_id)
+        return state
 
     def forward(self, sentence: ParsedSentence, indicator_verb,
                 graphs: SentenceGraphs, sentence_id: int | None = None,
                 state: SentenceState | None = None) -> ForwardResult:
         """The forward pass over ``state``, built here when not given, of one
-        verb (an int: 2-D results) or of a sequence of k verbs (their
-        (k, n, ·) stack, which raises ``ad.ShapeMismatch`` unless gradients
-        are off).  Both run the same kernels, each one numpy body for
-        either rank under its own ``np.errstate``.
+        verb (an int: 2-D results, the ``rows_forward`` of one instance) or
+        of a sequence of k verbs (their (k, n, ·) stack, which raises
+        ``ad.ShapeMismatch`` unless gradients are off).  Every form runs the
+        same kernels, each one numpy body under its own ``np.errstate``.
 
         Raises ValueError for a state built for other graphs or another
         sentence id.
         """
-        if state is None:
-            [state] = self.sentence_states([sentence], [graphs], [sentence_id])
+        state = self._state(sentence, graphs, sentence_id, state)
+        if isinstance(indicator_verb, (int, np.integer)):
+            return self.rows_forward([(state, indicator_verb)])
+        return self._run(state.base, indicator_verb, None, [graphs.const],
+                         state.con, [graphs.dep], state.dep)
+
+    def rows_forward(self, members: list[tuple[SentenceState, int]]
+                     ) -> ForwardResult:
+        """The recorded forward of each (state, verb) of ``members`` over the
+        row stack of their sentences: 2-D results of N = Σ nᵢ rows, each
+        view's attention under the block-diagonal mask of the members'
+        graphs, so member i's rows are its own forward's.  The members'
+        states come from one ``sentence_states`` call, or this raises
+        ValueError, and their rows of its nodes are stacked with one node
+        per kind (``ad.stack_rows``), or none for one state of all of its
+        rows: a state built alone gives one verb's forward."""
+        states = [state for state, _ in members]
+        base, con, dep = stack = states[0].stack
+        if any(state.stack is not stack for state in states):
+            raise ValueError("the instances of one forward come from states "
+                             "of one sentence_states call")
+        blocks = [state.rows for state in states]
+        if blocks == [slice(0, base.shape[0])]:
+            def rows(t):
+                return t
         else:
-            _check_state(state, graphs, sentence_id)
-        h_ctx = self.encoder.encode(state.base, indicator_verb)
-        h_con, alphas_con = self._view(graphs.const, h_ctx, state.con)
-        h_dep, alphas_dep = self._view(graphs.dep, h_ctx, state.dep)
+            def rows(t):
+                return ad.stack_rows(t, blocks)
+
+        return self._run(rows(base), [verb for _, verb in members],
+                         [state.n for state in states],
+                         [state.graphs.const for state in states],
+                         None if con is None else tuple(map(rows, con)),
+                         [state.graphs.dep for state in states],
+                         None if dep is None else tuple(map(rows, dep)))
+
+    def _run(self, base, verbs, lengths, con_graphs, con, dep_graphs, dep
+             ) -> ForwardResult:
+        """The kernels of ``forward`` over ``base``, ``encode``'s ``verbs``
+        and ``lengths``, and each view's graphs and (L, L W2ᵀ + b) pair."""
+        h_ctx = self.encoder.encode(base, verbs, lengths)
+        h_con, alphas_con = self._view(con_graphs, h_ctx, con)
+        h_dep, alphas_dep = self._view(dep_graphs, h_ctx, dep)
         h_final = gcn_mod.aggregate(h_ctx, h_con, h_dep)
         logits = tagger.tag_logits(h_final, self.w_tag, self.b_tag)
         return ForwardResult(logits=logits, h_ctx=h_ctx, h_con=h_con,
                              h_dep=h_dep, alphas_con=alphas_con,
                              alphas_dep=alphas_dep)
 
-    def _view(self, g: SyntacticGraph, h_ctx: Tensor, labels):
-        """A view's states and attention from its (L, L W2ᵀ + b) pair."""
+    def _view(self, graphs: list[SyntacticGraph], h_ctx: Tensor, labels):
+        """A view's states and attention over the row stack of ``graphs``
+        from its (L, L W2ᵀ + b) pair."""
         if labels is None:
             return None, None
         l, proj = labels
@@ -342,7 +434,7 @@ class Model:
             if h_ctx.data.ndim == 3:
                 proj = ad.broadcast_verbs(proj, h_ctx.shape[0])
             return proj, None
-        return gcn_mod.gcn_layer(g, h_ctx, l, proj)
+        return gcn_mod.gcn_layer(gcn_mod.stack_graphs(graphs), h_ctx, l, proj)
 
     def _r_losses(self) -> tuple[bool, bool, bool]:
         """Whether R1, R2 and R3 run: each needs its switch on, a nonzero
@@ -379,20 +471,44 @@ class Model:
                         r_mask: np.ndarray | None = None,
                         target: tuple[list[int], np.ndarray] | None = None
                         ) -> InstanceLosses:
-        """Forward one instance over ``state`` and return its loss terms:
-        CE's for its ``ce_target`` and, when an R loss runs, the Gram's under
-        ``r_mask``.  Each of ``state``, ``r_mask`` and ``target`` is built
-        here when not given."""
-        fwd = self.forward(inst.sentence, inst.indicator_verb, graphs, sentence_id,
-                           state)
+        """One instance's loss terms over ``state``: CE's for its
+        ``ce_target`` and, when an R loss runs, its Gram's under ``r_mask``.
+        Each of ``state``, ``r_mask`` and ``target`` is built here when not
+        given.
+
+        An instance that ``chunk_batch`` placed in a chunk reads its row
+        blocks of the chunk's one recorded forward, which the first call for
+        any of the chunk's instances runs; any other instance is a chunk of
+        one, whose blocks are its whole forward.  Raises ValueError for a
+        state built for other graphs or another sentence id.
+        """
+        state = self._state(inst.sentence, graphs, sentence_id, state)
+        verb = inst.indicator_verb
+        chunk, j = (state.chunks or {}).get(verb) or (Chunk([(state, verb)]), 0)
+        if chunk.blocks is None:
+            self._run_chunk(chunk)
+        ce, h_con, h_dep = chunk.blocks[j]
         gold_ids, pick = self.ce_target(inst) if target is None else target
-        terms = [losses_mod.tagging_loss(fwd.logits, gold_ids, pick)]
+        terms = [losses_mod.tagging_loss(ce, gold_ids, pick)]
         runs = self._r_losses()
         if any(runs):
-            gram = losses_mod.view_gram([h for h in (fwd.h_con, fwd.h_dep)
-                                         if h is not None])
+            gram = losses_mod.view_gram([h for h in (h_con, h_dep) if h is not None])
             terms.append((gram, self.r_mask(graphs) if r_mask is None else r_mask))
-        return InstanceLosses(terms, fwd.logits, gold_ids, self._views(graphs), runs)
+        return InstanceLosses(terms, ce.a, gold_ids, self._views(graphs), runs)
+
+    def _run_chunk(self, chunk: "Chunk"):
+        """Run the chunk's ``rows_forward`` and CE's row softmax over its
+        logits, and keep each instance's row blocks of both and, when an R
+        loss reads them, of each view's states."""
+        # the states hold the chunk, so it lets go of them: no cycle keeps
+        # the recorded forward alive after the batch
+        members, chunk.members = chunk.members, None
+        fwd = self.rows_forward(members)
+        sizes = [state.n for state, _ in members]
+        views = [ad.row_blocks(h, sizes) if h is not None and any(self._r_losses())
+                 else [None] * len(sizes) for h in (fwd.h_con, fwd.h_dep)]
+        chunk.blocks = list(zip(ad.row_softmax(fwd.logits).row_blocks(sizes),
+                                *views))
 
     def predict(self, sentence: ParsedSentence, indicator_verb: int,
                 graphs: SentenceGraphs, sentence_id: int | None = None,
@@ -433,6 +549,37 @@ class Model:
         ex = np.exp(x - x.max(axis=2, keepdims=True))
         # the best tag's exp is exp(0) = 1, so its probability is 1 / row sum
         return list(zip(ex.argmax(axis=2), 1.0 / ex.sum(axis=2)))
+
+
+@dataclass(eq=False)
+class Chunk:
+    """Consecutive instances of a training batch, as (state, verb) members,
+    whose recorded forward runs once over the row stack of their
+    sentences.  ``blocks`` is None until the first ``instance_losses`` call
+    for a member runs it, which sets ``members`` to None, and then holds
+    member i's row blocks: of CE's row softmax, and of the con and dep
+    states (None for a view that is off, or when no R loss reads them)."""
+
+    members: list[tuple[SentenceState, int]] | None
+    blocks: list[tuple] | None = None
+
+
+def chunk_batch(members: list[tuple[SentenceState, int]]) -> list[Chunk]:
+    """Split a training batch's (state, verb) instances, in batch order,
+    into consecutive chunks of at most ``CHUNK_ROWS`` rows, an instance
+    longer than that alone, and record each instance's chunk and place in
+    its state (``state.chunks``)."""
+    chunks, rows = [], 0
+    for state, verb in members:
+        if not chunks or rows + state.n > CHUNK_ROWS:
+            chunks.append(Chunk([]))
+            rows = 0
+        if state.chunks is None:
+            state.chunks = {}
+        state.chunks[verb] = (chunks[-1], len(chunks[-1].members))
+        chunks[-1].members.append((state, verb))
+        rows += state.n
+    return chunks
 
 
 def _check_state(state: SentenceState, graphs: SentenceGraphs,

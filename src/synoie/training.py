@@ -4,7 +4,11 @@ Batches are sets of per-verb instances.  Graphs and the weighted R mask are
 cached per sentence, and each instance's CE target per instance, across
 epochs.  A batch builds the states of its distinct sentences with one
 ``Model.sentence_states`` call, one node per kind over their row stack, and
-the verbs of one sentence share its state.  A batch's loss is one
+the verbs of one sentence share its state.  ``chunk_batch`` then splits the
+batch's instances, in batch order, into chunks of at most
+``model.CHUNK_ROWS`` rows, and each chunk records one forward over the row
+stack of its instances; ``Model.instance_losses`` still runs once per
+instance and reads that instance's rows.  A batch's loss is one
 ``ad.masked_nll`` node over every instance's masks, each scaled by 1/B.
 The best checkpoint (by dev exact-match F1, latest on ties) is returned.
 With a zero dev fraction the dev set falls back to the training sentences
@@ -33,7 +37,7 @@ from .corpus import (Extraction, ParsedSentence, SchemaViolation,
                      expand_instances, is_json_int, parse_json)
 from .encoder import Vocabulary
 from .gcn import LabelVocab
-from .model import Model, SentenceGraphs
+from .model import Model, SentenceGraphs, chunk_batch
 
 CHECKPOINT_FORMAT_VERSION = 3
 
@@ -257,6 +261,7 @@ def train(sentences: list[ParsedSentence], cfg: TrainConfig,
                 states = dict(zip(sent_ids, model.sentence_states(
                     [sentences[i] for i in sent_ids],
                     [graph_cache[i] for i in sent_ids], sent_ids)))
+                chunk_batch([(states[i], inst.indicator_verb) for i, inst, _ in batch])
                 for sent_i, inst, target in batch:
                     parts = model.instance_losses(inst, graph_cache[sent_i],
                                                   sentence_id=sent_i,

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from synoie import autodiff as ad
+from synoie import model as model_mod
+from synoie import training
 from synoie.config import TrainConfig
 from synoie.model import Model
 from synoie.synthetic import generate_corpus
@@ -81,6 +83,35 @@ def test_readme_batch_state_statement_is_the_training_loop(monkeypatch):
     assert len(calls) == cfg.epochs * batches
     assert all(len(ids) == len(set(ids)) for ids in calls)
     assert any(len(ids) > 1 for ids in calls)
+
+
+def test_readme_chunk_statement_is_the_training_loop(monkeypatch):
+    """README says training stacks a batch's instances in consecutive chunks
+    of at most ``model.CHUNK_ROWS`` rows, in batch order, an instance longer
+    than that alone."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    [bound] = re.findall(r"Training stacks a batch's instances in consecutive "
+                         r"chunks of at most (\d+) rows, in batch order", text)
+    assert int(bound) == model_mod.CHUNK_ROWS
+    chunked = []
+    inner = training.chunk_batch
+
+    def chunking(members):
+        chunks = inner(members)
+        chunked.append(([state.n for state, _ in members],
+                        [[state.n for state, _ in c.members] for c in chunks]))
+        return chunks
+
+    monkeypatch.setattr(training, "chunk_batch", chunking)
+    sentences = generate_corpus(12, seed=2)
+    train(sentences, TrainConfig(d_h=8, d_l=4, epochs=2, batch_size=16,
+                                 dev_fraction=0.0, early_stop_train_acc=None))
+    for sizes, chunks in chunked:
+        assert [n for chunk in chunks for n in chunk] == sizes
+        assert all(sum(chunk) <= int(bound) or len(chunk) == 1 for chunk in chunks)
+        # a chunk closes only when the next instance would not fit
+        assert all(sum(a) + b[0] > int(bound) for a, b in zip(chunks, chunks[1:]))
+    assert any(len(chunks) > 1 for _, chunks in chunked)
 
 
 def _is_tree_id(value) -> bool:

@@ -147,6 +147,78 @@ class TestEncoderKernels:
                                        rtol=0, atol=1e-12)
 
 
+class TestRowStackEncoderKernel:
+    """``marked_window_relu`` over a row stack of sentences, one marked row
+    per sentence: each sentence's rows are its own 2-D call."""
+
+    # sentences of 3, 1 and 4 tokens, marked at a first token, at the one
+    # token of a 1-token sentence, and at a last token
+    LENGTHS, ROWS = [3, 1, 4], [0, 0, 3]
+
+    def words(self):
+        return [[f"w{(i + k) % 3}" for i in range(n)]
+                for k, n in enumerate(self.LENGTHS)]
+
+    @pytest.mark.parametrize("rows", [[0, 0, 3], [2, 0, 0], [1, -1, 4]],
+                             ids=["edges", "other-edges", "outside"])
+    def test_each_sentence_is_its_own_call(self, rows):
+        sentences = [flat_sentence(w) for w in self.words()]
+        te = toy_encoder(sorted({t for w in self.words() for t in w}), seed=21)
+        p = te.params
+        base = te.base(sentences)
+        got = te.encode(base, rows, self.LENGTHS)
+        assert got.shape == (sum(self.LENGTHS), D) and got.requires_grad
+        start = 0
+        for row, n in zip(rows, self.LENGTHS):
+            own = ad.marked_window_relu(ad.constant(base.data[start:start + n]),
+                                        p.w_verb, p.w_mix, row)
+            assert got.data[start:start + n].tobytes() == own.data.tobytes()
+            start += n
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(22)
+        n = sum(self.LENGTHS)
+        pre = ad.parameter(rng.normal(size=(n, D)))
+        marks = ad.parameter(rng.normal(size=(2, D)))
+        w = ad.parameter(rng.normal(size=(D, 3 * D)))
+        readout = rng.normal(size=(n, D))
+
+        def f(*params):
+            return masked_sum(ad.marked_window_relu(pre, marks, w, self.ROWS,
+                                                    self.LENGTHS), readout)
+
+        assert ad.grad_check(f, [pre, marks, w]) < 1e-4
+
+    def test_gradient_is_the_sum_of_each_sentences(self):
+        rng = np.random.default_rng(23)
+        n = sum(self.LENGTHS)
+        pre = rng.normal(size=(n, D))
+        marks = ad.parameter(rng.normal(size=(2, D)))
+        w = ad.parameter(rng.normal(size=(D, 3 * D)))
+        readout = rng.normal(size=(n, D))
+        masked_sum(ad.marked_window_relu(ad.parameter(pre), marks, w, self.ROWS,
+                                         self.LENGTHS), readout).backward()
+        stacked = marks.grad.copy(), w.grad.copy()
+        marks.grad = w.grad = None
+        start = 0
+        for row, size in zip(self.ROWS, self.LENGTHS):
+            rows = slice(start, start + size)
+            masked_sum(ad.marked_window_relu(ad.parameter(pre[rows]), marks, w,
+                                             row), readout[rows]).backward()
+            start += size
+        np.testing.assert_allclose(stacked[0], marks.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stacked[1], w.grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows, lengths", [([0], [3, 1]), ([0, 0], [2, 1]),
+                                               ([0, 0], [4, 0])],
+                             ids=["one-row-short", "rows-short", "empty-sentence"])
+    def test_rows_must_match_the_sentences(self, rows, lengths):
+        with pytest.raises(ad.ShapeMismatch):
+            ad.marked_window_relu(ad.constant(np.zeros((4, D))),
+                                  ad.constant(np.zeros((2, D))),
+                                  ad.constant(np.zeros((D, 3 * D))), rows, lengths)
+
+
 def old_encoder_input(table, ids, marks, w, b, readout):
     """The gather, indicator add and window mix of the unmarked rows, in
     numpy: window(table[ids] + marks[0]) @ wᵀ + b, and the gradients of

@@ -18,7 +18,8 @@ from synoie.corpus import expand_instances, load_corpus
 from synoie.encoder import Vocabulary
 from synoie.gcn import LabelVocab
 
-from synoie.model import Model, SentenceGraphs
+from synoie import training as training_mod
+from synoie.model import Model, SentenceGraphs, chunk_batch
 from synoie.synthetic import generate_corpus
 from synoie.training import _label_inventories, build_graph_cache, train
 
@@ -195,11 +196,13 @@ class TestTapeSize:
 
     def test_every_node_a_batch_records_is_on_its_tape(self, monkeypatch):
         # one training batch: its sentences' states record one encoder base
-        # node and, per view, one label embedding and one projection node,
-        # each with one row block per sentence; its instances record their
-        # forward passes, and the batch one ``masked_nll`` node over all of
-        # their masks, the node that ``train`` walks backward
-        recorded, nll_nodes, walked = [], [], []
+        # node and, per view, one label embedding and one projection node;
+        # each chunk of its instances records one forward over their row
+        # stack, with one attention node per view, and row blocks of its
+        # logits and view states per instance; the batch records one
+        # ``masked_nll`` node over all of the instances' masks, the node
+        # that ``train`` walks backward
+        recorded, nll_nodes, walked, chunked = [], [], [], []
         record, nll, backward = ad._record, ad.masked_nll, ad.Tensor.backward
         built = {"window_linear": 0, "node_label_embed_const": 0,
                  "node_label_embed_dep": 0, "label_projection": 0}
@@ -224,9 +227,15 @@ class TestTapeSize:
             walked.append(self)
             backward(self)
 
+        def chunking(members):
+            chunks = chunk_batch(members)
+            chunked.append([len(chunk.members) for chunk in chunks])
+            return chunks
+
         monkeypatch.setattr(ad, "_record", recording)
         monkeypatch.setattr(ad, "masked_nll", counted)
         monkeypatch.setattr(ad.Tensor, "backward", walking)
+        monkeypatch.setattr(training_mod, "chunk_batch", chunking)
         sentences = load_corpus(SAMPLE_CORPUS)
         train(sentences, TrainConfig(d_h=8, d_l=4, epochs=1, batch_size=1000,
                                      dev_fraction=0.0, early_stop_train_acc=None))
@@ -234,11 +243,25 @@ class TestTapeSize:
         on_tape = {id(t) for t in ad.Tape(walked[0]).order}
         assert [t for t in recorded if t.requires_grad and id(t) not in on_tape] == []
         # its parents: each instance's tag logits and row stack of view states
-        assert len(walked[0]._parents) == 2 * sum(len(s.verbs) for s in sentences)
+        instances = sum(len(s.verbs) for s in sentences)
+        assert len(walked[0]._parents) == 2 * instances
         assert built == {"window_linear": 1, "node_label_embed_const": 1,
                          "node_label_embed_dep": 1, "label_projection": 2}
+        [sizes] = chunked
+        assert sum(sizes) == instances and 1 < len(sizes) < instances
+        attention = [t for t in recorded if t.requires_grad
+                     and t._backward is not None
+                     and t._backward.__qualname__.startswith("attention_layer")]
+        assert len(attention) == 2 * len(sizes)
+        # each chunk stacks its rows of the five state nodes, and keeps
+        # three row blocks per instance (logits, con and dep states) when
+        # it holds several
+        stacks = [t for t in recorded if t.requires_grad
+                  and t._backward is not None
+                  and t._backward.__qualname__.startswith("stack_rows")]
+        assert len(stacks) == 5 * len(sizes)
         blocks = [t for t in recorded if t.requires_grad and t._backward is None]
-        assert len(blocks) == 5 * len(sentences)
+        assert len(blocks) == 3 * sum(m for m in sizes if m > 1)
 
     def test_r1_to_r3_read_one_record_from_one_product(self, monkeypatch):
         # one row softmax for R1, R2 and R3: the block softmax of G = H Hᵀ
@@ -875,3 +898,126 @@ class TestBatchStates:
 
         assert len(ids) == 3
         assert ad.grad_check(f, list(model.params.values()), eps=1e-5) < 1e-4
+
+
+BATCH_CONFIGS = SHARED_STATE_CONFIGS + ["no-views"]
+
+
+def batch_loss(model, sentences, cache, batch, chunked=True):
+    """The loss of ``batch`` (sentence index, instance) as ``train`` takes it,
+    one ``masked_nll`` node scaled by 1/B, and its parameter vector's
+    gradient: over one state build and ``chunk_batch``'s chunks, or with
+    ``chunked`` False each instance's own forward over its own state."""
+    grad = np.zeros_like(model.theta)
+    for p, view in zip(model.params.values(), model.split(grad).values()):
+        p.grad = view
+    ids = list(dict.fromkeys(i for i, _ in batch))
+    states = dict(zip(ids, model.sentence_states([sentences[i] for i in ids],
+                                                 [cache[i] for i in ids], ids)))
+    if chunked:
+        model_mod.chunk_batch([(states[i], inst.indicator_verb)
+                               for i, inst in batch])
+    terms = [term for i, inst in batch
+             for term in model.instance_losses(
+                 inst, cache[i], i, states[i] if chunked else None).terms]
+    loss = ad.masked_nll([(rows, mask / len(batch)) for rows, mask in terms])
+    loss.backward()
+    return float(loss.data), grad
+
+
+class TestBatchForm:
+    """A training batch's instances as the rows of one recorded forward per
+    chunk: losses and gradients are each instance's own forward's."""
+
+    @pytest.mark.parametrize("config", BATCH_CONFIGS)
+    def test_chunked_whole_and_per_instance_agree(self, sample_models, config,
+                                                  monkeypatch):
+        sentences, cache, models = sample_models
+        model = models[config]
+        instances = [(i, inst) for i, s in enumerate(sentences)
+                     for inst in expand_instances(s)]
+        order = np.random.default_rng(6).permutation(len(instances))
+        batch = [instances[k] for k in order[:12]]
+        own = batch_loss(model, sentences, cache, batch, chunked=False)
+        for rows in (20, 10**9):  # several chunks, then one
+            monkeypatch.setattr(model_mod, "CHUNK_ROWS", rows)
+            got = batch_loss(model, sentences, cache, batch)
+            assert got[0] == pytest.approx(own[0], rel=0, abs=1e-12)
+            for name, g in model.split(got[1]).items():
+                np.testing.assert_allclose(g, model.split(own[1])[name], rtol=0,
+                                           atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("config", BATCH_CONFIGS)
+    def test_edge_verbs_keep_to_their_own_rows(self, sample_models, config):
+        # verbs on a first and a last token, and a 1-token sentence, between
+        # neighbours: each block's rows are its instance's own forward
+        sentences, cache, models = sample_models
+        model = models[config]
+        words = [["the", "car", "smiles"], ["smiles"], ["a", "car", "the", "car"]]
+        flat = [flat_sentence(w) for w in words]
+        ids = [DRAWN_ID + k for k in range(len(flat))]
+        if model.cfg.encoder_vectors is not None:
+            for k, s in zip(ids, flat):
+                model.encoder.vectors[k] = np.random.default_rng(k).normal(
+                    size=(len(s.tokens), model.cfg.d_h))
+        graphs = [SentenceGraphs.build(s, model.cfg.flatten) for s in flat]
+        states = model.sentence_states(flat, graphs, ids)
+        members = [(states[0], 2), (states[1], 0), (states[2], 0), (states[0], 0)]
+        fwd = model.rows_forward(members)
+        start = 0
+        for (state, verb), k in zip(members, [0, 1, 2, 0]):
+            rows = slice(start, start + len(flat[k].tokens))
+            own = model.forward(flat[k], verb, graphs[k], ids[k])
+            for name in ("logits", "h_ctx", "h_con", "h_dep"):
+                if getattr(own, name) is None:
+                    assert getattr(fwd, name) is None
+                    continue
+                np.testing.assert_allclose(getattr(fwd, name).data[rows],
+                                           getattr(own, name).data, rtol=0,
+                                           atol=1e-13, err_msg=name)
+            start = rows.stop
+        assert start == fwd.logits.shape[0] == 11
+
+    def test_an_instance_longer_than_the_bound_runs_alone(self, sample_models,
+                                                          monkeypatch):
+        sentences, cache, models = sample_models
+        model = models["default"]
+        flat = [flat_sentence([f"w{i}" for i in range(n)]) for n in (4, 8, 2, 3, 7)]
+        graphs = [SentenceGraphs.build(s, model.cfg.flatten) for s in flat]
+        states = model.sentence_states(flat, graphs, list(range(len(flat))))
+        monkeypatch.setattr(model_mod, "CHUNK_ROWS", 6)
+        chunks = model_mod.chunk_batch([(state, 0) for state in states])
+        place = {id(state): k for k, state in enumerate(states)}
+        assert [[place[id(state)] for state, _ in chunk.members]
+                for chunk in chunks] == [[0], [1], [2, 3], [4]]
+        for state in states:
+            chunk, j = state.chunks[0]
+            assert chunk.members[j] == (state, 0)
+        inst = expand_instances(flat[1])[0]
+        alone = model.instance_losses(inst, graphs[1], 1, states[1])
+        own = model.instance_losses(inst, graphs[1], 1)
+        assert alone.logits.shape == (8, len(c.TAGS))
+        assert alone["total"].data.tobytes() == own["total"].data.tobytes()
+
+    def test_batch_loss_gradient_check(self, setup):
+        # three instances in one chunk, marked at a first token, at the one
+        # token of a 1-token sentence, and at a last token
+        sentences, cache, model = build(setup, d_h=6, d_l=3)
+        flat = [flat_sentence(w) for w in (["the", "car"], ["smiles"],
+                                           ["a", "car", "smiles"])]
+        graphs = [SentenceGraphs.build(s, model.cfg.flatten) for s in flat]
+        batch = [(0, expand_instances(flat[0])[0]), (1, expand_instances(flat[1])[0]),
+                 (2, expand_instances(flat[2])[2])]
+        chunks = []
+
+        def f(*params):
+            states = model.sentence_states(flat, graphs, [0, 1, 2])
+            chunks.append(model_mod.chunk_batch(
+                [(states[i], inst.indicator_verb) for i, inst in batch]))
+            return ad.masked_nll([
+                term for i, inst in batch
+                for term in model.instance_losses(inst, graphs[i], i,
+                                                  states[i]).terms])
+
+        assert ad.grad_check(f, list(model.params.values()), eps=1e-5) < 1e-4
+        assert all(len(run) == 1 for run in chunks)

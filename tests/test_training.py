@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 
+from synoie import autodiff as ad
 from synoie import training as tr
 from synoie.config import TrainConfig
 from synoie.corpus import load_corpus
@@ -126,6 +127,43 @@ class TestTrainLoop:
         assert all(len(ids) == 1 for ids in states.values())
         assert len(seen) > len(states)  # some sentence has two verbs or more
         assert all(states[(0, sid)] != states[(1, sid)] for _, sid in states)
+
+    def test_one_loss_call_per_instance_and_one_attention_per_view_per_chunk(
+            self, corpus12, monkeypatch):
+        # the benchmark's traced round counts one ``Model.instance_losses``
+        # call per instance per epoch; the recorded forward runs once per
+        # chunk of a batch's instances, with one attention node per view
+        calls, attention, chunked = [], [], []
+        inner, inner_attention, inner_chunks = (Model.instance_losses,
+                                                ad.attention_layer,
+                                                tr.chunk_batch)
+
+        def counted(self, inst, *args, **kwargs):
+            calls.append(inst)
+            return inner(self, inst, *args, **kwargs)
+
+        def attending(*args):
+            out = inner_attention(*args)
+            if out[0].requires_grad:  # not a dev eval's
+                attention.append(out[0])
+            return out
+
+        def chunking(members):
+            chunks = inner_chunks(members)
+            chunked.append(len(chunks))
+            return chunks
+
+        monkeypatch.setattr(Model, "instance_losses", counted)
+        monkeypatch.setattr(ad, "attention_layer", attending)
+        monkeypatch.setattr(tr, "chunk_batch", chunking)
+        cfg = TrainConfig(seed=1, d_h=8, d_l=4, epochs=3, batch_size=8,
+                          dev_fraction=0.0, early_stop_train_acc=None)
+        tr.train(corpus12, cfg)
+        instances = sum(len(s.verbs) for s in corpus12)
+        assert len(calls) == cfg.epochs * instances
+        batches = -(-instances // cfg.batch_size)
+        assert len(chunked) == cfg.epochs * batches
+        assert len(attention) == 2 * sum(chunked) < 2 * len(calls)
 
     def test_ce_target_built_once_per_instance_per_run(self, corpus12, monkeypatch):
         # an instance's gold ids and CE pick mask depend only on its gold
